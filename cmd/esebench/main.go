@@ -130,13 +130,12 @@ func run(spec *jobspec.Spec, table int, ablation string, all, jsonOut, showMetri
 		// the shared MP3-only setup below would be redundant work.
 		return runAccuracy(spec.Frames, opts, acc)
 	}
-	eval := apps.MP3Config{Frames: spec.Frames, Seed: apps.DefaultMP3.Seed}
 	if !jsonOut {
 		fmt.Printf("workload: MP3-like decode, %d frames (eval seed 0x%X, train seed 0x%X)\n",
-			spec.Frames, eval.Seed, apps.TrainMP3.Seed)
+			spec.Frames, apps.DefaultMP3.Seed, apps.TrainMP3.Seed)
 		fmt.Println("calibrating statistical PUM models on the training workload...")
 	}
-	s, err := experiments.NewSetupWith(eval, apps.TrainMP3, opts)
+	s, err := experiments.NewSetup(spec.Frames, opts)
 	if err != nil {
 		return err
 	}
@@ -156,7 +155,6 @@ func run(spec *jobspec.Spec, table int, ablation string, all, jsonOut, showMetri
 		}
 		fmt.Println(v)
 	}
-	_ = emit
 	if !jsonOut {
 		fmt.Printf("calibrated branch misprediction ratio: %.3f\n\n", s.MB.Branch.MissRate)
 	}

@@ -144,24 +144,87 @@ func designNames(app string) ([]string, error) {
 	}
 }
 
-// buildDesign maps one (app, design) evaluation workload onto a platform
-// with the given calibrated model and cache configuration.
-func buildDesign(app, design string, opts Options, model *pum.PUM, cc pum.CacheCfg) (*platform.Design, error) {
+// Boards is the board-reference memo of one evaluation workload: the end
+// cycles at the bus clock of each (app, design, cache configuration) on the
+// cycle-accurate board. Board runs depend only on the design and the PUM
+// datasheet constants — never on the calibrated statistics — so each
+// reference is simulated once and serves every model scored against it.
+// Not safe for concurrent use.
+type Boards struct {
+	frames, blocks int
+	limit          uint64
+	ends           map[string]uint64 // app/design/cfg -> end cycles at bus clock
+}
+
+// NewBoards returns an empty memo for MP3 evaluated on frames frames and
+// JPEG on blocks blocks; limit bounds each board run's steps (0 = none).
+func NewBoards(frames, blocks int, limit uint64) *Boards {
+	return &Boards{frames: frames, blocks: blocks, limit: limit, ends: make(map[string]uint64)}
+}
+
+// Design maps one (app, design) evaluation workload onto a platform with
+// the given model and cache configuration.
+func (b *Boards) Design(app, design string, model *pum.PUM, cc pum.CacheCfg) (*platform.Design, error) {
 	switch app {
 	case "mp3":
-		return apps.MP3Design(design, apps.MP3Config{Frames: opts.Frames, Seed: apps.DefaultMP3.Seed}, model, cc)
+		return apps.MP3Design(design, apps.MP3Config{Frames: b.frames, Seed: apps.DefaultMP3.Seed}, model, cc)
 	case "jpeg":
-		return apps.JPEGDesign(design, apps.JPEGConfig{Blocks: opts.Blocks, Seed: apps.DefaultJPEG.Seed}, model, cc)
+		return apps.JPEGDesign(design, apps.JPEGConfig{Blocks: b.blocks, Seed: apps.DefaultJPEG.Seed}, model, cc)
 	default:
 		return nil, cli.Input(fmt.Errorf("calib: unknown application %q", app))
 	}
 }
 
+// Ref returns the board reference of the (app, design) workload at cc. d is
+// that workload as Design builds it, under any model; the board simulates
+// it on the first request for the key only.
+func (b *Boards) Ref(app, design string, cc pum.CacheCfg, d *platform.Design) (uint64, error) {
+	key := fmt.Sprintf("%s/%s/%s", app, design, cc)
+	if ref, ok := b.ends[key]; ok {
+		return ref, nil
+	}
+	br, err := rtl.RunBoard(d, b.limit)
+	if err != nil {
+		return 0, fmt.Errorf("calib: board %s: %w", key, err)
+	}
+	ref := br.EndCycles(d.Bus.ClockHz)
+	b.ends[key] = ref
+	return ref, nil
+}
+
+// ScoreRow scores a calibrated model's timed-TLM estimate of one (app,
+// design) against the board across cfgs: per configuration it builds the
+// design, takes the board reference from boards and runs the estimate
+// through pipe. Train and Cross are left to the caller.
+func ScoreRow(pipe *engine.Pipeline, boards *Boards, model *pum.PUM, app, design string, cfgs []pum.CacheCfg) (Row, error) {
+	row := Row{App: app, Design: design}
+	for _, cc := range cfgs {
+		d, err := boards.Design(app, design, model, cc)
+		if err != nil {
+			return Row{}, err
+		}
+		ref, err := boards.Ref(app, design, cc, d)
+		if err != nil {
+			return Row{}, err
+		}
+		res, err := pipe.RunTimed(d)
+		if err != nil {
+			return Row{}, fmt.Errorf("calib: estimate %s/%s/%s: %w", app, design, cc, err)
+		}
+		est := res.EndCycles(d.Bus.ClockHz)
+		row.Points = append(row.Points, Point{
+			ISize: cc.ISize, DSize: cc.DSize,
+			Board: ref, Est: est,
+			ErrPct: pct(float64(est), float64(ref)),
+		})
+	}
+	row.MAPE, row.Pearson = score(row.Points)
+	return row, nil
+}
+
 // RunScoreboard calibrates one model per training set and scores the
-// estimated TLM against the cycle-accurate board over the matrix. Board
-// runs depend only on the design and the PUM datasheet constants — never
-// on the calibrated statistics — so each (app, design, config) board
-// reference is simulated once and reused across training sets.
+// estimated TLM against the cycle-accurate board over the matrix, sharing
+// one board-reference memo across training sets.
 func RunScoreboard(opts Options) (*Scoreboard, error) {
 	if opts.Frames <= 0 {
 		opts.Frames = apps.DefaultMP3.Frames
@@ -194,7 +257,7 @@ func RunScoreboard(opts Options) (*Scoreboard, error) {
 	}
 
 	pipe := engine.New(opts.Engine)
-	board := make(map[string]uint64) // app/design/cfg -> end cycles at bus clock
+	boards := NewBoards(opts.Frames, opts.Blocks, opts.Limit)
 	sb := &Scoreboard{Frames: opts.Frames, Blocks: opts.Blocks}
 
 	for _, label := range trains {
@@ -215,34 +278,11 @@ func RunScoreboard(opts Options) (*Scoreboard, error) {
 				if !wantDesign(design) {
 					continue
 				}
-				row := Row{Train: label, App: app, Design: design, Cross: !trainCovers(label, app)}
-				for _, cc := range cfgs {
-					d, err := buildDesign(app, design, opts, model, cc)
-					if err != nil {
-						return nil, err
-					}
-					key := fmt.Sprintf("%s/%s/%s", app, design, cc)
-					ref, ok := board[key]
-					if !ok {
-						br, err := rtl.RunBoard(d, opts.Limit)
-						if err != nil {
-							return nil, fmt.Errorf("calib: board %s: %w", key, err)
-						}
-						ref = br.EndCycles(d.Bus.ClockHz)
-						board[key] = ref
-					}
-					res, err := pipe.RunTimed(d)
-					if err != nil {
-						return nil, fmt.Errorf("calib: estimate %s (train %s): %w", key, label, err)
-					}
-					est := res.EndCycles(d.Bus.ClockHz)
-					row.Points = append(row.Points, Point{
-						ISize: cc.ISize, DSize: cc.DSize,
-						Board: ref, Est: est,
-						ErrPct: pct(float64(est), float64(ref)),
-					})
+				row, err := ScoreRow(pipe, boards, model, app, design, cfgs)
+				if err != nil {
+					return nil, fmt.Errorf("%w (train %s)", err, label)
 				}
-				row.MAPE, row.Pearson = score(row.Points)
+				row.Train, row.Cross = label, !trainCovers(label, app)
 				sb.Rows = append(sb.Rows, row)
 			}
 		}

@@ -23,8 +23,7 @@
 // The generated code reproduces the tree-walker's observable semantics
 // exactly — same Out/Steps/CyclesByPE, same error text, same per-block
 // bookkeeping order — and the generator rejects exactly the IR shapes
-// the compiled engine rejects, so EngineAuto's fallback matrix stays
-// coherent.
+// the compiled engine rejects, so every tier fails on the same programs.
 package codegen
 
 import (

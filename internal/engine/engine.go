@@ -69,9 +69,9 @@ type Options struct {
 	// with diag.ErrDeadline once that much host time has elapsed.
 	Timeout time.Duration
 	// Engine is the pipeline-wide default execution engine for Simulate
-	// runs: interp.EngineAuto (the zero value) uses the flat compiled
-	// engine with tree-walker fallback. A per-run tlm.Options.Engine other
-	// than auto takes precedence.
+	// runs: interp.EngineAuto (the zero value) uses the registered
+	// generated engine, else the flat compiled engine. A per-run
+	// tlm.Options.Engine other than auto takes precedence.
 	Engine interp.EngineKind
 	// Verify runs the static IR verifier after the front end (CompileCtx),
 	// the PUM lint before annotation (AnnotateCtx and friends), and the
@@ -484,9 +484,6 @@ func (pl *Pipeline) SimulateCtx(ctx context.Context, d *platform.Design, opts tl
 	}
 	if opts.Engine == interp.EngineAuto {
 		opts.Engine = pl.opts.Engine
-	}
-	if opts.Diags == nil {
-		opts.Diags = &pl.diags
 	}
 	var res *tlm.Result
 	start := time.Now()

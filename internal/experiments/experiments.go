@@ -9,6 +9,9 @@
 // The "board" is the cycle-accurate virtual board of internal/rtl; the
 // statistical PUM is calibrated on a training workload distinct from the
 // evaluation workload, so reported errors are genuine estimation errors.
+// Calibration, board references and the board-vs-estimate points of
+// Tables 2–3 come from internal/calib, the same path that produces the
+// accuracy scoreboard (BENCH_accuracy.json).
 package experiments
 
 import (
@@ -17,6 +20,7 @@ import (
 	"time"
 
 	"ese/internal/apps"
+	"ese/internal/calib"
 	"ese/internal/core"
 	"ese/internal/engine"
 	"ese/internal/iss"
@@ -26,40 +30,53 @@ import (
 )
 
 // Setup bundles what every experiment needs: the calibrated processor
-// model, the workload configurations, and one shared estimation pipeline.
-// Every timed-TLM run of every experiment goes through the pipeline, so
-// the cache-configuration sweeps of Tables 2–3 (and the ablations) compute
-// each Algorithm 1 schedule once and reuse it across configurations —
-// Pipe.Stats() exposes the hit counters.
+// model, the evaluation workload, one shared estimation pipeline and one
+// board-reference memo. Every timed-TLM run of every experiment goes
+// through the pipeline, so the cache-configuration sweeps of Tables 2–3
+// (and the ablations) compute each Algorithm 1 schedule once and reuse it
+// across configurations — Pipe.Stats() exposes the hit counters. Every
+// board reference of the evaluation workload goes through Boards, so each
+// is simulated once per Setup.
 type Setup struct {
-	Eval  apps.MP3Config
-	Train apps.MP3Config
-	MB    *pum.PUM         // calibrated MicroBlaze-like model
-	Pipe  *engine.Pipeline // shared staged pipeline (schedule/estimate cache)
+	Eval   apps.MP3Config
+	MB     *pum.PUM         // calibrated MicroBlaze-like model
+	Pipe   *engine.Pipeline // shared staged pipeline (schedule/estimate cache)
+	Boards *calib.Boards    // board references of the evaluation workload
 }
 
-// NewSetup calibrates the MicroBlaze model on the training workload.
-func NewSetup(eval, train apps.MP3Config) (*Setup, error) {
-	return NewSetupWith(eval, train, engine.Options{})
-}
-
-// NewSetupWith is NewSetup with explicit pipeline options (watchdog
-// timeout, strictness, worker bound), the hook esebench's flags use.
-func NewSetupWith(eval, train apps.MP3Config, opts engine.Options) (*Setup, error) {
-	trainProg, err := apps.CompileMP3("SW", train)
+// NewSetup calibrates the MicroBlaze model on the MP3 training workload
+// (apps.TrainMP3) and evaluates on frames frames of the default seed; opts
+// configures the shared pipeline (watchdog timeout, strictness, workers).
+func NewSetup(frames int, opts engine.Options) (*Setup, error) {
+	ts, err := calib.Trainings("mp3")
 	if err != nil {
 		return nil, err
 	}
-	mb, err := rtl.Calibrate(pum.MicroBlaze(), trainProg, "main", pum.StandardCacheConfigs, 0)
+	mb, _, err := calib.Calibrate(pum.MicroBlaze(), ts, pum.StandardCacheConfigs, 0)
 	if err != nil {
 		return nil, err
 	}
-	return &Setup{Eval: eval, Train: train, MB: mb, Pipe: engine.New(opts)}, nil
+	return &Setup{
+		Eval:   apps.MP3Config{Frames: frames, Seed: apps.DefaultMP3.Seed},
+		MB:     mb,
+		Pipe:   engine.New(opts),
+		Boards: calib.NewBoards(frames, apps.DefaultJPEG.Blocks, 0),
+	}, nil
 }
 
-// DefaultSetup uses the standard evaluation and training workloads.
-func DefaultSetup() (*Setup, error) {
-	return NewSetup(apps.DefaultMP3, apps.TrainMP3)
+// board returns the board reference of the MP3 SW design at cc.
+func (s *Setup) board(cc pum.CacheCfg) (uint64, error) {
+	d, err := apps.MP3Design("SW", s.Eval, s.MB, cc)
+	if err != nil {
+		return 0, err
+	}
+	return s.Boards.Ref("mp3", "SW", cc, d)
+}
+
+// score scores s.MB's estimate of one MP3 design against the board across
+// the standard cache sweep.
+func (s *Setup) score(design string) (calib.Row, error) {
+	return calib.ScoreRow(s.Pipe, s.Boards, s.MB, "mp3", design, pum.StandardCacheConfigs)
 }
 
 func pct(est, ref float64) float64 {
@@ -188,8 +205,13 @@ type Table2 struct {
 }
 
 // RunTable2 compares board, ISS and timed-TLM cycle counts for the pure
-// software design across the standard cache sweep.
+// software design across the standard cache sweep. The board and TLM
+// columns are the scorer's points for the SW design.
 func RunTable2(s *Setup) (*Table2, error) {
+	scored, err := s.score("SW")
+	if err != nil {
+		return nil, err
+	}
 	prog, err := apps.CompileMP3("SW", s.Eval)
 	if err != nil {
 		return nil, err
@@ -198,58 +220,23 @@ func RunTable2(s *Setup) (*Table2, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Table2{}
-	for _, cc := range pum.StandardCacheConfigs {
-		row := Table2Row{Cfg: cc}
-
-		// Board reference.
+	t := &Table2{AvgTLMErr: scored.MAPE}
+	for i, cc := range pum.StandardCacheConfigs {
+		p := scored.Points[i]
 		m := iss.NewMachine(isa)
 		if err := m.Start("main"); err != nil {
 			return nil, err
 		}
-		cpu, err := rtl.NewCPU(m, rtl.CPUConfig{
-			Model:  s.MB,
-			ICache: rtl.RealCacheConfig(cc.ISize),
-			DCache: rtl.RealCacheConfig(cc.DSize),
-		})
-		if err != nil {
-			return nil, err
-		}
-		if err := cpu.Run(0); err != nil {
-			return nil, err
-		}
-		row.Board = cpu.Cycles
-
-		// ISS estimate.
-		m2 := iss.NewMachine(isa)
-		if err := m2.Start("main"); err != nil {
-			return nil, err
-		}
-		sim := iss.NewISS(m2, iss.DefaultTiming(cc.ISize, cc.DSize))
+		sim := iss.NewISS(m, iss.DefaultTiming(cc.ISize, cc.DSize))
 		if err := sim.Run(0); err != nil {
 			return nil, err
 		}
-		row.ISS = sim.Cycles
+		row := Table2Row{Cfg: cc, Board: p.Board, ISS: sim.Cycles, TLM: p.Est, TLMErr: p.ErrPct}
 		row.ISSErr = pct(float64(row.ISS), float64(row.Board))
-
-		// Timed TLM estimate.
-		d, err := apps.MP3Design("SW", s.Eval, s.MB, cc)
-		if err != nil {
-			return nil, err
-		}
-		res, err := s.Pipe.RunTimed(d)
-		if err != nil {
-			return nil, err
-		}
-		row.TLM = res.CyclesByPE["mb"]
-		row.TLMErr = pct(float64(row.TLM), float64(row.Board))
-
 		t.Rows = append(t.Rows, row)
 		t.AvgISSErr += abs(row.ISSErr)
-		t.AvgTLMErr += abs(row.TLMErr)
 	}
 	t.AvgISSErr /= float64(len(t.Rows))
-	t.AvgTLMErr /= float64(len(t.Rows))
 	return t, nil
 }
 
@@ -292,7 +279,7 @@ type Table3 struct {
 }
 
 // RunTable3 compares board and timed-TLM total times for the designs with
-// custom hardware.
+// custom hardware: each design's column is the scorer's row for it.
 func RunTable3(s *Setup) (*Table3, error) {
 	designs := []string{"SW+1", "SW+2", "SW+4"}
 	t := &Table3{
@@ -300,32 +287,17 @@ func RunTable3(s *Setup) (*Table3, error) {
 		AvgErr:  make(map[string]float64, len(designs)),
 	}
 	for _, cc := range pum.StandardCacheConfigs {
-		row := Table3Row{Cfg: cc, Cells: make(map[string]Table3Cell, len(designs))}
-		for _, design := range designs {
-			d, err := apps.MP3Design(design, s.Eval, s.MB, cc)
-			if err != nil {
-				return nil, err
-			}
-			board, err := rtl.RunBoard(d, 0)
-			if err != nil {
-				return nil, err
-			}
-			res, err := s.Pipe.RunTimed(d)
-			if err != nil {
-				return nil, err
-			}
-			cell := Table3Cell{
-				Board: board.EndCycles(d.Bus.ClockHz),
-				TLM:   res.EndCycles(d.Bus.ClockHz),
-			}
-			cell.Err = pct(float64(cell.TLM), float64(cell.Board))
-			row.Cells[design] = cell
-			t.AvgErr[design] += abs(cell.Err)
-		}
-		t.Rows = append(t.Rows, row)
+		t.Rows = append(t.Rows, Table3Row{Cfg: cc, Cells: make(map[string]Table3Cell, len(designs))})
 	}
 	for _, design := range designs {
-		t.AvgErr[design] /= float64(len(t.Rows))
+		scored, err := s.score(design)
+		if err != nil {
+			return nil, err
+		}
+		for i, p := range scored.Points {
+			t.Rows[i].Cells[design] = Table3Cell{Board: p.Board, TLM: p.Est, Err: p.ErrPct}
+		}
+		t.AvgErr[design] = scored.MAPE
 	}
 	return t, nil
 }
@@ -375,30 +347,11 @@ type Sensitivity struct {
 // RunSensitivity perturbs the calibrated miss rates and misprediction
 // ratio by the given relative amounts and re-estimates the SW design.
 func RunSensitivity(s *Setup, cc pum.CacheCfg, perturbs []float64) (*Sensitivity, error) {
-	prog, err := apps.CompileMP3("SW", s.Eval)
+	board, err := s.board(cc)
 	if err != nil {
 		return nil, err
 	}
-	isa, err := iss.Generate(prog)
-	if err != nil {
-		return nil, err
-	}
-	m := iss.NewMachine(isa)
-	if err := m.Start("main"); err != nil {
-		return nil, err
-	}
-	cpu, err := rtl.NewCPU(m, rtl.CPUConfig{
-		Model:  s.MB,
-		ICache: rtl.RealCacheConfig(cc.ISize),
-		DCache: rtl.RealCacheConfig(cc.DSize),
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := cpu.Run(0); err != nil {
-		return nil, err
-	}
-	out := &Sensitivity{Cfg: cc, Board: cpu.Cycles}
+	out := &Sensitivity{Cfg: cc, Board: board}
 
 	for _, p := range perturbs {
 		mb := s.MB.Clone()
@@ -518,30 +471,11 @@ type PUMDetail struct {
 
 // RunPUMDetail estimates the SW design with increasing PUM detail.
 func RunPUMDetail(s *Setup, cc pum.CacheCfg) (*PUMDetail, error) {
-	prog, err := apps.CompileMP3("SW", s.Eval)
+	board, err := s.board(cc)
 	if err != nil {
 		return nil, err
 	}
-	isa, err := iss.Generate(prog)
-	if err != nil {
-		return nil, err
-	}
-	m := iss.NewMachine(isa)
-	if err := m.Start("main"); err != nil {
-		return nil, err
-	}
-	cpu, err := rtl.NewCPU(m, rtl.CPUConfig{
-		Model:  s.MB,
-		ICache: rtl.RealCacheConfig(cc.ISize),
-		DCache: rtl.RealCacheConfig(cc.DSize),
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := cpu.Run(0); err != nil {
-		return nil, err
-	}
-	out := &PUMDetail{Cfg: cc, Board: cpu.Cycles}
+	out := &PUMDetail{Cfg: cc, Board: board}
 	levels := []DetailLevel{
 		{Name: "schedule only", Detail: core.Detail{}},
 		{Name: "+memory", Detail: core.Detail{Memory: true}},

@@ -2,24 +2,79 @@ package experiments
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
-	"ese/internal/apps"
+	"ese/internal/calib"
+	"ese/internal/engine"
 	"ese/internal/pum"
 )
 
-// tinySetup keeps test runtime low: one frame each for training and eval,
-// different seeds.
+var (
+	tinyOnce sync.Once
+	tinyS    *Setup
+	tinyErr  error
+)
+
+// tinySetup keeps test runtime low: one evaluation frame on the default
+// seeds, calibrated once and shared by every test of the package.
 func tinySetup(t *testing.T) *Setup {
 	t.Helper()
-	s, err := NewSetup(
-		apps.MP3Config{Frames: 1, Seed: 0xABCD},
-		apps.MP3Config{Frames: 1, Seed: 0x1234},
-	)
-	if err != nil {
-		t.Fatalf("NewSetup: %v", err)
+	tinyOnce.Do(func() { tinyS, tinyErr = NewSetup(1, engine.Options{}) })
+	if tinyErr != nil {
+		t.Fatalf("NewSetup: %v", tinyErr)
 	}
-	return s
+	return tinyS
+}
+
+// TestTablesMatchScoreboard pins Tables 2 and 3 to the committed accuracy
+// baseline: on the scoreboard's workload, every board and TLM cell equals
+// the corresponding point of the mp3-trained MP3 rows.
+func TestTablesMatchScoreboard(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-size calibration and board runs in -short mode")
+	}
+	base, err := calib.LoadScoreboard("../../BENCH_accuracy.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make(map[string]calib.Row)
+	for _, r := range base.Rows {
+		if r.Train == "mp3" && r.App == "mp3" {
+			rows[r.Design] = r
+		}
+	}
+	s, err := NewSetup(base.Frames, engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(design string, i int, cc pum.CacheCfg, board, tlm uint64) {
+		t.Helper()
+		r, ok := rows[design]
+		if !ok || i >= len(r.Points) {
+			t.Fatalf("baseline has no point %d for mp3/mp3/%s", i, design)
+		}
+		p := r.Points[i]
+		if p.ISize != cc.ISize || p.DSize != cc.DSize || p.Board != board || p.Est != tlm {
+			t.Errorf("%s %v: board %d TLM %d, baseline %+v", design, cc, board, tlm, p)
+		}
+	}
+	t2, err := RunTable2(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range t2.Rows {
+		check("SW", i, r.Cfg, r.Board, r.TLM)
+	}
+	t3, err := RunTable3(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range t3.Rows {
+		for _, d := range t3.Designs {
+			check(d, i, r.Cfg, r.Cells[d].Board, r.Cells[d].TLM)
+		}
+	}
 }
 
 func TestCalibrationFillsTable(t *testing.T) {

@@ -7,7 +7,6 @@ import (
 	"ese/internal/apps"
 	"ese/internal/cdfg"
 	"ese/internal/core"
-	"ese/internal/iss"
 	"ese/internal/platform"
 	"ese/internal/pum"
 	"ese/internal/rtl"
@@ -167,32 +166,13 @@ type OverlapStudy struct {
 
 // RunOverlapStudy measures both estimators against the board.
 func RunOverlapStudy(s *Setup) (*OverlapStudy, error) {
-	prog, err := apps.CompileMP3("SW", s.Eval)
-	if err != nil {
-		return nil, err
-	}
-	isa, err := iss.Generate(prog)
-	if err != nil {
-		return nil, err
-	}
 	out := &OverlapStudy{}
 	for _, cc := range pum.StandardCacheConfigs {
-		m := iss.NewMachine(isa)
-		if err := m.Start("main"); err != nil {
-			return nil, err
-		}
-		cpu, err := rtl.NewCPU(m, rtl.CPUConfig{
-			Model:  s.MB,
-			ICache: rtl.RealCacheConfig(cc.ISize),
-			DCache: rtl.RealCacheConfig(cc.DSize),
-		})
+		board, err := s.board(cc)
 		if err != nil {
 			return nil, err
 		}
-		if err := cpu.Run(0); err != nil {
-			return nil, err
-		}
-		row := OverlapRow{Cfg: cc, Board: cpu.Cycles}
+		row := OverlapRow{Cfg: cc, Board: board}
 
 		for _, variant := range []struct {
 			detail core.Detail
@@ -282,11 +262,17 @@ func RunBlockSizeStudy(s *Setup) (*BlockSizeStudy, error) {
 		row := BlockSizeRow{Label: variant.label, Blocks: d.Program.NumBlocks()}
 		row.AvgOps = float64(d.Program.NumInstrs()) / float64(d.Program.NumBlocks())
 
-		board, err := rtl.RunBoard(d, 0)
-		if err != nil {
+		// The simplified CFG is a different program, so its board run
+		// bypasses the memo of the evaluation workload.
+		if variant.simplify {
+			board, err := rtl.RunBoard(d, 0)
+			if err != nil {
+				return nil, err
+			}
+			row.Board = board.PEs["mb"].Cycles
+		} else if row.Board, err = s.Boards.Ref("mp3", "SW", cc, d); err != nil {
 			return nil, err
 		}
-		row.Board = board.PEs["mb"].Cycles
 
 		res, err := s.Pipe.RunTimed(d)
 		if err != nil {

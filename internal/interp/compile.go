@@ -23,8 +23,8 @@
 // Compile is conservative: IR shapes it cannot prove equivalent under the
 // flat encoding (a scalar slot used as an array base, an argument-count
 // mismatch, an unknown opcode) fail compilation with a descriptive error,
-// and EngineAuto falls back to the tree-walker, which remains the reference
-// semantics.
+// which EngineAuto returns as EngineCompiled does. The lowering never emits
+// those shapes; the tree-walker remains the reference semantics.
 package interp
 
 import (
@@ -218,7 +218,7 @@ type compiler struct {
 
 // Compile lowers a CDFG program into the flat pre-resolved form. It returns
 // an error when the program uses an IR shape the flat encoding does not
-// cover; callers should then fall back to the tree-walking interpreter.
+// cover.
 func Compile(prog *cdfg.Program) (*CompiledProgram, error) {
 	c := &compiler{
 		cp: &CompiledProgram{
@@ -595,7 +595,7 @@ func (fc *fnCompiler) emitBlock(b *cdfg.Block) error {
 		if in.Op.IsTerminator() && i != len(b.Instrs)-1 {
 			// The tree-walker keeps executing the rest of the block after a
 			// mid-block Br/Jmp; the flat form jumps immediately. Reject the
-			// (malformed) shape so EngineAuto falls back.
+			// (malformed) shape, which verify.Program also reports.
 			return fmt.Errorf("bb%d: terminator %s before end of block", b.ID, in.Op)
 		}
 		if err := fc.emitInstr(in); err != nil {

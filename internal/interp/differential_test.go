@@ -298,7 +298,8 @@ func TestCompiledReset(t *testing.T) {
 }
 
 // TestCompileFallbackShapes checks that IR shapes outside the flat
-// encoding are rejected at compile time and EngineAuto falls back.
+// encoding are rejected at compile time and that EngineAuto returns the
+// same error as EngineCompiled instead of falling back to the tree-walker.
 func TestCompileFallbackShapes(t *testing.T) {
 	mkProg := func(mut func(fn *cdfg.Function)) *cdfg.Program {
 		prog := compile(t, `void main() { out(1); }`)
@@ -340,12 +341,12 @@ func TestCompileFallbackShapes(t *testing.T) {
 			if _, err := Compile(prog); err == nil {
 				t.Fatal("expected compile rejection")
 			}
-			e, err := NewEngine(prog, EngineAuto)
-			if err != nil {
-				t.Fatalf("auto engine: %v", err)
+			_, compErr := NewEngine(prog, EngineCompiled)
+			if compErr == nil {
+				t.Fatal("compiled engine accepted a rejected shape")
 			}
-			if e.Kind() != EngineTree {
-				t.Fatalf("auto engine should fall back to tree, got %v", e.Kind())
+			if _, err := NewEngine(prog, EngineAuto); err == nil || err.Error() != compErr.Error() {
+				t.Fatalf("auto engine error %v, want the compiled engine's %v", err, compErr)
 			}
 		})
 	}

@@ -5,17 +5,15 @@ import (
 	"fmt"
 
 	"ese/internal/cdfg"
-	"ese/internal/diag"
 )
 
 // EngineKind selects the execution engine behind a TLM process.
 type EngineKind int
 
 const (
-	// EngineAuto picks the fastest tier that covers the program: the
-	// ahead-of-time generated engine when one is registered for the
-	// program's code fingerprint, else the flat compiled engine, else the
-	// tree-walker — the default.
+	// EngineAuto picks the fastest tier for the program: the ahead-of-time
+	// generated engine when one is registered for the program's code
+	// fingerprint, else the flat compiled engine — the default.
 	EngineAuto EngineKind = iota
 	// EngineCompiled requires the flat compiled engine.
 	EngineCompiled
@@ -94,45 +92,29 @@ type Engine interface {
 }
 
 // NewEngine builds an execution engine for prog. EngineAuto prefers the
-// registered generated engine, then the compiled engine, and silently
-// falls back to the tree-walker when the program uses IR shapes the
-// compiler rejects; EngineCompiled and EngineGen surface the failure
-// instead.
+// registered generated engine, then the compiled engine; a program the
+// compiler rejects (an IR shape the lowering never emits) fails with the
+// same error under EngineAuto as under EngineCompiled. EngineTree stays
+// available for every program.
 func NewEngine(prog *cdfg.Program, kind EngineKind) (Engine, error) {
-	return NewEngineDiag(prog, kind, nil)
-}
-
-// NewEngineDiag is NewEngine with a diagnostic sink: the auto tier's
-// fallback from the compiled engine to the tree-walker emits an Info
-// notice naming the rejected IR shape instead of failing (or staying
-// silent), so a slow run is explainable. A nil list discards the notice.
-func NewEngineDiag(prog *cdfg.Program, kind EngineKind, diags *diag.List) (Engine, error) {
 	switch kind {
 	case EngineTree:
 		return newTreeEngine(prog), nil
-	case EngineCompiled:
-		cp, err := CompileCached(prog)
-		if err != nil {
-			return nil, err
-		}
-		return NewCompiled(cp), nil
 	case EngineGen:
 		if f := GeneratedFor(prog); f != nil {
 			return f(prog), nil
 		}
 		return nil, fmt.Errorf("interp: no generated engine registered for this program (regenerate with `esegen -registry`, or use -exec=auto)")
-	default:
+	case EngineAuto:
 		if f := GeneratedFor(prog); f != nil {
 			return f(prog), nil
 		}
-		cp, err := CompileCached(prog)
-		if err != nil {
-			diags.Infof(diag.StageSimulate, "",
-				"execution engine: program rejected by the compiled tier (%v); falling back to the tree-walker", err)
-			return newTreeEngine(prog), nil
-		}
-		return NewCompiled(cp), nil
 	}
+	cp, err := CompileCached(prog)
+	if err != nil {
+		return nil, err
+	}
+	return NewCompiled(cp), nil
 }
 
 // treeEngine adapts the tree-walking Machine to the Engine interface,

@@ -39,14 +39,10 @@ type Options struct {
 	StepLimit uint64 // per-process dynamic instruction limit (0 = none)
 	// Engine selects the per-process execution engine. The default
 	// (interp.EngineAuto) prefers a pre-generated ahead-of-time engine
-	// when one is registered for the program, then the flat compiled
-	// engine, then the tree-walking interpreter for programs the compiler
-	// rejects; all tiers are observably identical, so this is purely a
+	// when one is registered for the program, else the flat compiled
+	// engine; all tiers are observably identical, so this is purely a
 	// speed knob.
 	Engine interp.EngineKind
-	// Diags, when non-nil, collects engine-selection notices (e.g. the
-	// auto tier falling back from the compiled engine to the tree-walker).
-	Diags *diag.List
 	// Ctx, when non-nil, bounds the simulation: cancellation or deadline
 	// expiry interrupts the event loop and every interpreter, and Run
 	// returns the partial Result together with diag.ErrCanceled or
@@ -305,7 +301,7 @@ func Run(d *platform.Design, opts Options) (*Result, error) {
 func spawnProcess(ctx context.Context, k *sim.Kernel, d *platform.Design, pe *platform.PE, key, entry string,
 	bus *Bus, dm map[*cdfg.Block]float64, periodPs sim.Time, opts Options, res *Result) (*procRun, error) {
 	pr := &procRun{key: key, pe: pe}
-	m, err := interp.NewEngineDiag(d.Program, opts.Engine, opts.Diags)
+	m, err := interp.NewEngine(d.Program, opts.Engine)
 	if err != nil {
 		return nil, fmt.Errorf("tlm: process %s: %w", key, err)
 	}
@@ -386,7 +382,7 @@ func spawnRTOSTask(ctx context.Context, k *sim.Kernel, d *platform.Design, pe *p
 	pr := &procRun{key: key, pe: pe}
 	task := cpu.AddTask(tk.Name, tk.Priority)
 	pr.task = task
-	m, err := interp.NewEngineDiag(d.Program, opts.Engine, opts.Diags)
+	m, err := interp.NewEngine(d.Program, opts.Engine)
 	if err != nil {
 		return nil, fmt.Errorf("tlm: process %s: %w", key, err)
 	}
