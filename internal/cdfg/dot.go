@@ -6,19 +6,14 @@ import (
 )
 
 // DotCFG renders a function's control-flow graph in Graphviz dot syntax:
-// one record node per basic block with its instruction listing (and the
-// annotated delay when present), edges for branch and jump targets.
+// one record node per basic block with its instruction listing, edges for
+// branch and jump targets.
 func (f *Function) DotCFG() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "digraph %q {\n", "cfg_"+f.Name)
 	sb.WriteString("  node [shape=box, fontname=\"monospace\", fontsize=9];\n")
 	for _, b := range f.Blocks {
-		var lines []string
-		title := fmt.Sprintf("bb%d", b.ID)
-		if b.Delay > 0 {
-			title += fmt.Sprintf("  (delay %.0f)", b.Delay)
-		}
-		lines = append(lines, title)
+		lines := []string{fmt.Sprintf("bb%d", b.ID)}
 		for i := range b.Instrs {
 			lines = append(lines, formatInstr(&b.Instrs[i]))
 		}

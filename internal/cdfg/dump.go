@@ -44,11 +44,7 @@ func (f *Function) Dump() string {
 	fmt.Fprintf(&sb, "func %s %s(%s)  slots=%d temps=%d\n",
 		ret, f.Name, strings.Join(params, ", "), len(f.Slots), f.NTemps)
 	for _, b := range f.Blocks {
-		fmt.Fprintf(&sb, "  bb%d:", b.ID)
-		if b.Delay > 0 {
-			fmt.Fprintf(&sb, "  ; delay=%.2f", b.Delay)
-		}
-		sb.WriteString("\n")
+		fmt.Fprintf(&sb, "  bb%d:\n", b.ID)
 		for i := range b.Instrs {
 			fmt.Fprintf(&sb, "    %s\n", formatInstr(&b.Instrs[i]))
 		}

@@ -17,6 +17,42 @@ type Fingerprint [sha256.Size]byte
 // String returns a short hex form for logs and debugging.
 func (f Fingerprint) String() string { return hex.EncodeToString(f[:8]) }
 
+// fpTable is a program's memoized fingerprint set: every block's
+// Fingerprint in dense program order, and the CodeFingerprint hashed from
+// them.
+type fpTable struct {
+	blocks []Fingerprint
+	code   Fingerprint
+}
+
+// table returns the program's fingerprint table, computing it on first
+// use. Concurrent first callers may each compute it; the first to store
+// it wins, so every caller sees one table.
+func (p *Program) table() *fpTable {
+	if t := p.fps.Load(); t != nil {
+		return t
+	}
+	t := &fpTable{blocks: make([]Fingerprint, 0, p.NumBlocks())}
+	for _, fn := range p.Funcs {
+		for _, b := range fn.Blocks {
+			t.blocks = append(t.blocks, b.Fingerprint())
+		}
+	}
+	t.code = p.codeFingerprint(t.blocks)
+	if p.fps.CompareAndSwap(nil, t) {
+		return t
+	}
+	return p.fps.Load()
+}
+
+// BlockFingerprints returns every block's Fingerprint in dense program
+// order (functions in order, each function's blocks in order), the order
+// the estimator and the execution engines walk. The table is computed
+// once per program and shared: callers must not modify it, and code that
+// edits a program's IR in place after fingerprinting it goes through
+// SimplifyProgram, which clears the table.
+func (p *Program) BlockFingerprints() []Fingerprint { return p.table().blocks }
+
 // CodeFingerprint returns the structural hash of the program's code: the
 // global declarations (name and array-ness only — sizes and initializers
 // are workload data, not code), and every function in full (signature,
@@ -26,8 +62,13 @@ func (f Fingerprint) String() string { return hex.EncodeToString(f[:8]) }
 // ahead-of-time generated engine built for one workload configuration
 // serve every other configuration of the same source template (the
 // bitstream contents and NGRANULES-style knobs differ only in Global
-// Size/Init, which the generated code reads from the live Program).
-func (p *Program) CodeFingerprint() Fingerprint {
+// Size/Init, which the generated code reads from the live Program). It is
+// memoized with the block fingerprints it hashes (see BlockFingerprints).
+func (p *Program) CodeFingerprint() Fingerprint { return p.table().code }
+
+// codeFingerprint hashes the program's code from its block fingerprints
+// in dense program order.
+func (p *Program) codeFingerprint(blocks []Fingerprint) Fingerprint {
 	h := sha256.New()
 	var buf [8]byte
 	wInt := func(v int64) {
@@ -71,8 +112,8 @@ func (p *Program) CodeFingerprint() Fingerprint {
 		wInt(int64(len(fn.Blocks)))
 		for _, b := range fn.Blocks {
 			wInt(int64(b.ID))
-			bf := b.Fingerprint()
-			h.Write(bf[:])
+			h.Write(blocks[0][:])
+			blocks = blocks[1:]
 		}
 	}
 	var f Fingerprint
@@ -87,8 +128,7 @@ func (f Fingerprint) Hex() string { return hex.EncodeToString(f[:]) }
 // Fingerprint returns the structural hash of the block: every
 // instruction's opcode, operands, control-flow targets (by block ID),
 // callee signature (name plus parameter array-ness, which the operand
-// counting of Algorithm 2 depends on), and channel id. The annotation
-// output field Delay is deliberately excluded. Blocks with equal
+// counting of Algorithm 2 depends on), and channel id. Blocks with equal
 // fingerprints produce identical SchedResults on any given PUM.
 func (b *Block) Fingerprint() Fingerprint {
 	h := sha256.New()

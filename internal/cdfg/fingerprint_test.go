@@ -1,6 +1,9 @@
 package cdfg
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
 const fpSrc = `
 int work(int a[], int n) {
@@ -45,18 +48,6 @@ func TestFingerprintStableAcrossRecompilation(t *testing.T) {
 	}
 }
 
-// TestFingerprintIgnoresDelay: the annotation output must not feed back
-// into the key, or a second annotation pass would never hit the cache.
-func TestFingerprintIgnoresDelay(t *testing.T) {
-	p := compile(t, fpSrc)
-	b := p.Funcs[0].Blocks[0]
-	before := b.Fingerprint()
-	b.Delay = 123.5
-	if b.Fingerprint() != before {
-		t.Error("Block.Delay changed the structural fingerprint")
-	}
-}
-
 // TestFingerprintSensitivity: structurally different blocks hash apart,
 // and editing an instruction changes the hash.
 func TestFingerprintSensitivity(t *testing.T) {
@@ -93,5 +84,104 @@ func TestFingerprintSensitivity(t *testing.T) {
 	}
 	if target.Fingerprint() == before {
 		t.Error("changing an opcode did not change the fingerprint")
+	}
+}
+
+// denseFingerprints recomputes every block's Fingerprint in dense program
+// order, bypassing the program's memoized table.
+func denseFingerprints(p *Program) []Fingerprint {
+	var out []Fingerprint
+	for _, fn := range p.Funcs {
+		for _, b := range fn.Blocks {
+			out = append(out, b.Fingerprint())
+		}
+	}
+	return out
+}
+
+func equalFingerprints(a, b []Fingerprint) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestBlockFingerprintsTable: the memoized table holds every block's
+// Fingerprint in dense program order, is computed once, and the code
+// fingerprint hashed from it is stable across recompilation.
+func TestBlockFingerprintsTable(t *testing.T) {
+	p := compile(t, fpSrc)
+	table := p.BlockFingerprints()
+	if len(table) != p.NumBlocks() {
+		t.Fatalf("table has %d entries, program has %d blocks", len(table), p.NumBlocks())
+	}
+	if !equalFingerprints(table, denseFingerprints(p)) {
+		t.Fatal("table differs from the per-block fingerprints")
+	}
+	if again := p.BlockFingerprints(); &again[0] != &table[0] {
+		t.Fatal("second call recomputed the table")
+	}
+	if p.CodeFingerprint() != compile(t, fpSrc).CodeFingerprint() {
+		t.Fatal("code fingerprint differs across recompilation")
+	}
+}
+
+// TestBlockFingerprintsConcurrentFirstUse: goroutines racing on a fresh
+// program's first use all see one table and one code fingerprint. Run
+// under -race this also proves the memo is safe to share.
+func TestBlockFingerprintsConcurrentFirstUse(t *testing.T) {
+	p := compile(t, fpSrc)
+	const n = 8
+	tables := make([][]Fingerprint, n)
+	codes := make([]Fingerprint, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if i%2 == 0 {
+				codes[i] = p.CodeFingerprint()
+				tables[i] = p.BlockFingerprints()
+			} else {
+				tables[i] = p.BlockFingerprints()
+				codes[i] = p.CodeFingerprint()
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i := 1; i < n; i++ {
+		if &tables[i][0] != &tables[0][0] || codes[i] != codes[0] {
+			t.Fatalf("goroutine %d saw a different fingerprint table", i)
+		}
+	}
+	if !equalFingerprints(tables[0], denseFingerprints(p)) {
+		t.Fatal("shared table differs from the per-block fingerprints")
+	}
+}
+
+// TestSimplifyClearsFingerprints: simplifying a fingerprinted program in
+// place leaves it with the table and code fingerprint of a freshly
+// compiled and simplified copy.
+func TestSimplifyClearsFingerprints(t *testing.T) {
+	p := compile(t, fpSrc)
+	before := p.BlockFingerprints()
+	code := p.CodeFingerprint()
+	SimplifyProgram(p)
+	fresh := compile(t, fpSrc)
+	SimplifyProgram(fresh)
+	after := p.BlockFingerprints()
+	if equalFingerprints(after, before) {
+		t.Fatal("simplification left the fingerprint table unchanged; the test needs a source it rewrites")
+	}
+	if !equalFingerprints(after, fresh.BlockFingerprints()) || !equalFingerprints(after, denseFingerprints(p)) {
+		t.Fatal("table after SimplifyProgram differs from a freshly simplified program's")
+	}
+	if p.CodeFingerprint() == code || p.CodeFingerprint() != fresh.CodeFingerprint() {
+		t.Fatal("code fingerprint not recomputed after SimplifyProgram")
 	}
 }

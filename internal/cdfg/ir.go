@@ -19,6 +19,7 @@ package cdfg
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"ese/internal/cfront"
 )
@@ -222,10 +223,6 @@ type Block struct {
 	ID     int
 	Fn     *Function
 	Instrs []Instr
-
-	// Delay is the estimated execution delay of one dynamic execution of
-	// this block in PE cycles, filled in by the annotation phase.
-	Delay float64
 }
 
 // Terminator returns the block's final instruction.
@@ -283,10 +280,18 @@ type Global struct {
 }
 
 // Program is a lowered translation unit.
+//
+// Estimates never live in the IR: annotation results are keyed by block
+// pointer outside it, so one lowered program can be shared read-only by
+// any number of concurrent estimation and simulation jobs.
 type Program struct {
 	Globals []*Global
 	Funcs   []*Function
 	funcMap map[string]*Function
+
+	// fps memoizes the fingerprint table (see BlockFingerprints); nil
+	// until first use, cleared by SimplifyProgram.
+	fps atomic.Pointer[fpTable]
 }
 
 // Func returns the function with the given name, or nil.

@@ -240,13 +240,3 @@ func TestRefString(t *testing.T) {
 		}
 	}
 }
-
-func TestDumpShowsAnnotatedDelay(t *testing.T) {
-	p := compile(t, `void main() { out(1); }`)
-	b := p.Func("main").Entry()
-	b.Delay = 12
-	d := p.Func("main").Dump()
-	if !strings.Contains(d, "delay=12") {
-		t.Fatalf("dump missing delay:\n%s", d)
-	}
-}

@@ -28,11 +28,14 @@ func Simplify(f *Function) {
 	removeUnreachable(f)
 }
 
-// SimplifyProgram simplifies every function of the program.
+// SimplifyProgram simplifies every function of the program and clears its
+// memoized fingerprint table (see BlockFingerprints), which the rewrite
+// invalidates.
 func SimplifyProgram(p *Program) {
 	for _, f := range p.Funcs {
 		Simplify(f)
 	}
+	p.fps.Store(nil)
 }
 
 // jumpOnlyTarget returns the final destination reached by following blocks

@@ -165,35 +165,3 @@ func ComposeEstimate(sr SchedResult, p *pum.PUM, detail Detail) Estimate {
 func BlockDelay(b *cdfg.Block, p *pum.PUM, detail Detail) Estimate {
 	return ComposeEstimate(ScheduleBlock(b, p), p, detail)
 }
-
-// Report summarizes the annotation of a whole program.
-type Report struct {
-	PUM        string
-	Blocks     int
-	Ops        int
-	TotalSched int
-	// PerFunc maps function name to the summed static block delay.
-	PerFunc map[string]float64
-}
-
-// AnnotateProgram estimates every basic block of every function and writes
-// the result into Block.Delay (the IR-level equivalent of inserting the
-// wait() call at the end of each basic block). It returns a report of the
-// static annotation.
-func AnnotateProgram(prog *cdfg.Program, p *pum.PUM, detail Detail) *Report {
-	est := EstimateBlocks(prog, p, detail)
-	r := &Report{PUM: p.Name, PerFunc: make(map[string]float64)}
-	for _, fn := range prog.Funcs {
-		sum := 0.0
-		for _, b := range fn.Blocks {
-			e := est[b]
-			b.Delay = e.Total
-			sum += e.Total
-			r.Blocks++
-			r.Ops += e.Ops
-			r.TotalSched += e.Sched
-		}
-		r.PerFunc[fn.Name] = sum
-	}
-	return r
-}

@@ -149,7 +149,7 @@ func TestDetailAblation(t *testing.T) {
 	}
 }
 
-func TestAnnotateProgramFillsDelays(t *testing.T) {
+func TestEstimateBlocksDoesNotMutate(t *testing.T) {
 	prog := compile(t, `
 int a[16];
 void main() {
@@ -157,38 +157,27 @@ void main() {
   for (i = 0; i < 16; i++) a[i] = i * i;
   out(a[5]);
 }`)
-	p := mbWithCache(t, 8*1024, 4*1024)
-	rep := AnnotateProgram(prog, p, FullDetail)
-	if rep.Blocks != prog.NumBlocks() {
-		t.Fatalf("report blocks = %d, want %d", rep.Blocks, prog.NumBlocks())
-	}
-	for _, fn := range prog.Funcs {
-		for _, b := range fn.Blocks {
-			if len(b.Instrs) > 0 && b.Delay <= 0 {
-				t.Fatalf("%s bb%d not annotated", fn.Name, b.ID)
+	fingerprints := func() map[*cdfg.Block]cdfg.Fingerprint {
+		m := make(map[*cdfg.Block]cdfg.Fingerprint)
+		for _, fn := range prog.Funcs {
+			for _, b := range fn.Blocks {
+				m[b] = b.Fingerprint()
 			}
 		}
+		return m
 	}
-	if rep.PerFunc["main"] <= 0 {
-		t.Fatalf("per-func delay missing: %+v", rep.PerFunc)
-	}
-}
-
-func TestEstimateBlocksDoesNotMutate(t *testing.T) {
-	prog := compile(t, `void main() { out(1 + 2); }`)
+	before := fingerprints()
 	p := mbWithCache(t, 8*1024, 4*1024)
 	est := EstimateBlocks(prog, p, FullDetail)
 	if len(est) != prog.NumBlocks() {
 		t.Fatalf("estimates = %d, want %d", len(est), prog.NumBlocks())
 	}
-	for _, fn := range prog.Funcs {
-		for _, b := range fn.Blocks {
-			if b.Delay != 0 {
-				t.Fatalf("EstimateBlocks mutated Block.Delay")
-			}
-			if est[b].Total < float64(est[b].Sched) {
-				t.Fatalf("total below sched")
-			}
+	for b, fp := range fingerprints() {
+		if fp != before[b] {
+			t.Fatalf("%s bb%d: EstimateBlocks changed the block", b.Fn.Name, b.ID)
+		}
+		if est[b].Total < float64(est[b].Sched) {
+			t.Fatalf("total below sched")
 		}
 	}
 }

@@ -257,7 +257,7 @@ func EstimateBlocksCtx(ctx context.Context, prog *cdfg.Program, p *pum.PUM, deta
 		b  *cdfg.Block
 		fn string
 	}
-	var blocks []workItem
+	blocks := make([]workItem, 0, prog.NumBlocks())
 	for _, fn := range prog.Funcs {
 		for _, b := range fn.Blocks {
 			blocks = append(blocks, workItem{b: b, fn: fn.Name})
@@ -270,25 +270,49 @@ func EstimateBlocksCtx(ctx context.Context, prog *cdfg.Program, p *pum.PUM, deta
 	}
 	fallback := opts.fallback()
 
-	// Resolve the model fingerprints once per call; they are shared by
-	// every block's cache key.
+	// todo lists the blocks to estimate and rep maps every block to the one
+	// whose estimate it takes. With a cache, blocks are keyed by the
+	// program's memoized fingerprint table and each distinct fingerprint is
+	// estimated once per call, its duplicates counted as estimate hits:
+	// workers never race to miss one key, so a call moves the cache
+	// counters exactly as a serial call does.
+	todo := make([]int, 0, n)
+	rep := make([]int, n)
+	var fps []cdfg.Fingerprint
 	var dpFP, stFP pum.Fingerprint
 	var detailBits uint8
-	if opts.Cache != nil {
+	if opts.Cache == nil {
+		for i := range blocks {
+			todo = append(todo, i)
+			rep[i] = i
+		}
+	} else {
+		fps = prog.BlockFingerprints()
+		first := make(map[cdfg.Fingerprint]int, n)
+		for i, fp := range fps {
+			j, seen := first[fp]
+			if !seen {
+				first[fp], j = i, i
+				todo = append(todo, i)
+			}
+			rep[i] = j
+		}
+		opts.Cache.estHits.Add(uint64(n - len(todo)))
+		// The model fingerprints are shared by every block's cache key.
 		dpFP = p.DatapathFingerprint()
 		stFP = p.StatFingerprint()
 		detailBits = detail.bits()
 	}
-	estimate := func(s *Scheduler, b *cdfg.Block) Estimate {
+	estimate := func(s *Scheduler, i int) Estimate {
+		b := blocks[i].b
 		if opts.Cache == nil {
 			return ComposeEstimate(s.ScheduleBlock(b), p, detail)
 		}
-		bfp := b.Fingerprint()
-		ek := estKey{model: dpFP, stats: stFP, block: bfp, detail: detailBits, fallback: fallback}
+		ek := estKey{model: dpFP, stats: stFP, block: fps[i], detail: detailBits, fallback: fallback}
 		if e, ok := opts.Cache.estGet(ek); ok {
 			return e
 		}
-		sk := schedKey{model: dpFP, block: bfp, fallback: fallback}
+		sk := schedKey{model: dpFP, block: fps[i], fallback: fallback}
 		sr, ok := opts.Cache.schedGet(sk)
 		if !ok {
 			sr = s.ScheduleBlock(b)
@@ -303,27 +327,27 @@ func EstimateBlocksCtx(ctx context.Context, prog *cdfg.Program, p *pum.PUM, deta
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
+	if workers > len(todo) {
+		workers = len(todo)
 	}
 	if opts.Metrics != nil {
 		opts.Metrics.Counter("est.blocks").Add(uint64(n))
 		opts.Metrics.Gauge("est.pool.workers").Set(int64(workers))
-		opts.Metrics.Gauge("est.pool.queue.max").SetMax(int64(n))
+		opts.Metrics.Gauge("est.pool.queue.max").SetMax(int64(len(todo)))
 	}
 	res := make([]Estimate, n)
 	var canceled atomic.Bool
 	if workers <= 1 {
 		s := NewSchedulerFallback(p, fallback)
-		for i, w := range blocks {
+		for _, i := range todo {
 			if diag.FromContext(ctx) != nil {
 				canceled.Store(true)
 				break
 			}
-			res[i] = estimate(s, w.b)
+			res[i] = estimate(s, i)
 		}
 		if opts.Metrics != nil {
-			opts.Metrics.Histogram("est.pool.worker.blocks").Observe(float64(n))
+			opts.Metrics.Histogram("est.pool.worker.blocks").Observe(float64(len(todo)))
 		}
 	} else {
 		var next atomic.Int64
@@ -342,11 +366,12 @@ func EstimateBlocksCtx(ctx context.Context, prog *cdfg.Program, p *pum.PUM, deta
 						canceled.Store(true)
 						break
 					}
-					i := int(next.Add(1)) - 1
-					if i >= n {
+					k := int(next.Add(1)) - 1
+					if k >= len(todo) {
 						break
 					}
-					res[i] = estimate(s, blocks[i].b)
+					i := todo[k]
+					res[i] = estimate(s, i)
 					done++
 				}
 				if opts.Metrics != nil {
@@ -365,7 +390,7 @@ func EstimateBlocksCtx(ctx context.Context, prog *cdfg.Program, p *pum.PUM, deta
 	// Degradation accounting runs post-hoc over the ordered block list, so
 	// diagnostics are deterministic regardless of worker interleaving.
 	for i, w := range blocks {
-		e := res[i]
+		e := res[rep[i]]
 		if e.Unmapped > 0 {
 			pos := blockPos(w.fn, w.b)
 			if opts.Strict {

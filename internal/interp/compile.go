@@ -827,8 +827,7 @@ type compileEntry struct {
 
 // CompileCached memoizes Compile keyed on program identity. The caller must
 // not mutate the program's structure (blocks, instructions, slots) after
-// the first compilation; annotation-phase Delay updates are fine because
-// the compiled form never captures them.
+// the first compilation.
 func CompileCached(prog *cdfg.Program) (*CompiledProgram, error) {
 	compileMu.Lock()
 	if e, ok := compileCache[prog]; ok {

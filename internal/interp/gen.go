@@ -29,14 +29,7 @@ type GenFactory func(prog *cdfg.Program) Engine
 var (
 	genMu  sync.RWMutex
 	genReg = make(map[cdfg.Fingerprint]GenFactory)
-
-	genFPMu    sync.Mutex
-	genFPCache = make(map[*cdfg.Program]cdfg.Fingerprint)
 )
-
-// genFPCacheLimit bounds the pointer-keyed fingerprint memoization, like
-// the compile cache: beyond it the map is dropped wholesale.
-const genFPCacheLimit = 64
 
 // RegisterGen installs a generated engine factory under a full-hex code
 // fingerprint. Called from init functions of generated code; a malformed
@@ -70,30 +63,14 @@ func hexVal(c byte) int {
 	return -1
 }
 
-// codeFingerprint memoizes Program.CodeFingerprint by pointer, since the
-// TLM layer constructs one engine per process for the same program.
-func codeFingerprint(prog *cdfg.Program) cdfg.Fingerprint {
-	genFPMu.Lock()
-	if fp, ok := genFPCache[prog]; ok {
-		genFPMu.Unlock()
-		return fp
-	}
-	genFPMu.Unlock()
-	fp := prog.CodeFingerprint()
-	genFPMu.Lock()
-	if len(genFPCache) >= genFPCacheLimit {
-		genFPCache = make(map[*cdfg.Program]cdfg.Fingerprint)
-	}
-	genFPCache[prog] = fp
-	genFPMu.Unlock()
-	return fp
-}
-
 // GeneratedFor returns the registered factory for the program's code
-// fingerprint, or nil when no generated engine covers it.
+// fingerprint, or nil when no generated engine covers it. The fingerprint
+// is memoized on the program, so the TLM layer's one engine per process
+// hashes a program once.
 func GeneratedFor(prog *cdfg.Program) GenFactory {
+	fp := prog.CodeFingerprint()
 	genMu.RLock()
-	f := genReg[codeFingerprint(prog)]
+	f := genReg[fp]
 	genMu.RUnlock()
 	return f
 }

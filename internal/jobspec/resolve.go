@@ -5,6 +5,7 @@ import (
 	"os"
 
 	"ese/internal/apps"
+	"ese/internal/cdfg"
 	"ese/internal/platform"
 	"ese/internal/pum"
 	"ese/internal/rtl"
@@ -87,20 +88,26 @@ func (s *Spec) BaseModel() (*pum.PUM, error) {
 
 // BuildDesign materializes a TLM job's mapped platform: the (optionally
 // calibrated, optionally tuned) processor model plus the named design of
-// the spec's app under the spec's cache configuration.
+// the spec's app under the spec's cache configuration, on a freshly
+// compiled program.
 func (s *Spec) BuildDesign() (*platform.Design, error) {
 	base, err := s.BaseModel()
 	if err != nil {
 		return nil, err
 	}
-	return s.BuildDesignFrom(base)
+	prog, err := s.workload().compile()
+	if err != nil {
+		return nil, err
+	}
+	return s.BuildDesignFrom(base, prog)
 }
 
-// BuildDesignFrom is BuildDesign with the base processor model supplied by
-// the caller (typically memoized across jobs — calibration is orders of
-// magnitude more expensive than design construction). The base model is
-// never mutated: tuning and cache retargeting operate on clones.
-func (s *Spec) BuildDesignFrom(base *pum.PUM) (*platform.Design, error) {
+// BuildDesignFrom is BuildDesign with the base processor model and the
+// compiled program supplied by the caller (typically memoized across jobs
+// — calibration and the front end cost far more than mapping). prog must
+// be the spec's workload program; neither it nor the base model is
+// mutated: tuning and cache retargeting operate on clones.
+func (s *Spec) BuildDesignFrom(base *pum.PUM, prog *cdfg.Program) (*platform.Design, error) {
 	mb := base
 	if t := s.Tune; !t.isZero() {
 		var err error
@@ -116,19 +123,44 @@ func (s *Spec) BuildDesignFrom(base *pum.PUM) (*platform.Design, error) {
 		}
 	}
 	cacheCfg := pum.CacheCfg{ISize: s.ICache, DSize: s.DCache}
-	app := s.App
-	if app == "" {
-		app = AppMP3
-	}
-	seed := s.Seed
-	if seed == 0 {
-		seed = defaultSeeds[app]
-	}
-	switch app {
+	switch s.workload().app {
 	case AppMP3:
-		return apps.MP3Design(s.Design, apps.MP3Config{Frames: s.Frames, Seed: seed}, mb, cacheCfg)
+		return apps.MapMP3(s.Design, prog, mb, cacheCfg)
 	case AppJPEG:
-		return apps.JPEGDesign(s.Design, apps.JPEGConfig{Blocks: s.Frames, Seed: seed}, mb, cacheCfg)
+		return apps.MapJPEG(s.Design, prog, mb, cacheCfg)
 	}
 	return nil, fmt.Errorf("jobspec: unknown app %q", s.App)
+}
+
+// workload is the normalized identity of a TLM job's program. The four
+// fields fully determine the generated source, which is what lets the
+// Runner memoize lowered programs under it without generating the source.
+type workload struct {
+	app, design string
+	frames      int
+	seed        uint32
+}
+
+// workload returns the spec's normalized workload identity: app and seed
+// resolved to their defaults, as Normalized does.
+func (s *Spec) workload() workload {
+	w := workload{app: s.App, design: s.Design, frames: s.Frames, seed: s.Seed}
+	if w.app == "" {
+		w.app = AppMP3
+	}
+	if w.seed == 0 {
+		w.seed = defaultSeeds[w.app]
+	}
+	return w
+}
+
+// compile generates and lowers the workload's program.
+func (w workload) compile() (*cdfg.Program, error) {
+	switch w.app {
+	case AppMP3:
+		return apps.CompileMP3(w.design, apps.MP3Config{Frames: w.frames, Seed: w.seed})
+	case AppJPEG:
+		return apps.CompileJPEG(w.design, apps.JPEGConfig{Blocks: w.frames, Seed: w.seed})
+	}
+	return nil, fmt.Errorf("jobspec: unknown app %q", w.app)
 }

@@ -40,7 +40,20 @@ type Runner struct {
 	// DSE sweep point the Runner ever executes.
 	baseMu sync.Mutex
 	base   map[bool]*pum.PUM
+
+	// progs memoizes lowered TLM programs by normalized workload, so the
+	// DSE points and repeated requests of one workload share one program
+	// (and its memoized block fingerprints) instead of regenerating,
+	// parsing, checking and lowering it per job. Shared programs are
+	// read-only: every TLM path (annotation, the engines, the board and
+	// verification) only reads IR.
+	progMu sync.Mutex
+	progs  map[workload]*cdfg.Program
 }
+
+// programMemoLimit bounds the program memo; beyond it the map is dropped
+// wholesale, like interp's compile cache.
+const programMemoLimit = 64
 
 // BaseModel returns the memoized TLM base processor model for the spec's
 // calibration setting, computing it on first use.
@@ -59,6 +72,49 @@ func (r *Runner) BaseModel(s *Spec) (*pum.PUM, error) {
 	}
 	r.base[s.Calibrate] = m
 	return m, nil
+}
+
+// program returns the memoized lowered program of the spec's workload,
+// compiling it on a miss. Concurrent misses on one workload each compile,
+// but the first insert wins, so every later job sees one pointer.
+func (r *Runner) program(s *Spec) (*cdfg.Program, error) {
+	w := s.workload()
+	r.progMu.Lock()
+	prog := r.progs[w]
+	r.progMu.Unlock()
+	if prog != nil {
+		r.Metrics.Counter("jobspec.program.hits").Inc()
+		return prog, nil
+	}
+	r.Metrics.Counter("jobspec.program.misses").Inc()
+	prog, err := w.compile()
+	if err != nil {
+		return nil, err
+	}
+	r.progMu.Lock()
+	defer r.progMu.Unlock()
+	if first := r.progs[w]; first != nil {
+		return first, nil
+	}
+	if r.progs == nil || len(r.progs) >= programMemoLimit {
+		r.progs = make(map[workload]*cdfg.Program)
+	}
+	r.progs[w] = prog
+	return prog, nil
+}
+
+// design builds the spec's mapped platform from the memoized base model
+// and program.
+func (r *Runner) design(s *Spec) (*platform.Design, error) {
+	base, err := r.BaseModel(s)
+	if err != nil {
+		return nil, err
+	}
+	prog, err := r.program(s)
+	if err != nil {
+		return nil, err
+	}
+	return s.BuildDesignFrom(base, prog)
 }
 
 // RunOpts carries per-invocation hooks that are not part of the job's
@@ -269,11 +325,7 @@ func (r *Runner) profileEstimate(ctx context.Context, s *Spec, prog *cdfg.Progra
 
 // runTLM is the esetlm flow: build the design, simulate, summarize.
 func (r *Runner) runTLM(ctx context.Context, s *Spec, pl *engine.Pipeline, res *Result) error {
-	base, err := r.BaseModel(s)
-	if err != nil {
-		return err
-	}
-	d, err := s.BuildDesignFrom(base)
+	d, err := r.design(s)
 	if err != nil {
 		return err
 	}

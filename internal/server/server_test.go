@@ -167,6 +167,29 @@ func TestHealthzMetricsAndJob(t *testing.T) {
 		t.Fatal("shared cache saw no traffic")
 	}
 
+	// Two TLM jobs on one workload: the second reuses the first's program.
+	tlm := jobspec.DefaultTLM()
+	tlm.Frames, tlm.Calibrate = 1, false
+	for _, size := range []int{2048, 16384} {
+		tlm.ICache, tlm.DCache = size, size
+		if code, body := postJob(t, ts, mustBody(t, &tlm), ""); code != http.StatusOK {
+			t.Fatalf("TLM POST status = %d: %s", code, body)
+		}
+	}
+	resp, err = ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatalf("metrics: %v", err)
+	}
+	err = json.NewDecoder(resp.Body).Decode(&snap)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("metrics decode: %v", err)
+	}
+	if snap.Counters["jobspec.program.misses"] != 1 || snap.Counters["jobspec.program.hits"] != 1 {
+		t.Fatalf("program memo counted %d misses and %d hits, want 1 and 1",
+			snap.Counters["jobspec.program.misses"], snap.Counters["jobspec.program.hits"])
+	}
+
 	resp, err = ts.Client().Get(ts.URL + "/metrics?format=prom")
 	if err != nil {
 		t.Fatalf("metrics prom: %v", err)
@@ -176,8 +199,10 @@ func TestHealthzMetricsAndJob(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "text/plain") {
 		t.Fatalf("prom content type = %q", ct)
 	}
-	if !strings.Contains(string(prom), "server_jobs_executed 1") {
-		t.Fatalf("prom exposition missing executed counter:\n%s", prom)
+	for _, line := range []string{"server_jobs_executed 3", "jobspec_program_hits 1", "jobspec_program_misses 1"} {
+		if !strings.Contains(string(prom), line) {
+			t.Fatalf("prom exposition missing %q:\n%s", line, prom)
+		}
 	}
 }
 
