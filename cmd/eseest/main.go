@@ -11,14 +11,18 @@
 //	                      or a JSON PUM description (default microblaze)
 //	-icache/-dcache N     cache sizes in bytes for the statistical model
 //	-emit-c               print the delay-annotated C-like source
-//	-emit-go              print the generated timed Go process
+//	-emit-go              print the standalone timed-TLM Go program
+//	                      (the main.go esegen writes) of a one-PE design
+//	                      running -entry on the model over the default
+//	                      bus; requires a self-contained entry
 //	-blocks               print the per-block estimate table
 //	-profile              execute the program and print the ranked
 //	                      cycle-attribution report (where the estimated
 //	                      cycles go); requires a self-contained entry
 //	-profile-json FILE    write the full attribution report as JSON
 //	                      ("-" for stdout)
-//	-entry NAME           entry function for -profile (default main)
+//	-entry NAME           entry function for -profile and -emit-go
+//	                      (default main)
 //	-top N                rows shown by -profile (default 20, 0 = all)
 //	-dump                 print the CDFG IR
 //	-strict               fail (exit 1) when the PE model does not map an
@@ -44,16 +48,15 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"time"
 
 	"ese"
 	"ese/internal/cdfg"
 	"ese/internal/cli"
-	"ese/internal/core"
-	"ese/internal/interp"
+	"ese/internal/codegen"
 	"ese/internal/iss"
 	"ese/internal/jobspec"
-	"ese/internal/profile"
 )
 
 // outputs bundles the presentation-only flag values that stay outside the
@@ -78,7 +81,7 @@ func main() {
 	spec.BindProfile(flag.CommandLine)
 	flag.StringVar(&o.pumArg, "pum", "microblaze", "PE model name or JSON file")
 	flag.BoolVar(&o.emitC, "emit-c", false, "emit delay-annotated C-like source")
-	flag.BoolVar(&o.emitGo, "emit-go", false, "emit generated timed Go source")
+	flag.BoolVar(&o.emitGo, "emit-go", false, "emit the standalone timed-TLM Go program of a one-PE design")
 	flag.BoolVar(&o.blocks, "blocks", false, "print per-block estimates")
 	flag.BoolVar(&o.dump, "dump", false, "print the CDFG IR")
 	flag.StringVar(&o.dotCFG, "dot-cfg", "", "print the dot CFG of the named function")
@@ -105,9 +108,15 @@ func run(file string, spec *jobspec.Spec, o outputs) error {
 	if err != nil {
 		return cli.Input(err)
 	}
+	ctx := context.Background()
+	if spec.Timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(spec.Timeout))
+		defer cancel()
+	}
 	pl := ese.NewPipeline(opts)
 	defer cli.PrintDiags("eseest", pl.Diagnostics())
-	prog, err := pl.Compile(file, string(src))
+	prog, err := pl.CompileCtx(ctx, file, string(src))
 	if err != nil {
 		return err
 	}
@@ -151,17 +160,25 @@ func run(file string, spec *jobspec.Spec, o outputs) error {
 	if model, err = spec.ApplyCache(model); err != nil {
 		return err
 	}
-	a, err := pl.AnnotateCtx(context.Background(), prog, model)
+	a, err := pl.AnnotateCtx(ctx, prog, model)
 	if err != nil {
 		return err
 	}
 	switch {
 	case o.profile || o.profileJSON != "":
-		return runProfile(prog, model.Name, a.Est, spec, o)
+		rep, err := jobspec.ProfileEstimate(ctx, spec, a)
+		if err != nil {
+			return err
+		}
+		return cli.WriteProfile(rep, o.profileJSON, o.profile, spec.Top)
 	case o.emitC:
 		fmt.Print(a.EmitTimedC())
 	case o.emitGo:
-		fmt.Print(a.EmitTimedGo("timed"))
+		src, err := emitGo(file, spec.Entry, a)
+		if err != nil {
+			return err
+		}
+		fmt.Print(src)
 	case o.blocks:
 		for _, fn := range prog.Funcs {
 			fmt.Printf("func %s\n", fn.Name)
@@ -181,49 +198,20 @@ func run(file string, spec *jobspec.Spec, o outputs) error {
 	return nil
 }
 
-// runProfile executes the program's entry on the IR interpreter, counting
-// block executions, and joins the counts with the annotation into the
-// ranked cycle-attribution report. The dynamic total is the program's
-// estimated cycle count on the model (identical, bit for bit, to what the
-// timed TLM would accumulate for a lone PE without communication stalls).
-func runProfile(prog *ese.Program, model string, est map[*cdfg.Block]core.Estimate, spec *jobspec.Spec, o outputs) error {
-	kind, err := spec.ExecKind()
+// emitGo returns the standalone timed-TLM program of a one-PE design:
+// the annotated program's entry running on its model over the default
+// bus, with the run's own delays baked in.
+func emitGo(file, entry string, a *ese.Annotated) (string, error) {
+	pe := &ese.PE{Name: a.PUM.Name, Kind: ese.Processor, Entry: entry, PUM: a.PUM}
+	d := &ese.Design{
+		Name:    filepath.Base(file),
+		Program: a.Prog,
+		PEs:     []*ese.PE{pe},
+		Bus:     ese.DefaultBus(),
+	}
+	files, err := codegen.StandaloneFiles(d, map[string]map[*cdfg.Block]float64{pe.Name: a.Delays()}, "eseest")
 	if err != nil {
-		return err
+		return "", err
 	}
-	m, err := interp.NewEngine(prog, kind)
-	if err != nil {
-		return err
-	}
-	m.EnableProfile()
-	m.SetLimit(spec.Steps)
-	if spec.Timeout > 0 {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Duration(spec.Timeout))
-		defer cancel()
-		m.SetContext(ctx)
-	}
-	if err := m.Run(spec.Entry); err != nil {
-		return fmt.Errorf("profile run: %w", err)
-	}
-	rep, err := profile.Build("", prog,
-		map[string]map[*cdfg.Block]uint64{model: m.BlockCountsMap()},
-		map[string]map[*cdfg.Block]core.Estimate{model: est})
-	if err != nil {
-		return err
-	}
-	if o.profileJSON != "" {
-		data, err := rep.JSON()
-		if err != nil {
-			return err
-		}
-		if o.profileJSON == "-" {
-			fmt.Println(string(data))
-		} else if err := os.WriteFile(o.profileJSON, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-	}
-	if o.profile {
-		fmt.Print(rep.Text(spec.Top))
-	}
-	return nil
+	return string(files["main.go"]), nil
 }

@@ -3,7 +3,9 @@
 // third (fastest) execution tier behind -exec=gen.
 //
 // Standalone mode (default) emits a self-contained `go build`-able
-// timed-TLM package for one built-in design spec:
+// timed-TLM package for one built-in design spec, with the per-block
+// delays the pipeline annotates for a timed run of that spec (the same
+// main.go `esetlm -gen` prints):
 //
 //	esegen -design SW+1 -o /tmp/tlm_sw1
 //
@@ -40,11 +42,11 @@ import (
 	"sort"
 	"strings"
 
+	"ese"
 	"ese/internal/apps"
 	"ese/internal/cdfg"
 	"ese/internal/cli"
 	"ese/internal/codegen"
-	"ese/internal/core"
 	"ese/internal/jobspec"
 )
 
@@ -89,7 +91,7 @@ func runStandalone(spec *jobspec.Spec, outDir, module string) error {
 	if module == "" {
 		module = "esegen_" + sanitize(spec.App+"_"+spec.Design)
 	}
-	files, err := codegen.StandaloneFiles(d, core.FullDetail, module)
+	files, err := ese.GenerateTLMPackage(d, module)
 	if err != nil {
 		return err
 	}

@@ -15,7 +15,8 @@
 //	                            on findings)
 //	-Werror                     with -verify, treat warnings as errors
 //	-graph                      print the process/channel structure (Fig. 6)
-//	-gen                        emit the standalone Go TLM source and exit
+//	-gen                        print the standalone timed-TLM Go source
+//	                            (the main.go esegen -o writes) and exit
 //	-json                       print the canonical {cycles_by_pe,
 //	                            out_by_pe, steps} JSON summary (matches a
 //	                            standalone esegen binary byte for byte)
@@ -45,11 +46,9 @@ import (
 	"time"
 
 	"ese"
-	"ese/internal/cdfg"
 	"ese/internal/cli"
 	"ese/internal/core"
 	"ese/internal/jobspec"
-	"ese/internal/profile"
 	"ese/internal/tlm"
 	"ese/internal/trace"
 )
@@ -74,7 +73,7 @@ func main() {
 	spec.BindVerify(flag.CommandLine)
 	spec.BindRun(flag.CommandLine)
 	flag.BoolVar(&o.graph, "graph", false, "print the process graph and exit")
-	flag.BoolVar(&o.gen, "gen", false, "emit the standalone TLM source and exit")
+	flag.BoolVar(&o.gen, "gen", false, "print the standalone timed-TLM Go source (esegen's main.go) and exit")
 	flag.BoolVar(&o.jsonOut, "json", false, "print the canonical {cycles_by_pe, out_by_pe, steps} JSON summary instead of text")
 	flag.StringVar(&o.vcdPath, "vcd", "", "write a VCD activity waveform to this file (timed engine)")
 	flag.StringVar(&o.traceJSON, "trace-json", "", "write a Chrome trace_event timeline to this file (timed engine)")
@@ -182,7 +181,11 @@ func run(spec *jobspec.Spec, o outputs) error {
 			printTLM(res, d)
 		}
 		if doProfile {
-			if err := writeProfile(pl, d, res, o); err != nil {
+			rep, err := jobspec.ProfileTLM(context.Background(), pl, d, res)
+			if err != nil {
+				return err
+			}
+			if err := cli.WriteProfile(rep, o.profileJSON, o.profile, o.top); err != nil {
 				return err
 			}
 		}
@@ -208,41 +211,6 @@ func run(spec *jobspec.Spec, o outputs) error {
 		}
 	default:
 		return cli.Input(fmt.Errorf("unknown engine %q", spec.Engine))
-	}
-	return nil
-}
-
-// writeProfile joins the timed run's per-process block execution counts
-// with each PE's annotation into the ranked cycle-attribution report.
-// The annotations go through the pipeline's cache, so they are the very
-// estimates the run was timed with — the report totals reconcile bit for
-// bit with the simulated per-PE cycle counts.
-func writeProfile(pl *ese.Pipeline, d *ese.Design, res *ese.TLMResult, o outputs) error {
-	est := make(map[string]map[*cdfg.Block]core.Estimate, len(d.PEs))
-	for _, pe := range d.PEs {
-		a, err := pl.AnnotateDetailCtx(context.Background(), d.Program, pe.PUM, core.FullDetail)
-		if err != nil {
-			return err
-		}
-		est[pe.Name] = a.Est
-	}
-	rep, err := profile.Build(d.Name, d.Program, res.BlockCountsByPE, est)
-	if err != nil {
-		return err
-	}
-	if o.profileJSON != "" {
-		data, err := rep.JSON()
-		if err != nil {
-			return err
-		}
-		if o.profileJSON == "-" {
-			fmt.Println(string(data))
-		} else if err := os.WriteFile(o.profileJSON, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-	}
-	if o.profile {
-		fmt.Print(rep.Text(o.top))
 	}
 	return nil
 }

@@ -13,7 +13,8 @@
 //	design := &ese.Design{...}                     // map processes to PEs
 //	timed, _ := ese.RunTimedTLM(design)            // fast timed simulation
 //	board, _ := ese.RunBoard(design)               // cycle-accurate reference
-//	src, _ := ese.GenerateTLM(design)              // standalone Go TLM
+//	src, _ := ese.GenerateTLM(design)              // standalone Go TLM main.go
+//	                                               // (GenerateTLMPackage: + go.mod)
 //
 // Under the hood the flow is a staged pipeline (Parse → Check → Lower →
 // Simplify → Annotate → Build/Simulate) with a content-addressed
@@ -40,6 +41,7 @@
 package ese
 
 import (
+	"context"
 	"io"
 
 	"ese/internal/annotate"
@@ -261,20 +263,31 @@ func RunTimedTLM(d *Design) (*TLMResult, error) { return defaultPipeline.RunTime
 // RunBoard runs the cycle-accurate full-system reference simulation.
 func RunBoard(d *Design) (*BoardResult, error) { return rtl.RunBoard(d, 0) }
 
-// GenerateTLM emits the standalone Go source of the design's timed TLM.
-// The emitted model embeds the CDFG interpreter; see GenerateTLMPackage
-// for the faster transpiled form.
-func GenerateTLM(d *Design) (string, error) { return tlm.GenerateSource(d, core.FullDetail) }
+// GenerateTLM emits the Go source of the design's standalone timed TLM:
+// the "main.go" of GenerateTLMPackage, which `esegen -o` writes and
+// `esetlm -gen` prints for the same design.
+func GenerateTLM(d *Design) (string, error) {
+	files, err := GenerateTLMPackage(d, "gentlm")
+	if err != nil {
+		return "", err
+	}
+	return string(files["main.go"]), nil
+}
 
 // GenerateTLMPackage transpiles the design's annotated CDFG to a
 // standalone, `go build`-able timed-TLM Go package — the ahead-of-time
 // codegen path behind `esegen`. Each PE's program becomes native Go
-// control flow with its per-block delays baked in as exact constants.
-// The returned map holds the package files ("main.go", "go.mod"); the
-// built binary prints the same canonical {cycles_by_pe, out_by_pe,
-// steps} JSON summary that `esetlm -json` prints for the spec.
+// control flow with its per-block delays, annotated through the default
+// pipeline exactly as RunTimedTLM annotates them, baked in as exact
+// constants. The returned map holds the package files ("main.go",
+// "go.mod"); the built binary prints the same canonical {cycles_by_pe,
+// out_by_pe, steps} JSON summary that `esetlm -json` prints for the spec.
 func GenerateTLMPackage(d *Design, module string) (map[string][]byte, error) {
-	return codegen.StandaloneFiles(d, core.FullDetail, module)
+	delays, _, err := defaultPipeline.DelaysCtx(context.Background(), d, defaultPipeline.Detail())
+	if err != nil {
+		return nil, err
+	}
+	return codegen.StandaloneFiles(d, delays, module)
 }
 
 // RunInterp executes a single process functionally (reference semantics)

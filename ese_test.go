@@ -121,10 +121,12 @@ func TestFacadeGenerateTLM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"package main", "newKernel", "Fn_main", "Fn_fc_left_hw"} {
-		if !strings.Contains(src, want) {
-			t.Errorf("generated TLM missing %q", want)
-		}
+	files, err := GenerateTLMPackage(d, "facadetlm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if src != string(files["main.go"]) {
+		t.Fatal("GenerateTLM differs from GenerateTLMPackage's main.go")
 	}
 }
 

@@ -1,10 +1,11 @@
-// Package annotate implements the paper's timing annotation and timed code
-// generation phase (§4.3, Figs. 2–3): given a lowered program and a
-// processing unit model, it estimates every basic block with the core
-// engine and produces (a) the per-block delay map that the TLM executor
-// consumes — the semantic equivalent of inserting a wait() call at the end
-// of each basic block — and (b) generated timed source artifacts in C-like
-// and Go syntax, mirroring the LLVM-based source regeneration of the paper.
+// Package annotate implements the paper's timing annotation phase (§4.3,
+// Figs. 2–3): given a lowered program and a processing unit model, it
+// estimates every basic block with the core engine and produces the
+// per-block delay map that the TLM executor and the standalone Go
+// generator (internal/codegen) consume — the semantic equivalent of
+// inserting a wait() call at the end of each basic block. It also renders
+// the annotated program as timed C-like source with an explicit wait()
+// per block, mirroring the LLVM-based source regeneration of the paper.
 package annotate
 
 import (
@@ -291,232 +292,6 @@ func (a *Annotated) emitInstrC(sb *strings.Builder, fn *cdfg.Function, in *cdfg.
 	default:
 		fmt.Fprintf(sb, "  %s = %s %s %s;\n", r(in.Dst), r(in.A), opC[in.Op], r(in.B))
 	}
-}
-
-// EmitTimedGo renders the annotated program as Go source against a small
-// runtime interface, demonstrating native-compiled timed TLM generation on
-// the Go toolchain. The generated file is an artifact (written next to the
-// TLM for inspection or offline compilation); the in-process executor
-// interprets the same annotated CDFG instead.
-func (a *Annotated) EmitTimedGo(pkg string) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "// Code generated by ese annotate for PE model %q. DO NOT EDIT.\n", a.PUM.Name)
-	fmt.Fprintf(&sb, "package %s\n\n", pkg)
-	sb.WriteString(`// Env is the runtime the generated process code runs against.
-type Env interface {
-	Wait(cycles int64)
-	Send(ch int, data []int32)
-	Recv(ch int, buf []int32)
-	Out(v int32)
-}
-
-`)
-	a.emitGoBody(&sb, "")
-	sb.WriteString(goRuntimeHelpers)
-	return sb.String()
-}
-
-// EmitTimedGoBody renders only the state/process definitions with every
-// identifier prefixed, so several differently-annotated instances of the
-// same program (one per PE) can coexist in one generated file. The caller
-// provides the Env interface and runtime helpers exactly once.
-func (a *Annotated) EmitTimedGoBody(sb *strings.Builder, prefix string) {
-	a.emitGoBody(sb, prefix)
-}
-
-func (a *Annotated) emitGoBody(sb *strings.Builder, prefix string) {
-	// Globals bundled in a state struct so several process instances can
-	// coexist.
-	fmt.Fprintf(sb, "// %sState holds the process globals.\ntype %sState struct {\n", prefix, prefix)
-	for _, g := range a.Prog.Globals {
-		if g.IsArray {
-			fmt.Fprintf(sb, "\tG_%s [%d]int32\n", g.Name, g.Size)
-		} else {
-			fmt.Fprintf(sb, "\tG_%s int32\n", g.Name)
-		}
-	}
-	sb.WriteString("}\n\n")
-	fmt.Fprintf(sb, "// New%sState returns the initial global state.\nfunc New%sState() *%sState {\n\ts := &%sState{}\n", prefix, prefix, prefix, prefix)
-	for _, g := range a.Prog.Globals {
-		for i, v := range g.Init {
-			if v == 0 {
-				continue
-			}
-			if g.IsArray {
-				fmt.Fprintf(sb, "\ts.G_%s[%d] = %d\n", g.Name, i, v)
-			} else {
-				fmt.Fprintf(sb, "\ts.G_%s = %d\n", g.Name, v)
-			}
-		}
-	}
-	sb.WriteString("\treturn s\n}\n\n")
-	for _, fn := range a.Prog.Funcs {
-		a.emitFuncGo(sb, fn, prefix)
-	}
-}
-
-// GoRuntimeHelpers returns the arithmetic helper functions every generated
-// Go artifact needs exactly once.
-func GoRuntimeHelpers() string { return goRuntimeHelpers }
-
-// goRuntimeHelpers are the arithmetic helpers the generated code calls.
-const goRuntimeHelpers = `func rtDiv(a, b int32) int32 {
-	if b == 0 {
-		return 0
-	}
-	if a == -2147483648 && b == -1 {
-		return a
-	}
-	return a / b
-}
-
-func rtRem(a, b int32) int32 {
-	if b == 0 || (a == -2147483648 && b == -1) {
-		return 0
-	}
-	return a % b
-}
-
-func rtBool(b bool) int32 {
-	if b {
-		return 1
-	}
-	return 0
-}
-`
-
-func (a *Annotated) emitFuncGo(sb *strings.Builder, fn *cdfg.Function, prefix string) {
-	rv := func(x cdfg.Ref) string {
-		switch x.Kind {
-		case cdfg.RefConst:
-			if x.Val < 0 {
-				return fmt.Sprintf("int32(%d)", x.Val)
-			}
-			return fmt.Sprintf("%d", x.Val)
-		case cdfg.RefTemp:
-			return fmt.Sprintf("t%d", x.Idx)
-		case cdfg.RefSlot:
-			return "v_" + fn.Slots[x.Idx].Name
-		case cdfg.RefGlobal:
-			return "s.G_" + a.Prog.Globals[x.Idx].Name
-		}
-		return "_"
-	}
-	arr := func(x cdfg.Ref) string {
-		if x.Kind == cdfg.RefGlobal {
-			return fmt.Sprintf("s.G_%s[:]", a.Prog.Globals[x.Idx].Name)
-		}
-		s := fn.Slots[x.Idx]
-		if s.IsParam {
-			return "v_" + s.Name
-		}
-		return fmt.Sprintf("v_%s[:]", s.Name)
-	}
-	var params []string
-	for _, p := range fn.Params {
-		if p.IsArray {
-			params = append(params, fmt.Sprintf("v_%s []int32", p.Name))
-		} else {
-			params = append(params, fmt.Sprintf("v_%s int32", p.Name))
-		}
-	}
-	ret := ""
-	if fn.ReturnsInt {
-		ret = " int32"
-	}
-	fmt.Fprintf(sb, "// %sFn_%s is the timed form of %s.\nfunc %sFn_%s(env Env, s *%sState%s)%s {\n",
-		prefix, fn.Name, fn.Name, prefix, fn.Name, prefix, prefixComma(params), ret)
-	for _, sl := range fn.Slots {
-		if sl.IsParam {
-			continue
-		}
-		if sl.IsArray {
-			fmt.Fprintf(sb, "\tvar v_%s [%d]int32\n", sl.Name, sl.Size)
-		} else {
-			fmt.Fprintf(sb, "\tvar v_%s int32\n", sl.Name)
-		}
-		fmt.Fprintf(sb, "\t_ = v_%s\n", sl.Name)
-	}
-	for i := 0; i < fn.NTemps; i++ {
-		fmt.Fprintf(sb, "\tvar t%d int32\n\t_ = t%d\n", i, i)
-	}
-	// The entry label is not a jump target; reference it explicitly so the
-	// generated file satisfies Go's unused-label rule.
-	sb.WriteString("\tgoto bb0\n")
-	for _, b := range fn.Blocks {
-		fmt.Fprintf(sb, "bb%d:\n", b.ID)
-		fmt.Fprintf(sb, "\tenv.Wait(%d)\n", int64(a.Est[b].Total))
-		for i := range b.Instrs {
-			in := &b.Instrs[i]
-			switch in.Op {
-			case cdfg.OpMov:
-				fmt.Fprintf(sb, "\t%s = %s\n", rv(in.Dst), rv(in.A))
-			case cdfg.OpNeg:
-				fmt.Fprintf(sb, "\t%s = -%s\n", rv(in.Dst), rv(in.A))
-			case cdfg.OpNot:
-				fmt.Fprintf(sb, "\t%s = ^%s\n", rv(in.Dst), rv(in.A))
-			case cdfg.OpDiv:
-				fmt.Fprintf(sb, "\t%s = rtDiv(%s, %s)\n", rv(in.Dst), rv(in.A), rv(in.B))
-			case cdfg.OpRem:
-				fmt.Fprintf(sb, "\t%s = rtRem(%s, %s)\n", rv(in.Dst), rv(in.A), rv(in.B))
-			case cdfg.OpShl:
-				fmt.Fprintf(sb, "\t%s = %s << (uint32(%s) & 31)\n", rv(in.Dst), rv(in.A), rv(in.B))
-			case cdfg.OpShr:
-				fmt.Fprintf(sb, "\t%s = %s >> (uint32(%s) & 31)\n", rv(in.Dst), rv(in.A), rv(in.B))
-			case cdfg.OpCmpEq, cdfg.OpCmpNe, cdfg.OpCmpLt, cdfg.OpCmpLe, cdfg.OpCmpGt, cdfg.OpCmpGe:
-				fmt.Fprintf(sb, "\t%s = rtBool(%s %s %s)\n", rv(in.Dst), rv(in.A), opC[in.Op], rv(in.B))
-			case cdfg.OpLoad:
-				fmt.Fprintf(sb, "\t%s = %s[%s]\n", rv(in.Dst), arr(in.Arr), rv(in.A))
-			case cdfg.OpStore:
-				fmt.Fprintf(sb, "\t%s[%s] = %s\n", arr(in.Arr), rv(in.A), rv(in.B))
-			case cdfg.OpBr:
-				fmt.Fprintf(sb, "\tif %s != 0 {\n\t\tgoto bb%d\n\t}\n\tgoto bb%d\n", rv(in.A), in.Then.ID, in.Else.ID)
-			case cdfg.OpJmp:
-				fmt.Fprintf(sb, "\tgoto bb%d\n", in.Target.ID)
-			case cdfg.OpRet:
-				if fn.ReturnsInt {
-					v := "0"
-					if in.A.Kind != cdfg.RefNone {
-						v = rv(in.A)
-					}
-					fmt.Fprintf(sb, "\treturn %s\n", v)
-				} else {
-					sb.WriteString("\treturn\n")
-				}
-			case cdfg.OpCall:
-				var args []string
-				for ai, ar := range in.Args {
-					if ai < len(in.Callee.Params) && in.Callee.Params[ai].IsArray {
-						args = append(args, arr(ar))
-					} else {
-						args = append(args, rv(ar))
-					}
-				}
-				call := fmt.Sprintf("%sFn_%s(env, s%s)", prefix, in.Callee.Name, prefixComma(args))
-				if in.Dst.Kind == cdfg.RefNone {
-					fmt.Fprintf(sb, "\t%s\n", call)
-				} else {
-					fmt.Fprintf(sb, "\t%s = %s\n", rv(in.Dst), call)
-				}
-			case cdfg.OpSend:
-				fmt.Fprintf(sb, "\tenv.Send(%d, %s[:%s])\n", in.Chan, strings.TrimSuffix(arr(in.Arr), "[:]"), rv(in.A))
-			case cdfg.OpRecv:
-				fmt.Fprintf(sb, "\tenv.Recv(%d, %s[:%s])\n", in.Chan, strings.TrimSuffix(arr(in.Arr), "[:]"), rv(in.A))
-			case cdfg.OpOut:
-				fmt.Fprintf(sb, "\tenv.Out(%s)\n", rv(in.A))
-			default:
-				fmt.Fprintf(sb, "\t%s = %s %s %s\n", rv(in.Dst), rv(in.A), opC[in.Op], rv(in.B))
-			}
-		}
-	}
-	sb.WriteString("}\n\n")
-}
-
-func prefixComma(parts []string) string {
-	if len(parts) == 0 {
-		return ""
-	}
-	return ", " + strings.Join(parts, ", ")
 }
 
 // Summary renders a human-readable annotation report sorted by function.

@@ -1,8 +1,6 @@
 package annotate
 
 import (
-	"go/parser"
-	"go/token"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -104,87 +102,6 @@ func TestEmitTimedCContainsWaits(t *testing.T) {
 	}
 }
 
-func TestEmitTimedGoParses(t *testing.T) {
-	a := annotated(t)
-	src := a.EmitTimedGo("timed")
-	fset := token.NewFileSet()
-	if _, err := parser.ParseFile(fset, "timed.go", src, 0); err != nil {
-		t.Fatalf("generated Go does not parse: %v\n%s", err, src)
-	}
-	if strings.Count(src, "env.Wait(") < a.Prog.NumBlocks() {
-		t.Error("fewer env.Wait calls than blocks")
-	}
-}
-
-// TestEmittedGoExecutes compiles and runs the generated Go process and
-// checks that its out() stream and accumulated wait cycles match the IR
-// interpreter with the same annotation — i.e. the generated native code and
-// the in-process executor are the same timed TLM.
-func TestEmittedGoExecutes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("compiling generated code is slow")
-	}
-	if _, err := exec.LookPath("go"); err != nil {
-		t.Skip("go toolchain not available")
-	}
-	a := annotated(t)
-	src := a.EmitTimedGo("main")
-
-	// Reference: interpret with delay accumulation.
-	m := interp.New(a.Prog)
-	var refCycles int64
-	delays := a.Delays()
-	m.OnBlock = func(b *cdfg.Block) error { refCycles += int64(delays[b]); return nil }
-	if err := m.Run("main"); err != nil {
-		t.Fatalf("interp: %v", err)
-	}
-
-	dir := t.TempDir()
-	driver := `
-func main() {
-	env := &hostEnv{}
-	s := NewState()
-	Fn_main(env, s)
-	fmt.Println("cycles", env.cycles)
-	fmt.Println("out", env.out)
-}
-
-type hostEnv struct {
-	cycles int64
-	out    []int32
-}
-
-func (e *hostEnv) Wait(c int64)              { e.cycles += c }
-func (e *hostEnv) Send(ch int, d []int32)    {}
-func (e *hostEnv) Recv(ch int, b []int32)    {}
-func (e *hostEnv) Out(v int32)               { e.out = append(e.out, v) }
-`
-	full := src + "\nimport \"fmt\"\n" + driver
-	// Move the import up: simplest is to inject it after the package line.
-	full = strings.Replace(src, "package main\n", "package main\n\nimport \"fmt\"\n", 1) + driver
-	if err := os.WriteFile(filepath.Join(dir, "main.go"), []byte(full), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte("module timedtlm\n\ngo 1.22\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cmd := exec.Command("go", "run", ".")
-	cmd.Dir = dir
-	outBytes, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("go run: %v\n%s", err, outBytes)
-	}
-	got := string(outBytes)
-	wantCycles := "cycles " + itoa64(refCycles)
-	if !strings.Contains(got, wantCycles) {
-		t.Errorf("generated code cycles mismatch: want %q in:\n%s", wantCycles, got)
-	}
-	wantOut := "out " + int32sString(m.Out)
-	if !strings.Contains(got, wantOut) {
-		t.Errorf("generated code output mismatch: want %q in:\n%s", wantOut, got)
-	}
-}
-
 func itoa64(v int64) string {
 	if v == 0 {
 		return "0"
@@ -207,14 +124,6 @@ func itoa64(v int64) string {
 	return string(buf[i:])
 }
 
-func int32sString(vs []int32) string {
-	parts := make([]string, len(vs))
-	for i, v := range vs {
-		parts[i] = itoa64(int64(v))
-	}
-	return "[" + strings.Join(parts, " ") + "]"
-}
-
 func TestSummaryMentionsFunctions(t *testing.T) {
 	a := annotated(t)
 	s := a.Summary()
@@ -222,39 +131,6 @@ func TestSummaryMentionsFunctions(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("summary missing %q:\n%s", want, s)
 		}
-	}
-}
-
-func TestEmitTimedGoBodyPrefixedCoexist(t *testing.T) {
-	// Two differently-annotated instances of the same program must coexist
-	// in one file when prefixed (the multi-PE generated TLM relies on it).
-	prog := compile(t, sampleSrc)
-	mb, err := pum.MicroBlaze().WithCache(pum.CacheCfg{ISize: 8192, DSize: 4096})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hw := pum.CustomHW("hw", 100_000_000)
-	a1 := Annotate(prog, mb, core.FullDetail)
-	a2 := Annotate(prog, hw, core.FullDetail)
-
-	var sb strings.Builder
-	sb.WriteString("package multi\n\ntype Env interface {\n\tWait(cycles int64)\n\tSend(ch int, data []int32)\n\tRecv(ch int, buf []int32)\n\tOut(v int32)\n}\n\n")
-	a1.EmitTimedGoBody(&sb, "PEA_")
-	a2.EmitTimedGoBody(&sb, "PEB_")
-	sb.WriteString(GoRuntimeHelpers())
-	src := sb.String()
-	fset := token.NewFileSet()
-	if _, err := parser.ParseFile(fset, "multi.go", src, 0); err != nil {
-		t.Fatalf("multi-PE file does not parse: %v", err)
-	}
-	for _, want := range []string{"PEA_Fn_main", "PEB_Fn_main", "PEA_State", "PEB_State", "NewPEA_State"} {
-		if !strings.Contains(src, want) {
-			t.Errorf("missing %q", want)
-		}
-	}
-	// The two instances carry different delays (different PE models).
-	if a1.TotalStatic() == a2.TotalStatic() {
-		t.Error("different PE models produced identical annotations")
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"os"
 
 	"ese/internal/diag"
+	"ese/internal/profile"
 )
 
 // Exit codes shared by every command.
@@ -94,4 +95,26 @@ func PrintDiags(prog string, l *diag.List) {
 		}
 		fmt.Fprintf(os.Stderr, "%s: %s\n", prog, d.String())
 	}
+}
+
+// WriteProfile renders a cycle-attribution report the way the -profile
+// and -profile-json flags ask: the JSON form to jsonPath ("-" = stdout,
+// "" = none), then, when text is set, the ranked text report with top
+// rows to stdout.
+func WriteProfile(rep *profile.Report, jsonPath string, text bool, top int) error {
+	if jsonPath != "" {
+		data, err := rep.JSON()
+		if err != nil {
+			return err
+		}
+		if jsonPath == "-" {
+			fmt.Println(string(data))
+		} else if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
+			return err
+		}
+	}
+	if text {
+		fmt.Print(rep.Text(top))
+	}
+	return nil
 }

@@ -2,15 +2,18 @@
 //
 //	Parse → Check → Lower → Simplify → Annotate → Build/Simulate
 //
-// Each stage is an explicit method consuming and producing a typed
-// artifact (cfront.File, cfront.Unit, cdfg.Program, annotate.Annotated,
-// tlm.Result), so callers can enter and leave the pipeline at any seam.
-// A Pipeline owns a content-addressed schedule/estimate cache (see
-// core.Cache) and a bounded annotation worker pool: constructing one
-// pipeline and pushing a multi-configuration retarget sweep through it
-// computes every Algorithm 1 schedule exactly once — the cheap
-// re-annotation the paper's Table 1 sells ("Anno." column) — while the
-// statistical Algorithm 2 composition is recomputed per configuration.
+// Three entry points cover the stages: Compile runs the front end (parse
+// through simplify, each stage timed and tagged) from source to a
+// cdfg.Program, Annotate and its variants estimate a program against a
+// PE model (annotate.Annotated), and Simulate — with Delays for callers
+// that only need the per-PE delay maps — runs a mapped design
+// (tlm.Result). A Pipeline owns a content-addressed schedule/estimate
+// cache (see core.Cache) and a bounded annotation worker pool:
+// constructing one pipeline and pushing a multi-configuration retarget
+// sweep through it computes every Algorithm 1 schedule exactly once — the
+// cheap re-annotation the paper's Table 1 sells ("Anno." column) — while
+// the statistical Algorithm 2 composition is recomputed per
+// configuration.
 //
 // The pipeline is the architectural seam the rest of the system hangs off:
 // internal/experiments drives its sweeps through one Pipeline, the CLIs
@@ -259,28 +262,8 @@ func (pl *Pipeline) recordDegradation(a *annotate.Annotated) {
 
 // ---------------------------------------------------------------- Front end
 
-// Parse runs the lexing/parsing stage on one C-subset source.
-func (pl *Pipeline) Parse(name, src string) (*cfront.File, error) {
-	return cfront.Parse(name, src)
-}
-
-// Check runs semantic analysis on a parsed file.
-func (pl *Pipeline) Check(f *cfront.File) (*cfront.Unit, error) {
-	return cfront.Check(f)
-}
-
-// Lower translates a checked unit into CDFG form.
-func (pl *Pipeline) Lower(u *cfront.Unit) (*cdfg.Program, error) {
-	return cdfg.Lower(u)
-}
-
-// Simplify runs the CFG cleanup stage in place and returns the program.
-func (pl *Pipeline) Simplify(prog *cdfg.Program) *cdfg.Program {
-	cdfg.SimplifyProgram(prog)
-	return prog
-}
-
-// Compile chains Parse, Check, Lower and (when configured) Simplify.
+// Compile runs the front end — parse, check, lower and (when configured)
+// simplify — on one C-subset source.
 func (pl *Pipeline) Compile(name, src string) (*cdfg.Program, error) {
 	return pl.CompileCtx(context.Background(), name, src)
 }

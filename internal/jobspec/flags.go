@@ -47,7 +47,7 @@ func (s *Spec) BindModel(fs *flag.FlagSet) {
 // BindProfile registers eseest's profiled-execution flags: -entry, -top
 // and -steps.
 func (s *Spec) BindProfile(fs *flag.FlagSet) {
-	fs.StringVar(&s.Entry, "entry", s.Entry, "entry function for -profile")
+	fs.StringVar(&s.Entry, "entry", s.Entry, "entry function for -profile and -emit-go")
 	fs.IntVar(&s.Top, "top", s.Top, "rows shown by -profile (0 = all)")
 	fs.Uint64Var(&s.Steps, "steps", s.Steps, "dynamic step limit for -profile (0 = none)")
 }

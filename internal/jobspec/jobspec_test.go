@@ -2,6 +2,7 @@ package jobspec
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"strings"
 	"testing"
@@ -282,5 +283,39 @@ func TestRunnerCancellation(t *testing.T) {
 	}
 	if res == nil {
 		t.Fatal("canceled run returned no partial result")
+	}
+}
+
+// loopSrc never terminates: only a deadline ends its profiled execution.
+const loopSrc = `int x; void main() { while (1) { x = x + 1; } }`
+
+// TestRunnerTimeoutBoundsWholeJob checks that a job's timeout — the
+// spec's own, else the Runner's default — bounds the profiled execution
+// as well as the pipeline stages.
+func TestRunnerTimeoutBoundsWholeJob(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		r       *Runner
+		timeout time.Duration
+	}{
+		{"runner default", &Runner{DefaultTimeout: 200 * time.Millisecond}, 0},
+		{"spec timeout", &Runner{}, 200 * time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := estimateSpec()
+			s.Source.Code = loopSrc
+			s.Profile = true
+			s.Timeout = Duration(tc.timeout)
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			start := time.Now()
+			_, err := tc.r.Run(ctx, s)
+			if !errors.Is(err, diag.ErrDeadline) {
+				t.Fatalf("want diag.ErrDeadline, got %v", err)
+			}
+			if el := time.Since(start); el > 2*time.Second {
+				t.Fatalf("job returned after %v: its 200ms timeout did not bound it", el)
+			}
+		})
 	}
 }

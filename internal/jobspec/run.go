@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"ese/internal/annotate"
 	"ese/internal/calib"
 	"ese/internal/cdfg"
 	"ese/internal/core"
@@ -207,19 +208,29 @@ func (r *Runner) Run(ctx context.Context, s *Spec) (*Result, error) {
 }
 
 // RunWith executes one validated spec through a fresh pipeline bound to
-// the Runner's shared cache and registry. The context bounds the whole
-// job: cancellation or deadline expiry surfaces as diag.ErrCanceled /
-// diag.ErrDeadline with a stage-tagged diagnostic in the (partial)
-// Result.
+// the Runner's shared cache and registry. The context, further bounded by
+// one deadline from the spec's Timeout (else the Runner's
+// DefaultTimeout), bounds the whole job — every pipeline stage and the
+// profiled execution alike: cancellation or deadline expiry surfaces as
+// diag.ErrCanceled / diag.ErrDeadline with a stage-tagged diagnostic in
+// the (partial) Result.
 func (r *Runner) RunWith(ctx context.Context, s *Spec, ro RunOpts) (res *Result, err error) {
 	start := time.Now()
 	opts, err := s.Options()
 	if err != nil {
 		return nil, err
 	}
-	if opts.Timeout == 0 {
-		opts.Timeout = r.DefaultTimeout
+	timeout := opts.Timeout
+	if timeout == 0 {
+		timeout = r.DefaultTimeout
 	}
+	if timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
+	}
+	// The job deadline above bounds every stage; no per-stage watchdog.
+	opts.Timeout = 0
 	opts.Cache = r.Cache
 	opts.Metrics = r.Metrics
 	opts.StageHook = ro.StageHook
@@ -283,21 +294,31 @@ func (r *Runner) runEstimate(ctx context.Context, s *Spec, pl *engine.Pipeline, 
 		}
 	}
 	if s.Profile {
-		return r.profileEstimate(ctx, s, prog, model, a.Est, res)
+		rep, err := ProfileEstimate(ctx, s, a)
+		if err != nil {
+			return err
+		}
+		res.Profile, err = rep.JSON()
+		return err
 	}
 	return nil
 }
 
-// profileEstimate executes the program on the IR interpreter and joins
-// the block counts with the annotation into the attribution report.
-func (r *Runner) profileEstimate(ctx context.Context, s *Spec, prog *cdfg.Program, model *pum.PUM, est map[*cdfg.Block]core.Estimate, res *Result) error {
+// ProfileEstimate is the profiled estimation flow (esed's profiled
+// estimate jobs and `eseest -profile`): it executes the annotated
+// program's entry (s.Entry, default main) on the IR engine s.Exec selects,
+// bounded by s.Steps and ctx, counting block executions, and joins the
+// counts with the annotation into the ranked cycle-attribution report.
+// The report's one PE is named after the model; its dynamic total is the
+// program's estimated cycle count on that model.
+func ProfileEstimate(ctx context.Context, s *Spec, a *annotate.Annotated) (*profile.Report, error) {
 	kind, err := s.ExecKind()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	m, err := interp.NewEngine(prog, kind)
+	m, err := interp.NewEngine(a.Prog, kind)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	m.EnableProfile()
 	m.SetLimit(s.Steps)
@@ -307,20 +328,11 @@ func (r *Runner) profileEstimate(ctx context.Context, s *Spec, prog *cdfg.Progra
 		entry = "main"
 	}
 	if err := m.Run(entry); err != nil {
-		return fmt.Errorf("profile run: %w", err)
+		return nil, fmt.Errorf("profile run: %w", err)
 	}
-	rep, err := profile.Build("", prog,
-		map[string]map[*cdfg.Block]uint64{model.Name: m.BlockCountsMap()},
-		map[string]map[*cdfg.Block]core.Estimate{model.Name: est})
-	if err != nil {
-		return err
-	}
-	data, err := rep.JSON()
-	if err != nil {
-		return err
-	}
-	res.Profile = data
-	return nil
+	return profile.Build("", a.Prog,
+		map[string]map[*cdfg.Block]uint64{a.PUM.Name: m.BlockCountsMap()},
+		map[string]map[*cdfg.Block]core.Estimate{a.PUM.Name: a.Est})
 }
 
 // runTLM is the esetlm flow: build the design, simulate, summarize.
@@ -375,7 +387,12 @@ func (r *Runner) runTLM(ctx context.Context, s *Spec, pl *engine.Pipeline, res *
 		res.TLM.BusCycles = tr.EndCycles(d.Bus.ClockHz)
 	}
 	if s.Profile {
-		return r.profileTLM(ctx, s, pl, d, tr, res)
+		rep, err := ProfileTLM(ctx, pl, d, tr)
+		if err != nil {
+			return err
+		}
+		res.Profile, err = rep.JSON()
+		return err
 	}
 	return nil
 }
@@ -419,25 +436,20 @@ func (r *Runner) runCalibrate(ctx context.Context, s *Spec, res *Result) error {
 	return nil
 }
 
-// profileTLM joins the run's per-process block counts with each PE's
-// annotation into the attribution report (the esetlm -profile flow).
-func (r *Runner) profileTLM(ctx context.Context, s *Spec, pl *engine.Pipeline, d *platform.Design, tr *tlm.Result, res *Result) error {
+// ProfileTLM is the profiled TLM flow (esed's profiled TLM jobs and
+// `esetlm -profile`): it joins a profiled timed run's per-process block
+// counts with each PE's annotation into the ranked cycle-attribution
+// report. The annotations go through pl's cache, so they are the very
+// estimates the run was timed with — the report totals reconcile bit for
+// bit with the simulated per-PE cycle counts.
+func ProfileTLM(ctx context.Context, pl *engine.Pipeline, d *platform.Design, tr *tlm.Result) (*profile.Report, error) {
 	est := make(map[string]map[*cdfg.Block]core.Estimate, len(d.PEs))
 	for _, pe := range d.PEs {
 		a, err := pl.AnnotateDetailCtx(ctx, d.Program, pe.PUM, core.FullDetail)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		est[pe.Name] = a.Est
 	}
-	rep, err := profile.Build(d.Name, d.Program, tr.BlockCountsByPE, est)
-	if err != nil {
-		return err
-	}
-	data, err := rep.JSON()
-	if err != nil {
-		return err
-	}
-	res.Profile = data
-	return nil
+	return profile.Build(d.Name, d.Program, tr.BlockCountsByPE, est)
 }

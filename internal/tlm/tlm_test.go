@@ -377,20 +377,3 @@ func TestBusWordCyclesScaleTransferTime(t *testing.T) {
 		t.Fatalf("transfer times: %d and %d, want 120000 and 420000", one, four)
 	}
 }
-
-func TestGenerateSourceRejectsRTOSDesign(t *testing.T) {
-	prog := compile(t, `void a() { out(1); } void b() { out(2); }`)
-	mb, _ := pum.MicroBlaze().WithCache(pum.CacheCfg{ISize: 2048, DSize: 2048})
-	d := &platform.Design{
-		Name:    "rtosgen",
-		Program: prog,
-		Bus:     platform.DefaultBus(),
-		PEs: []*platform.PE{{
-			Name: "cpu", Kind: platform.Processor, PUM: mb,
-			Tasks: []platform.SWTask{{Name: "t1", Entry: "a"}, {Name: "t2", Entry: "b"}},
-		}},
-	}
-	if _, err := GenerateSource(d, core.FullDetail); err == nil {
-		t.Fatal("RTOS design accepted by the standalone generator")
-	}
-}
