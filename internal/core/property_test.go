@@ -123,20 +123,52 @@ func TestPropertyScheduleWithinBounds(t *testing.T) {
 	}
 }
 
-func TestPropertyMoreResourcesNeverSlower(t *testing.T) {
-	// Doubling every FU quantity cannot make a list schedule longer.
-	base := pum.CustomHW("hw", 1)
-	rich := pum.CustomHW("hw2", 1)
+// doubled returns a copy of p with every FU quantity and the first
+// pipeline's issue width doubled; the scheduling policy stays p's.
+func doubled(p *pum.PUM) *pum.PUM {
+	rich := p.Clone()
 	for i := range rich.FUs {
 		rich.FUs[i].Quantity *= 2
 	}
 	rich.Pipelines[0].IssueWidth *= 2
+	return rich
+}
+
+func TestPropertyMoreResourcesNeverSlower(t *testing.T) {
+	// On the in-order machine, doubling every FU quantity and the issue
+	// width cannot make a schedule longer: issue order is fixed, and every
+	// op's issue cycle only loses structural constraints. The list-
+	// scheduled datapath has no such guarantee (see
+	// TestListSchedulingResourceAnomaly), so the property is asserted on
+	// PolicyInOrder only.
+	base := pum.MicroBlaze()
+	if base.Policy != pum.PolicyInOrder {
+		t.Fatalf("microblaze policy = %v, want in-order", base.Policy)
+	}
+	rich := doubled(base)
 	f := func(seed []byte) bool {
 		d := randomDFG(seed)
 		return Schedule(d, rich) <= Schedule(d, base)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestListSchedulingResourceAnomaly(t *testing.T) {
+	// Greedy list scheduling exhibits Graham's scheduling anomalies: more
+	// resources can lengthen a schedule, because an op issued earlier
+	// steers the priority order elsewhere. This DFG, found by random
+	// search, takes 20 cycles on the custom-HW datapath and 21 with twice
+	// the FUs and issue width. A change to the list scheduler that moves
+	// either figure should say why here.
+	base := pum.CustomHW("hw", 1)
+	if base.Policy != pum.PolicyList {
+		t.Fatalf("custom-HW policy = %v, want list", base.Policy)
+	}
+	d := randomDFG([]byte{0xf3, 0xdc, 0x2f, 0x13, 0x22, 0xad, 0x38, 0x5d, 0x6d, 0x5c, 0x38, 0x08, 0xb2, 0x3a})
+	if got, rich := Schedule(d, base), Schedule(d, doubled(base)); got != 20 || rich != 21 {
+		t.Fatalf("anomaly input schedules in %d cycles, %d with doubled resources; want 20 and 21", got, rich)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"ese/internal/core"
 	"ese/internal/jobspec"
+	"ese/internal/metrics"
 )
 
 // testSweep is a small multi-axis sweep: 2 designs x 2 depths x 2 cache
@@ -274,6 +275,57 @@ func TestRunSharesCache(t *testing.T) {
 	// Distinct trade-offs must survive into the front.
 	if len(res.Pareto) == 0 || len(res.Pareto) > len(res.Rows) {
 		t.Fatalf("pareto front size %d of %d rows", len(res.Pareto), len(res.Rows))
+	}
+}
+
+// TestRunReplayRowsMatchFreshRunners: in a sweep whose points share
+// workloads, the Runner replays most points from recorded transactions;
+// the rows must be byte-identical to every point simulated alone on a
+// fresh Runner, which never replays.
+func TestRunReplayRowsMatchFreshRunners(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs TLM simulations")
+	}
+	sweep := &Sweep{
+		Frames: 1,
+		Axes: Axes{
+			Apps:    []string{jobspec.AppMP3, jobspec.AppJPEG},
+			Designs: []string{"SW", "SW+4", "SW+DCT"},
+			Depths:  []int{0, 5},
+			FUMixes: []map[string]int{nil, {"alu": 2}},
+			Caches:  []CacheGeom{{0, 0}, {2048, 2048}, {8192, 4096}},
+		},
+	}
+	ctx := context.Background()
+	reg := metrics.NewRegistry()
+	res, err := Run(ctx, sweep, Options{Runner: &jobspec.Runner{Cache: core.NewCache(), Metrics: reg}, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	points, err := sweep.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := make([]Row, len(points))
+	for i, pt := range points {
+		r, err := (&jobspec.Runner{}).Run(ctx, &pt.Spec)
+		if err != nil {
+			t.Fatalf("point %d: %v", i, err)
+		}
+		fresh[i] = rowFor(pt, r)
+	}
+	var got, want bytes.Buffer
+	if err := WriteJSON(&got, res.Rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteJSON(&want, fresh); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("sweep rows differ from fresh Runners' rows\n got %s\nwant %s", got.Bytes(), want.Bytes())
+	}
+	if n := reg.Snapshot().Counters["jobspec.replay.hits"]; n == 0 {
+		t.Fatalf("none of the %d points replayed", len(points))
 	}
 }
 

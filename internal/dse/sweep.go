@@ -13,8 +13,10 @@
 // jobs and the runner's cache shares schedules. Sweep points that agree
 // on a sub-configuration (same datapath, different cache geometry; same
 // design, different branch model) therefore hit the schedule cache
-// instead of recomputing Algorithm 1, which is what makes 10k-point
-// sweeps a minutes-scale operation.
+// instead of recomputing Algorithm 1; points of one workload share one
+// lowered program, and from a workload's third point on the Runner
+// replays its recorded transactions instead of interpreting the program.
+// Together these make a 7,680-point sweep take seconds.
 package dse
 
 import (

@@ -552,6 +552,14 @@ func (s *Spec) Options() (engine.Options, error) {
 	}, nil
 }
 
+// replays reports whether the spec's TLM job may record and replay its
+// workload's timed model (tlm.Recording): a timed, unprofiled job whose
+// exec is auto. A job naming gen, compiled or tree runs that tier.
+func (s *Spec) replays() bool {
+	kind, err := s.ExecKind()
+	return s.Engine == EngineTimed && !s.Profile && err == nil && kind == interp.EngineAuto
+}
+
 // ExecKind parses the spec's IR execution engine selection.
 func (s *Spec) ExecKind() (interp.EngineKind, error) {
 	return interp.ParseEngineKind(s.Exec)

@@ -27,7 +27,7 @@ func TestProgramMemoSharing(t *testing.T) {
 	reg := metrics.NewRegistry()
 	r := &Runner{Metrics: reg}
 	base := memoBase()
-	d0, err := r.design(&base)
+	d0, _, err := r.design(&base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestProgramMemoSharing(t *testing.T) {
 	for name, mut := range shared {
 		s := memoBase()
 		mut(&s)
-		d, err := r.design(&s)
+		d, _, err := r.design(&s)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -59,14 +59,14 @@ func TestProgramMemoSharing(t *testing.T) {
 	for name, mut := range distinct {
 		s := memoBase()
 		mut(&s)
-		d, err := r.design(&s)
+		d, _, err := r.design(&s)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if d.Program == d0.Program {
 			t.Errorf("%s: spec shares the base program; want its own", name)
 		}
-		again, err := r.design(&s)
+		again, _, err := r.design(&s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,21 +85,23 @@ func TestProgramMemoSharing(t *testing.T) {
 	}
 }
 
-// memoSpecs is a mixed batch of TLM jobs whose workloads repeat: two
-// MP3 designs and one JPEG design, each under several DSE settings and
-// engines (one variant on its own seed), plus a board run of the JPEG
-// workload (the board is too slow under -race for the MP3 ones).
+// memoSpecs is a mixed batch of TLM jobs whose workloads repeat: three
+// MP3 designs (SW+4 has five PEs, so bus arbitration order matters) and
+// one JPEG design, each under several DSE settings, engines and execution
+// tiers (the functional variant on its own seed), plus a board run of the
+// JPEG workload (the board is too slow under -race for the MP3 ones).
 func memoSpecs() []Spec {
 	board := memoBase()
 	board.App, board.Design, board.Engine = AppJPEG, "SW+DCT", EngineBoard
 	specs := []Spec{board}
 	miss := 0.3
-	for _, w := range []struct{ app, design string }{{AppMP3, "SW"}, {AppMP3, "SW+2"}, {AppJPEG, "SW+DCT"}} {
+	for _, w := range []struct{ app, design string }{{AppMP3, "SW"}, {AppMP3, "SW+2"}, {AppMP3, "SW+4"}, {AppJPEG, "SW+DCT"}} {
 		for i, vary := range []func(*Spec){
 			func(*Spec) {},
 			func(s *Spec) { s.ICache, s.DCache = 2048, 2048 },
 			func(s *Spec) { s.Tune = &Tune{Depth: 5, BranchMiss: &miss} },
 			func(s *Spec) { s.Engine = EngineFunctional },
+			func(s *Spec) { s.Exec = "compiled"; s.ICache, s.DCache = 16384, 16384 },
 		} {
 			s := memoBase()
 			s.App, s.Design = w.app, w.design
@@ -146,13 +148,18 @@ func freshResults(t *testing.T, specs []Spec) []string {
 
 // TestProgramMemoResultsMatchFreshRunner: jobs served from memoized
 // programs return byte-identical results to the same jobs on fresh
-// Runners.
+// Runners. Over three passes every workload's timed jobs first simulate,
+// then record (the first memo hit) and then replay the recording; a job
+// that names its execution tier never replays.
 func TestProgramMemoResultsMatchFreshRunner(t *testing.T) {
 	specs := memoSpecs()
 	want := freshResults(t, specs)
-	r := &Runner{Cache: core.NewCache()}
-	for pass := 0; pass < 2; pass++ {
+	reg := metrics.NewRegistry()
+	r := &Runner{Cache: core.NewCache(), Metrics: reg}
+	replays := func() uint64 { return reg.Snapshot().Counters["jobspec.replay.hits"] }
+	for pass := 0; pass < 3; pass++ {
 		for i := range specs {
+			before := replays()
 			res, err := r.Run(context.Background(), &specs[i])
 			if err != nil {
 				t.Fatalf("pass %d run %d: %v", pass, i, err)
@@ -160,7 +167,17 @@ func TestProgramMemoResultsMatchFreshRunner(t *testing.T) {
 			if got := canonicalResult(res); got != want[i] {
 				t.Fatalf("pass %d spec %d: memoized result differs from a fresh Runner's\n got %s\nwant %s", pass, i, got, want[i])
 			}
+			if replays() != before && (specs[i].Engine != EngineTimed || specs[i].Exec != "auto") {
+				t.Fatalf("pass %d spec %d (engine %s, exec %s) replayed", pass, i, specs[i].Engine, specs[i].Exec)
+			}
 		}
+	}
+	snap := reg.Snapshot()
+	if got := snap.Counters["jobspec.replay.records"]; got != 4 {
+		t.Errorf("jobspec.replay.records = %d, want one per timed workload (4)", got)
+	}
+	if replays() == 0 {
+		t.Error("no job replayed a recording")
 	}
 }
 
@@ -201,5 +218,10 @@ func TestRunnerConcurrentRuns(t *testing.T) {
 	snap := r.Metrics.Snapshot()
 	if hits, misses := snap.Counters["jobspec.program.hits"], snap.Counters["jobspec.program.misses"]; hits+misses != goroutines*uint64(len(specs)) || hits == 0 {
 		t.Errorf("program memo counted %d hits and %d misses over %d jobs", hits, misses, goroutines*len(specs))
+	}
+	// Racing recorders may each fill a recording, but only the first
+	// publish per workload counts.
+	if got := snap.Counters["jobspec.replay.records"]; got != 4 {
+		t.Errorf("jobspec.replay.records = %d, want one per timed workload (4)", got)
 	}
 }

@@ -47,9 +47,18 @@ type Runner struct {
 	// (and its memoized block fingerprints) instead of regenerating,
 	// parsing, checking and lowering it per job. Shared programs are
 	// read-only: every TLM path (annotation, the engines, the board and
-	// verification) only reads IR.
+	// verification) only reads IR. An entry also holds the workload's
+	// timed-TLM recording once a repeated job has made one.
 	progMu sync.Mutex
-	progs  map[workload]*cdfg.Program
+	progs  map[workload]*memoEntry
+}
+
+// memoEntry is one program memo entry: a workload's lowered program and,
+// once published, the tlm.Recording of its timed TLM. The recording keys
+// blocks of prog, so it lives and dies with the entry.
+type memoEntry struct {
+	prog *cdfg.Program
+	rec  *tlm.Recording
 }
 
 // programMemoLimit bounds the program memo; beyond it the map is dropped
@@ -75,47 +84,75 @@ func (r *Runner) BaseModel(s *Spec) (*pum.PUM, error) {
 	return m, nil
 }
 
-// program returns the memoized lowered program of the spec's workload,
-// compiling it on a miss. Concurrent misses on one workload each compile,
-// but the first insert wins, so every later job sees one pointer.
-func (r *Runner) program(s *Spec) (*cdfg.Program, error) {
+// program returns a snapshot of the spec's workload entry in the program
+// memo, compiling the program on a miss; hit reports a memo hit.
+// Concurrent misses on one workload each compile, but the first insert
+// wins, so every later job sees one pointer.
+func (r *Runner) program(s *Spec) (e memoEntry, hit bool, err error) {
 	w := s.workload()
 	r.progMu.Lock()
-	prog := r.progs[w]
+	if m := r.progs[w]; m != nil {
+		e = *m
+	}
 	r.progMu.Unlock()
-	if prog != nil {
+	if e.prog != nil {
 		r.Metrics.Counter("jobspec.program.hits").Inc()
-		return prog, nil
+		return e, true, nil
 	}
 	r.Metrics.Counter("jobspec.program.misses").Inc()
 	prog, err := w.compile()
 	if err != nil {
-		return nil, err
+		return e, false, err
 	}
 	r.progMu.Lock()
 	defer r.progMu.Unlock()
 	if first := r.progs[w]; first != nil {
-		return first, nil
+		return *first, false, nil
 	}
 	if r.progs == nil || len(r.progs) >= programMemoLimit {
-		r.progs = make(map[workload]*cdfg.Program)
+		r.progs = make(map[workload]*memoEntry)
 	}
-	r.progs[w] = prog
-	return prog, nil
+	r.progs[w] = &memoEntry{prog: prog}
+	return memoEntry{prog: prog}, false, nil
 }
 
 // design builds the spec's mapped platform from the memoized base model
-// and program.
-func (r *Runner) design(s *Spec) (*platform.Design, error) {
+// and program. rec is the recording a timed run of the design carries
+// (see Spec.replays): the workload's published recording, an empty one to
+// fill when the job is the workload's first repeat (a memo hit with
+// nothing published yet), else nil.
+func (r *Runner) design(s *Spec) (d *platform.Design, rec *tlm.Recording, err error) {
 	base, err := r.BaseModel(s)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	prog, err := r.program(s)
+	e, hit, err := r.program(s)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return s.BuildDesignFrom(base, prog)
+	d, err = s.BuildDesignFrom(base, e.prog)
+	if err != nil || !s.replays() {
+		return d, nil, err
+	}
+	rec = e.rec
+	if rec == nil && hit {
+		rec = &tlm.Recording{}
+	}
+	return d, rec, nil
+}
+
+// publish stores a recording a job just filled in the memo entry of the
+// spec's workload, provided the memo still holds the program it was
+// recorded from; racing recorders are allowed and the first publish wins.
+func (r *Runner) publish(s *Spec, prog *cdfg.Program, rec *tlm.Recording) {
+	r.progMu.Lock()
+	defer r.progMu.Unlock()
+	e := r.progs[s.workload()]
+	if e == nil || e.prog != prog || e.rec != nil {
+		return
+	}
+	e.rec = rec
+	r.Metrics.Counter("jobspec.replay.records").Inc()
 }
 
 // RunOpts carries per-invocation hooks that are not part of the job's
@@ -337,7 +374,7 @@ func ProfileEstimate(ctx context.Context, s *Spec, a *annotate.Annotated) (*prof
 
 // runTLM is the esetlm flow: build the design, simulate, summarize.
 func (r *Runner) runTLM(ctx context.Context, s *Spec, pl *engine.Pipeline, res *Result) error {
-	d, err := r.design(s)
+	d, rec, err := r.design(s)
 	if err != nil {
 		return err
 	}
@@ -361,15 +398,24 @@ func (r *Runner) runTLM(ctx context.Context, s *Spec, pl *engine.Pipeline, res *
 		res.TLM = sum
 		return nil
 	}
-	opts := tlm.Options{Profile: s.Profile}
+	opts := tlm.Options{Profile: s.Profile, Recording: rec}
 	if s.Engine == EngineTimed {
 		opts.Timed = true
 		opts.WaitMode = tlm.WaitAtTransactions
 		opts.Detail = core.FullDetail
 	}
+	// A published recording always replays: it was recorded under these
+	// same options, and the pipeline's block delays are integers.
+	replayed := rec.Filled()
 	tr, err := pl.SimulateCtx(ctx, d, opts)
 	if err != nil {
 		return err
+	}
+	switch {
+	case replayed:
+		r.Metrics.Counter("jobspec.replay.hits").Inc()
+	case rec.Filled():
+		r.publish(s, d.Program, rec)
 	}
 	res.TLM = &TLMSummary{
 		Design:       tr.Design,

@@ -167,10 +167,11 @@ func TestHealthzMetricsAndJob(t *testing.T) {
 		t.Fatal("shared cache saw no traffic")
 	}
 
-	// Two TLM jobs on one workload: the second reuses the first's program.
+	// Three TLM jobs on one workload: the second reuses the first's program
+	// and records the workload, the third replays that recording.
 	tlm := jobspec.DefaultTLM()
 	tlm.Frames, tlm.Calibrate = 1, false
-	for _, size := range []int{2048, 16384} {
+	for _, size := range []int{2048, 16384, 0} {
 		tlm.ICache, tlm.DCache = size, size
 		if code, body := postJob(t, ts, mustBody(t, &tlm), ""); code != http.StatusOK {
 			t.Fatalf("TLM POST status = %d: %s", code, body)
@@ -185,9 +186,13 @@ func TestHealthzMetricsAndJob(t *testing.T) {
 	if err != nil {
 		t.Fatalf("metrics decode: %v", err)
 	}
-	if snap.Counters["jobspec.program.misses"] != 1 || snap.Counters["jobspec.program.hits"] != 1 {
-		t.Fatalf("program memo counted %d misses and %d hits, want 1 and 1",
+	if snap.Counters["jobspec.program.misses"] != 1 || snap.Counters["jobspec.program.hits"] != 2 {
+		t.Fatalf("program memo counted %d misses and %d hits, want 1 and 2",
 			snap.Counters["jobspec.program.misses"], snap.Counters["jobspec.program.hits"])
+	}
+	if snap.Counters["jobspec.replay.records"] != 1 || snap.Counters["jobspec.replay.hits"] != 1 {
+		t.Fatalf("replay counted %d recordings and %d replays, want 1 and 1",
+			snap.Counters["jobspec.replay.records"], snap.Counters["jobspec.replay.hits"])
 	}
 
 	resp, err = ts.Client().Get(ts.URL + "/metrics?format=prom")
@@ -199,7 +204,8 @@ func TestHealthzMetricsAndJob(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "text/plain") {
 		t.Fatalf("prom content type = %q", ct)
 	}
-	for _, line := range []string{"server_jobs_executed 3", "jobspec_program_hits 1", "jobspec_program_misses 1"} {
+	for _, line := range []string{"server_jobs_executed 4", "jobspec_program_hits 2", "jobspec_program_misses 1",
+		"jobspec_replay_records 1", "jobspec_replay_hits 1"} {
 		if !strings.Contains(string(prom), line) {
 			t.Fatalf("prom exposition missing %q:\n%s", line, prom)
 		}

@@ -4,7 +4,9 @@
 // boundaries (the paper's generated model), and the shared abstract bus
 // channel both use. The cycle-accurate board model reuses the same bus so
 // that communication timing is common-mode between the estimate and the
-// reference, as in the paper's methodology (ref. [16]).
+// reference, as in the paper's methodology (ref. [16]). A timed run can
+// record its transactions (Recording), so that later runs of the same
+// program under other delays replay them instead of interpreting it.
 package tlm
 
 import (

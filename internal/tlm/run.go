@@ -76,6 +76,13 @@ type Options struct {
 	// (interpreter steps, kernel dispatches/fires, queue high-water, bus
 	// transfers) when Run returns.
 	Metrics *metrics.Registry
+	// Recording, when non-nil, carries the design's recorded transactions
+	// (see Recording): a filled one is replayed instead of interpreting
+	// the program, and an empty one is filled by a run that succeeds.
+	// Only timed transaction-boundary runs without RTOS PEs, step limit,
+	// profile, waveform or timeline record or replay; any other run
+	// simulates and leaves the Recording untouched.
+	Recording *Recording
 }
 
 // Result is the outcome of one TLM simulation.
@@ -112,6 +119,7 @@ type procRun struct {
 	m    interp.Engine
 	task *rtos.Task // nil for plain processes
 	pe   *platform.PE
+	rec  *recorder // nil unless the run records
 	err  error
 }
 
@@ -163,6 +171,15 @@ func Run(d *platform.Design, opts Options) (*Result, error) {
 			}
 			res.AnnoTime = time.Since(annoStart)
 		}
+	}
+
+	rec := opts.Recording
+	recording := rec != nil && replayable(d, opts)
+	if recording && rec.Filled() {
+		if pends, ok := rec.segmentDelays(d, delays); ok {
+			return replay(ctx, d, rec, pends, opts, res)
+		}
+		recording = false
 	}
 
 	k := sim.NewKernel()
@@ -228,7 +245,7 @@ func Run(d *platform.Design, opts Options) (*Result, error) {
 			if len(pe.Tasks) > 0 {
 				key = pe.Name + "/" + task.Name
 			}
-			pr, err := spawnProcess(ctx, k, d, pe, key, task.Entry, bus, delays[pe], periodPs, opts, res)
+			pr, err := spawnProcess(ctx, k, d, pe, key, task.Entry, bus, delays[pe], periodPs, opts, recording, res)
 			if err != nil {
 				return nil, err
 			}
@@ -255,16 +272,7 @@ func Run(d *platform.Design, opts Options) (*Result, error) {
 	for _, rc := range rtosCPUs {
 		res.SwitchesByPE[rc.pe.Name] = rc.cpu.Switches
 	}
-	if mr := opts.Metrics; mr != nil {
-		mr.Counter("tlm.steps").Add(res.Steps)
-		mr.Counter("tlm.bus.transfers").Add(bus.Transfers)
-		mr.Counter("tlm.bus.words").Add(bus.Words)
-		ks := k.Stats()
-		mr.Counter("sim.dispatches").Add(ks.Dispatches)
-		mr.Counter("sim.fires").Add(ks.Fires)
-		mr.Gauge("sim.queue.max").SetMax(int64(ks.MaxQueue))
-		mr.Histogram("tlm.wall.seconds").Observe(res.Wall.Seconds())
-	}
+	report(opts.Metrics, res, bus, k)
 	// Cancellation (from the kernel loop or any interpreter) returns the
 	// partial Result alongside the typed error; any other process failure
 	// stays fatal.
@@ -294,12 +302,31 @@ func Run(d *platform.Design, opts Options) (*Result, error) {
 	if cancelErr != nil {
 		return res, cancelErr
 	}
+	if recording {
+		rec.fill(d, runs)
+	}
 	return res, nil
 }
 
-// spawnProcess wires a plain (non-RTOS) process onto the kernel.
+// report adds a finished run's simulation counters to mr (nil: none).
+func report(mr *metrics.Registry, res *Result, bus *Bus, k *sim.Kernel) {
+	if mr == nil {
+		return
+	}
+	mr.Counter("tlm.steps").Add(res.Steps)
+	mr.Counter("tlm.bus.transfers").Add(bus.Transfers)
+	mr.Counter("tlm.bus.words").Add(bus.Words)
+	ks := k.Stats()
+	mr.Counter("sim.dispatches").Add(ks.Dispatches)
+	mr.Counter("sim.fires").Add(ks.Fires)
+	mr.Gauge("sim.queue.max").SetMax(int64(ks.MaxQueue))
+	mr.Histogram("tlm.wall.seconds").Observe(res.Wall.Seconds())
+}
+
+// spawnProcess wires a plain (non-RTOS) process onto the kernel; with
+// record set it also traces the process for a Recording.
 func spawnProcess(ctx context.Context, k *sim.Kernel, d *platform.Design, pe *platform.PE, key, entry string,
-	bus *Bus, dm map[*cdfg.Block]float64, periodPs sim.Time, opts Options, res *Result) (*procRun, error) {
+	bus *Bus, dm map[*cdfg.Block]float64, periodPs sim.Time, opts Options, record bool, res *Result) (*procRun, error) {
 	pr := &procRun{key: key, pe: pe}
 	m, err := interp.NewEngine(d.Program, opts.Engine)
 	if err != nil {
@@ -312,6 +339,9 @@ func spawnProcess(ctx context.Context, k *sim.Kernel, d *platform.Design, pe *pl
 	}
 	if opts.Timed {
 		m.SetDelays(dm)
+	}
+	if record {
+		pr.rec = newRecorder(key, m)
 	}
 	pr.m = m
 	k.Spawn(key, func(p *sim.Process) {
@@ -354,11 +384,13 @@ func spawnProcess(ctx context.Context, k *sim.Kernel, d *platform.Design, pe *pl
 		}
 		m.SetChannels(
 			func(ch int, data []int32) error {
+				pr.rec.cut(m, opSend, ch, len(data))
 				drain()
 				bus.Send(p, ch, data)
 				return nil
 			},
 			func(ch int, buf []int32) error {
+				pr.rec.cut(m, opRecv, ch, len(buf))
 				drain()
 				bus.Recv(p, ch, buf)
 				return nil
@@ -368,6 +400,7 @@ func spawnProcess(ctx context.Context, k *sim.Kernel, d *platform.Design, pe *pl
 			k.Stop()
 			return
 		}
+		pr.rec.cut(m, opEnd, 0, 0)
 		drain()
 	})
 	return pr, nil
