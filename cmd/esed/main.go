@@ -16,7 +16,8 @@
 //	                   header (0 = unlimited)
 //	-job-timeout D     default wall-clock bound for jobs whose spec sets
 //	                   none (default 2m, 0 = unbounded)
-//	-cache-limit N     shared cache bound, entries per side (0 = unbounded)
+//	-cache-limit N     shared cache bound: N schedule entries and N block
+//	                   estimates across the estimate tables (0 = unbounded)
 //
 // Endpoints: POST /v1/jobs, GET|DELETE /v1/jobs/{fingerprint},
 // GET /v1/jobs/{fingerprint}/events (SSE), /healthz, /metrics
@@ -48,7 +49,7 @@ func main() {
 	queue := flag.Int("queue", 64, "jobs admitted beyond the executing ones")
 	tenantMax := flag.Int("tenant-max", 0, "per-tenant active-job bound (0 = unlimited)")
 	jobTimeout := flag.Duration("job-timeout", 2*time.Minute, "default job timeout when the spec sets none (0 = unbounded)")
-	cacheLimit := flag.Int("cache-limit", 0, "shared cache bound, entries per side (0 = unbounded)")
+	cacheLimit := flag.Int("cache-limit", 0, "shared cache bound: schedule entries, and block estimates across estimate tables (0 = unbounded)")
 	drainWait := flag.Duration("drain-timeout", 15*time.Second, "how long shutdown waits for in-flight jobs to unwind")
 	flag.Parse()
 	if flag.NArg() != 0 {

@@ -20,8 +20,9 @@
 //	                 instead of re-simulating (kill-safe)
 //	-shards N        checkpoint/progress granularity (default 8)
 //	-workers N       parallel point executions (default GOMAXPROCS)
-//	-cache-limit N   bound the schedule/estimate cache, entries per side
-//	                 (default unbounded)
+//	-cache-limit N   bound the schedule/estimate cache to N schedule
+//	                 entries and N block estimates across its estimate
+//	                 tables (default unbounded)
 //	-halt-after N    stop (exit 1) after N newly executed points — the
 //	                 kill/resume test hook used by CI
 //	-timeout D       wall-clock bound for the whole sweep
@@ -58,7 +59,7 @@ func main() {
 	state := flag.String("state", "", "checkpoint directory for kill-safe resume")
 	shards := flag.Int("shards", 8, "checkpoint/progress shards")
 	workers := flag.Int("workers", 0, "parallel point executions (0 = GOMAXPROCS)")
-	cacheLimit := flag.Int("cache-limit", 0, "bound the schedule/estimate cache, entries per side (0 = unbounded)")
+	cacheLimit := flag.Int("cache-limit", 0, "bound the schedule/estimate cache: schedule entries, and block estimates across estimate tables (0 = unbounded)")
 	haltAfter := flag.Int("halt-after", 0, "halt after N newly executed points (kill/resume test hook)")
 	timeout := flag.Duration("timeout", 0, "wall-clock bound for the whole sweep")
 	progress := flag.Bool("progress", false, "print per-point completion lines to stderr")

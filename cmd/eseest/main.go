@@ -180,10 +180,12 @@ func run(file string, spec *jobspec.Spec, o outputs) error {
 		}
 		fmt.Print(src)
 	case o.blocks:
+		est := a.Table.Estimates()
 		for _, fn := range prog.Funcs {
 			fmt.Printf("func %s\n", fn.Name)
 			for _, b := range fn.Blocks {
-				e := a.Est[b]
+				e := est[0]
+				est = est[1:]
 				degraded := ""
 				if e.Degraded() {
 					degraded = fmt.Sprintf("  DEGRADED(%d ops)", e.Unmapped)
@@ -209,7 +211,7 @@ func emitGo(file, entry string, a *ese.Annotated) (string, error) {
 		PEs:     []*ese.PE{pe},
 		Bus:     ese.DefaultBus(),
 	}
-	files, err := codegen.StandaloneFiles(d, map[string]map[*cdfg.Block]float64{pe.Name: a.Delays()}, "eseest")
+	files, err := codegen.StandaloneFiles(d, map[string][]float64{pe.Name: a.Delays()}, "eseest")
 	if err != nil {
 		return "", err
 	}

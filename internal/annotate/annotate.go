@@ -1,7 +1,7 @@
 // Package annotate implements the paper's timing annotation phase (§4.3,
 // Figs. 2–3): given a lowered program and a processing unit model, it
-// estimates every basic block with the core engine and produces the
-// per-block delay map that the TLM executor and the standalone Go
+// estimates every basic block with the core engine and produces the dense
+// per-block delay table that the TLM executor and the standalone Go
 // generator (internal/codegen) consume — the semantic equivalent of
 // inserting a wait() call at the end of each basic block. It also renders
 // the annotated program as timed C-like source with an explicit wait()
@@ -22,9 +22,12 @@ import (
 
 // Annotated is the result of timing annotation for one (program, PUM) pair.
 type Annotated struct {
-	Prog   *cdfg.Program
-	PUM    *pum.PUM
-	Est    map[*cdfg.Block]core.Estimate
+	Prog *cdfg.Program
+	PUM  *pum.PUM
+	// Table holds every block's estimate in dense program block order
+	// (see core.Table). It is shared read-only with the estimate cache and
+	// every other annotation that hit it.
+	Table  *core.Table
 	Detail core.Detail
 	// Elapsed is the wall-clock annotation time (the "Anno." column of the
 	// paper's Table 1).
@@ -52,14 +55,14 @@ func AnnotateWith(prog *cdfg.Program, p *pum.PUM, detail core.Detail, opts core.
 // instead of degraded fallback estimates.
 func AnnotateCtx(ctx context.Context, prog *cdfg.Program, p *pum.PUM, detail core.Detail, opts core.EstOptions) (*Annotated, error) {
 	start := time.Now()
-	est, err := core.EstimateBlocksCtx(ctx, prog, p, detail, opts)
+	t, err := core.EstimateBlocksCtx(ctx, prog, p, detail, opts)
 	if err != nil {
 		return nil, err
 	}
 	return &Annotated{
 		Prog:    prog,
 		PUM:     p,
-		Est:     est,
+		Table:   t,
 		Detail:  detail,
 		Elapsed: time.Since(start),
 	}, nil
@@ -67,40 +70,21 @@ func AnnotateCtx(ctx context.Context, prog *cdfg.Program, p *pum.PUM, detail cor
 
 // DegradedBlocks counts blocks whose estimate used fallback latencies for
 // op classes the PUM does not map (graceful-degradation mode).
-func (a *Annotated) DegradedBlocks() int {
-	n := 0
-	for _, e := range a.Est {
-		if e.Degraded() {
-			n++
-		}
-	}
-	return n
-}
+func (a *Annotated) DegradedBlocks() int { return a.Table.DegradedBlocks() }
 
 // UnmappedOps sums the per-block counts of operations estimated with
 // fallback latency because their class is missing from the PUM.
-func (a *Annotated) UnmappedOps() int {
-	n := 0
-	for _, e := range a.Est {
-		n += e.Unmapped
-	}
-	return n
-}
+func (a *Annotated) UnmappedOps() int { return a.Table.UnmappedOps() }
 
-// Delays returns the per-block delay map in cycles.
-func (a *Annotated) Delays() map[*cdfg.Block]float64 {
-	out := make(map[*cdfg.Block]float64, len(a.Est))
-	for b, e := range a.Est {
-		out[b] = e.Total
-	}
-	return out
-}
+// Delays returns the per-block delays in cycles, in dense program block
+// order. The slice is shared read-only with the table.
+func (a *Annotated) Delays() []float64 { return a.Table.Totals() }
 
 // TotalStatic returns the sum of static block delays, a quick size metric.
 func (a *Annotated) TotalStatic() float64 {
 	t := 0.0
-	for _, e := range a.Est {
-		t += e.Total
+	for _, d := range a.Delays() {
+		t += d
 	}
 	return t
 }
@@ -173,8 +157,10 @@ static int rt_shr(int a, int b) { return a >> (b & 31); }
 		sb.WriteString(";\n")
 	}
 	sb.WriteString("\n")
+	est := a.Table.Estimates()
 	for _, fn := range a.Prog.Funcs {
-		a.emitFuncC(&sb, fn)
+		a.emitFuncC(&sb, fn, est)
+		est = est[len(fn.Blocks):]
 	}
 	return sb.String()
 }
@@ -210,7 +196,9 @@ func funcSigC(fn *cdfg.Function) string {
 	return fmt.Sprintf("%s %s(%s)", ret, fn.Name, strings.Join(params, ", "))
 }
 
-func (a *Annotated) emitFuncC(sb *strings.Builder, fn *cdfg.Function) {
+// emitFuncC renders one function; est holds its blocks' estimates in
+// order.
+func (a *Annotated) emitFuncC(sb *strings.Builder, fn *cdfg.Function, est []core.Estimate) {
 	fmt.Fprintf(sb, "%s {\n", funcSigC(fn))
 	for _, s := range fn.Slots {
 		if s.IsParam {
@@ -229,8 +217,8 @@ func (a *Annotated) emitFuncC(sb *strings.Builder, fn *cdfg.Function) {
 		}
 		fmt.Fprintf(sb, "  int %s;\n", strings.Join(ts, ", "))
 	}
-	for _, b := range fn.Blocks {
-		e := a.Est[b]
+	for i, b := range fn.Blocks {
+		e := est[i]
 		fmt.Fprintf(sb, "bb%d_%s:\n", b.ID, fn.Name)
 		fmt.Fprintf(sb, "  wait(%d); /* sched=%d br=%.2f imem=%.2f dmem=%.2f */\n",
 			int64(e.Total), e.Sched, e.BranchPen, e.IDelay, e.DDelay)
@@ -303,16 +291,17 @@ func (a *Annotated) Summary() string {
 		delay    float64
 	}
 	var rows []row
+	est := a.Table.Estimates()
 	for _, fn := range a.Prog.Funcs {
 		r := row{name: fn.Name, blocks: len(fn.Blocks)}
-		for _, b := range fn.Blocks {
-			e := a.Est[b]
+		for _, e := range est[:len(fn.Blocks)] {
 			r.delay += e.Total
 			if e.Degraded() {
 				r.degraded++
 			}
 		}
 		rows = append(rows, r)
+		est = est[len(fn.Blocks):]
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].name < rows[j].name })
 	var sb strings.Builder

@@ -62,13 +62,17 @@ func annotated(t *testing.T) *Annotated {
 
 func TestAnnotateProducesEstimateForEveryBlock(t *testing.T) {
 	a := annotated(t)
-	if len(a.Est) != a.Prog.NumBlocks() {
-		t.Fatalf("estimates = %d, blocks = %d", len(a.Est), a.Prog.NumBlocks())
+	if a.Table.Len() != a.Prog.NumBlocks() {
+		t.Fatalf("estimates = %d, blocks = %d", a.Table.Len(), a.Prog.NumBlocks())
 	}
 	delays := a.Delays()
-	for b, d := range delays {
-		if len(b.Instrs) > 0 && d <= 0 {
-			t.Fatalf("bb%d has non-positive delay %v", b.ID, d)
+	for _, fn := range a.Prog.Funcs {
+		for _, b := range fn.Blocks {
+			d := delays[0]
+			delays = delays[1:]
+			if len(b.Instrs) > 0 && d <= 0 {
+				t.Fatalf("bb%d has non-positive delay %v", b.ID, d)
+			}
 		}
 	}
 	if a.TotalStatic() <= 0 {
@@ -168,11 +172,14 @@ func TestEmittedCExecutes(t *testing.T) {
 	a := annotated(t)
 	src := a.EmitTimedC()
 
-	// Reference: interpret with delay accumulation.
-	m := interp.New(a.Prog)
+	// Reference: interpret with per-block delay delivery.
+	m, err := interp.NewEngine(a.Prog, interp.EngineTree)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var refCycles int64
-	delays := a.Delays()
-	m.OnBlock = func(b *cdfg.Block) error { refCycles += int64(delays[b]); return nil }
+	m.SetDelays(a.Delays())
+	m.SetOnDelay(func(d float64) error { refCycles += int64(d); return nil })
 	if err := m.Run("main"); err != nil {
 		t.Fatalf("interp: %v", err)
 	}
@@ -220,15 +227,15 @@ int main(void) {
 	if !strings.Contains(got, wantCycles) {
 		t.Errorf("compiled C cycles mismatch: want %q in:\n%s", wantCycles, got)
 	}
-	for _, v := range m.Out {
+	for _, v := range m.OutStream() {
 		want := "out " + itoa64(int64(v)) + "\n"
 		if !strings.Contains(got, want) {
 			t.Errorf("compiled C missing output %q", strings.TrimSpace(want))
 		}
 	}
 	// Output count matches exactly.
-	if strings.Count(got, "out ") != len(m.Out) {
+	if strings.Count(got, "out ") != len(m.OutStream()) {
 		t.Errorf("compiled C emitted %d values, want %d",
-			strings.Count(got, "out "), len(m.Out))
+			strings.Count(got, "out "), len(m.OutStream()))
 	}
 }

@@ -129,11 +129,14 @@ int main(void) {
 		}
 		a := Annotate(prog, model, core.FullDetail)
 
-		m := interp.New(prog)
-		m.Limit = 10_000_000
+		m, err := interp.NewEngine(prog, interp.EngineTree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.SetLimit(10_000_000)
 		var refCycles int64
-		delays := a.Delays()
-		m.OnBlock = func(b *cdfg.Block) error { refCycles += int64(delays[b]); return nil }
+		m.SetDelays(a.Delays())
+		m.SetOnDelay(func(d float64) error { refCycles += int64(d); return nil })
 		if err := m.Run("main"); err != nil {
 			t.Fatalf("seed %d: interp: %v\n%s", seed, err, src)
 		}
@@ -163,10 +166,10 @@ int main(void) {
 				outs = append(outs, strings.TrimPrefix(line, "out "))
 			}
 		}
-		if len(outs) != len(m.Out) {
-			t.Fatalf("seed %d: %d outputs vs interp %d\n%s", seed, len(outs), len(m.Out), src)
+		if len(outs) != len(m.OutStream()) {
+			t.Fatalf("seed %d: %d outputs vs interp %d\n%s", seed, len(outs), len(m.OutStream()), src)
 		}
-		for i, v := range m.Out {
+		for i, v := range m.OutStream() {
 			if outs[i] != itoa64(int64(v)) {
 				t.Fatalf("seed %d: out[%d] = %s, interp %d\n%s", seed, i, outs[i], v, src)
 			}

@@ -72,7 +72,10 @@ func hwPE(name, entry string) *platform.PE {
 // running main under mbPUM retargeted to cacheCfg (with the board's real
 // caches of the same sizes), plus the given hardware PEs on the default
 // bus. The program is only referenced, never modified, so one compiled
-// program can back any number of designs.
+// program can back any number of designs. The design is not validated
+// here: every consumer (tlm.Run, rtl.RunBoard, codegen.StandaloneFiles,
+// verify.Design) validates it, so a program mapped as the wrong variant
+// fails there.
 func mapDesign(name string, prog *cdfg.Program, mbPUM *pum.PUM, cacheCfg pum.CacheCfg, hw ...*platform.PE) (*platform.Design, error) {
 	cpuPUM, err := mbPUM.WithCache(cacheCfg)
 	if err != nil {
@@ -92,12 +95,6 @@ func mapDesign(name string, prog *cdfg.Program, mbPUM *pum.PUM, cacheCfg pum.Cac
 		DCache: realCache(cacheCfg.DSize),
 	})
 	d.PEs = append(d.PEs, hw...)
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	if err := d.ValidateChannels(); err != nil {
-		return nil, err
-	}
 	return d, nil
 }
 

@@ -18,10 +18,11 @@ type Fingerprint [sha256.Size]byte
 func (f Fingerprint) String() string { return hex.EncodeToString(f[:8]) }
 
 // fpTable is a program's memoized fingerprint set: every block's
-// Fingerprint in dense program order, and the CodeFingerprint hashed from
-// them.
+// Fingerprint in dense program order, each block's first equal block (see
+// BlockReps), and the CodeFingerprint hashed from them.
 type fpTable struct {
 	blocks []Fingerprint
+	reps   []int
 	code   Fingerprint
 }
 
@@ -38,6 +39,15 @@ func (p *Program) table() *fpTable {
 			t.blocks = append(t.blocks, b.Fingerprint())
 		}
 	}
+	t.reps = make([]int, len(t.blocks))
+	first := make(map[Fingerprint]int, len(t.blocks))
+	for i, fp := range t.blocks {
+		j, seen := first[fp]
+		if !seen {
+			first[fp], j = i, i
+		}
+		t.reps[i] = j
+	}
 	t.code = p.codeFingerprint(t.blocks)
 	if p.fps.CompareAndSwap(nil, t) {
 		return t
@@ -52,6 +62,13 @@ func (p *Program) table() *fpTable {
 // edits a program's IR in place after fingerprinting it goes through
 // SimplifyProgram, which clears the table.
 func (p *Program) BlockFingerprints() []Fingerprint { return p.table().blocks }
+
+// BlockReps returns, for every block in dense program order, the dense
+// index of the first block with an equal Fingerprint: its own index for
+// the first block of each distinct fingerprint. Blocks with equal
+// fingerprints estimate identically, so the estimator computes each
+// representative once. It is memoized and shared like BlockFingerprints.
+func (p *Program) BlockReps() []int { return p.table().reps }
 
 // CodeFingerprint returns the structural hash of the program's code: the
 // global declarations (name and array-ness only — sizes and initializers

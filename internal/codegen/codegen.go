@@ -56,12 +56,13 @@ type progEmit struct {
 	// compiled engine's (functions in order, blocks in order), so the
 	// registry engine's profile counters and delay table line up.
 	blockID map[*cdfg.Block]int
-	// delays holds the baked per-block delays (standalone mode only).
-	delays map[*cdfg.Block]float64
+	// delays holds the baked per-block delays, indexed by blockID
+	// (standalone mode only).
+	delays []float64
 	gname  []string // Go field name per global index
 }
 
-func newProgEmit(prog *cdfg.Program, m mode, typ string, delays map[*cdfg.Block]float64) *progEmit {
+func newProgEmit(prog *cdfg.Program, m mode, typ string, delays []float64) *progEmit {
 	p := &progEmit{
 		w:       &bytes.Buffer{},
 		prog:    prog,
@@ -292,7 +293,7 @@ func (e *fnEmit) lowerBlock(b *cdfg.Block) (string, error) {
 		}
 		pf("\tif s.Ctx != nil {\n\t\tif s.Countdown <= %d {\n\t\t\tif err := s.CtxCheck(); err != nil {\n\t\t\t\treturn 0, err\n\t\t\t}\n\t\t} else {\n\t\t\ts.Countdown -= %d\n\t\t}\n\t}\n", m, m)
 	} else {
-		if d := p.delays[b]; d != 0 {
+		if d := p.delays[p.blockID[b]]; d != 0 {
 			pf("\ts.env.pend += %s // %.6g cycles\n", hexFloat(d), d)
 		}
 		if n > 0 {

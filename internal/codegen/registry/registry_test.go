@@ -167,17 +167,13 @@ func compareObs(t *testing.T, label string, ref, got obs, refKind, kind interp.E
 	}
 }
 
-// synthDelays builds a deterministic, non-integral delay map over every
+// synthDelays builds a deterministic, non-integral delay table over every
 // block (dyadic fractions, so float accumulation is exact and the
 // comparison can demand bit equality).
-func synthDelays(prog *cdfg.Program) map[*cdfg.Block]float64 {
-	dm := make(map[*cdfg.Block]float64)
-	i := 0
-	for _, fn := range prog.Funcs {
-		for _, b := range fn.Blocks {
-			dm[b] = float64(i%7) + float64(i%3)*0.125
-			i++
-		}
+func synthDelays(prog *cdfg.Program) []float64 {
+	dm := make([]float64, prog.NumBlocks())
+	for i := range dm {
+		dm[i] = float64(i%7) + float64(i%3)*0.125
 	}
 	return dm
 }
@@ -504,9 +500,9 @@ func TestProfilerReconciliationUnderGen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := make(map[string]map[*cdfg.Block]core.Estimate, len(d.PEs))
+	est := make(map[string][]core.Estimate, len(d.PEs))
 	for _, pe := range d.PEs {
-		est[pe.Name] = annotate.Annotate(d.Program, pe.PUM, core.FullDetail).Est
+		est[pe.Name] = annotate.Annotate(d.Program, pe.PUM, core.FullDetail).Table.Estimates()
 	}
 	rep, err := profile.Build(d.Name, d.Program, res.BlockCountsByPE, est)
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"ese/internal/cdfg"
 	"ese/internal/platform"
 )
 
@@ -16,16 +15,17 @@ import (
 // arbitrated bus, and a main that prints the canonical
 // {"cycles_by_pe", "out_by_pe", "steps"} JSON summary — the same object
 // `esetlm -json` prints, byte-for-byte, for the same spec. delays holds
-// one per-block delay map per PE name, the shape the pipeline's
-// annotation returns and tlm.Options.Delays takes, so the artifact
-// carries exactly the delays of the run that produced them. The returned
-// map holds "main.go" and "go.mod" (module named module, stdlib only).
+// one per-block delay table per PE name, in dense program block order —
+// the shape the pipeline's annotation returns and tlm.Options.Delays
+// takes — so the artifact carries exactly the delays of the run that
+// produced them. The returned map holds "main.go" and "go.mod" (module
+// named module, stdlib only).
 //
 // Cycle accounting reproduces tlm.Run's transaction-boundary semantics
 // exactly: each executed block's delay accumulates into a float64 pending
 // pool, and at every send/recv (and at process end) the pool is drained —
 // truncated to whole cycles per drain — into the PE's cycle counter.
-func StandaloneFiles(d *platform.Design, delays map[string]map[*cdfg.Block]float64, module string) (map[string][]byte, error) {
+func StandaloneFiles(d *platform.Design, delays map[string][]float64, module string) (map[string][]byte, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
@@ -84,6 +84,10 @@ func StandaloneFiles(d *platform.Design, delays map[string]map[*cdfg.Block]float
 		dm, ok := delays[pe.Name]
 		if !ok {
 			return nil, fmt.Errorf("codegen: %s: no delays for PE %q", d.Name, pe.Name)
+		}
+		if len(dm) != prog.NumBlocks() {
+			return nil, fmt.Errorf("codegen: %s: PE %q has %d delays for a program of %d blocks",
+				d.Name, pe.Name, len(dm), prog.NumBlocks())
 		}
 		p := newProgEmit(prog, modeStandalone, fmt.Sprintf("pe%d", pi), dm)
 		fmt.Fprintf(p.w, "// ---- PE %s (model %s) ----\n\n", pe.Name, pe.PUM.Name)

@@ -193,7 +193,7 @@ func TestStandaloneFilesRejectsRTOSDesign(t *testing.T) {
 			Tasks: []platform.SWTask{{Name: "t1", Entry: "a"}, {Name: "t2", Entry: "b"}},
 		}},
 	}
-	delays := map[string]map[*cdfg.Block]float64{"cpu": {}}
+	delays := map[string][]float64{"cpu": make([]float64, d.Program.NumBlocks())}
 	if _, err := StandaloneFiles(d, delays, "rtosgen"); err == nil {
 		t.Fatal("RTOS design accepted by the standalone generator")
 	}
@@ -201,9 +201,14 @@ func TestStandaloneFilesRejectsRTOSDesign(t *testing.T) {
 
 func TestStandaloneFilesNeedsDelaysForEveryPE(t *testing.T) {
 	d := twoPEDesign(t)
-	delays := map[string]map[*cdfg.Block]float64{"cpu": {}}
+	delays := map[string][]float64{"cpu": make([]float64, d.Program.NumBlocks())}
 	_, err := StandaloneFiles(d, delays, "pingpong")
 	if err == nil || !strings.Contains(err.Error(), `no delays for PE "acc"`) {
 		t.Fatalf("missing PE delays: err = %v", err)
+	}
+	delays["acc"] = delays["cpu"][1:]
+	_, err = StandaloneFiles(d, delays, "pingpong")
+	if err == nil || !strings.Contains(err.Error(), `PE "acc" has`) {
+		t.Fatalf("short PE delay table: err = %v", err)
 	}
 }

@@ -18,11 +18,12 @@ func residentSched(c *Cache) string {
 	return fmt.Sprint(keys)
 }
 
-func residentEst(c *Cache) string {
+// residentTables renders the resident table keys as a canonical string.
+func residentTables(c *Cache) string {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	keys := make([]string, 0, len(c.est))
-	for k := range c.est {
+	keys := make([]string, 0, len(c.tables))
+	for k := range c.tables {
 		keys = append(keys, fmt.Sprintf("%d", k.fallback))
 	}
 	sort.Strings(keys)
@@ -38,12 +39,12 @@ func TestBoundedCacheEvictionDeterministic(t *testing.T) {
 	run := func(seed uint64) (*Cache, string, string) {
 		c := NewCacheLimitSeeded(8, seed)
 		for i := 0; i < 200; i++ {
-			c.schedPut(schedKey{fallback: i % 40}, SchedResult{Sched: i})
-			c.estPut(estKey{fallback: i % 40}, Estimate{Sched: i})
+			putSched(c, schedKey{fallback: i % 40}, SchedResult{Sched: i})
+			c.tablePut(tableKey{fallback: i % 40}, blockTable(1+i%3, i))
 			// Interleave hits so the sequence exercises resident re-puts too.
-			c.schedGet(schedKey{fallback: i % 7})
+			getSched(c, schedKey{fallback: i % 7})
 		}
-		return c, residentSched(c), residentEst(c)
+		return c, residentSched(c), residentTables(c)
 	}
 	c1, s1, e1 := run(42)
 	c2, s2, e2 := run(42)
@@ -51,7 +52,7 @@ func TestBoundedCacheEvictionDeterministic(t *testing.T) {
 		t.Fatalf("same seed, same ops, different resident schedule sets:\n%s\n%s", s1, s2)
 	}
 	if e1 != e2 {
-		t.Fatalf("same seed, same ops, different resident estimate sets:\n%s\n%s", e1, e2)
+		t.Fatalf("same seed, same ops, different resident table sets:\n%s\n%s", e1, e2)
 	}
 	if c1.Stats().Evictions != c2.Stats().Evictions {
 		t.Fatalf("eviction counts diverged: %d vs %d",
@@ -61,33 +62,45 @@ func TestBoundedCacheEvictionDeterministic(t *testing.T) {
 	d1 := NewCacheLimit(4)
 	d2 := NewCacheLimit(4)
 	for i := 0; i < 50; i++ {
-		d1.schedPut(schedKey{fallback: i}, SchedResult{})
-		d2.schedPut(schedKey{fallback: i}, SchedResult{})
+		putSched(d1, schedKey{fallback: i}, SchedResult{})
+		putSched(d2, schedKey{fallback: i}, SchedResult{})
 	}
 	if residentSched(d1) != residentSched(d2) {
 		t.Fatal("NewCacheLimit caches diverged under identical put sequences")
 	}
 }
 
-// The key list must track evictions exactly: no ghost keys (picked as
-// victims but already gone) and no leaks past the bound.
+// The key lists must track evictions exactly: no ghost keys (picked as
+// victims but already gone), no leaks past the bound, and a resident
+// block-estimate count equal to the tables' sizes.
 func TestBoundedCacheKeyListConsistent(t *testing.T) {
 	c := NewCacheLimitSeeded(3, 7)
 	for i := 0; i < 100; i++ {
-		c.schedPut(schedKey{fallback: i % 10}, SchedResult{Sched: i})
-		c.estPut(estKey{fallback: i % 10}, Estimate{Sched: i})
+		putSched(c, schedKey{fallback: i % 10}, SchedResult{Sched: i})
+		c.tablePut(tableKey{fallback: i % 10}, blockTable(1+i%2, i))
 		s, e := c.Len()
 		if s > 3 || e > 3 {
 			t.Fatalf("cache exceeded its bound: sched=%d est=%d", s, e)
 		}
-		if len(c.schedKeys) != s || len(c.estKeys) != e {
+		if len(c.schedKeys) != s || len(c.tableKeys) != len(c.tables) {
 			t.Fatalf("key list out of sync: %d/%d keys for %d/%d entries",
-				len(c.schedKeys), len(c.estKeys), s, e)
+				len(c.schedKeys), len(c.tableKeys), s, len(c.tables))
 		}
 		for _, k := range c.schedKeys {
 			if _, ok := c.sched[k]; !ok {
 				t.Fatalf("ghost key %+v in schedule key list", k)
 			}
+		}
+		held := 0
+		for _, k := range c.tableKeys {
+			tab, ok := c.tables[k]
+			if !ok {
+				t.Fatalf("ghost key %+v in table key list", k)
+			}
+			held += tab.Len()
+		}
+		if held != e {
+			t.Fatalf("tables hold %d block estimates, Len reports %d", held, e)
 		}
 	}
 }

@@ -7,25 +7,26 @@ import (
 	"testing"
 )
 
-// stressKeys builds n distinct schedule/estimate key pairs. Keys are
-// content hashes in production; synthetic distinct byte patterns exercise
-// the same map behavior.
-func stressKeys(n int) ([]schedKey, []estKey) {
+// stressKeys builds n distinct schedule/table key pairs. Keys are content
+// hashes in production; synthetic distinct byte patterns exercise the same
+// map behavior.
+func stressKeys(n int) ([]schedKey, []tableKey) {
 	sk := make([]schedKey, n)
-	ek := make([]estKey, n)
+	tk := make([]tableKey, n)
 	for i := range sk {
 		var fp [32]byte
 		fp[0], fp[1], fp[2], fp[3] = byte(i), byte(i>>8), byte(i>>16), byte(i>>24)
 		sk[i] = schedKey{model: fp, block: fp, fallback: i % 3}
-		ek[i] = estKey{model: fp, stats: fp, block: fp, detail: uint8(i % 2), fallback: i % 3}
+		tk[i] = tableKey{code: fp, model: fp, stats: fp, detail: uint8(i % 2), fallback: i % 3}
 	}
-	return sk, ek
+	return sk, tk
 }
 
 // TestCacheStressAtLimit hammers a bounded cache from many goroutines
 // with a key space larger than the bound, forcing constant eviction, and
-// then reconciles the counters against the operation counts: every get is
-// either a hit or a miss, the resident size never exceeds the bound, and
+// then reconciles the counters against the operation counts: every
+// schedule get is either a hit or a miss, every one-block table hit
+// counts one estimate hit, the resident size never exceeds the bound, and
 // evictions cannot outnumber the puts that could have triggered them.
 // Run under -race this also proves the get/put/evict paths are safe to
 // share between the daemon's request goroutines.
@@ -37,9 +38,9 @@ func TestCacheStressAtLimit(t *testing.T) {
 	)
 	workers := runtime.GOMAXPROCS(0) * 2
 	c := NewCacheLimit(limit)
-	sk, ek := stressKeys(keySpan)
+	sk, tk := stressKeys(keySpan)
 
-	var schedGets, schedPuts, estGets, estPuts atomic.Uint64
+	var schedGets, schedPuts, tableGets, tablePuts atomic.Uint64
 	var wg sync.WaitGroup
 	for g := 0; g < workers; g++ {
 		wg.Add(1)
@@ -51,17 +52,16 @@ func TestCacheStressAtLimit(t *testing.T) {
 			for n := 0; n < perG; n++ {
 				i = (i*1103515245 + 12345) & (keySpan - 1)
 				k := sk[i]
-				if _, ok := c.schedGet(k); !ok {
-					c.schedPut(k, SchedResult{Sched: i})
+				if _, ok := getSched(c, k); !ok {
+					putSched(c, k, SchedResult{Sched: i})
 					schedPuts.Add(1)
 				}
 				schedGets.Add(1)
-				e := ek[i]
-				if _, ok := c.estGet(e); !ok {
-					c.estPut(e, Estimate{Total: float64(i)})
-					estPuts.Add(1)
+				if c.tableGet(tk[i]) == nil {
+					c.tablePut(tk[i], blockTable(1, i))
+					tablePuts.Add(1)
 				}
-				estGets.Add(1)
+				tableGets.Add(1)
 			}
 		}(g * 7919)
 	}
@@ -72,18 +72,20 @@ func TestCacheStressAtLimit(t *testing.T) {
 		t.Errorf("sched counters do not reconcile: hits %d + misses %d != gets %d",
 			st.SchedHits, st.SchedMisses, schedGets.Load())
 	}
-	if st.EstHits+st.EstMisses != estGets.Load() {
-		t.Errorf("est counters do not reconcile: hits %d + misses %d != gets %d",
-			st.EstHits, st.EstMisses, estGets.Load())
+	// Builds, not table gets, count estimate misses; a get that missed
+	// puts, so hits and puts add up to the gets.
+	if st.EstHits+tablePuts.Load() != tableGets.Load() {
+		t.Errorf("table counters do not reconcile: hits %d + puts %d != gets %d",
+			st.EstHits, tablePuts.Load(), tableGets.Load())
 	}
 	// Only a get that missed triggers a put, so misses bound the puts; and
-	// only a put of a non-resident key at the limit evicts, so puts bound
-	// the evictions.
+	// only a put of a non-resident key at the limit evicts (one-block
+	// tables drop one estimate each), so puts bound the evictions.
 	if schedPuts.Load() > st.SchedMisses {
 		t.Errorf("more sched puts (%d) than misses (%d)", schedPuts.Load(), st.SchedMisses)
 	}
-	if st.Evictions > schedPuts.Load()+estPuts.Load() {
-		t.Errorf("more evictions (%d) than puts (%d)", st.Evictions, schedPuts.Load()+estPuts.Load())
+	if st.Evictions > schedPuts.Load()+tablePuts.Load() {
+		t.Errorf("more evictions (%d) than puts (%d)", st.Evictions, schedPuts.Load()+tablePuts.Load())
 	}
 	sched, est := c.Len()
 	if sched > limit || est > limit {
@@ -121,8 +123,8 @@ func TestCacheStressUnbounded(t *testing.T) {
 			for n := 0; n < perG; n++ {
 				i = (i*1103515245 + 12345) & (keySpan - 1)
 				k := sk[i]
-				if _, ok := c.schedGet(k); !ok {
-					c.schedPut(k, SchedResult{Sched: i})
+				if _, ok := getSched(c, k); !ok {
+					putSched(c, k, SchedResult{Sched: i})
 				}
 			}
 		}(g * 104729)

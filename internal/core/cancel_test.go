@@ -53,7 +53,7 @@ func TestEstimateBlocksCtxCanceledDrainsWorkers(t *testing.T) {
 		t.Fatalf("EstimateBlocksCtx error = %v, want diag.ErrCanceled", err)
 	}
 	if out != nil {
-		t.Fatalf("EstimateBlocksCtx returned %d estimates on cancellation, want nil map", len(out))
+		t.Fatalf("EstimateBlocksCtx returned %d estimates on cancellation, want a nil table", out.Len())
 	}
 	if diags.Count(diag.Error) == 0 {
 		t.Fatal("cancellation was not recorded on the diagnostic list")
@@ -83,7 +83,7 @@ func TestEstimateBlocksDegradesUnmappedByDefault(t *testing.T) {
 		t.Fatalf("EstimateBlocksCtx: %v", err)
 	}
 	degraded, unmapped := 0, 0
-	for _, e := range out {
+	for _, e := range out.Estimates() {
 		if e.Degraded() {
 			degraded++
 			unmapped += e.Unmapped
@@ -98,6 +98,10 @@ func TestEstimateBlocksDegradesUnmappedByDefault(t *testing.T) {
 	if diags.Count(diag.Warning) != degraded {
 		t.Fatalf("diagnostics carry %d warnings, want one per degraded block (%d)",
 			diags.Count(diag.Warning), degraded)
+	}
+	if out.DegradedBlocks() != degraded || out.UnmappedOps() != unmapped {
+		t.Fatalf("table tallies %d blocks / %d ops, want %d / %d",
+			out.DegradedBlocks(), out.UnmappedOps(), degraded, unmapped)
 	}
 }
 
@@ -139,8 +143,8 @@ func TestEstimateBlocksFallbackAffectsDelay(t *testing.T) {
 		t.Fatalf("fallback=64: %v", err)
 	}
 	raised := false
-	for b, e := range cheap {
-		if e.Degraded() && dear[b].Total > e.Total {
+	for i, e := range cheap.Estimates() {
+		if e.Degraded() && dear.Estimates()[i].Total > e.Total {
 			raised = true
 		}
 	}

@@ -169,14 +169,16 @@ void main() {
 	before := fingerprints()
 	p := mbWithCache(t, 8*1024, 4*1024)
 	est := EstimateBlocks(prog, p, FullDetail)
-	if len(est) != prog.NumBlocks() {
-		t.Fatalf("estimates = %d, want %d", len(est), prog.NumBlocks())
+	if est.Len() != prog.NumBlocks() {
+		t.Fatalf("estimates = %d, want %d", est.Len(), prog.NumBlocks())
 	}
 	for b, fp := range fingerprints() {
 		if fp != before[b] {
 			t.Fatalf("%s bb%d: EstimateBlocks changed the block", b.Fn.Name, b.ID)
 		}
-		if est[b].Total < float64(est[b].Sched) {
+	}
+	for _, e := range est.Estimates() {
+		if e.Total < float64(e.Sched) {
 			t.Fatalf("total below sched")
 		}
 	}

@@ -24,48 +24,108 @@ type schedKey struct {
 	fallback int
 }
 
-// estKey addresses one full Algorithm 2 estimate: the schedule key plus
-// the statistical-model hash and the detail flags.
-type estKey struct {
+// tableKey addresses one estimate table: the program's code hash (which
+// hashes every block fingerprint in dense order, so a table is valid
+// position by position for every program with that code), the datapath
+// and statistical-model hashes, the detail flags and the fallback
+// latency.
+type tableKey struct {
+	code     cdfg.Fingerprint
 	model    pum.Fingerprint
 	stats    pum.Fingerprint
-	block    cdfg.Fingerprint
 	detail   uint8
 	fallback int
 }
 
-// CacheStats reports the hit/miss counters of a Cache.
+// Table holds one program's Algorithm 2 estimates under one PE model in
+// dense program block order: prog.Funcs in order, then each function's
+// Blocks in order — the order of cdfg.Program.BlockFingerprints, the
+// compiled engine's block ids and the generated engines' delay tables. A
+// table is immutable once built and shared read-only by the cache and
+// every annotation that hits it: callers must not modify the slices it
+// returns.
+type Table struct {
+	est    []Estimate
+	totals []float64
+	// degraded counts blocks with fallback-latency ops; unmapped sums
+	// those ops.
+	degraded, unmapped int
+}
+
+// newTable wraps dense estimates, deriving the totals and tallies.
+func newTable(est []Estimate) *Table {
+	t := &Table{est: est, totals: make([]float64, len(est))}
+	for i, e := range est {
+		t.totals[i] = e.Total
+		if e.Unmapped > 0 {
+			t.degraded++
+			t.unmapped += e.Unmapped
+		}
+	}
+	return t
+}
+
+// Len returns the number of blocks the table covers.
+func (t *Table) Len() int { return len(t.est) }
+
+// Estimates returns every block's estimate in dense block order.
+func (t *Table) Estimates() []Estimate { return t.est }
+
+// Totals returns every block's Estimate.Total in dense block order: the
+// per-block delay table the timed TLM, the engines and the generator
+// consume.
+func (t *Table) Totals() []float64 { return t.totals }
+
+// DegradedBlocks counts blocks estimated with fallback latencies for op
+// classes the PUM does not map.
+func (t *Table) DegradedBlocks() int { return t.degraded }
+
+// UnmappedOps sums the per-block counts of operations estimated with
+// fallback latency.
+func (t *Table) UnmappedOps() int { return t.unmapped }
+
+// CacheStats reports the hit/miss counters of a Cache, in block
+// estimates: a table hit counts one estimate hit per block, and a table
+// build counts each distinct block fingerprint as an estimate miss (and
+// one schedule lookup) and its duplicates as estimate hits.
 type CacheStats struct {
 	SchedHits   uint64 // Algorithm 1 results served from cache
 	SchedMisses uint64 // Algorithm 1 results computed
-	EstHits     uint64 // full estimates served from cache
-	EstMisses   uint64 // full estimates composed
-	Evictions   uint64 // entries dropped by the bounded cache (0 if unbounded)
+	EstHits     uint64 // block estimates served from a table or a duplicate block
+	EstMisses   uint64 // block estimates composed
+	Evictions   uint64 // schedule entries and block estimates dropped by the bounded cache (0 if unbounded)
 }
 
-// Cache is a content-addressed store of schedule results and estimates,
-// keyed on canonical fingerprints of the block and the PUM sub-models it
-// consumed. Because keys are content hashes, the cache survives
-// recompilation: a retarget sweep that rebuilds the program for every
-// cache configuration still reuses every Algorithm 1 schedule after the
-// first configuration. Safe for concurrent use.
+// Cache is a content-addressed store of Algorithm 1 schedule results, one
+// per (block fingerprint, datapath), and of estimate tables, one per
+// (program code, datapath, statistics, detail, fallback). Because keys are
+// content hashes, the cache survives recompilation: a retarget sweep that
+// rebuilds the program for every cache configuration still reuses every
+// Algorithm 1 schedule after the first configuration, and every program
+// with the same code (another seed of one design) shares its tables. Safe
+// for concurrent use; stored tables are never modified.
 type Cache struct {
-	mu    sync.RWMutex
-	sched map[schedKey]SchedResult
-	est   map[estKey]Estimate
-	// limit bounds each map's entry count; 0 means unbounded. When a put
-	// would exceed the bound, one resident entry is dropped, chosen by a
-	// seeded deterministic generator over the insertion-ordered key list —
-	// content-addressed entries are equally cheap to recompute, so the
-	// victim choice only affects hit rate, never results, but picking it
-	// via Go's randomized map iteration made bounded-cache hit rates (and
-	// thus benchmark and DSE timing baselines) wobble run to run.
+	mu     sync.RWMutex
+	sched  map[schedKey]SchedResult
+	tables map[tableKey]*Table
+	// limit bounds the schedule entries, and separately the block
+	// estimates held by the tables (a table counts as its block count);
+	// 0 means unbounded. When a put would exceed the bound, resident
+	// entries are dropped, chosen by a seeded deterministic generator over
+	// the insertion-ordered key lists — content-addressed entries are
+	// equally cheap to recompute, so the victim choice only affects hit
+	// rate, never results, but picking it via Go's randomized map
+	// iteration made bounded-cache hit rates (and thus benchmark and DSE
+	// timing baselines) wobble run to run.
 	limit int
-	// rng is the splitmix64 state of the victim picker; schedKeys/estKeys
-	// mirror each map's resident keys (maintained only when limit > 0).
-	rng       uint64
-	schedKeys []schedKey
-	estKeys   []estKey
+	// rng is the splitmix64 state of the victim picker; schedKeys and
+	// tableKeys mirror each map's resident keys and tableBlocks counts the
+	// resident block estimates (the key lists are kept only when
+	// limit > 0).
+	rng         uint64
+	schedKeys   []schedKey
+	tableKeys   []tableKey
+	tableBlocks int
 
 	schedHits, schedMisses atomic.Uint64
 	estHits, estMisses     atomic.Uint64
@@ -78,10 +138,12 @@ func NewCache() *Cache {
 }
 
 // NewCacheLimit returns a cache holding at most maxEntries schedule
-// results and maxEntries estimates; maxEntries <= 0 means unbounded.
-// Eviction at the bound is deterministic: the same sequence of gets and
-// puts always drops the same victims (seed fixed at 1). Callers that want
-// a distinct-but-reproducible eviction pattern use NewCacheLimitSeeded.
+// results and at most maxEntries block estimates across its tables (a
+// table larger than the whole bound is returned but never stored);
+// maxEntries <= 0 means unbounded. Eviction at the bound is deterministic:
+// the same sequence of gets and puts always drops the same victims (seed
+// fixed at 1). Callers that want a distinct-but-reproducible eviction
+// pattern use NewCacheLimitSeeded.
 func NewCacheLimit(maxEntries int) *Cache {
 	return NewCacheLimitSeeded(maxEntries, 1)
 }
@@ -96,10 +158,10 @@ func NewCacheLimitSeeded(maxEntries int, seed uint64) *Cache {
 		maxEntries = 0
 	}
 	return &Cache{
-		sched: make(map[schedKey]SchedResult),
-		est:   make(map[estKey]Estimate),
-		limit: maxEntries,
-		rng:   seed,
+		sched:  make(map[schedKey]SchedResult),
+		tables: make(map[tableKey]*Table),
+		limit:  maxEntries,
+		rng:    seed,
 	}
 }
 
@@ -123,35 +185,34 @@ func (c *Cache) Stats() CacheStats {
 	}
 }
 
-// Len returns the number of cached schedule and estimate entries.
+// Len returns the number of cached schedule entries and the number of
+// block estimates held by the cached tables.
 func (c *Cache) Len() (sched, est int) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return len(c.sched), len(c.est)
+	return len(c.sched), c.tableBlocks
 }
 
-func (c *Cache) schedGet(k schedKey) (SchedResult, bool) {
+// schedLoad is one uncounted schedule lookup.
+func (c *Cache) schedLoad(k schedKey) (SchedResult, bool) {
 	c.mu.RLock()
 	sr, ok := c.sched[k]
 	c.mu.RUnlock()
-	if ok {
-		c.schedHits.Add(1)
-	} else {
-		c.schedMisses.Add(1)
-	}
 	return sr, ok
 }
 
+// schedPut stores one schedule result.
 func (c *Cache) schedPut(k schedKey, sr SchedResult) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.limit > 0 {
 		if _, resident := c.sched[k]; !resident {
 			// The victim is drawn from the residents before k joins the key
 			// list, so the just-inserted key can never evict itself.
 			if len(c.sched) >= c.limit {
-				i := int(c.nextRand() % uint64(len(c.schedKeys)))
-				delete(c.sched, c.schedKeys[i])
-				c.schedKeys[i] = c.schedKeys[len(c.schedKeys)-1]
+				v := int(c.nextRand() % uint64(len(c.schedKeys)))
+				delete(c.sched, c.schedKeys[v])
+				c.schedKeys[v] = c.schedKeys[len(c.schedKeys)-1]
 				c.schedKeys = c.schedKeys[:len(c.schedKeys)-1]
 				c.evictions.Add(1)
 			}
@@ -159,47 +220,61 @@ func (c *Cache) schedPut(k schedKey, sr SchedResult) {
 		}
 	}
 	c.sched[k] = sr
-	c.mu.Unlock()
 }
 
-func (c *Cache) estGet(k estKey) (Estimate, bool) {
+// tableGet returns the stored table for k, counting one estimate hit per
+// block, or nil.
+func (c *Cache) tableGet(k tableKey) *Table {
 	c.mu.RLock()
-	e, ok := c.est[k]
+	t := c.tables[k]
 	c.mu.RUnlock()
-	if ok {
-		c.estHits.Add(1)
-	} else {
-		c.estMisses.Add(1)
+	if t != nil {
+		c.estHits.Add(uint64(t.Len()))
 	}
-	return e, ok
+	return t
 }
 
-func (c *Cache) estPut(k estKey, e Estimate) {
+// tablePut stores t under k and returns the table every caller of k should
+// use: an already-resident table wins over t (concurrent builds of one key
+// are equal, so the first insert wins). Under a bound, resident tables are
+// evicted until t fits; a table larger than the whole bound is returned
+// but not stored.
+func (c *Cache) tablePut(k tableKey, t *Table) *Table {
 	c.mu.Lock()
-	if c.limit > 0 {
-		if _, resident := c.est[k]; !resident {
-			if len(c.est) >= c.limit {
-				i := int(c.nextRand() % uint64(len(c.estKeys)))
-				delete(c.est, c.estKeys[i])
-				c.estKeys[i] = c.estKeys[len(c.estKeys)-1]
-				c.estKeys = c.estKeys[:len(c.estKeys)-1]
-				c.evictions.Add(1)
-			}
-			c.estKeys = append(c.estKeys, k)
-		}
+	defer c.mu.Unlock()
+	if first := c.tables[k]; first != nil {
+		return first
 	}
-	c.est[k] = e
-	c.mu.Unlock()
+	n := t.Len()
+	if c.limit > 0 {
+		if n > c.limit {
+			return t
+		}
+		for c.tableBlocks+n > c.limit {
+			v := int(c.nextRand() % uint64(len(c.tableKeys)))
+			dropped := c.tables[c.tableKeys[v]].Len()
+			delete(c.tables, c.tableKeys[v])
+			c.tableKeys[v] = c.tableKeys[len(c.tableKeys)-1]
+			c.tableKeys = c.tableKeys[:len(c.tableKeys)-1]
+			c.tableBlocks -= dropped
+			c.evictions.Add(uint64(dropped))
+		}
+		c.tableKeys = append(c.tableKeys, k)
+	}
+	c.tables[k] = t
+	c.tableBlocks += n
+	return t
 }
 
 // EstOptions configures EstimateBlocksWith.
 type EstOptions struct {
-	// Workers bounds the estimation worker pool. Zero or negative uses
-	// GOMAXPROCS; 1 estimates serially on the calling goroutine (the
+	// Workers bounds the worker pool that schedules blocks missing from
+	// the cache (every block without one). Zero or negative uses
+	// GOMAXPROCS; 1 schedules serially on the calling goroutine (the
 	// reference path the golden tests compare against).
 	Workers int
-	// Cache, when non-nil, memoizes schedule results and estimates across
-	// calls, keyed on content fingerprints.
+	// Cache, when non-nil, memoizes schedule results and estimate tables
+	// across calls, keyed on content fingerprints.
 	Cache *Cache
 	// FallbackCycles is the latency charged to ops whose class the PUM
 	// does not map (graceful degradation); values < 1 use
@@ -211,9 +286,9 @@ type EstOptions struct {
 	// Diags, when non-nil, receives a Warning diagnostic for every
 	// degraded block (and the Error diagnostics of strict mode).
 	Diags *diag.List
-	// Metrics, when non-nil, receives worker-pool counters per call:
-	// blocks estimated, the queue depth fan-out, and the per-worker block
-	// distribution.
+	// Metrics, when non-nil, receives the worker-pool counters of every
+	// call that schedules: blocks scheduled, the queue depth fan-out, and
+	// the per-worker block distribution.
 	Metrics *metrics.Registry
 }
 
@@ -225,13 +300,13 @@ func (o EstOptions) fallback() int {
 	return o.FallbackCycles
 }
 
-// EstimateBlocks computes the per-block estimate for every block of every
-// function under one PUM, without mutating the IR, fanning the blocks out
+// EstimateBlocks computes the estimate table of every block of every
+// function under one PUM, without mutating the IR, scheduling the blocks
 // over a bounded worker pool. Results are bit-identical to the serial
 // path: every block is estimated independently and deterministically.
 // Platforms that map functions of the same program onto several PEs keep
-// one such map per PE.
-func EstimateBlocks(prog *cdfg.Program, p *pum.PUM, detail Detail) map[*cdfg.Block]Estimate {
+// one table per PE.
+func EstimateBlocks(prog *cdfg.Program, p *pum.PUM, detail Detail) *Table {
 	return EstimateBlocksWith(prog, p, detail, EstOptions{})
 }
 
@@ -239,178 +314,243 @@ func EstimateBlocks(prog *cdfg.Program, p *pum.PUM, detail Detail) map[*cdfg.Blo
 // optional memoization cache. Cancellation and strict-mode errors require
 // EstimateBlocksCtx; this legacy form estimates to completion in graceful-
 // degradation mode.
-func EstimateBlocksWith(prog *cdfg.Program, p *pum.PUM, detail Detail, opts EstOptions) map[*cdfg.Block]Estimate {
+func EstimateBlocksWith(prog *cdfg.Program, p *pum.PUM, detail Detail, opts EstOptions) *Table {
 	opts.Strict = false
-	out, _ := EstimateBlocksCtx(context.Background(), prog, p, detail, opts)
-	return out
+	t, _ := EstimateBlocksCtx(context.Background(), prog, p, detail, opts)
+	return t
 }
 
-// EstimateBlocksCtx is the context-aware estimation entry point. Workers
-// check the context between blocks and drain cleanly on cancellation,
-// returning a nil map and the typed diag.ErrCanceled/diag.ErrDeadline. In
-// strict mode (opts.Strict) a block using an op class the PUM does not map
-// is a hard error naming the block and the missing classes; otherwise such
-// blocks are estimated with the fallback latency, flagged via
-// Estimate.Unmapped, and reported as Warning diagnostics on opts.Diags.
-func EstimateBlocksCtx(ctx context.Context, prog *cdfg.Program, p *pum.PUM, detail Detail, opts EstOptions) (map[*cdfg.Block]Estimate, error) {
-	type workItem struct {
-		b  *cdfg.Block
-		fn string
+// EstimateBlocksCtx is the context-aware estimation entry point. With a
+// cache, a call whose table is stored does no per-block work; otherwise
+// the table is built (see Cache.build) and stored. The context is checked
+// on entry and between scheduled blocks: cancellation returns a nil table
+// and the typed diag.ErrCanceled/diag.ErrDeadline, and stores no partial
+// table. In strict mode (opts.Strict) a block using an op class the PUM
+// does not map is a hard error naming the block and the missing classes;
+// otherwise such blocks are estimated with the fallback latency, flagged
+// via Estimate.Unmapped, and reported as Warning diagnostics on
+// opts.Diags — on every call, whether its table was built or hit.
+func EstimateBlocksCtx(ctx context.Context, prog *cdfg.Program, p *pum.PUM, detail Detail, opts EstOptions) (*Table, error) {
+	t, err := estimate(ctx, prog, p, detail, opts)
+	if err != nil {
+		opts.Diags.AddError(diag.StageAnnotate, err)
+		return nil, err
 	}
-	blocks := make([]workItem, 0, prog.NumBlocks())
-	for _, fn := range prog.Funcs {
-		for _, b := range fn.Blocks {
-			blocks = append(blocks, workItem{b: b, fn: fn.Name})
+	if t.degraded > 0 {
+		if err := t.reportDegraded(prog, p, opts); err != nil {
+			return nil, err
 		}
 	}
-	n := len(blocks)
-	out := make(map[*cdfg.Block]Estimate, n)
-	if n == 0 {
-		return out, nil
+	return t, nil
+}
+
+// estimate returns prog's table under p: the cached one, or a fresh build.
+func estimate(ctx context.Context, prog *cdfg.Program, p *pum.PUM, detail Detail, opts EstOptions) (*Table, error) {
+	if err := diag.FromContext(ctx); err != nil {
+		return nil, err
+	}
+	c := opts.Cache
+	if c == nil {
+		blocks := denseBlocks(prog)
+		all := make([]int, len(blocks))
+		for i := range all {
+			all[i] = i
+		}
+		srs := make([]SchedResult, len(blocks))
+		if err := schedule(ctx, blocks, all, srs, p, opts, nil); err != nil {
+			return nil, err
+		}
+		est := make([]Estimate, len(blocks))
+		for i, sr := range srs {
+			est[i] = ComposeEstimate(sr, p, detail)
+		}
+		return newTable(est), nil
+	}
+	dp := p.DatapathFingerprint()
+	k := tableKey{code: prog.CodeFingerprint(), model: dp, stats: p.StatFingerprint(),
+		detail: detail.bits(), fallback: opts.fallback()}
+	if t := c.tableGet(k); t != nil {
+		return t, nil
+	}
+	t, err := c.build(ctx, prog, p, dp, detail, opts)
+	if err != nil {
+		return nil, err
+	}
+	return c.tablePut(k, t), nil
+}
+
+// build makes prog's table under p. Under one read lock, each distinct
+// block fingerprint (cdfg.Program.BlockReps) is looked up once in the
+// schedule map and a hit is composed at once; the misses are scheduled on
+// the worker pool and composed on the calling goroutine, and each
+// duplicate block copies its representative. Workers never race to miss
+// one key, so a build moves the cache counters exactly as a serial build
+// does.
+func (c *Cache) build(ctx context.Context, prog *cdfg.Program, p *pum.PUM, dp pum.Fingerprint, detail Detail, opts EstOptions) (*Table, error) {
+	fps, reps := prog.BlockFingerprints(), prog.BlockReps()
+	fallback := opts.fallback()
+	est := make([]Estimate, len(fps))
+	var miss []int
+	distinct := 0
+	c.mu.RLock()
+	for i, j := range reps {
+		if i != j {
+			continue
+		}
+		distinct++
+		if sr, ok := c.sched[schedKey{model: dp, block: fps[i], fallback: fallback}]; ok {
+			est[i] = ComposeEstimate(sr, p, detail)
+		} else {
+			miss = append(miss, i)
+		}
+	}
+	c.mu.RUnlock()
+	c.estHits.Add(uint64(len(fps) - distinct))
+	c.estMisses.Add(uint64(distinct))
+	c.schedHits.Add(uint64(distinct - len(miss)))
+	if len(miss) > 0 {
+		key := func(i int) schedKey { return schedKey{model: dp, block: fps[i], fallback: fallback} }
+		srs := make([]SchedResult, len(fps))
+		if err := schedule(ctx, denseBlocks(prog), miss, srs, p, opts, key); err != nil {
+			return nil, err
+		}
+		for _, i := range miss {
+			est[i] = ComposeEstimate(srs[i], p, detail)
+		}
+	}
+	for i, j := range reps {
+		if i != j {
+			est[i] = est[j]
+		}
+	}
+	return newTable(est), nil
+}
+
+// denseBlocks lists prog's blocks in dense program order.
+func denseBlocks(prog *cdfg.Program) []*cdfg.Block {
+	blocks := make([]*cdfg.Block, 0, prog.NumBlocks())
+	for _, fn := range prog.Funcs {
+		blocks = append(blocks, fn.Blocks...)
+	}
+	return blocks
+}
+
+// schedule runs Algorithm 1 on blocks[i] for every i in todo, storing the
+// result in srs[i], on at most opts.Workers goroutines. With a cache (key
+// non-nil), each block is first looked up again, counting a hit — a
+// concurrent build may have stored it since build looked — and every
+// schedule computed is counted as a miss and stored at once, so
+// concurrent builds sharing blocks mostly compute each schedule once.
+// Workers check the context between blocks and drain cleanly on
+// cancellation, returning the typed error with srs partly filled.
+func schedule(ctx context.Context, blocks []*cdfg.Block, todo []int, srs []SchedResult, p *pum.PUM, opts EstOptions, key func(i int) schedKey) error {
+	if len(todo) == 0 {
+		return nil
+	}
+	c := opts.Cache
+	one := func(s *Scheduler, i int) {
+		if key == nil {
+			srs[i] = s.ScheduleBlock(blocks[i])
+			return
+		}
+		if sr, ok := c.schedLoad(key(i)); ok {
+			srs[i] = sr
+			c.schedHits.Add(1)
+			return
+		}
+		c.schedMisses.Add(1)
+		srs[i] = s.ScheduleBlock(blocks[i])
+		c.schedPut(key(i), srs[i])
 	}
 	fallback := opts.fallback()
-
-	// todo lists the blocks to estimate and rep maps every block to the one
-	// whose estimate it takes. With a cache, blocks are keyed by the
-	// program's memoized fingerprint table and each distinct fingerprint is
-	// estimated once per call, its duplicates counted as estimate hits:
-	// workers never race to miss one key, so a call moves the cache
-	// counters exactly as a serial call does.
-	todo := make([]int, 0, n)
-	rep := make([]int, n)
-	var fps []cdfg.Fingerprint
-	var dpFP, stFP pum.Fingerprint
-	var detailBits uint8
-	if opts.Cache == nil {
-		for i := range blocks {
-			todo = append(todo, i)
-			rep[i] = i
-		}
-	} else {
-		fps = prog.BlockFingerprints()
-		first := make(map[cdfg.Fingerprint]int, n)
-		for i, fp := range fps {
-			j, seen := first[fp]
-			if !seen {
-				first[fp], j = i, i
-				todo = append(todo, i)
-			}
-			rep[i] = j
-		}
-		opts.Cache.estHits.Add(uint64(n - len(todo)))
-		// The model fingerprints are shared by every block's cache key.
-		dpFP = p.DatapathFingerprint()
-		stFP = p.StatFingerprint()
-		detailBits = detail.bits()
-	}
-	estimate := func(s *Scheduler, i int) Estimate {
-		b := blocks[i].b
-		if opts.Cache == nil {
-			return ComposeEstimate(s.ScheduleBlock(b), p, detail)
-		}
-		ek := estKey{model: dpFP, stats: stFP, block: fps[i], detail: detailBits, fallback: fallback}
-		if e, ok := opts.Cache.estGet(ek); ok {
-			return e
-		}
-		sk := schedKey{model: dpFP, block: fps[i], fallback: fallback}
-		sr, ok := opts.Cache.schedGet(sk)
-		if !ok {
-			sr = s.ScheduleBlock(b)
-			opts.Cache.schedPut(sk, sr)
-		}
-		e := ComposeEstimate(sr, p, detail)
-		opts.Cache.estPut(ek, e)
-		return e
-	}
-
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(todo) {
-		workers = len(todo)
-	}
+	workers = min(workers, len(todo))
 	if opts.Metrics != nil {
-		opts.Metrics.Counter("est.blocks").Add(uint64(n))
+		opts.Metrics.Counter("est.blocks").Add(uint64(len(todo)))
 		opts.Metrics.Gauge("est.pool.workers").Set(int64(workers))
 		opts.Metrics.Gauge("est.pool.queue.max").SetMax(int64(len(todo)))
 	}
-	res := make([]Estimate, n)
-	var canceled atomic.Bool
-	if workers <= 1 {
-		s := NewSchedulerFallback(p, fallback)
-		for _, i := range todo {
-			if diag.FromContext(ctx) != nil {
-				canceled.Store(true)
-				break
-			}
-			res[i] = estimate(s, i)
-		}
+	observe := func(done int) {
 		if opts.Metrics != nil {
-			opts.Metrics.Histogram("est.pool.worker.blocks").Observe(float64(len(todo)))
+			opts.Metrics.Histogram("est.pool.worker.blocks").Observe(float64(done))
 		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				s := NewSchedulerFallback(p, fallback)
-				done := 0
-				for {
-					if canceled.Load() {
-						break
-					}
-					if diag.FromContext(ctx) != nil {
-						canceled.Store(true)
-						break
-					}
-					k := int(next.Add(1)) - 1
-					if k >= len(todo) {
-						break
-					}
-					i := todo[k]
-					res[i] = estimate(s, i)
-					done++
-				}
-				if opts.Metrics != nil {
-					opts.Metrics.Histogram("est.pool.worker.blocks").Observe(float64(done))
-				}
-			}()
-		}
-		wg.Wait()
 	}
+	if workers == 1 {
+		s := NewSchedulerFallback(p, fallback)
+		for k, i := range todo {
+			if err := diag.FromContext(ctx); err != nil {
+				observe(k)
+				return err
+			}
+			one(s, i)
+		}
+		observe(len(todo))
+		return nil
+	}
+	var next atomic.Int64
+	var canceled atomic.Bool
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := NewSchedulerFallback(p, fallback)
+			done := 0
+			for !canceled.Load() {
+				if diag.FromContext(ctx) != nil {
+					canceled.Store(true)
+					break
+				}
+				k := int(next.Add(1)) - 1
+				if k >= len(todo) {
+					break
+				}
+				one(s, todo[k])
+				done++
+			}
+			observe(done)
+		}()
+	}
+	wg.Wait()
 	if canceled.Load() {
-		err := diag.FromContext(ctx)
-		opts.Diags.AddError(diag.StageAnnotate, err)
-		return nil, err
+		return diag.FromContext(ctx)
 	}
+	return nil
+}
 
-	// Degradation accounting runs post-hoc over the ordered block list, so
-	// diagnostics are deterministic regardless of worker interleaving.
-	for i, w := range blocks {
-		e := res[rep[i]]
-		if e.Unmapped > 0 {
-			pos := blockPos(w.fn, w.b)
+// reportDegraded emits one call's degradation diagnostics, walking the
+// blocks in order: a Warning per degraded block, or in strict mode the
+// Error of the first one, which it returns.
+func (t *Table) reportDegraded(prog *cdfg.Program, p *pum.PUM, opts EstOptions) error {
+	i := 0
+	for _, fn := range prog.Funcs {
+		for _, b := range fn.Blocks {
+			e := t.est[i]
+			i++
+			if e.Unmapped == 0 {
+				continue
+			}
+			pos := blockPos(fn.Name, b)
 			if opts.Strict {
 				d := diag.Diagnostic{
 					Severity: diag.Error,
 					Stage:    diag.StageAnnotate,
 					Pos:      pos,
 					Msg: fmt.Sprintf("PUM %q does not map op classes %v used by the block (%d ops; strict mode)",
-						p.Name, UnmappedClasses(w.b, p), e.Unmapped),
+						p.Name, UnmappedClasses(b, p), e.Unmapped),
 				}
 				opts.Diags.Add(d)
-				return nil, d
+				return d
 			}
 			opts.Diags.Warnf(diag.StageAnnotate, pos,
 				"PUM %q does not map op classes %v: %d ops estimated with fallback latency %d",
-				p.Name, UnmappedClasses(w.b, p), e.Unmapped, fallback)
+				p.Name, UnmappedClasses(b, p), e.Unmapped, opts.fallback())
 		}
-		out[w.b] = e
 	}
-	return out, nil
+	return nil
 }
 
 // blockPos renders a block location for diagnostics ("func/bb3").

@@ -56,26 +56,25 @@ func TestEstimateCacheCountsIndependentOfWorkers(t *testing.T) {
 		t.Fatal("test program has no duplicate blocks")
 	}
 	p := mbWithCache(t, 8*1024, 4*1024)
-	run := func(workers int) ([2]CacheStats, map[string]Estimate) {
+	run := func(workers int) ([2]CacheStats, []Estimate) {
 		c := NewCache()
 		var deltas [2]CacheStats
-		var est map[string]Estimate
+		var est []Estimate
 		for k := range deltas {
 			before := c.Stats()
-			got := EstimateBlocksWith(prog, p, FullDetail, EstOptions{Workers: workers, Cache: c})
+			est = EstimateBlocksWith(prog, p, FullDetail, EstOptions{Workers: workers, Cache: c}).Estimates()
 			deltas[k] = statsDelta(before, c.Stats())
-			est = make(map[string]Estimate, len(got))
-			for b, e := range got {
-				est[blockPos(b.Fn.Name, b)] = e
-			}
 		}
 		return deltas, est
 	}
 	want, wantEst := run(1)
-	cold := want[0]
+	cold, warm := want[0], want[1]
 	if cold.EstMisses != uint64(len(distinct)) || cold.EstHits != uint64(prog.NumBlocks()-len(distinct)) {
 		t.Fatalf("cold call counted %+v, want %d estimate misses and %d hits",
 			cold, len(distinct), prog.NumBlocks()-len(distinct))
+	}
+	if warm != (CacheStats{EstHits: uint64(prog.NumBlocks())}) {
+		t.Fatalf("warm call counted %+v, want a pure table hit of %d estimates", warm, prog.NumBlocks())
 	}
 	for rep := 0; rep < 50; rep++ {
 		got, est := run(8)

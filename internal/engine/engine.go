@@ -6,14 +6,15 @@
 // through simplify, each stage timed and tagged) from source to a
 // cdfg.Program, Annotate and its variants estimate a program against a
 // PE model (annotate.Annotated), and Simulate — with Delays for callers
-// that only need the per-PE delay maps — runs a mapped design
+// that only need the per-PE delay tables — runs a mapped design
 // (tlm.Result). A Pipeline owns a content-addressed schedule/estimate
-// cache (see core.Cache) and a bounded annotation worker pool:
-// constructing one pipeline and pushing a multi-configuration retarget
-// sweep through it computes every Algorithm 1 schedule exactly once — the
-// cheap re-annotation the paper's Table 1 sells ("Anno." column) — while
-// the statistical Algorithm 2 composition is recomputed per
-// configuration.
+// cache (see core.Cache) and a bounded worker pool that schedules the
+// blocks the cache misses: constructing one pipeline and pushing a
+// multi-configuration retarget sweep through it computes every Algorithm 1
+// schedule exactly once — the cheap re-annotation the paper's Table 1
+// sells ("Anno." column) — while the statistical Algorithm 2 composition
+// is done once per (program, configuration) and kept as an estimate table
+// that every later annotation of that pair reads without per-block work.
 //
 // The pipeline is the architectural seam the rest of the system hangs off:
 // internal/experiments drives its sweeps through one Pipeline, the CLIs
@@ -51,9 +52,10 @@ type Options struct {
 	Workers int
 	// NoCache disables schedule/estimate memoization.
 	NoCache bool
-	// CacheLimit bounds the schedule and estimate maps to that many
-	// entries each (random-replacement beyond it, counted as evictions);
-	// zero or negative means unbounded.
+	// CacheLimit bounds the cache to that many schedule entries and that
+	// many block estimates across its estimate tables (seeded random
+	// replacement beyond it, counted as evictions); zero or negative means
+	// unbounded.
 	CacheLimit int
 	// Detail selects the PUM sub-models Annotate applies; nil means
 	// core.FullDetail (the paper's full Algorithm 2). AnnotateDetail
@@ -246,8 +248,8 @@ func (pl *Pipeline) runVerify(ds []diag.Diagnostic) error {
 	return nil
 }
 
-// recordDegradation folds one annotation's degradation tallies into the
-// pipeline counters.
+// recordDegradation folds one annotation's degradation tallies, which its
+// table carries, into the pipeline counters.
 func (pl *Pipeline) recordDegradation(a *annotate.Annotated) {
 	if a == nil {
 		return
@@ -395,9 +397,11 @@ func (pl *Pipeline) annotateDetailCtx(ctx context.Context, prog *cdfg.Program, p
 // ------------------------------------------------------------- Build / Sim
 
 // Delays annotates a design's program once per PE through the cache and
-// returns the per-PE delay maps the timed TLM consumes, plus the
-// wall-clock annotation time (the paper's "Anno." column).
-func (pl *Pipeline) Delays(d *platform.Design, detail core.Detail) (map[string]map[*cdfg.Block]float64, time.Duration) {
+// returns the per-PE delay tables the timed TLM consumes (keyed by PE
+// name, each in dense program block order and shared read-only with the
+// cache), plus the wall-clock annotation time (the paper's "Anno."
+// column).
+func (pl *Pipeline) Delays(d *platform.Design, detail core.Detail) (map[string][]float64, time.Duration) {
 	out, dur, _ := pl.DelaysCtx(context.Background(), d, detail)
 	return out, dur
 }
@@ -406,20 +410,20 @@ func (pl *Pipeline) Delays(d *platform.Design, detail core.Detail) (map[string]m
 // mapping failure aborts the per-PE annotation loop with the typed error.
 // With Options.Verify the whole design is verified first (program, PE
 // models scoped to their entries, channel topology).
-func (pl *Pipeline) DelaysCtx(ctx context.Context, d *platform.Design, detail core.Detail) (map[string]map[*cdfg.Block]float64, time.Duration, error) {
+func (pl *Pipeline) DelaysCtx(ctx context.Context, d *platform.Design, detail core.Detail) (map[string][]float64, time.Duration, error) {
 	return pl.delaysCtx(ctx, d, detail, false)
 }
 
-// delaysCtx computes per-PE delay maps; verified says the caller already
+// delaysCtx computes per-PE delay tables; verified says the caller already
 // ran the design-level verification, so it is not repeated.
-func (pl *Pipeline) delaysCtx(ctx context.Context, d *platform.Design, detail core.Detail, verified bool) (map[string]map[*cdfg.Block]float64, time.Duration, error) {
+func (pl *Pipeline) delaysCtx(ctx context.Context, d *platform.Design, detail core.Detail, verified bool) (map[string][]float64, time.Duration, error) {
 	start := time.Now()
 	if pl.opts.Verify && !verified {
 		if err := pl.runVerify(verify.Design(d)); err != nil {
 			return nil, time.Since(start), err
 		}
 	}
-	out := make(map[string]map[*cdfg.Block]float64, len(d.PEs))
+	out := make(map[string][]float64, len(d.PEs))
 	for _, pe := range d.PEs {
 		a, err := pl.annotateDetailCtx(ctx, d.Program, pe.PUM, detail, false)
 		if err != nil {

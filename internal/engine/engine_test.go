@@ -58,14 +58,14 @@ func testModels(t *testing.T) map[string]*pum.PUM {
 	return models
 }
 
-func sameEstimates(t *testing.T, label string, want, got map[*cdfg.Block]core.Estimate) {
+func sameEstimates(t *testing.T, label string, want, got *core.Table) {
 	t.Helper()
-	if len(want) != len(got) {
-		t.Fatalf("%s: estimate map size %d != reference %d", label, len(got), len(want))
+	if want.Len() != got.Len() {
+		t.Fatalf("%s: estimate table size %d != reference %d", label, got.Len(), want.Len())
 	}
-	for b, we := range want {
-		if ge, ok := got[b]; !ok || ge != we {
-			t.Fatalf("%s: block bb%d: got %+v, reference %+v", label, b.ID, ge, we)
+	for i, we := range want.Estimates() {
+		if ge := got.Estimates()[i]; ge != we {
+			t.Fatalf("%s: block %d: got %+v, reference %+v", label, i, ge, we)
 		}
 	}
 }
@@ -91,14 +91,14 @@ func TestParallelAnnotationDeterminism(t *testing.T) {
 			} {
 				label := fmt.Sprintf("gomaxprocs=%d/%s/%s", gmp, name, variant)
 				a := pl.Annotate(prog, m)
-				sameEstimates(t, label, ref.Est, a.Est)
+				sameEstimates(t, label, ref.Table, a.Table)
 				if want, got := ref.EmitTimedC(), a.EmitTimedC(); want != got {
 					t.Fatalf("%s: EmitTimedC differs from serial reference", label)
 				}
 				// Annotating again must be fully served from the cache and
 				// still identical.
 				a2 := pl.Annotate(prog, m)
-				sameEstimates(t, label+"/reannotate", ref.Est, a2.Est)
+				sameEstimates(t, label+"/reannotate", ref.Table, a2.Table)
 			}
 		}
 		runtime.GOMAXPROCS(old)
@@ -188,18 +188,14 @@ func TestCacheSurvivesRecompilation(t *testing.T) {
 		t.Errorf("recompiled program estimate hits = %d, want %d", got, n)
 	}
 	// The two programs' block sets are disjoint pointers, but per-block
-	// totals must agree pairwise (same function/block order).
+	// estimates must agree pairwise (same function/block order).
 	for i, fn := range p1.Funcs {
 		fn2 := p2.Funcs[i]
 		if fn.Name != fn2.Name || len(fn.Blocks) != len(fn2.Blocks) {
 			t.Fatalf("function layout mismatch at %d: %s vs %s", i, fn.Name, fn2.Name)
 		}
-		for j, b := range fn.Blocks {
-			if a1.Est[b] != a2.Est[fn2.Blocks[j]] {
-				t.Errorf("%s bb%d: estimates differ across recompilation", fn.Name, b.ID)
-			}
-		}
 	}
+	sameEstimates(t, "recompiled", a1.Table, a2.Table)
 }
 
 // TestPipelineSimulateMatchesDirect checks the timed TLM driven through

@@ -36,10 +36,8 @@ func TestSharedCacheInjection(t *testing.T) {
 	if st.EstHits <= warm.EstHits {
 		t.Fatalf("second pipeline did not hit the shared cache: warm=%+v after=%+v", warm, st)
 	}
-	for b, e1 := range a1.Est {
-		if e2 := a2.Est[b]; e1 != e2 {
-			t.Fatalf("shared-cache estimate differs for bb%d: %+v vs %+v", b.ID, e1, e2)
-		}
+	if a1.Table != a2.Table {
+		t.Fatal("second pipeline did not share the first pipeline's estimate table")
 	}
 
 	// Both pipelines fold the shared handle's counters into their

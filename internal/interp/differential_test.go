@@ -135,13 +135,9 @@ func TestEnginesDifferentialPendingDelay(t *testing.T) {
 	prog := compile(t, diffPrograms["loops"])
 	// Synthesize per-block delays with enough variety to expose ordering
 	// differences in float accumulation.
-	dm := make(map[*cdfg.Block]float64)
-	i := 0
-	for _, fn := range prog.Funcs {
-		for _, b := range fn.Blocks {
-			dm[b] = 0.1*float64(i%7) + float64(i%3)
-			i++
-		}
+	dm := make([]float64, prog.NumBlocks())
+	for i := range dm {
+		dm[i] = 0.1*float64(i%7) + float64(i%3)
 	}
 	tree, comp := engines(t, prog)
 	tree.SetDelays(dm)
@@ -164,10 +160,10 @@ func TestEnginesDifferentialPendingDelay(t *testing.T) {
 // must abort identically.
 func TestEnginesDifferentialOnDelay(t *testing.T) {
 	prog := compile(t, diffPrograms["globals"])
-	dm := make(map[*cdfg.Block]float64)
+	var dm []float64
 	for _, fn := range prog.Funcs {
 		for _, b := range fn.Blocks {
-			dm[b] = float64(b.ID + 1)
+			dm = append(dm, float64(b.ID+1))
 		}
 	}
 	seq := func(e Engine) []float64 {

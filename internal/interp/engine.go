@@ -79,10 +79,12 @@ type Engine interface {
 	SetContext(ctx context.Context)
 	// SetChannels installs the send/recv intrinsics.
 	SetChannels(send func(ch int, data []int32) error, recv func(ch int, buf []int32) error)
-	// SetDelays installs the annotated per-block delays (timed runs). By
-	// default each executed block's delay accumulates into a pending pool
-	// drained with TakePending at transaction boundaries.
-	SetDelays(dm map[*cdfg.Block]float64)
+	// SetDelays installs the annotated per-block delays (timed runs): one
+	// per block in dense program order (functions in order, each
+	// function's blocks in order), or nil for none. The engine only reads
+	// the slice. By default each executed block's delay accumulates into a
+	// pending pool drained with TakePending at transaction boundaries.
+	SetDelays(delays []float64)
 	// SetOnDelay switches to per-block delivery: fn observes every dynamic
 	// block's delay (including zero) instead of pooling. Call after
 	// SetDelays.
@@ -117,11 +119,22 @@ func NewEngine(prog *cdfg.Program, kind EngineKind) (Engine, error) {
 	return NewCompiled(cp), nil
 }
 
+// checkDelays panics unless delays is nil or holds one delay per block of
+// prog: a table of another program is a caller bug that would otherwise
+// time blocks with the wrong delays.
+func checkDelays(prog *cdfg.Program, delays []float64) {
+	if delays != nil && len(delays) != prog.NumBlocks() {
+		panic(fmt.Sprintf("interp: SetDelays: %d delays for a program of %d blocks", len(delays), prog.NumBlocks()))
+	}
+}
+
 // treeEngine adapts the tree-walking Machine to the Engine interface,
 // reproducing the delay-pooling contract with an OnBlock closure.
 type treeEngine struct {
-	m       *Machine
-	dm      map[*cdfg.Block]float64
+	m      *Machine
+	delays []float64
+	// index resolves a block to its dense index; built by SetDelays.
+	index   map[*cdfg.Block]int
 	onDelay func(delay float64) error
 	pending float64
 }
@@ -158,8 +171,17 @@ func (e *treeEngine) SetChannels(send func(ch int, data []int32) error, recv fun
 	e.m.Send, e.m.Recv = send, recv
 }
 
-func (e *treeEngine) SetDelays(dm map[*cdfg.Block]float64) {
-	e.dm = dm
+func (e *treeEngine) SetDelays(delays []float64) {
+	checkDelays(e.m.Prog, delays)
+	e.delays = delays
+	if delays != nil && e.index == nil {
+		e.index = make(map[*cdfg.Block]int, len(delays))
+		for _, fn := range e.m.Prog.Funcs {
+			for _, b := range fn.Blocks {
+				e.index[b] = len(e.index)
+			}
+		}
+	}
 	e.install()
 }
 
@@ -169,15 +191,15 @@ func (e *treeEngine) SetOnDelay(fn func(delay float64) error) {
 }
 
 func (e *treeEngine) install() {
+	delays, index := e.delays, e.index
 	switch {
-	case e.dm == nil:
+	case delays == nil:
 		e.m.OnBlock = nil
 	case e.onDelay != nil:
-		dm, fn := e.dm, e.onDelay
-		e.m.OnBlock = func(b *cdfg.Block) error { return fn(dm[b]) }
+		fn := e.onDelay
+		e.m.OnBlock = func(b *cdfg.Block) error { return fn(delays[index[b]]) }
 	default:
-		dm := e.dm
-		e.m.OnBlock = func(b *cdfg.Block) error { e.pending += dm[b]; return nil }
+		e.m.OnBlock = func(b *cdfg.Block) error { e.pending += delays[index[b]]; return nil }
 	}
 }
 

@@ -115,19 +115,12 @@ func (m *Compiled) BlockCountsMap() map[*cdfg.Block]uint64 {
 	return out
 }
 
-// SetDelays fuses the annotated per-block delays into the machine as a
-// dense table indexed by block id.
-func (m *Compiled) SetDelays(dm map[*cdfg.Block]float64) {
-	if dm == nil {
-		m.delays = nil
-		return
-	}
-	m.delays = make([]float64, m.cp.NumBlocks())
-	for b, d := range dm {
-		if id, ok := m.cp.blockID[b]; ok {
-			m.delays[id] = d
-		}
-	}
+// SetDelays fuses the annotated per-block delays into the machine: the
+// dense table is indexed directly by block id, which numbers blocks in the
+// same dense program order.
+func (m *Compiled) SetDelays(delays []float64) {
+	checkDelays(m.cp.src, delays)
+	m.delays = delays
 }
 
 // SetOnDelay switches to per-block delay delivery: fn observes every

@@ -173,16 +173,15 @@ func (g *GenBase) SetChannels(send func(ch int, data []int32) error, recv func(c
 	g.SendFn, g.RecvFn = send, recv
 }
 
-// SetDelays installs the annotated per-block delays into the dense table.
-func (g *GenBase) SetDelays(dm map[*cdfg.Block]float64) {
-	for i := range g.DelayTab {
-		g.DelayTab[i] = 0
-	}
-	g.hasDelays = dm != nil
-	if dm != nil {
-		for i, b := range g.Blocks {
-			g.DelayTab[i] = dm[b]
-		}
+// SetDelays copies the annotated per-block delays into the dense table
+// (nil clears it).
+func (g *GenBase) SetDelays(delays []float64) {
+	checkDelays(g.Prog, delays)
+	g.hasDelays = delays != nil
+	if delays == nil {
+		clear(g.DelayTab)
+	} else {
+		copy(g.DelayTab, delays)
 	}
 	g.installDelay()
 }

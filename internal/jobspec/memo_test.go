@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -223,5 +224,24 @@ func TestRunnerConcurrentRuns(t *testing.T) {
 	// publish per workload counts.
 	if got := snap.Counters["jobspec.replay.records"]; got != 4 {
 		t.Errorf("jobspec.replay.records = %d, want one per timed workload (4)", got)
+	}
+}
+
+// TestRunnerMappingMismatchFailsInTLM: designs are validated where they
+// run, not when mapped, so an mp3 SW program mapped as SW+4 (whose
+// hardware entries it lacks) still fails the job — now from tlm.Run.
+func TestRunnerMappingMismatchFailsInTLM(t *testing.T) {
+	r := &Runner{}
+	sw := memoBase()
+	e, _, err := r.program(&sw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw4 := memoBase()
+	sw4.Design = "SW+4"
+	r.progs[sw4.workload()] = &memoEntry{prog: e.prog}
+	_, err = r.Run(context.Background(), &sw4)
+	if err == nil || !strings.Contains(err.Error(), "not in program") {
+		t.Fatalf("SW program mapped as SW+4: err = %v, want the platform's entry-not-in-program error", err)
 	}
 }

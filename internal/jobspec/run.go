@@ -319,9 +319,11 @@ func (r *Runner) runEstimate(ctx context.Context, s *Spec, pl *engine.Pipeline, 
 		return err
 	}
 	res.Summary = a.Summary()
+	est := a.Table.Estimates()
 	for _, fn := range prog.Funcs {
 		for _, b := range fn.Blocks {
-			e := a.Est[b]
+			e := est[0]
+			est = est[1:]
 			res.Blocks = append(res.Blocks, BlockEstimate{
 				Func: fn.Name, Block: b.ID,
 				Ops: e.Ops, Operands: e.Operands, Sched: e.Sched,
@@ -369,7 +371,7 @@ func ProfileEstimate(ctx context.Context, s *Spec, a *annotate.Annotated) (*prof
 	}
 	return profile.Build("", a.Prog,
 		map[string]map[*cdfg.Block]uint64{a.PUM.Name: m.BlockCountsMap()},
-		map[string]map[*cdfg.Block]core.Estimate{a.PUM.Name: a.Est})
+		map[string][]core.Estimate{a.PUM.Name: a.Table.Estimates()})
 }
 
 // runTLM is the esetlm flow: build the design, simulate, summarize.
@@ -489,13 +491,13 @@ func (r *Runner) runCalibrate(ctx context.Context, s *Spec, res *Result) error {
 // estimates the run was timed with — the report totals reconcile bit for
 // bit with the simulated per-PE cycle counts.
 func ProfileTLM(ctx context.Context, pl *engine.Pipeline, d *platform.Design, tr *tlm.Result) (*profile.Report, error) {
-	est := make(map[string]map[*cdfg.Block]core.Estimate, len(d.PEs))
+	est := make(map[string][]core.Estimate, len(d.PEs))
 	for _, pe := range d.PEs {
 		a, err := pl.AnnotateDetailCtx(ctx, d.Program, pe.PUM, core.FullDetail)
 		if err != nil {
 			return nil, err
 		}
-		est[pe.Name] = a.Est
+		est[pe.Name] = a.Table.Estimates()
 	}
 	return profile.Build(d.Name, d.Program, tr.BlockCountsByPE, est)
 }

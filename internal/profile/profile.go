@@ -61,16 +61,11 @@ type Report struct {
 
 // Build joins execution counts with block estimates. counts is keyed by
 // process key ("pe" or "pe/task", as in tlm.Result.BlockCountsByPE); est is
-// keyed by PE name (RTOS task keys fall back to their PE's entry). Blocks
-// that never executed are omitted.
+// keyed by PE name (RTOS task keys fall back to their PE's entry) and
+// holds each PE's estimates in dense program block order (see
+// core.Table). Blocks that never executed are omitted.
 func Build(design string, prog *cdfg.Program, counts map[string]map[*cdfg.Block]uint64,
-	est map[string]map[*cdfg.Block]core.Estimate) (*Report, error) {
-	blockFunc := make(map[*cdfg.Block]string)
-	for _, fn := range prog.Funcs {
-		for _, b := range fn.Blocks {
-			blockFunc[b] = fn.Name
-		}
-	}
+	est map[string][]core.Estimate) (*Report, error) {
 	r := &Report{Design: design, ByPE: make(map[string]float64)}
 	for key, cm := range counts {
 		em, ok := est[key]
@@ -83,32 +78,37 @@ func Build(design string, prog *cdfg.Program, counts map[string]map[*cdfg.Block]
 				return nil, fmt.Errorf("profile: no estimates for process %q", key)
 			}
 		}
+		if len(em) != prog.NumBlocks() {
+			return nil, fmt.Errorf("profile: process %q has %d estimates for a program of %d blocks",
+				key, len(em), prog.NumBlocks())
+		}
 		var sub float64
-		for b, n := range cm {
-			if n == 0 {
-				continue
+		i := 0
+		for _, fn := range prog.Funcs {
+			for _, b := range fn.Blocks {
+				e := em[i]
+				i++
+				n := cm[b]
+				if n == 0 {
+					continue
+				}
+				cnt := float64(n)
+				row := Row{
+					PE:      key,
+					Func:    fn.Name,
+					Block:   b.ID,
+					Count:   n,
+					PerExec: e.Total,
+					Cycles:  cnt * e.Total,
+					Sched:   cnt * float64(e.Sched),
+					Branch:  cnt * e.BranchPen,
+					IMem:    cnt * e.IDelay,
+					DMem:    cnt * e.DDelay,
+				}
+				row.Round = row.Cycles - (row.Sched + row.Branch + row.IMem + row.DMem)
+				r.Rows = append(r.Rows, row)
+				sub += row.Cycles
 			}
-			e, ok := em[b]
-			if !ok {
-				return nil, fmt.Errorf("profile: process %q executed un-estimated block %s/bb%d",
-					key, blockFunc[b], b.ID)
-			}
-			cnt := float64(n)
-			row := Row{
-				PE:      key,
-				Func:    blockFunc[b],
-				Block:   b.ID,
-				Count:   n,
-				PerExec: e.Total,
-				Cycles:  cnt * e.Total,
-				Sched:   cnt * float64(e.Sched),
-				Branch:  cnt * e.BranchPen,
-				IMem:    cnt * e.IDelay,
-				DMem:    cnt * e.DDelay,
-			}
-			row.Round = row.Cycles - (row.Sched + row.Branch + row.IMem + row.DMem)
-			r.Rows = append(r.Rows, row)
-			sub += row.Cycles
 		}
 		r.ByPE[key] = sub
 		r.TotalCycles += sub

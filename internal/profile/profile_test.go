@@ -87,9 +87,9 @@ func TestReportReconcilesWithSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	est := map[string]map[*cdfg.Block]core.Estimate{
-		"cpu": annotate.Annotate(prog, mb, core.FullDetail).Est,
-		"acc": annotate.Annotate(prog, hw, core.FullDetail).Est,
+	est := map[string][]core.Estimate{
+		"cpu": annotate.Annotate(prog, mb, core.FullDetail).Table.Estimates(),
+		"acc": annotate.Annotate(prog, hw, core.FullDetail).Table.Estimates(),
 	}
 	r, err := Build(d.Name, prog, res.BlockCountsByPE, est)
 	if err != nil {
@@ -153,8 +153,8 @@ func TestReportRTOSTaskKeys(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	est := map[string]map[*cdfg.Block]core.Estimate{
-		"cpu": annotate.Annotate(prog, mb, core.FullDetail).Est,
+	est := map[string][]core.Estimate{
+		"cpu": annotate.Annotate(prog, mb, core.FullDetail).Table.Estimates(),
 	}
 	r, err := Build(d.Name, prog, res.BlockCountsByPE, est)
 	if err != nil {
@@ -183,7 +183,7 @@ void main() {
 	a := annotate.Annotate(prog, mb, core.FullDetail)
 	// Functional profile: run the interpreter directly (the eseest path).
 	counts := map[string]map[*cdfg.Block]uint64{"microblaze": countRun(t, prog)}
-	r, err := Build("", prog, counts, map[string]map[*cdfg.Block]core.Estimate{"microblaze": a.Est})
+	r, err := Build("", prog, counts, map[string][]core.Estimate{"microblaze": a.Table.Estimates()})
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
@@ -232,9 +232,9 @@ func TestReportReconcilesUnderBothEngines(t *testing.T) {
 		t.Fatal(err)
 	}
 	hw := pum.CustomHW("acc", 100_000_000)
-	est := map[string]map[*cdfg.Block]core.Estimate{
-		"cpu": annotate.Annotate(prog, mb, core.FullDetail).Est,
-		"acc": annotate.Annotate(prog, hw, core.FullDetail).Est,
+	est := map[string][]core.Estimate{
+		"cpu": annotate.Annotate(prog, mb, core.FullDetail).Table.Estimates(),
+		"acc": annotate.Annotate(prog, hw, core.FullDetail).Table.Estimates(),
 	}
 	for _, kind := range []interp.EngineKind{interp.EngineTree, interp.EngineCompiled} {
 		d := &platform.Design{

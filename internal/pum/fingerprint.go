@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"hash"
 	"math"
 
 	"ese/internal/cdfg"
@@ -17,39 +16,25 @@ type Fingerprint [sha256.Size]byte
 // String returns a short hex form for logs and debugging.
 func (f Fingerprint) String() string { return hex.EncodeToString(f[:8]) }
 
-// fpw wraps a sha256 state with canonical little-endian writers.
-type fpw struct {
-	h   hash.Hash
-	buf [8]byte
-}
+// fpw is a fingerprint's canonical little-endian bytes, collected in one
+// buffer and hashed once by sum. Writers return the extended buffer, so a
+// buffer started in stack scratch stays there.
+type fpw []byte
 
-func newFPW() *fpw { return &fpw{h: sha256.New()} }
+func (w fpw) int(v int64) fpw { return binary.LittleEndian.AppendUint64(w, uint64(v)) }
 
-func (w *fpw) int(v int64) {
-	binary.LittleEndian.PutUint64(w.buf[:], uint64(v))
-	w.h.Write(w.buf[:])
-}
+func (w fpw) float(v float64) fpw { return w.int(int64(math.Float64bits(v))) }
 
-func (w *fpw) float(v float64) { w.int(int64(math.Float64bits(v))) }
+func (w fpw) str(s string) fpw { return append(w.int(int64(len(s))), s...) }
 
-func (w *fpw) str(s string) {
-	w.int(int64(len(s)))
-	w.h.Write([]byte(s))
-}
-
-func (w *fpw) bool(b bool) {
+func (w fpw) bool(b bool) fpw {
 	if b {
-		w.int(1)
-	} else {
-		w.int(0)
+		return w.int(1)
 	}
+	return w.int(0)
 }
 
-func (w *fpw) sum() Fingerprint {
-	var f Fingerprint
-	w.h.Sum(f[:0])
-	return f
-}
+func (w fpw) sum() Fingerprint { return sha256.Sum256(w) }
 
 // DatapathFingerprint hashes the sub-models Algorithm 1 consumes: the
 // scheduling policy, the issue pipelines, the functional units, and the
@@ -58,33 +43,34 @@ func (w *fpw) sum() Fingerprint {
 // say — so the fingerprint is stable across WithCache retargets and
 // calibration, which is what keys the schedule cache.
 func (p *PUM) DatapathFingerprint() Fingerprint {
-	w := newFPW()
-	w.int(int64(p.Policy))
-	w.int(int64(len(p.Pipelines)))
+	var scratch [1024]byte
+	w := fpw(scratch[:0])
+	w = w.int(int64(p.Policy))
+	w = w.int(int64(len(p.Pipelines)))
 	for _, pl := range p.Pipelines {
-		w.int(int64(len(pl.Stages)))
-		w.int(int64(pl.IssueWidth))
+		w = w.int(int64(len(pl.Stages)))
+		w = w.int(int64(pl.IssueWidth))
 	}
-	w.int(int64(len(p.FUs)))
+	w = w.int(int64(len(p.FUs)))
 	for _, fu := range p.FUs {
-		w.str(fu.ID)
-		w.int(int64(fu.Quantity))
+		w = w.str(fu.ID)
+		w = w.int(int64(fu.Quantity))
 	}
 	// Iterate the op table in class order so the hash is independent of
 	// map iteration order.
 	for cls := cdfg.Class(0); cls <= cdfg.ClassIO; cls++ {
 		info, ok := p.Ops[cls]
 		if !ok {
-			w.int(-1)
+			w = w.int(-1)
 			continue
 		}
-		w.int(int64(cls))
-		w.int(int64(info.Demand))
-		w.int(int64(info.Commit))
-		w.int(int64(len(info.Stages)))
+		w = w.int(int64(cls))
+		w = w.int(int64(info.Demand))
+		w = w.int(int64(info.Commit))
+		w = w.int(int64(len(info.Stages)))
 		for _, su := range info.Stages {
-			w.str(su.FU)
-			w.int(int64(su.Cycles))
+			w = w.str(su.FU)
+			w = w.int(int64(su.Cycles))
 		}
 	}
 	return w.sum()
@@ -96,19 +82,20 @@ func (p *PUM) DatapathFingerprint() Fingerprint {
 // Retargeting the cache configuration or recalibrating changes this
 // fingerprint but not the datapath one.
 func (p *PUM) StatFingerprint() Fingerprint {
-	w := newFPW()
-	w.bool(p.Pipelined)
-	w.float(p.Branch.MissRate)
-	w.float(p.Branch.Penalty)
-	w.bool(p.Mem.HasICache)
-	w.bool(p.Mem.HasDCache)
-	w.float(p.Mem.ExtLatency)
+	var scratch [13 * 8]byte
+	w := fpw(scratch[:0])
+	w = w.bool(p.Pipelined)
+	w = w.float(p.Branch.MissRate)
+	w = w.float(p.Branch.Penalty)
+	w = w.bool(p.Mem.HasICache)
+	w = w.bool(p.Mem.HasDCache)
+	w = w.float(p.Mem.ExtLatency)
 	st := p.Mem.Current
-	w.float(st.IHitRate)
-	w.float(st.DHitRate)
-	w.float(st.IHitDelay)
-	w.float(st.DHitDelay)
-	w.float(st.IMissPenalty)
-	w.float(st.DMissPenalty)
+	w = w.float(st.IHitRate)
+	w = w.float(st.DHitRate)
+	w = w.float(st.IHitDelay)
+	w = w.float(st.DHitDelay)
+	w = w.float(st.IMissPenalty)
+	w = w.float(st.DMissPenalty)
 	return w.sum()
 }

@@ -1,6 +1,9 @@
 package pum
 
-import "testing"
+import (
+	"encoding/hex"
+	"testing"
+)
 
 // TestDatapathFingerprintStableUnderRetarget: WithCache swaps the
 // statistical memory model but not the datapath, so the datapath hash —
@@ -68,5 +71,33 @@ func TestFingerprintSeesStructuralEdits(t *testing.T) {
 	}
 	if a.DatapathFingerprint() == b.DatapathFingerprint() {
 		t.Error("editing an op demand did not change the datapath fingerprint")
+	}
+}
+
+// TestFingerprintDigestsPinned pins the built-in models' digests: the
+// hashed bytes are the cache's keys, so a change to how they are written
+// (or buffered) must not change a single one.
+func TestFingerprintDigestsPinned(t *testing.T) {
+	for _, tc := range []struct {
+		p        *PUM
+		dp, stat string
+	}{
+		{MicroBlaze(),
+			"841f2c01c92ac7fdc5caadac847e626956510df719d6451f7f8e11f4e56c25aa",
+			"57bde7245ae301cc29467dd94635da08dc41c97c81885546a28d92bdeec5c702"},
+		{CustomHW("hw", 100_000_000),
+			"478963babd77d7dfc98e8e6a296f51522293b144b26655b659943406c515d114",
+			"2ea9ab9198d1638007400cd2c3bef1cc745b864b76011a0e1bc52180ac6452d4"},
+		{DualIssue(),
+			"13beeddf328ade6a679dfc5e3365d25318e3c474a6b4ccf2cffa4d02be656810",
+			"57bde7245ae301cc29467dd94635da08dc41c97c81885546a28d92bdeec5c702"},
+	} {
+		dp, st := tc.p.DatapathFingerprint(), tc.p.StatFingerprint()
+		if got := hex.EncodeToString(dp[:]); got != tc.dp {
+			t.Errorf("%s: DatapathFingerprint = %s, want %s", tc.p.Name, got, tc.dp)
+		}
+		if got := hex.EncodeToString(st[:]); got != tc.stat {
+			t.Errorf("%s: StatFingerprint = %s, want %s", tc.p.Name, got, tc.stat)
+		}
 	}
 }

@@ -27,9 +27,12 @@ func NewHW(prog *cdfg.Program, model *pum.PUM) *HW {
 		M:      interp.New(prog),
 		delays: make(map[*cdfg.Block]float64, prog.NumBlocks()),
 	}
-	est := core.EstimateBlocks(prog, model, core.Detail{})
-	for b, e := range est {
-		h.delays[b] = float64(e.Sched)
+	est := core.EstimateBlocks(prog, model, core.Detail{}).Estimates()
+	for _, fn := range prog.Funcs {
+		for _, b := range fn.Blocks {
+			h.delays[b] = float64(est[0].Sched)
+			est = est[1:]
+		}
 	}
 	return h
 }

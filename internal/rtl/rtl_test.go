@@ -146,12 +146,13 @@ void main() {
 	}
 	model := pum.CustomHW("hw", 100_000_000)
 	hw := NewHW(prog, model)
-	est := core.EstimateBlocks(prog, model, core.Detail{})
+	est := core.EstimateBlocks(prog, model, core.Detail{}).Estimates()
 	for _, fn := range prog.Funcs {
 		for _, b := range fn.Blocks {
-			if hw.Delay(b) != float64(est[b].Sched) {
-				t.Fatalf("HW delay for bb%d = %v, schedule = %d", b.ID, hw.Delay(b), est[b].Sched)
+			if hw.Delay(b) != float64(est[0].Sched) {
+				t.Fatalf("HW delay for bb%d = %v, schedule = %d", b.ID, hw.Delay(b), est[0].Sched)
 			}
+			est = est[1:]
 		}
 	}
 }

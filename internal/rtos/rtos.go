@@ -224,7 +224,8 @@ func (c *CPU) shouldPreempt(t *Task) bool {
 // Consume charges cycles of computation to the task, advancing simulated
 // time while the task holds the CPU and yielding at scheduling points. It
 // returns an error if the task does not hold the CPU — a scheduling
-// invariant violation that would silently corrupt the timeline.
+// invariant violation that would silently corrupt the timeline — or, with
+// sim.ErrTimeOverflow, if the cycles would wrap simulated time.
 func (c *CPU) Consume(t *Task, cycles uint64) error {
 	for cycles > 0 {
 		if c.current != t {
@@ -236,7 +237,11 @@ func (c *CPU) Consume(t *Task, cycles uint64) error {
 		}
 		if chunk > 0 {
 			start := t.proc.Now()
-			t.proc.Wait(sim.Time(chunk) * c.periodPs)
+			d, err := sim.CyclesToTime(start, chunk, c.periodPs)
+			if err != nil {
+				return fmt.Errorf("rtos: task %s: %w", t.Name, err)
+			}
+			t.proc.Wait(d)
 			if c.OnRun != nil {
 				c.OnRun(t, start, t.proc.Now())
 			}

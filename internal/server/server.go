@@ -51,8 +51,9 @@ type Config struct {
 	TenantMax int
 	// DefaultTimeout bounds jobs whose spec carries no timeout (0 = none).
 	DefaultTimeout time.Duration
-	// CacheLimit bounds the shared schedule/estimate cache, entries per
-	// side (0 = unbounded).
+	// CacheLimit bounds the shared schedule/estimate cache to that many
+	// schedule entries and that many block estimates across its estimate
+	// tables (0 = unbounded; see core.NewCacheLimit).
 	CacheLimit int
 }
 

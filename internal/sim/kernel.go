@@ -20,7 +20,9 @@ package sim
 import (
 	"container/heap"
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"ese/internal/diag"
@@ -274,6 +276,21 @@ func (k *Kernel) fire(ev *Event) {
 		p.state = stateReady
 		k.dispatch(p)
 	}
+}
+
+// ErrTimeOverflow is returned (wrapped) by CyclesToTime when a wait does
+// not fit simulated time: the picoseconds it lasts, or the time it ends
+// at, would wrap the uint64 clock.
+var ErrTimeOverflow = errors.New("sim: simulated time overflows picoseconds")
+
+// CyclesToTime returns how long cycles clock periods of periodPs last, for
+// a wait starting at now, or an ErrTimeOverflow error when that duration
+// or the time the wait ends at does not fit a Time.
+func CyclesToTime(now Time, cycles uint64, periodPs Time) (Time, error) {
+	if periodPs != 0 && cycles > (math.MaxUint64-uint64(now))/uint64(periodPs) {
+		return 0, fmt.Errorf("%w: %d cycles of %d ps at %d ps", ErrTimeOverflow, cycles, periodPs, now)
+	}
+	return Time(cycles) * periodPs, nil
 }
 
 // ErrDeadlock is returned (wrapped) by Run when the event queue drains while

@@ -29,8 +29,9 @@ import (
 //
 // The zero Recording is empty. Run fills an empty Recording passed in
 // Options.Recording and replays a filled one. A filled Recording is
-// read-only and may be shared by concurrent runs; its block keys belong
-// to the one *cdfg.Program it was recorded from.
+// read-only and may be shared by concurrent runs; its block indices
+// (dense program order, as in the delay tables) belong to the one
+// *cdfg.Program it was recorded from.
 type Recording struct {
 	prog     *cdfg.Program
 	procs    []procTrace // in spawn order: d.PEs, one process each
@@ -57,9 +58,10 @@ type segment struct {
 	words  int
 }
 
-// blockCount is one block's execution count within a segment.
+// blockCount is one block's execution count within a segment; block is
+// the block's dense index.
 type blockCount struct {
-	block *cdfg.Block
+	block int
 	n     uint64
 }
 
@@ -93,28 +95,32 @@ func replayable(d *platform.Design, opts Options) bool {
 // engine's block counters, which it switches on.
 type recorder struct {
 	tr   procTrace
-	seen map[*cdfg.Block]uint64 // block counts at the previous cut
+	prog *cdfg.Program
+	seen []uint64 // block counts at the previous cut, by dense index
 }
 
-func newRecorder(key string, m interp.Engine) *recorder {
+func newRecorder(key string, prog *cdfg.Program, m interp.Engine) *recorder {
 	m.EnableProfile()
-	return &recorder{tr: procTrace{key: key}, seen: make(map[*cdfg.Block]uint64)}
+	return &recorder{tr: procTrace{key: key}, prog: prog, seen: make([]uint64, prog.NumBlocks())}
 }
 
-// cut closes the current segment with the given operation. A nil
-// recorder records nothing.
+// cut closes the current segment with the given operation, walking the
+// blocks in dense order. A nil recorder records nothing.
 func (r *recorder) cut(m interp.Engine, op opKind, ch, words int) {
 	if r == nil {
 		return
 	}
 	var counts []blockCount
-	for b, n := range m.BlockCountsMap() {
-		delta := n - r.seen[b]
-		if delta == 0 {
-			continue
+	all := m.BlockCountsMap()
+	i := 0
+	for _, fn := range r.prog.Funcs {
+		for _, b := range fn.Blocks {
+			if n := all[b]; n != r.seen[i] {
+				counts = append(counts, blockCount{block: i, n: n - r.seen[i]})
+				r.seen[i] = n
+			}
+			i++
 		}
-		r.seen[b] = n
-		counts = append(counts, blockCount{block: b, n: delta})
 	}
 	r.tr.segs = append(r.tr.segs, segment{counts: counts, op: op, ch: ch, words: words})
 }
@@ -140,13 +146,13 @@ func (rec *Recording) fill(d *platform.Design, runs []*procRun) {
 const maxExact = 1 << 53
 
 // segmentDelays returns each recorded segment's pooled delay under the
-// run's per-PE delay maps, indexed like rec.procs and their segments. ok
-// is false when rec was not recorded from d's program and processes, or
-// when a delay is not a non-negative integer or a segment sum reaches
+// run's per-PE delay tables, indexed like rec.procs and their segments.
+// ok is false when rec was not recorded from d's program and processes,
+// or when a delay is not a non-negative integer or a segment sum reaches
 // 2^53: only with integer delays and sums below 2^53 does Σ count·delay
 // equal the engines' block-by-block float accumulation bit for bit (the
 // pipeline's block totals are integers, core.ComposeEstimate rounds them).
-func (rec *Recording) segmentDelays(d *platform.Design, delays map[*platform.PE]map[*cdfg.Block]float64) ([][]float64, bool) {
+func (rec *Recording) segmentDelays(d *platform.Design, delays map[*platform.PE][]float64) ([][]float64, bool) {
 	if rec.prog != d.Program || len(rec.procs) != len(d.PEs) {
 		return nil, false
 	}
@@ -182,12 +188,14 @@ func (rec *Recording) segmentDelays(d *platform.Design, delays map[*platform.PE]
 // performs the segment's transaction on the bus — the kernel calls
 // spawnProcess makes, in the same order, so dispatch order, bus
 // arbitration, end time and every kernel and bus counter come out as the
-// simulation's. All payloads share one zero buffer: only their lengths
-// matter to timing.
+// simulation's, and a wait that would wrap simulated time fails the run
+// with sim.ErrTimeOverflow as the simulation's does. All payloads share
+// one zero buffer: only their lengths matter to timing.
 func replay(ctx context.Context, d *platform.Design, rec *Recording, pends [][]float64, opts Options, res *Result) (*Result, error) {
 	k := sim.NewKernel()
 	bus := NewBus(k, d.Bus, true)
 	buf := make([]int32, rec.maxWords)
+	var waitErr error
 	wallStart := time.Now()
 	for i, pe := range d.PEs {
 		tr, pend := &rec.procs[i], pends[i]
@@ -195,8 +203,13 @@ func replay(ctx context.Context, d *platform.Design, rec *Recording, pends [][]f
 		k.Spawn(tr.key, func(p *sim.Process) {
 			for j, s := range tr.segs {
 				if pending := pend[j]; pending > 0 {
-					p.Wait(sim.Time(pending) * periodPs)
-					res.CyclesByPE[tr.key] += uint64(pending)
+					c, err := waitCycles(p, pending, periodPs)
+					if err != nil {
+						waitErr = fmt.Errorf("tlm: process %s: %w", tr.key, err)
+						k.Stop()
+						return
+					}
+					res.CyclesByPE[tr.key] += c
 				}
 				switch s.op {
 				case opSend:
@@ -211,13 +224,16 @@ func replay(ctx context.Context, d *platform.Design, rec *Recording, pends [][]f
 	res.Wall = time.Since(wallStart)
 	res.EndPs = end
 	res.BusWords = bus.Words
-	if err == nil {
+	if err == nil && waitErr == nil {
 		for _, tr := range rec.procs {
 			res.OutByPE[tr.key] = append([]int32(nil), tr.out...)
 			res.Steps += tr.steps
 		}
 	}
 	report(opts.Metrics, res, bus, k)
+	if waitErr != nil {
+		return nil, waitErr
+	}
 	if err != nil {
 		wrapped := fmt.Errorf("tlm: %s: %w", d.Name, err)
 		if diag.IsCancellation(err) {

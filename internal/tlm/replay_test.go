@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"ese/internal/annotate"
-	"ese/internal/cdfg"
 	"ese/internal/core"
 	"ese/internal/metrics"
 	"ese/internal/platform"
@@ -108,18 +107,15 @@ func contentionDesign(t *testing.T) *platform.Design {
 	return d
 }
 
-// annotatedDelays is the per-PE delay map a pipeline would hand Run,
-// rewritten block by block by f.
-func annotatedDelays(d *platform.Design, f func(pe string, i int, v float64) float64) map[string]map[*cdfg.Block]float64 {
-	out := make(map[string]map[*cdfg.Block]float64, len(d.PEs))
+// annotatedDelays is the per-PE delay tables a pipeline would hand Run,
+// rewritten block by block by f into fresh tables.
+func annotatedDelays(d *platform.Design, f func(pe string, i int, v float64) float64) map[string][]float64 {
+	out := make(map[string][]float64, len(d.PEs))
 	for _, pe := range d.PEs {
-		dm := annotate.Annotate(d.Program, pe.PUM, core.FullDetail).Delays()
-		i := 0
-		for _, fn := range d.Program.Funcs {
-			for _, b := range fn.Blocks {
-				dm[b] = f(pe.Name, i, dm[b])
-				i++
-			}
+		ann := annotate.Annotate(d.Program, pe.PUM, core.FullDetail).Delays()
+		dm := make([]float64, len(ann))
+		for i, v := range ann {
+			dm[i] = f(pe.Name, i, v)
 		}
 		out[pe.Name] = dm
 	}
@@ -127,7 +123,7 @@ func annotatedDelays(d *platform.Design, f func(pe string, i int, v float64) flo
 }
 
 // timedOpts are the options of a recordable run with the given delays.
-func timedOpts(delays map[string]map[*cdfg.Block]float64, rec *Recording, reg *metrics.Registry) Options {
+func timedOpts(delays map[string][]float64, rec *Recording, reg *metrics.Registry) Options {
 	return Options{
 		Timed:     true,
 		WaitMode:  WaitAtTransactions,
@@ -185,7 +181,7 @@ func TestReplayMatchesSimulation(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: simulation: %v", name, err)
 				}
-				byPE := make(map[*platform.PE]map[*cdfg.Block]float64)
+				byPE := make(map[*platform.PE][]float64)
 				for _, pe := range d.PEs {
 					byPE[pe] = delays[pe.Name]
 				}
@@ -228,7 +224,7 @@ func TestReplayNeedsIntegerDelays(t *testing.T) {
 		"negative": func(string, int, float64) float64 { return -1 },
 	} {
 		delays := annotatedDelays(d, bad)
-		byPE := map[*platform.PE]map[*cdfg.Block]float64{d.PEs[0]: delays["cpu"], d.PEs[1]: delays["acc"]}
+		byPE := map[*platform.PE][]float64{d.PEs[0]: delays["cpu"], d.PEs[1]: delays["acc"]}
 		if _, ok := rec.segmentDelays(d, byPE); ok {
 			t.Fatalf("%s: delays accepted for replay", name)
 		}

@@ -54,12 +54,14 @@ type Options struct {
 	Timeout time.Duration
 	// Detail selects the PUM sub-models used during annotation.
 	Detail core.Detail
-	// Delays, when non-nil, supplies precomputed per-PE delay maps (keyed
-	// by PE name) and skips the annotation phase entirely — the staged
-	// pipeline of internal/engine uses this to feed memoized annotations
-	// into the simulation stage. AnnoTime then reports the caller's
-	// annotation cost in the result.
-	Delays   map[string]map[*cdfg.Block]float64
+	// Delays, when non-nil, supplies precomputed per-PE delay tables (keyed
+	// by PE name, one delay per block in dense program order: functions in
+	// order, each function's blocks in order) and skips the annotation
+	// phase entirely — the staged pipeline of internal/engine uses this to
+	// feed memoized annotations into the simulation stage. The run only
+	// reads the tables. AnnoTime then reports the caller's annotation cost
+	// in the result.
+	Delays   map[string][]float64
 	AnnoTime time.Duration
 	// Trace, when set, records per-process busy intervals and bus activity
 	// as a VCD waveform.
@@ -150,15 +152,19 @@ func Run(d *platform.Design, opts Options) (*Result, error) {
 		SwitchesByPE: make(map[string]uint64),
 	}
 
-	// Annotation phase (timed models only): one delay map per PE, either
+	// Annotation phase (timed models only): one delay table per PE, either
 	// precomputed by the caller (pipeline path) or computed here.
-	delays := make(map[*platform.PE]map[*cdfg.Block]float64, len(d.PEs))
+	delays := make(map[*platform.PE][]float64, len(d.PEs))
 	if opts.Timed {
 		if opts.Delays != nil {
 			for _, pe := range d.PEs {
 				dm, ok := opts.Delays[pe.Name]
 				if !ok {
 					return nil, fmt.Errorf("tlm: %s: no precomputed delays for PE %q", d.Name, pe.Name)
+				}
+				if len(dm) != d.Program.NumBlocks() {
+					return nil, fmt.Errorf("tlm: %s: PE %q has %d precomputed delays for a program of %d blocks",
+						d.Name, pe.Name, len(dm), d.Program.NumBlocks())
 				}
 				delays[pe] = dm
 			}
@@ -323,10 +329,36 @@ func report(mr *metrics.Registry, res *Result, bus *Bus, k *sim.Kernel) {
 	mr.Histogram("tlm.wall.seconds").Observe(res.Wall.Seconds())
 }
 
+// pooledCycles converts pooled delay cycles to the whole cycles a wait
+// charges, failing with sim.ErrTimeOverflow (rather than wrapping) when
+// they do not fit a uint64.
+func pooledCycles(pending float64) (uint64, error) {
+	if !(pending < 1<<64) {
+		return 0, fmt.Errorf("%w: %g cycles", sim.ErrTimeOverflow, pending)
+	}
+	return uint64(pending), nil
+}
+
+// waitCycles waits out pooled delay cycles on p's clock of periodPs and
+// returns the whole cycles charged, failing with sim.ErrTimeOverflow when
+// the wait would wrap simulated time.
+func waitCycles(p *sim.Process, pending float64, periodPs sim.Time) (uint64, error) {
+	c, err := pooledCycles(pending)
+	if err != nil {
+		return 0, err
+	}
+	t, err := sim.CyclesToTime(p.Now(), c, periodPs)
+	if err != nil {
+		return 0, err
+	}
+	p.Wait(t)
+	return c, nil
+}
+
 // spawnProcess wires a plain (non-RTOS) process onto the kernel; with
 // record set it also traces the process for a Recording.
 func spawnProcess(ctx context.Context, k *sim.Kernel, d *platform.Design, pe *platform.PE, key, entry string,
-	bus *Bus, dm map[*cdfg.Block]float64, periodPs sim.Time, opts Options, record bool, res *Result) (*procRun, error) {
+	bus *Bus, dm []float64, periodPs sim.Time, opts Options, record bool, res *Result) (*procRun, error) {
 	pr := &procRun{key: key, pe: pe}
 	m, err := interp.NewEngine(d.Program, opts.Engine)
 	if err != nil {
@@ -341,7 +373,7 @@ func spawnProcess(ctx context.Context, k *sim.Kernel, d *platform.Design, pe *pl
 		m.SetDelays(dm)
 	}
 	if record {
-		pr.rec = newRecorder(key, m)
+		pr.rec = newRecorder(key, d.Program, m)
 	}
 	pr.m = m
 	k.Spawn(key, func(p *sim.Process) {
@@ -363,45 +395,47 @@ func spawnProcess(ctx context.Context, k *sim.Kernel, d *platform.Design, pe *pl
 		}
 		// Timed, transaction-boundary mode: each block's delay pools inside
 		// the engine and is applied as one kernel wait at each transaction.
-		drain := func() {
-			if pending := m.TakePending(); pending > 0 {
+		wait := func(pending float64) error {
+			if pending > 0 {
 				start := p.Now()
-				p.Wait(sim.Time(pending) * periodPs)
+				c, err := waitCycles(p, pending, periodPs)
+				if err != nil {
+					return err
+				}
 				ran(start, p.Now())
-				res.CyclesByPE[key] += uint64(pending)
+				res.CyclesByPE[key] += c
 			}
+			return nil
 		}
 		if opts.Timed && opts.WaitMode == WaitPerBlock {
-			m.SetOnDelay(func(delay float64) error {
-				if delay > 0 {
-					start := p.Now()
-					p.Wait(sim.Time(delay) * periodPs)
-					ran(start, p.Now())
-					res.CyclesByPE[key] += uint64(delay)
-				}
-				return nil
-			})
+			m.SetOnDelay(wait)
 		}
 		m.SetChannels(
 			func(ch int, data []int32) error {
 				pr.rec.cut(m, opSend, ch, len(data))
-				drain()
+				if err := wait(m.TakePending()); err != nil {
+					return err
+				}
 				bus.Send(p, ch, data)
 				return nil
 			},
 			func(ch int, buf []int32) error {
 				pr.rec.cut(m, opRecv, ch, len(buf))
-				drain()
+				if err := wait(m.TakePending()); err != nil {
+					return err
+				}
 				bus.Recv(p, ch, buf)
 				return nil
 			})
-		if err := m.Run(entry); err != nil {
+		err := m.Run(entry)
+		if err == nil {
+			pr.rec.cut(m, opEnd, 0, 0)
+			err = wait(m.TakePending())
+		}
+		if err != nil {
 			pr.err = err
 			k.Stop()
-			return
 		}
-		pr.rec.cut(m, opEnd, 0, 0)
-		drain()
 	})
 	return pr, nil
 }
@@ -410,7 +444,7 @@ func spawnProcess(ctx context.Context, k *sim.Kernel, d *platform.Design, pe *pl
 // shared CPU through the RTOS arbiter, and communication releases the CPU
 // while blocked (the timed RTOS model).
 func spawnRTOSTask(ctx context.Context, k *sim.Kernel, d *platform.Design, pe *platform.PE, tk platform.SWTask,
-	cpu *rtos.CPU, bus *Bus, dm map[*cdfg.Block]float64, opts Options) (*procRun, error) {
+	cpu *rtos.CPU, bus *Bus, dm []float64, opts Options) (*procRun, error) {
 	key := pe.Name + "/" + tk.Name
 	pr := &procRun{key: key, pe: pe}
 	task := cpu.AddTask(tk.Name, tk.Priority)
@@ -428,18 +462,23 @@ func spawnRTOSTask(ctx context.Context, k *sim.Kernel, d *platform.Design, pe *p
 	pr.m = m
 	k.Spawn(key, func(p *sim.Process) {
 		cpu.Bind(task, p)
+		consume := func(pending float64) error {
+			c, err := pooledCycles(pending)
+			if err != nil {
+				return err
+			}
+			return cpu.Consume(task, c)
+		}
 		drain := func() error {
 			if pending := m.TakePending(); pending > 0 {
-				if err := cpu.Consume(task, uint64(pending)); err != nil {
-					return err
-				}
+				return consume(pending)
 			}
 			return nil
 		}
 		if opts.WaitMode == WaitPerBlock {
 			m.SetOnDelay(func(delay float64) error {
 				if delay > 0 {
-					if err := cpu.Consume(task, uint64(delay)); err != nil {
+					if err := consume(delay); err != nil {
 						return err
 					}
 					cpu.SchedulingPoint(task)

@@ -272,6 +272,25 @@ func TestRunRejectsInvalidDesign(t *testing.T) {
 	}
 }
 
+// TestRunRejectsMismatchedDelays: precomputed delays must name every PE
+// and hold one delay per block of the design's program.
+func TestRunRejectsMismatchedDelays(t *testing.T) {
+	d := twoPEDesign(t, pingPongSrc)
+	n := d.Program.NumBlocks()
+	for name, tc := range map[string]struct {
+		delays map[string][]float64
+		want   string
+	}{
+		"missing PE":  {map[string][]float64{"cpu": make([]float64, n)}, `no precomputed delays for PE "acc"`},
+		"short table": {map[string][]float64{"cpu": make([]float64, n), "acc": make([]float64, n-1)}, `PE "acc" has`},
+	} {
+		_, err := Run(d, Options{Timed: true, Delays: tc.delays})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: err = %v, want %q", name, err, tc.want)
+		}
+	}
+}
+
 func TestStepLimitPropagates(t *testing.T) {
 	prog := compile(t, `void main() { while (1) {} }`)
 	mb, _ := pum.MicroBlaze().WithCache(pum.CacheCfg{ISize: 2048, DSize: 2048})
