@@ -1,15 +1,17 @@
-// Benchmarks regenerating the paper's evaluation (Tables 1–3) and the
-// ablations of DESIGN.md, plus microbenchmarks of every engine in the
-// stack. Run with:
+// Benchmarks of one layer each: the Table 1 columns (timed and
+// functional simulation, annotation, the ISS and the board), the wait-
+// granularity ablation's per-block simulation, and microbenchmarks of
+// every engine in the stack. Run with:
 //
-//	go test -bench=. -benchmem
+//	go test -run='^$' -bench=. -benchmem .
 //
-// Table benches report simulated cycles (and estimation error where
-// applicable) as custom metrics next to the wall-clock numbers, so one run
-// reproduces both the speed and the accuracy story.
+// Simulation benches report simulated cycles as a custom metric next to
+// the wall-clock numbers. The accuracy numbers of Tables 2–3 and the
+// ablations come from esebench, and BENCH_accuracy.json gates them.
 package ese
 
 import (
+	"context"
 	"testing"
 
 	"ese/internal/apps"
@@ -55,6 +57,17 @@ func benchDesign(b *testing.B, s *experiments.Setup, name string, cc pum.CacheCf
 
 var benchCache = pum.CacheCfg{ISize: 8 * 1024, DSize: 4 * 1024}
 
+// benchDelays takes a design's delay tables from the setup's pipeline;
+// callers keep it outside the timer.
+func benchDelays(b *testing.B, s *experiments.Setup, d *Design) map[string][]float64 {
+	b.Helper()
+	dm, _, err := s.Pipe.DelaysCtx(context.Background(), d, s.Pipe.Detail())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return dm
+}
+
 // ---- Table 1: scalability (per-design simulation speed) ----
 
 // benchTimedTLM times the simulation stage alone under the default
@@ -64,13 +77,10 @@ var benchCache = pum.CacheCfg{ISize: 8 * 1024, DSize: 4 * 1024}
 func benchTimedTLM(b *testing.B, design string) {
 	s := benchSetup(b)
 	d := benchDesign(b, s, design, benchCache)
-	dm, annoTime := s.Pipe.Delays(d, core.FullDetail)
 	opts := tlm.Options{
 		Timed:    true,
 		WaitMode: tlm.WaitAtTransactions,
-		Detail:   core.FullDetail,
-		Delays:   dm,
-		AnnoTime: annoTime,
+		Delays:   benchDelays(b, s, d),
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -88,28 +98,12 @@ func BenchmarkTable1_TimedTLM_SW1(b *testing.B) { benchTimedTLM(b, "SW+1") }
 func BenchmarkTable1_TimedTLM_SW2(b *testing.B) { benchTimedTLM(b, "SW+2") }
 func BenchmarkTable1_TimedTLM_SW4(b *testing.B) { benchTimedTLM(b, "SW+4") }
 
-// BenchmarkTable1_TimedTLM_SW_WithAnno keeps the old end-to-end shape
-// (annotation inside the timer) for trend comparison with earlier baselines.
-func BenchmarkTable1_TimedTLM_SW_WithAnno(b *testing.B) {
-	s := benchSetup(b)
-	d := benchDesign(b, s, "SW", benchCache)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := tlm.RunTimed(d, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.EndCycles(d.Bus.ClockHz)), "sim-cycles")
-	}
-}
-
 func BenchmarkTable1_FunctionalTLM_SW4(b *testing.B) {
 	s := benchSetup(b)
 	d := benchDesign(b, s, "SW+4", benchCache)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tlm.RunFunctional(d, 0); err != nil {
+		if _, err := tlm.Run(d, tlm.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -121,7 +115,9 @@ func BenchmarkTable1_Annotation_SW4(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, pe := range d.PEs {
-			core.EstimateBlocks(d.Program, pe.PUM, core.FullDetail)
+			if _, err := core.EstimateBlocksCtx(context.Background(), d.Program, pe.PUM, core.FullDetail, core.EstOptions{}); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }
@@ -163,81 +159,17 @@ func benchPCAM(b *testing.B, design string) {
 func BenchmarkTable1_PCAM_SW(b *testing.B)  { benchPCAM(b, "SW") }
 func BenchmarkTable1_PCAM_SW4(b *testing.B) { benchPCAM(b, "SW+4") }
 
-// ---- Table 2: SW-only accuracy sweep ----
+// ---- Ablation A2: per-block waits ----
 
-// After the first iteration the Setup's board-reference memo serves the
-// board column of Tables 2–3 and the ablations, so their ns/op time the
-// estimate (and ISS) side; BenchmarkTable1_PCAM_* time the board.
-
-func BenchmarkTable2_FullSweep(b *testing.B) {
-	s := benchSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t2, err := experiments.RunTable2(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(t2.AvgTLMErr, "tlm-avg-err-%")
-		b.ReportMetric(t2.AvgISSErr, "iss-avg-err-%")
-	}
-}
-
-// ---- Table 3: HW-design accuracy sweep ----
-
-func BenchmarkTable3_FullSweep(b *testing.B) {
-	s := benchSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t3, err := experiments.RunTable3(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(t3.AvgErr["SW+4"], "sw4-avg-err-%")
-	}
-}
-
-// ---- Ablations ----
-
-func BenchmarkAblationGranularity_PerTransaction(b *testing.B) {
-	s := benchSetup(b)
-	d := benchDesign(b, s, "SW+4", benchCache)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tlm.Run(d, tlm.Options{Timed: true, WaitMode: tlm.WaitAtTransactions, Detail: core.FullDetail}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
+// BenchmarkAblationGranularity_PerBlock is the expensive side of the
+// wait-granularity ablation; BenchmarkTable1_TimedTLM_SW4 is the other.
 func BenchmarkAblationGranularity_PerBlock(b *testing.B) {
 	s := benchSetup(b)
 	d := benchDesign(b, s, "SW+4", benchCache)
+	opts := tlm.Options{Timed: true, WaitMode: tlm.WaitPerBlock, Delays: benchDelays(b, s, d)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tlm.Run(d, tlm.Options{Timed: true, WaitMode: tlm.WaitPerBlock, Detail: core.FullDetail}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationSensitivity(b *testing.B) {
-	s := benchSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sens, err := experiments.RunSensitivity(s, pum.CacheCfg{ISize: 2048, DSize: 2048},
-			[]float64{-0.25, 0, 0.25})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(sens.Points[2].Err-sens.Points[0].Err, "err-spread-%")
-	}
-}
-
-func BenchmarkAblationPUMDetail(b *testing.B) {
-	s := benchSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunPUMDetail(s, pum.CacheCfg{ISize: 2048, DSize: 2048}); err != nil {
+		if _, err := tlm.Run(d, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -357,21 +289,6 @@ func BenchmarkEngine_ScheduleAlgorithm1(b *testing.B) {
 	}
 }
 
-func BenchmarkEngine_AnnotateProgram(b *testing.B) {
-	prog, err := apps.CompileMP3("SW", benchEval)
-	if err != nil {
-		b.Fatal(err)
-	}
-	model, err := pum.MicroBlaze().WithCache(benchCache)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.EstimateBlocks(prog, model, core.FullDetail)
-	}
-}
-
 // ---- Staged pipeline: parallel and memoized annotation ----
 
 // BenchmarkAnnotateSerial is the reference single-worker, uncached
@@ -388,7 +305,9 @@ func BenchmarkAnnotateSerial(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.EstimateBlocksWith(prog, model, core.FullDetail, core.EstOptions{Workers: 1})
+		if _, err := core.EstimateBlocksCtx(context.Background(), prog, model, core.FullDetail, core.EstOptions{Workers: 1}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -406,7 +325,9 @@ func BenchmarkAnnotateParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.EstimateBlocksWith(prog, model, core.FullDetail, core.EstOptions{})
+		if _, err := core.EstimateBlocksCtx(context.Background(), prog, model, core.FullDetail, core.EstOptions{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -434,7 +355,9 @@ func benchSweep(b *testing.B, fresh bool) {
 			pl = NewPipeline(PipelineOptions{})
 		}
 		for _, m := range models {
-			pl.Annotate(prog, m)
+			if _, err := pl.AnnotateCtx(context.Background(), prog, m); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 	b.StopTimer()

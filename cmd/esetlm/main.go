@@ -47,7 +47,6 @@ import (
 
 	"ese"
 	"ese/internal/cli"
-	"ese/internal/core"
 	"ese/internal/jobspec"
 	"ese/internal/tlm"
 	"ese/internal/trace"
@@ -139,7 +138,6 @@ func run(spec *jobspec.Spec, o outputs) error {
 		simOpts := tlm.Options{
 			Timed:    true,
 			WaitMode: tlm.WaitAtTransactions,
-			Detail:   core.FullDetail,
 			Profile:  doProfile,
 		}
 		var v *trace.VCD

@@ -5,12 +5,12 @@
 package ese
 
 import (
+	"context"
 	"maps"
 	"slices"
 	"testing"
 
 	"ese/internal/apps"
-	"ese/internal/core"
 	"ese/internal/interp"
 	"ese/internal/pum"
 	"ese/internal/tlm"
@@ -59,11 +59,15 @@ func TestEngineDifferentialMP3Designs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			delays, _, err := NewPipeline(PipelineOptions{}).DelaysCtx(context.Background(), d, FullDetail)
+			if err != nil {
+				t.Fatal(err)
+			}
 			run := func(kind interp.EngineKind) *tlm.Result {
 				res, err := tlm.Run(d, tlm.Options{
 					Timed:    true,
 					WaitMode: tlm.WaitAtTransactions,
-					Detail:   core.FullDetail,
+					Delays:   delays,
 					Engine:   kind,
 					Profile:  true,
 				})

@@ -9,7 +9,7 @@
 //	mb := ese.MicroBlazePUM()                      // or ese.LoadPUM(json)
 //	mb, _ = ese.Calibrate(mb, trainProg, "main")   // statistical models
 //	cfg, _ := mb.WithCache(ese.CacheCfg{ISize: 8192, DSize: 4096})
-//	a := ese.Annotate(prog, cfg)                   // Algorithms 1 + 2
+//	a, _ := ese.Annotate(prog, cfg)                // Algorithms 1 + 2
 //	design := &ese.Design{...}                     // map processes to PEs
 //	timed, _ := ese.RunTimedTLM(design)            // fast timed simulation
 //	board, _ := ese.RunBoard(design)               // cycle-accurate reference
@@ -24,17 +24,20 @@
 // once per (block, datapath) pair and reused across cache/branch
 // configurations:
 //
+//	ctx := context.Background()
 //	pl := ese.NewPipeline(ese.PipelineOptions{})
 //	prog, _ := pl.Compile("app.c", src)
 //	for _, cc := range ese.StandardCacheConfigs {
 //		cfg, _ := mb.WithCache(cc)
-//		a := pl.Annotate(prog, cfg)            // schedules reused after 1st
+//		a, _ := pl.AnnotateCtx(ctx, prog, cfg) // schedules reused after 1st
 //		_ = a
 //	}
 //	fmt.Println(pl.Stats())                    // cache hit/miss counters
 //
 // The one-shot functions below (CompileC, Annotate, RunTimedTLM, ...) are
-// thin wrappers over a process-wide default pipeline.
+// thin wrappers over a process-wide default pipeline, which annotates at
+// full detail. Every annotation goes through a pipeline; to annotate at
+// another detail level, build one with PipelineOptions.Detail.
 //
 // All heavy lifting lives in internal packages; this package re-exports the
 // stable surface a downstream user needs.
@@ -229,13 +232,8 @@ func LoadPUM(data []byte) (*PUM, error) { return pum.FromJSON(data) }
 
 // Annotate estimates every basic block of the program against the PE model
 // with full Algorithm 2 detail.
-func Annotate(prog *Program, p *PUM) *Annotated {
-	return defaultPipeline.Annotate(prog, p)
-}
-
-// AnnotateWithDetail estimates with a chosen subset of PUM sub-models.
-func AnnotateWithDetail(prog *Program, p *PUM, d Detail) *Annotated {
-	return defaultPipeline.AnnotateDetail(prog, p, d)
+func Annotate(prog *Program, p *PUM) (*Annotated, error) {
+	return defaultPipeline.AnnotateCtx(context.Background(), prog, p)
 }
 
 // EstimateBlock runs Algorithms 1 and 2 on a single basic block.

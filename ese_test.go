@@ -1,6 +1,7 @@
 package ese
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -39,7 +40,10 @@ func TestFacadeEstimationFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := Annotate(prog, mb)
+	a, err := Annotate(prog, mb)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if a.TotalStatic() <= 0 {
 		t.Fatal("no static delay")
 	}
@@ -174,8 +178,14 @@ func TestFacadeSimplifyAndDetails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	schedOnly := AnnotateWithDetail(prog, mb, Detail{})
-	full := AnnotateWithDetail(prog, mb, FullDetail)
+	schedOnly, err := NewPipeline(PipelineOptions{Detail: &Detail{}}).AnnotateCtx(context.Background(), prog, mb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := Annotate(prog, mb)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if schedOnly.TotalStatic() >= full.TotalStatic() {
 		t.Fatal("schedule-only not below full detail")
 	}

@@ -89,7 +89,10 @@ func main() {
 
 	// 3. Annotate: Algorithm 1 (optimistic scheduling of each block's DFG
 	// on the pipeline model) + Algorithm 2 (statistical penalties).
-	a := ese.Annotate(prog, mb)
+	a, err := ese.Annotate(prog, mb)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Print(a.Summary())
 
 	// 4. The generated timed C code (excerpt).

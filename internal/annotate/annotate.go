@@ -34,25 +34,13 @@ type Annotated struct {
 	Elapsed time.Duration
 }
 
-// Annotate runs the estimation engine over every basic block, fanning
-// blocks out over the default worker pool.
-func Annotate(prog *cdfg.Program, p *pum.PUM, detail core.Detail) *Annotated {
-	return AnnotateWith(prog, p, detail, core.EstOptions{})
-}
-
-// AnnotateWith runs the estimation engine with an explicit worker bound
-// and optional schedule/estimate cache (see core.EstOptions). It is the
-// entry point the staged pipeline of internal/engine uses.
-func AnnotateWith(prog *cdfg.Program, p *pum.PUM, detail core.Detail, opts core.EstOptions) *Annotated {
-	opts.Strict = false
-	a, _ := AnnotateCtx(context.Background(), prog, p, detail, opts)
-	return a
-}
-
-// AnnotateCtx is AnnotateWith under a context: cancellation aborts the
-// block fan-out with diag.ErrCanceled/ErrDeadline, and strict estimation
+// AnnotateCtx runs the estimation engine over every basic block under a
+// context, through the worker bound and optional schedule/estimate cache
+// of opts (see core.EstimateBlocksCtx): cancellation aborts the block
+// fan-out with diag.ErrCanceled/ErrDeadline, and strict estimation
 // options (core.EstOptions.Strict) turn unmapped op classes into errors
-// instead of degraded fallback estimates.
+// instead of degraded fallback estimates. It is the entry point the
+// staged pipeline of internal/engine uses.
 func AnnotateCtx(ctx context.Context, prog *cdfg.Program, p *pum.PUM, detail core.Detail, opts core.EstOptions) (*Annotated, error) {
 	start := time.Now()
 	t, err := core.EstimateBlocksCtx(ctx, prog, p, detail, opts)

@@ -1,6 +1,7 @@
 package annotate
 
 import (
+	"context"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -57,7 +58,17 @@ func annotated(t *testing.T) *Annotated {
 	if err != nil {
 		t.Fatalf("WithCache: %v", err)
 	}
-	return Annotate(prog, p, core.FullDetail)
+	return annotateFull(t, prog, p)
+}
+
+// annotateFull annotates prog against p at full detail, uncached.
+func annotateFull(t *testing.T, prog *cdfg.Program, p *pum.PUM) *Annotated {
+	t.Helper()
+	a, err := AnnotateCtx(context.Background(), prog, p, core.FullDetail, core.EstOptions{})
+	if err != nil {
+		t.Fatalf("AnnotateCtx: %v", err)
+	}
+	return a
 }
 
 func TestAnnotateProducesEstimateForEveryBlock(t *testing.T) {
@@ -148,8 +159,8 @@ func TestAnnotationDependsOnCacheConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aSmall := Annotate(prog, small, core.FullDetail)
-	aBig := Annotate(prog, big, core.FullDetail)
+	aSmall := annotateFull(t, prog, small)
+	aBig := annotateFull(t, prog, big)
 	if aSmall.TotalStatic() <= aBig.TotalStatic() {
 		t.Fatalf("smaller cache (%v) not costlier than bigger (%v)",
 			aSmall.TotalStatic(), aBig.TotalStatic())

@@ -10,7 +10,6 @@ import (
 
 	"ese/internal/cdfg"
 	"ese/internal/cfront"
-	"ese/internal/core"
 	"ese/internal/interp"
 	"ese/internal/pum"
 )
@@ -127,7 +126,7 @@ int main(void) {
 		if err != nil {
 			t.Fatalf("seed %d: lower: %v", seed, err)
 		}
-		a := Annotate(prog, model, core.FullDetail)
+		a := annotateFull(t, prog, model)
 
 		m, err := interp.NewEngine(prog, interp.EngineTree)
 		if err != nil {

@@ -1,8 +1,10 @@
 package apps
 
 import (
+	"context"
 	"testing"
 
+	"ese/internal/core"
 	"ese/internal/interp"
 	"ese/internal/iss"
 	"ese/internal/platform"
@@ -121,7 +123,7 @@ func TestJPEGDCTOffloadFunctionallyIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := tlm.RunFunctional(d, 0)
+	res, err := tlm.Run(d, tlm.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +176,16 @@ func TestJPEGDCTOffloadSpeedsUpBoard(t *testing.T) {
 		d   *platform.Design
 		ref sim.Time
 	}{{sw, bSW.EndPs}, {hw, bHW.EndPs}} {
-		res, err := tlm.RunTimed(pair.d, 0)
+		// The paper's full-detail tables, estimated uncached.
+		delays := make(map[string][]float64, len(pair.d.PEs))
+		for _, pe := range pair.d.PEs {
+			tab, err := core.EstimateBlocksCtx(context.Background(), pair.d.Program, pe.PUM, core.FullDetail, core.EstOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			delays[pe.Name] = tab.Totals()
+		}
+		res, err := tlm.Run(pair.d, tlm.Options{Timed: true, Delays: delays})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -85,7 +85,7 @@ func TestAllDesignsFunctionallyIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", design, err)
 		}
-		res, err := tlm.RunFunctional(d, testLimit)
+		res, err := tlm.Run(d, tlm.Options{StepLimit: testLimit})
 		if err != nil {
 			t.Fatalf("%s: functional TLM: %v", design, err)
 		}

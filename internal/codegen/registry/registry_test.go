@@ -13,7 +13,6 @@ import (
 	"slices"
 	"testing"
 
-	"ese/internal/annotate"
 	"ese/internal/apps"
 	"ese/internal/cdfg"
 	"ese/internal/cfront"
@@ -27,6 +26,22 @@ import (
 )
 
 var allKinds = []interp.EngineKind{interp.EngineTree, interp.EngineCompiled, interp.EngineGen}
+
+// fullTables estimates every PE of d at full detail, uncached: the delay
+// tables a pipeline would hand the TLM and the estimates behind them.
+func fullTables(t *testing.T, d *platform.Design) (map[string][]float64, map[string][]core.Estimate) {
+	t.Helper()
+	delays := make(map[string][]float64, len(d.PEs))
+	est := make(map[string][]core.Estimate, len(d.PEs))
+	for _, pe := range d.PEs {
+		tab, err := core.EstimateBlocksCtx(context.Background(), d.Program, pe.PUM, core.FullDetail, core.EstOptions{})
+		if err != nil {
+			t.Fatalf("EstimateBlocksCtx %s: %v", pe.Name, err)
+		}
+		delays[pe.Name], est[pe.Name] = tab.Totals(), tab.Estimates()
+	}
+	return delays, est
+}
 
 // TestRegistryCoversExamplesAndSelfTests asserts a generated engine is
 // registered for every example design program and every self-test
@@ -344,11 +359,12 @@ func TestExampleDesignDifferential(t *testing.T) {
 			if interp.GeneratedFor(d.Program) == nil {
 				t.Fatalf("no generated engine for %s", d.Name)
 			}
+			delays, _ := fullTables(t, d)
 			run := func(kind interp.EngineKind) *tlm.Result {
 				res, err := tlm.Run(d, tlm.Options{
 					Timed:    true,
 					WaitMode: tlm.WaitAtTransactions,
-					Detail:   core.FullDetail,
+					Delays:   delays,
 					Engine:   kind,
 					Profile:  true,
 				})
@@ -490,19 +506,16 @@ func TestProfilerReconciliationUnderGen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	delays, est := fullTables(t, d)
 	res, err := tlm.Run(d, tlm.Options{
 		Timed:    true,
 		WaitMode: tlm.WaitAtTransactions,
-		Detail:   core.FullDetail,
+		Delays:   delays,
 		Engine:   interp.EngineGen,
 		Profile:  true,
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	est := make(map[string][]core.Estimate, len(d.PEs))
-	for _, pe := range d.PEs {
-		est[pe.Name] = annotate.Annotate(d.Program, pe.PUM, core.FullDetail).Table.Estimates()
 	}
 	rep, err := profile.Build(d.Name, d.Program, res.BlockCountsByPE, est)
 	if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -168,13 +169,16 @@ void main() {
 	}
 	before := fingerprints()
 	p := mbWithCache(t, 8*1024, 4*1024)
-	est := EstimateBlocks(prog, p, FullDetail)
+	est, err := EstimateBlocksCtx(context.Background(), prog, p, FullDetail, EstOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if est.Len() != prog.NumBlocks() {
 		t.Fatalf("estimates = %d, want %d", est.Len(), prog.NumBlocks())
 	}
 	for b, fp := range fingerprints() {
 		if fp != before[b] {
-			t.Fatalf("%s bb%d: EstimateBlocks changed the block", b.Fn.Name, b.ID)
+			t.Fatalf("%s bb%d: EstimateBlocksCtx changed the block", b.Fn.Name, b.ID)
 		}
 	}
 	for _, e := range est.Estimates() {

@@ -266,7 +266,7 @@ func (c *Cache) tablePut(k tableKey, t *Table) *Table {
 	return t
 }
 
-// EstOptions configures EstimateBlocksWith.
+// EstOptions configures EstimateBlocksCtx.
 type EstOptions struct {
 	// Workers bounds the worker pool that schedules blocks missing from
 	// the cache (every block without one). Zero or negative uses
@@ -281,7 +281,7 @@ type EstOptions struct {
 	// DefaultFallbackCycles. Such blocks carry Estimate.Unmapped > 0.
 	FallbackCycles int
 	// Strict turns unmapped op classes into hard errors instead of
-	// degraded estimates (only meaningful through EstimateBlocksCtx).
+	// degraded estimates.
 	Strict bool
 	// Diags, when non-nil, receives a Warning diagnostic for every
 	// degraded block (and the Error diagnostics of strict mode).
@@ -300,36 +300,20 @@ func (o EstOptions) fallback() int {
 	return o.FallbackCycles
 }
 
-// EstimateBlocks computes the estimate table of every block of every
+// EstimateBlocksCtx computes the estimate table of every block of every
 // function under one PUM, without mutating the IR, scheduling the blocks
-// over a bounded worker pool. Results are bit-identical to the serial
-// path: every block is estimated independently and deterministically.
-// Platforms that map functions of the same program onto several PEs keep
-// one table per PE.
-func EstimateBlocks(prog *cdfg.Program, p *pum.PUM, detail Detail) *Table {
-	return EstimateBlocksWith(prog, p, detail, EstOptions{})
-}
-
-// EstimateBlocksWith is EstimateBlocks with an explicit worker bound and
-// optional memoization cache. Cancellation and strict-mode errors require
-// EstimateBlocksCtx; this legacy form estimates to completion in graceful-
-// degradation mode.
-func EstimateBlocksWith(prog *cdfg.Program, p *pum.PUM, detail Detail, opts EstOptions) *Table {
-	opts.Strict = false
-	t, _ := EstimateBlocksCtx(context.Background(), prog, p, detail, opts)
-	return t
-}
-
-// EstimateBlocksCtx is the context-aware estimation entry point. With a
-// cache, a call whose table is stored does no per-block work; otherwise
-// the table is built (see Cache.build) and stored. The context is checked
-// on entry and between scheduled blocks: cancellation returns a nil table
-// and the typed diag.ErrCanceled/diag.ErrDeadline, and stores no partial
-// table. In strict mode (opts.Strict) a block using an op class the PUM
-// does not map is a hard error naming the block and the missing classes;
-// otherwise such blocks are estimated with the fallback latency, flagged
-// via Estimate.Unmapped, and reported as Warning diagnostics on
-// opts.Diags — on every call, whether its table was built or hit.
+// over a bounded worker pool; results are bit-identical to the serial
+// path. Platforms that map functions of the same program onto several PEs
+// keep one table per PE. With a cache, a call whose table is stored does
+// no per-block work; otherwise the table is built (see Cache.build) and
+// stored. The context is checked on entry and between scheduled blocks:
+// cancellation returns a nil table and the typed
+// diag.ErrCanceled/diag.ErrDeadline, and stores no partial table. In
+// strict mode (opts.Strict) a block using an op class the PUM does not
+// map is a hard error naming the block and the missing classes; otherwise
+// such blocks are estimated with the fallback latency, flagged via
+// Estimate.Unmapped, and reported as Warning diagnostics on opts.Diags —
+// on every call, whether its table was built or hit.
 func EstimateBlocksCtx(ctx context.Context, prog *cdfg.Program, p *pum.PUM, detail Detail, opts EstOptions) (*Table, error) {
 	t, err := estimate(ctx, prog, p, detail, opts)
 	if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -62,7 +63,11 @@ func TestEstimateCacheCountsIndependentOfWorkers(t *testing.T) {
 		var est []Estimate
 		for k := range deltas {
 			before := c.Stats()
-			est = EstimateBlocksWith(prog, p, FullDetail, EstOptions{Workers: workers, Cache: c}).Estimates()
+			tab, err := EstimateBlocksCtx(context.Background(), prog, p, FullDetail, EstOptions{Workers: workers, Cache: c})
+			if err != nil {
+				t.Fatal(err)
+			}
+			est = tab.Estimates()
 			deltas[k] = statsDelta(before, c.Stats())
 		}
 		return deltas, est

@@ -10,7 +10,7 @@
 // produces the statistics-independent SchedResult of Algorithm 1, and
 // ComposeEstimate applies Algorithm 2's statistical penalties on top. The
 // split is what makes schedule results cacheable across retargets of the
-// statistical models (see Cache and EstimateBlocksWith).
+// statistical models (see Cache and EstimateBlocksCtx).
 package core
 
 import (

@@ -154,9 +154,15 @@ func TestEstimateTablesSharedAcrossSeeds(t *testing.T) {
 	}
 	m := pum.MicroBlaze()
 	c := core.NewCache()
-	ta := core.EstimateBlocksWith(a, m, core.FullDetail, core.EstOptions{Cache: c})
+	ta, err := core.EstimateBlocksCtx(context.Background(), a, m, core.FullDetail, core.EstOptions{Cache: c})
+	if err != nil {
+		t.Fatal(err)
+	}
 	before := c.Stats()
-	tb := core.EstimateBlocksWith(b, m, core.FullDetail, core.EstOptions{Cache: c})
+	tb, err := core.EstimateBlocksCtx(context.Background(), b, m, core.FullDetail, core.EstOptions{Cache: c})
+	if err != nil {
+		t.Fatal(err)
+	}
 	after := c.Stats()
 	if ta != tb {
 		t.Fatal("the second seed built its own table")

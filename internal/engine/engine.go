@@ -2,14 +2,21 @@
 //
 //	Parse → Check → Lower → Simplify → Annotate → Build/Simulate
 //
-// Three entry points cover the stages: Compile runs the front end (parse
-// through simplify, each stage timed and tagged) from source to a
-// cdfg.Program, Annotate and its variants estimate a program against a
-// PE model (annotate.Annotated), and Simulate — with Delays for callers
-// that only need the per-PE delay tables — runs a mapped design
-// (tlm.Result). A Pipeline owns a content-addressed schedule/estimate
-// cache (see core.Cache) and a bounded worker pool that schedules the
-// blocks the cache misses: constructing one pipeline and pushing a
+// The pipeline is the only place annotation happens. Its entry points
+// cover the stages: CompileCtx runs the front end (parse through simplify,
+// each stage timed and tagged) from source to a cdfg.Program; AnnotateCtx
+// estimates a program against a PE model (annotate.Annotated); DelaysCtx
+// estimates every PE of a mapped design into the per-PE delay tables the
+// timed TLM and the Go generator consume; SimulateCtx runs a mapped design
+// (tlm.Result), annotating it first when the caller passes no tables.
+// Every annotation the pipeline makes on its own uses Options.Detail;
+// DelaysCtx's detail argument is the one per-call override, for the
+// ablations that vary detail. Compile, Simulate, RunTimed and
+// RunFunctional are context-free forms with the same semantics.
+//
+// A Pipeline owns a content-addressed schedule/estimate cache (see
+// core.Cache) and a bounded worker pool that schedules the blocks the
+// cache misses: constructing one pipeline and pushing a
 // multi-configuration retarget sweep through it computes every Algorithm 1
 // schedule exactly once — the cheap re-annotation the paper's Table 1
 // sells ("Anno." column) — while the statistical Algorithm 2 composition
@@ -57,21 +64,23 @@ type Options struct {
 	// replacement beyond it, counted as evictions); zero or negative means
 	// unbounded.
 	CacheLimit int
-	// Detail selects the PUM sub-models Annotate applies; nil means
-	// core.FullDetail (the paper's full Algorithm 2). AnnotateDetail
-	// overrides it per call.
+	// Detail selects the PUM sub-models of every annotation the pipeline
+	// makes on its own — AnnotateCtx, and SimulateCtx/RunTimed when the
+	// caller passes no delay tables; nil means core.FullDetail (the
+	// paper's full Algorithm 2). DelaysCtx's detail argument is the one
+	// per-call override.
 	Detail *core.Detail
-	// Strict makes annotation fail (through the Ctx entry points) when the
-	// PUM does not map an op class the program uses, instead of degrading
-	// to fallback latencies.
+	// Strict makes annotation fail when the PUM does not map an op class
+	// the program uses, instead of degrading to fallback latencies.
 	Strict bool
 	// FallbackCycles is the stage-0 latency charged to unmapped op classes
 	// in graceful-degradation mode; zero or negative selects
 	// core.DefaultFallbackCycles.
 	FallbackCycles int
-	// Timeout, when positive, arms a wall-clock watchdog on every Ctx entry
-	// point (CompileCtx, AnnotateCtx, SimulateCtx): the call is abandoned
-	// with diag.ErrDeadline once that much host time has elapsed.
+	// Timeout, when positive, arms a wall-clock watchdog on every entry
+	// point (CompileCtx, AnnotateCtx, DelaysCtx, SimulateCtx and their
+	// context-free forms): the call is abandoned with diag.ErrDeadline once
+	// that much host time has elapsed.
 	Timeout time.Duration
 	// Engine is the pipeline-wide default execution engine for Simulate
 	// runs: interp.EngineAuto (the zero value) uses the registered
@@ -79,9 +88,10 @@ type Options struct {
 	// tlm.Options.Engine other than auto takes precedence.
 	Engine interp.EngineKind
 	// Verify runs the static IR verifier after the front end (CompileCtx),
-	// the PUM lint before annotation (AnnotateCtx and friends), and the
-	// full design verification before simulation (SimulateCtx). Findings
-	// land in Diagnostics(); Error-severity findings fail the stage.
+	// the PUM lint before annotation (AnnotateCtx), and the full design
+	// verification before a design is annotated or simulated (DelaysCtx,
+	// SimulateCtx). Findings land in Diagnostics(); Error-severity findings
+	// fail the stage.
 	Verify bool
 	// Werror promotes verification Warnings (e.g. op-mapping coverage
 	// gaps) to stage failures. Only meaningful with Verify.
@@ -152,7 +162,8 @@ func New(opts Options) *Pipeline {
 	return pl
 }
 
-// Detail returns the detail level Annotate applies.
+// Detail returns the detail level of the annotations the pipeline makes on
+// its own (Options.Detail).
 func (pl *Pipeline) Detail() core.Detail { return pl.detail }
 
 // Stats returns the counters accumulated so far: cache hits/misses (zero
@@ -326,53 +337,32 @@ func (pl *Pipeline) CompileCtx(ctx context.Context, name, src string) (*cdfg.Pro
 
 // ---------------------------------------------------------------- Annotate
 
-// Annotate estimates every basic block of the program against the PE
+// AnnotateCtx estimates every basic block of the program against the PE
 // model at the pipeline's detail level, through the worker pool and the
-// schedule/estimate cache. Unmapped op classes always degrade to fallback
-// latencies on this legacy path; use AnnotateCtx for strict mode.
-func (pl *Pipeline) Annotate(prog *cdfg.Program, p *pum.PUM) *annotate.Annotated {
-	return pl.AnnotateDetail(prog, p, pl.detail)
-}
-
-// AnnotateDetail is Annotate with an explicit detail level (used by the
-// PUM-detail ablation).
-func (pl *Pipeline) AnnotateDetail(prog *cdfg.Program, p *pum.PUM, detail core.Detail) *annotate.Annotated {
-	start := time.Now()
-	a := annotate.AnnotateWith(prog, p, detail, pl.estOpts())
-	pl.timeStage(diag.StageAnnotate, start)
-	pl.recordDegradation(a)
-	return a
-}
-
-// AnnotateCtx estimates every basic block under a context with panic
-// containment: cancellation or deadline expiry aborts the worker fan-out
-// with diag.ErrCanceled/ErrDeadline, strict mode (Options.Strict) rejects
-// PUMs that do not map every op class the program uses, and a panic inside
-// the estimator is returned as a stage-tagged *diag.PanicError.
+// schedule/estimate cache, with panic containment: cancellation or
+// deadline expiry aborts the worker fan-out with
+// diag.ErrCanceled/ErrDeadline, Options.Verify lints the model first,
+// strict mode (Options.Strict) rejects PUMs that do not map every op class
+// the program uses, and a panic inside the estimator is returned as a
+// stage-tagged *diag.PanicError.
 func (pl *Pipeline) AnnotateCtx(ctx context.Context, prog *cdfg.Program, p *pum.PUM) (*annotate.Annotated, error) {
-	return pl.AnnotateDetailCtx(ctx, prog, p, pl.detail)
-}
-
-// AnnotateDetailCtx is AnnotateCtx with an explicit detail level.
-func (pl *Pipeline) AnnotateDetailCtx(ctx context.Context, prog *cdfg.Program, p *pum.PUM, detail core.Detail) (*annotate.Annotated, error) {
-	// Lint the model against the op classes the program uses before
-	// spending any scheduling work on it.
-	return pl.annotateDetailCtx(ctx, prog, p, detail, pl.opts.Verify)
-}
-
-// annotateDetailCtx is the shared annotation path; lint selects the PUM
-// lint, which the design-level paths disable because verify.Design has
-// already linted each PE model scoped to its own entry functions (a
-// whole-program lint would hold a hardware PE to op classes it never
-// executes).
-func (pl *Pipeline) annotateDetailCtx(ctx context.Context, prog *cdfg.Program, p *pum.PUM, detail core.Detail, lint bool) (*annotate.Annotated, error) {
 	ctx, cancel := pl.withTimeout(ctx)
 	defer cancel()
-	if lint {
+	// Lint the model against the op classes the program uses before
+	// spending any scheduling work on it.
+	if pl.opts.Verify {
 		if err := pl.runVerify(verify.Model(p, prog)); err != nil {
 			return nil, err
 		}
 	}
+	return pl.annotate(ctx, prog, p, pl.detail)
+}
+
+// annotate is the shared annotation stage. It runs no PUM lint: the
+// design-level paths verify with verify.Design, which lints each PE model
+// scoped to its own entry functions (a whole-program lint would hold a
+// hardware PE to op classes it never executes).
+func (pl *Pipeline) annotate(ctx context.Context, prog *cdfg.Program, p *pum.PUM, detail core.Detail) (*annotate.Annotated, error) {
 	var a *annotate.Annotated
 	start := time.Now()
 	err := diag.Guard(diag.StageAnnotate, func() (err error) {
@@ -396,36 +386,31 @@ func (pl *Pipeline) annotateDetailCtx(ctx context.Context, prog *cdfg.Program, p
 
 // ------------------------------------------------------------- Build / Sim
 
-// Delays annotates a design's program once per PE through the cache and
-// returns the per-PE delay tables the timed TLM consumes (keyed by PE
-// name, each in dense program block order and shared read-only with the
-// cache), plus the wall-clock annotation time (the paper's "Anno."
-// column).
-func (pl *Pipeline) Delays(d *platform.Design, detail core.Detail) (map[string][]float64, time.Duration) {
-	out, dur, _ := pl.DelaysCtx(context.Background(), d, detail)
-	return out, dur
-}
-
-// DelaysCtx is Delays under a context: cancellation or a strict-mode
-// mapping failure aborts the per-PE annotation loop with the typed error.
-// With Options.Verify the whole design is verified first (program, PE
-// models scoped to their entries, channel topology).
+// DelaysCtx annotates a design's program once per PE at the given detail
+// level through the cache and returns the per-PE delay tables the timed
+// TLM consumes (keyed by PE name, each in dense program block order and
+// shared read-only with the cache), plus the wall-clock annotation time
+// (the paper's "Anno." column). Cancellation or a strict-mode mapping
+// failure aborts the per-PE annotation loop with the typed error. With
+// Options.Verify the whole design is verified first (program, PE models
+// scoped to their entries, channel topology).
 func (pl *Pipeline) DelaysCtx(ctx context.Context, d *platform.Design, detail core.Detail) (map[string][]float64, time.Duration, error) {
-	return pl.delaysCtx(ctx, d, detail, false)
-}
-
-// delaysCtx computes per-PE delay tables; verified says the caller already
-// ran the design-level verification, so it is not repeated.
-func (pl *Pipeline) delaysCtx(ctx context.Context, d *platform.Design, detail core.Detail, verified bool) (map[string][]float64, time.Duration, error) {
-	start := time.Now()
-	if pl.opts.Verify && !verified {
+	ctx, cancel := pl.withTimeout(ctx)
+	defer cancel()
+	if pl.opts.Verify {
 		if err := pl.runVerify(verify.Design(d)); err != nil {
-			return nil, time.Since(start), err
+			return nil, 0, err
 		}
 	}
+	return pl.delays(ctx, d, detail)
+}
+
+// delays computes the per-PE delay tables of an already verified design.
+func (pl *Pipeline) delays(ctx context.Context, d *platform.Design, detail core.Detail) (map[string][]float64, time.Duration, error) {
+	start := time.Now()
 	out := make(map[string][]float64, len(d.PEs))
 	for _, pe := range d.PEs {
-		a, err := pl.annotateDetailCtx(ctx, d.Program, pe.PUM, detail, false)
+		a, err := pl.annotate(ctx, d.Program, pe.PUM, detail)
 		if err != nil {
 			return nil, time.Since(start), err
 		}
@@ -434,20 +419,23 @@ func (pl *Pipeline) delaysCtx(ctx context.Context, d *platform.Design, detail co
 	return out, time.Since(start), nil
 }
 
-// Simulate runs the TLM of a design. For timed runs the annotation phase
-// goes through the pipeline's cache and worker pool, so a sweep that
-// simulates several configurations of one program reuses every schedule
-// after the first.
+// Simulate is SimulateCtx without a context. For timed runs the
+// annotation phase goes through the pipeline's cache and worker pool, so
+// a sweep that simulates several configurations of one program reuses
+// every schedule after the first.
 func (pl *Pipeline) Simulate(d *platform.Design, opts tlm.Options) (*tlm.Result, error) {
 	return pl.SimulateCtx(context.Background(), d, opts)
 }
 
-// SimulateCtx is Simulate under a context with panic containment and the
-// pipeline's watchdog: cancellation or deadline expiry interrupts both the
-// annotation fan-out and the simulation event loop. On cancellation mid-
-// simulation the partial tlm.Result is returned together with
-// diag.ErrCanceled/ErrDeadline; a panic anywhere in the stage surfaces as
-// a *diag.PanicError instead of killing the process.
+// SimulateCtx runs the TLM of a design under a context with panic
+// containment and the pipeline's watchdog. A timed run without delay
+// tables (opts.Delays nil) is annotated first at the pipeline's detail
+// level, and the result's AnnoTime reports that annotation. Cancellation
+// or deadline expiry interrupts both the annotation fan-out and the
+// simulation event loop. On cancellation mid-simulation the partial
+// tlm.Result is returned together with diag.ErrCanceled/ErrDeadline; a
+// panic anywhere in the stage surfaces as a *diag.PanicError instead of
+// killing the process.
 func (pl *Pipeline) SimulateCtx(ctx context.Context, d *platform.Design, opts tlm.Options) (*tlm.Result, error) {
 	ctx, cancel := pl.withTimeout(ctx)
 	defer cancel()
@@ -456,12 +444,13 @@ func (pl *Pipeline) SimulateCtx(ctx context.Context, d *platform.Design, opts tl
 			return nil, err
 		}
 	}
+	var annoTime time.Duration
 	if opts.Timed && opts.Delays == nil {
-		dm, annoTime, err := pl.delaysCtx(ctx, d, opts.Detail, true)
+		dm, dur, err := pl.delays(ctx, d, pl.detail)
 		if err != nil {
 			return nil, err
 		}
-		opts.Delays, opts.AnnoTime = dm, annoTime
+		opts.Delays, annoTime = dm, dur
 	}
 	if opts.Ctx == nil {
 		opts.Ctx = ctx
@@ -479,6 +468,9 @@ func (pl *Pipeline) SimulateCtx(ctx context.Context, d *platform.Design, opts tl
 		return
 	})
 	pl.timeStage(diag.StageSimulate, start)
+	if res != nil {
+		res.AnnoTime = annoTime
+	}
 	if err != nil {
 		pl.diags.AddError(diag.StageSimulate, err)
 	}
@@ -494,9 +486,5 @@ func (pl *Pipeline) RunFunctional(d *platform.Design) (*tlm.Result, error) {
 // level and transaction-boundary waits, the configuration the paper
 // evaluates.
 func (pl *Pipeline) RunTimed(d *platform.Design) (*tlm.Result, error) {
-	return pl.Simulate(d, tlm.Options{
-		Timed:    true,
-		WaitMode: tlm.WaitAtTransactions,
-		Detail:   pl.detail,
-	})
+	return pl.Simulate(d, tlm.Options{Timed: true, WaitMode: tlm.WaitAtTransactions})
 }

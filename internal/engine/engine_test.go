@@ -1,7 +1,10 @@
 package engine
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"maps"
 	"runtime"
 	"testing"
 
@@ -9,9 +12,22 @@ import (
 	"ese/internal/apps"
 	"ese/internal/cdfg"
 	"ese/internal/core"
+	"ese/internal/diag"
+	"ese/internal/platform"
 	"ese/internal/pum"
 	"ese/internal/tlm"
 )
+
+// annotateOK annotates prog against p through pl and fails the test on
+// error.
+func annotateOK(t *testing.T, pl *Pipeline, prog *cdfg.Program, p *pum.PUM) *annotate.Annotated {
+	t.Helper()
+	a, err := pl.AnnotateCtx(context.Background(), prog, p)
+	if err != nil {
+		t.Fatalf("AnnotateCtx: %v", err)
+	}
+	return a
+}
 
 // testProgram compiles the MP3 SW workload through a throwaway pipeline.
 func testProgram(t *testing.T) *cdfg.Program {
@@ -82,7 +98,10 @@ func TestParallelAnnotationDeterminism(t *testing.T) {
 		t.Logf("GOMAXPROCS=%d", gmp)
 		for name, m := range testModels(t) {
 			// Serial reference: no cache, one worker, direct core path.
-			ref := annotate.AnnotateWith(prog, m, core.FullDetail, core.EstOptions{Workers: 1})
+			ref, err := annotate.AnnotateCtx(context.Background(), prog, m, core.FullDetail, core.EstOptions{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
 			for variant, pl := range map[string]*Pipeline{
 				"parallel":         New(Options{NoCache: true}),
 				"parallel+cache":   New(Options{}),
@@ -90,14 +109,14 @@ func TestParallelAnnotationDeterminism(t *testing.T) {
 				"explicit-workers": New(Options{Workers: 4}),
 			} {
 				label := fmt.Sprintf("gomaxprocs=%d/%s/%s", gmp, name, variant)
-				a := pl.Annotate(prog, m)
+				a := annotateOK(t, pl, prog, m)
 				sameEstimates(t, label, ref.Table, a.Table)
 				if want, got := ref.EmitTimedC(), a.EmitTimedC(); want != got {
 					t.Fatalf("%s: EmitTimedC differs from serial reference", label)
 				}
 				// Annotating again must be fully served from the cache and
 				// still identical.
-				a2 := pl.Annotate(prog, m)
+				a2 := annotateOK(t, pl, prog, m)
 				sameEstimates(t, label+"/reannotate", ref.Table, a2.Table)
 			}
 		}
@@ -135,7 +154,7 @@ func TestSweepReusesSchedules(t *testing.T) {
 		if err != nil {
 			t.Fatalf("WithCache: %v", err)
 		}
-		pl.Annotate(prog, m)
+		annotateOK(t, pl, prog, m)
 	}
 	cs := pl.Stats()
 	nCfg := uint64(len(pum.StandardCacheConfigs))
@@ -175,9 +194,9 @@ func TestCacheSurvivesRecompilation(t *testing.T) {
 		t.Fatalf("Compile: %v", err)
 	}
 	m := pum.MicroBlaze()
-	a1 := pl.Annotate(p1, m)
+	a1 := annotateOK(t, pl, p1, m)
 	mid := pl.Stats()
-	a2 := pl.Annotate(p2, m)
+	a2 := annotateOK(t, pl, p2, m)
 	end := pl.Stats()
 
 	n := uint64(numBlocks(p1))
@@ -199,8 +218,8 @@ func TestCacheSurvivesRecompilation(t *testing.T) {
 }
 
 // TestPipelineSimulateMatchesDirect checks the timed TLM driven through
-// the pipeline's precomputed-delay path gives the same simulated end time
-// and outputs as the legacy in-simulator annotation path.
+// the pipeline's cached annotation gives the same simulated end time,
+// per-PE cycles and outputs as tlm.Run fed uncached estimate tables.
 func TestPipelineSimulateMatchesDirect(t *testing.T) {
 	cc := pum.CacheCfg{ISize: 8192, DSize: 4096}
 	d, err := apps.MP3Design("SW+1", apps.TrainMP3, pum.MicroBlaze(), cc)
@@ -216,22 +235,99 @@ func TestPipelineSimulateMatchesDirect(t *testing.T) {
 	if err != nil {
 		t.Fatalf("MP3Design: %v", err)
 	}
-	want, err := tlm.RunTimed(d2, 0)
+	delays := make(map[string][]float64, len(d2.PEs))
+	for _, pe := range d2.PEs {
+		tab, err := core.EstimateBlocksCtx(context.Background(), d2.Program, pe.PUM, core.FullDetail, core.EstOptions{})
+		if err != nil {
+			t.Fatalf("EstimateBlocksCtx %s: %v", pe.Name, err)
+		}
+		delays[pe.Name] = tab.Totals()
+	}
+	want, err := tlm.Run(d2, tlm.Options{Timed: true, WaitMode: tlm.WaitAtTransactions, Delays: delays})
 	if err != nil {
-		t.Fatalf("legacy RunTimed: %v", err)
+		t.Fatalf("direct tlm.Run: %v", err)
 	}
 	if got.EndPs != want.EndPs {
-		t.Errorf("simulated end time %d != legacy %d", got.EndPs, want.EndPs)
+		t.Errorf("simulated end time %d != direct %d", got.EndPs, want.EndPs)
+	}
+	if !maps.Equal(got.CyclesByPE, want.CyclesByPE) {
+		t.Errorf("per-PE cycles %v != direct %v", got.CyclesByPE, want.CyclesByPE)
 	}
 	for pe, out := range want.OutByPE {
 		g := got.OutByPE[pe]
 		if len(g) != len(out) {
-			t.Fatalf("PE %s: %d outputs != legacy %d", pe, len(g), len(out))
+			t.Fatalf("PE %s: %d outputs != direct %d", pe, len(g), len(out))
 		}
 		for i := range out {
 			if g[i] != out[i] {
-				t.Fatalf("PE %s out[%d]: %d != legacy %d", pe, i, g[i], out[i])
+				t.Fatalf("PE %s out[%d]: %d != direct %d", pe, i, g[i], out[i])
 			}
+		}
+	}
+}
+
+// TestSimulateUsesPipelineDetail: a timed Simulate without delay tables
+// annotates at the pipeline's detail, so it equals RunTimed on every PE
+// and on the end time.
+func TestSimulateUsesPipelineDetail(t *testing.T) {
+	d, err := apps.MP3Design("SW", apps.MP3Config{Frames: 1, Seed: apps.DefaultMP3.Seed},
+		pum.MicroBlaze(), pum.CacheCfg{ISize: 2048, DSize: 2048})
+	if err != nil {
+		t.Fatalf("MP3Design: %v", err)
+	}
+	pl := New(Options{})
+	got, err := pl.Simulate(d, tlm.Options{Timed: true, WaitMode: tlm.WaitAtTransactions})
+	if err != nil {
+		t.Fatalf("Simulate: %v", err)
+	}
+	want, err := pl.RunTimed(d)
+	if err != nil {
+		t.Fatalf("RunTimed: %v", err)
+	}
+	if !maps.Equal(got.CyclesByPE, want.CyclesByPE) || got.EndPs != want.EndPs {
+		t.Fatalf("Simulate gave cycles %v end %d, RunTimed cycles %v end %d",
+			got.CyclesByPE, got.EndPs, want.CyclesByPE, want.EndPs)
+	}
+}
+
+// TestStrictDesignPaths: under Options.Strict, a design whose processor
+// model lacks an op class the program uses fails with one annotate-stage
+// error through every annotation path — AnnotateCtx, DelaysCtx,
+// SimulateCtx and RunTimed.
+func TestStrictDesignPaths(t *testing.T) {
+	pl := New(Options{Strict: true})
+	prog, err := pl.Compile("mul.c", `
+int a[8];
+void main() {
+  int i; int s;
+  s = 1;
+  for (i = 0; i < 8; i++) s = s * a[i] + i;
+  out(s);
+}`)
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	gap := pum.MicroBlaze()
+	delete(gap.Ops, cdfg.ClassMul)
+	d := &platform.Design{
+		Name:    "mul",
+		Program: prog,
+		Bus:     platform.DefaultBus(),
+		PEs:     []*platform.PE{{Name: "cpu", Kind: platform.Processor, Entry: "main", PUM: gap}},
+	}
+	ctx := context.Background()
+	_, annoErr := pl.AnnotateCtx(ctx, prog, gap)
+	_, _, delaysErr := pl.DelaysCtx(ctx, d, pl.Detail())
+	_, simErr := pl.SimulateCtx(ctx, d, tlm.Options{Timed: true, WaitMode: tlm.WaitAtTransactions})
+	_, timedErr := pl.RunTimed(d)
+	var want diag.Diagnostic
+	if !errors.As(annoErr, &want) || want.Stage != diag.StageAnnotate {
+		t.Fatalf("AnnotateCtx: want an annotate-stage diagnostic, got %v", annoErr)
+	}
+	for name, err := range map[string]error{"DelaysCtx": delaysErr, "SimulateCtx": simErr, "RunTimed": timedErr} {
+		var got diag.Diagnostic
+		if !errors.As(err, &got) || got.Stage != want.Stage || got.Error() != want.Error() {
+			t.Errorf("%s: got %v, want %v", name, err, want)
 		}
 	}
 }

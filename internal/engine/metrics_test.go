@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"ese/internal/core"
 	"ese/internal/platform"
 	"ese/internal/pum"
 	"ese/internal/tlm"
@@ -47,7 +46,7 @@ func TestPipelineMetricsSnapshot(t *testing.T) {
 			{Name: "acc", Kind: platform.HWUnit, Entry: "worker", PUM: pum.CustomHW("acc", 100_000_000)},
 		},
 	}
-	res, err := pl.Simulate(d, tlm.Options{Timed: true, WaitMode: tlm.WaitAtTransactions, Detail: core.FullDetail})
+	res, err := pl.Simulate(d, tlm.Options{Timed: true, WaitMode: tlm.WaitAtTransactions})
 	if err != nil {
 		t.Fatalf("Simulate: %v", err)
 	}
@@ -82,7 +81,7 @@ func TestPipelineMetricsSnapshot(t *testing.T) {
 	if snap.Gauges["cache.entries.sched"] == 0 {
 		t.Error("cache.entries.sched gauge is zero")
 	}
-	pl.Annotate(prog, mb)
+	annotateOK(t, pl, prog, mb)
 	snap2 := pl.MetricsSnapshot()
 	if snap2.Counters["cache.est.hits"] == 0 {
 		t.Error("re-annotation did not hit the estimate cache")
@@ -102,8 +101,8 @@ func TestCacheLimitEvicts(t *testing.T) {
 		t.Fatalf("Compile: %v", err)
 	}
 	// Two distinct models: more unique (block, model) keys than the limit.
-	pl.Annotate(prog, pum.MicroBlaze())
-	pl.Annotate(prog, pum.DualIssue())
+	annotateOK(t, pl, prog, pum.MicroBlaze())
+	annotateOK(t, pl, prog, pum.DualIssue())
 	st := pl.Stats()
 	if st.Evictions == 0 {
 		t.Fatalf("no evictions with limit 4 (stats %+v)", st)

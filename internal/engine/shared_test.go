@@ -21,14 +21,14 @@ func TestSharedCacheInjection(t *testing.T) {
 	shared := core.NewCache()
 
 	p1 := New(Options{Cache: shared})
-	a1 := p1.Annotate(prog, model)
+	a1 := annotateOK(t, p1, prog, model)
 	warm := shared.Stats()
 	if warm.SchedMisses == 0 {
 		t.Fatalf("first pipeline should miss the shared cache, got %+v", warm)
 	}
 
 	p2 := New(Options{Cache: shared})
-	a2 := p2.Annotate(prog, model)
+	a2 := annotateOK(t, p2, prog, model)
 	st := shared.Stats()
 	if st.SchedMisses != warm.SchedMisses || st.EstMisses != warm.EstMisses {
 		t.Fatalf("second pipeline recompiled despite shared cache: warm=%+v after=%+v", warm, st)
@@ -61,8 +61,8 @@ func TestSharedMetricsInjection(t *testing.T) {
 	reg := metrics.NewRegistry()
 	p1 := New(Options{Metrics: reg})
 	p2 := New(Options{Metrics: reg})
-	p1.Annotate(prog, pum.MicroBlaze())
-	p2.Annotate(prog, pum.MicroBlaze())
+	annotateOK(t, p1, prog, pum.MicroBlaze())
+	annotateOK(t, p2, prog, pum.MicroBlaze())
 	if got := reg.Snapshot().Histograms["pipeline.stage.annotate.seconds"].Count; got != 2 {
 		t.Fatalf("shared registry saw %d annotate stages, want 2", got)
 	}
@@ -96,7 +96,7 @@ func TestStageHook(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	pl.Annotate(prog, pum.MicroBlaze())
+	annotateOK(t, pl, prog, pum.MicroBlaze())
 
 	want := []diag.Stage{diag.StageParse, diag.StageCheck, diag.StageLower, diag.StageSimplify, diag.StageVerify, diag.StageAnnotate}
 	mu.Lock()

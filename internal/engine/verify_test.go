@@ -78,7 +78,7 @@ func TestPipelineVerifyDesign(t *testing.T) {
 	}
 	pl := New(Options{Verify: true, Werror: true})
 	if _, err := pl.SimulateCtx(context.Background(), build(), tlm.Options{
-		Timed: true, WaitMode: tlm.WaitAtTransactions, Detail: pl.Detail(),
+		Timed: true, WaitMode: tlm.WaitAtTransactions,
 	}); err != nil {
 		t.Fatalf("verified simulation of a clean design failed: %v", err)
 	}

@@ -15,6 +15,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -24,6 +25,7 @@ import (
 	"ese/internal/core"
 	"ese/internal/engine"
 	"ese/internal/iss"
+	"ese/internal/platform"
 	"ese/internal/pum"
 	"ese/internal/rtl"
 	"ese/internal/tlm"
@@ -71,6 +73,19 @@ func (s *Setup) board(cc pum.CacheCfg) (uint64, error) {
 		return 0, err
 	}
 	return s.Boards.Ref("mp3", "SW", cc, d)
+}
+
+// simulateDetail annotates d at detail through the shared pipeline's
+// DelaysCtx — the one per-call detail override, for the ablations that
+// vary it — and simulates the tables with transaction-boundary waits. It
+// also returns the annotation time.
+func (s *Setup) simulateDetail(d *platform.Design, detail core.Detail) (*tlm.Result, time.Duration, error) {
+	dm, anno, err := s.Pipe.DelaysCtx(context.Background(), d, detail)
+	if err != nil {
+		return nil, anno, err
+	}
+	res, err := s.Pipe.Simulate(d, tlm.Options{Timed: true, WaitMode: tlm.WaitAtTransactions, Delays: dm})
+	return res, anno, err
 }
 
 // score scores s.MB's estimate of one MP3 design against the board across
@@ -419,7 +434,7 @@ func RunGranularity(s *Setup, design string) (*Granularity, error) {
 	if err != nil {
 		return nil, err
 	}
-	tx, err := s.Pipe.Simulate(d, tlm.Options{Timed: true, WaitMode: tlm.WaitAtTransactions, Detail: core.FullDetail})
+	tx, err := s.Pipe.Simulate(d, tlm.Options{Timed: true, WaitMode: tlm.WaitAtTransactions})
 	if err != nil {
 		return nil, err
 	}
@@ -427,7 +442,7 @@ func RunGranularity(s *Setup, design string) (*Granularity, error) {
 	if err != nil {
 		return nil, err
 	}
-	bb, err := s.Pipe.Simulate(d2, tlm.Options{Timed: true, WaitMode: tlm.WaitPerBlock, Detail: core.FullDetail})
+	bb, err := s.Pipe.Simulate(d2, tlm.Options{Timed: true, WaitMode: tlm.WaitPerBlock})
 	if err != nil {
 		return nil, err
 	}
@@ -486,13 +501,13 @@ func RunPUMDetail(s *Setup, cc pum.CacheCfg) (*PUMDetail, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := s.Pipe.Simulate(d, tlm.Options{Timed: true, WaitMode: tlm.WaitAtTransactions, Detail: lv.Detail})
+		res, anno, err := s.simulateDetail(d, lv.Detail)
 		if err != nil {
 			return nil, err
 		}
 		lv.TLM = res.CyclesByPE["mb"]
 		lv.Err = pct(float64(lv.TLM), float64(out.Board))
-		lv.Anno = res.AnnoTime
+		lv.Anno = anno
 		out.Levels = append(out.Levels, lv)
 	}
 	return out, nil

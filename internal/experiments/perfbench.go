@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -10,7 +11,6 @@ import (
 
 	"ese/internal/apps"
 	"ese/internal/cli"
-	"ese/internal/core"
 	"ese/internal/interp"
 	"ese/internal/platform"
 	"ese/internal/pum"
@@ -98,9 +98,9 @@ func perfBenchKnownDesigns() map[string]bool {
 }
 
 // RunPerfBench measures every benchmark design's timed TLM under the
-// three engines. Delays are annotated once per design outside the timed
-// region, so the measurement isolates simulation (the quantity the engine
-// choice affects).
+// three engines. Delays are annotated once per design through the
+// setup's pipeline outside the timed region, so the measurement isolates
+// simulation (the quantity the engine choice affects).
 func RunPerfBench(s *Setup, reps int) (*PerfBench, error) {
 	if reps < 1 {
 		reps = 1
@@ -111,13 +111,15 @@ func RunPerfBench(s *Setup, reps int) (*PerfBench, error) {
 		return nil, err
 	}
 	for _, d := range designs {
-		dm, _ := s.Pipe.Delays(d, core.FullDetail)
+		dm, _, err := s.Pipe.DelaysCtx(context.Background(), d, s.Pipe.Detail())
+		if err != nil {
+			return nil, fmt.Errorf("perfbench %s: %w", d.Name, err)
+		}
 		row := PerfBenchRow{Design: d.Name}
 		runOnce := func(kind interp.EngineKind) (time.Duration, uint64, *tlm.Result, error) {
 			opts := tlm.Options{
 				Timed:    true,
 				WaitMode: tlm.WaitAtTransactions,
-				Detail:   core.FullDetail,
 				Delays:   dm,
 				Engine:   kind,
 			}

@@ -11,7 +11,6 @@ import (
 	"ese/internal/pum"
 	"ese/internal/rtl"
 	"ese/internal/rtos"
-	"ese/internal/tlm"
 )
 
 // RTOSRow is one scheduling configuration of the consolidation study.
@@ -186,11 +185,7 @@ func RunOverlapStudy(s *Setup) (*OverlapStudy, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := s.Pipe.Simulate(d, tlm.Options{
-				Timed:    true,
-				WaitMode: tlm.WaitAtTransactions,
-				Detail:   variant.detail,
-			})
+			res, _, err := s.simulateDetail(d, variant.detail)
 			if err != nil {
 				return nil, err
 			}
@@ -281,9 +276,7 @@ func RunBlockSizeStudy(s *Setup) (*BlockSizeStudy, error) {
 		row.TLM = res.CyclesByPE["mb"]
 		row.Err = pct(float64(row.TLM), float64(row.Board))
 
-		resC, err := s.Pipe.Simulate(d, tlm.Options{
-			Timed: true, WaitMode: tlm.WaitAtTransactions, Detail: core.OverlapDetail,
-		})
+		resC, _, err := s.simulateDetail(d, core.OverlapDetail)
 		if err != nil {
 			return nil, err
 		}

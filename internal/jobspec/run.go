@@ -404,7 +404,6 @@ func (r *Runner) runTLM(ctx context.Context, s *Spec, pl *engine.Pipeline, res *
 	if s.Engine == EngineTimed {
 		opts.Timed = true
 		opts.WaitMode = tlm.WaitAtTransactions
-		opts.Detail = core.FullDetail
 	}
 	// A published recording always replays: it was recorded under these
 	// same options, and the pipeline's block delays are integers.
@@ -487,13 +486,13 @@ func (r *Runner) runCalibrate(ctx context.Context, s *Spec, res *Result) error {
 // ProfileTLM is the profiled TLM flow (esed's profiled TLM jobs and
 // `esetlm -profile`): it joins a profiled timed run's per-process block
 // counts with each PE's annotation into the ranked cycle-attribution
-// report. The annotations go through pl's cache, so they are the very
-// estimates the run was timed with — the report totals reconcile bit for
-// bit with the simulated per-PE cycle counts.
+// report. The annotations go through pl's cache at pl's detail, so they
+// are the very estimates pl timed the run with — the report totals
+// reconcile bit for bit with the simulated per-PE cycle counts.
 func ProfileTLM(ctx context.Context, pl *engine.Pipeline, d *platform.Design, tr *tlm.Result) (*profile.Report, error) {
 	est := make(map[string][]core.Estimate, len(d.PEs))
 	for _, pe := range d.PEs {
-		a, err := pl.AnnotateDetailCtx(ctx, d.Program, pe.PUM, core.FullDetail)
+		a, err := pl.AnnotateCtx(ctx, d.Program, pe.PUM)
 		if err != nil {
 			return nil, err
 		}

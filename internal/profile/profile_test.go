@@ -1,14 +1,15 @@
 package profile
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
 
-	"ese/internal/annotate"
 	"ese/internal/cdfg"
 	"ese/internal/cfront"
 	"ese/internal/core"
+	"ese/internal/engine"
 	"ese/internal/interp"
 	"ese/internal/platform"
 	"ese/internal/pum"
@@ -31,6 +32,27 @@ func compile(t *testing.T, src string) *cdfg.Program {
 		t.Fatalf("Lower: %v", err)
 	}
 	return p
+}
+
+// profiledRun simulates d timed and profiled under kind through a fresh
+// pipeline and returns the result with each PE's estimates, annotated by
+// the same pipeline.
+func profiledRun(t *testing.T, d *platform.Design, kind interp.EngineKind) (*tlm.Result, map[string][]core.Estimate) {
+	t.Helper()
+	pl := engine.New(engine.Options{})
+	res, err := pl.Simulate(d, tlm.Options{Timed: true, WaitMode: tlm.WaitAtTransactions, Profile: true, Engine: kind})
+	if err != nil {
+		t.Fatalf("Simulate: %v", err)
+	}
+	est := make(map[string][]core.Estimate, len(d.PEs))
+	for _, pe := range d.PEs {
+		a, err := pl.AnnotateCtx(context.Background(), d.Program, pe.PUM)
+		if err != nil {
+			t.Fatalf("AnnotateCtx %s: %v", pe.Name, err)
+		}
+		est[pe.Name] = a.Table.Estimates()
+	}
+	return res, est
 }
 
 const pingPongSrc = `
@@ -78,19 +100,7 @@ func TestReportReconcilesWithSimulation(t *testing.T) {
 			{Name: "acc", Kind: platform.HWUnit, Entry: "worker", PUM: hw},
 		},
 	}
-	res, err := tlm.Run(d, tlm.Options{
-		Timed:    true,
-		WaitMode: tlm.WaitAtTransactions,
-		Detail:   core.FullDetail,
-		Profile:  true,
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	est := map[string][]core.Estimate{
-		"cpu": annotate.Annotate(prog, mb, core.FullDetail).Table.Estimates(),
-		"acc": annotate.Annotate(prog, hw, core.FullDetail).Table.Estimates(),
-	}
+	res, est := profiledRun(t, d, interp.EngineAuto)
 	r, err := Build(d.Name, prog, res.BlockCountsByPE, est)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
@@ -144,18 +154,7 @@ func TestReportRTOSTaskKeys(t *testing.T) {
 			},
 		}},
 	}
-	res, err := tlm.Run(d, tlm.Options{
-		Timed:    true,
-		WaitMode: tlm.WaitAtTransactions,
-		Detail:   core.FullDetail,
-		Profile:  true,
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	est := map[string][]core.Estimate{
-		"cpu": annotate.Annotate(prog, mb, core.FullDetail).Table.Estimates(),
-	}
+	res, est := profiledRun(t, d, interp.EngineAuto)
 	r, err := Build(d.Name, prog, res.BlockCountsByPE, est)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
@@ -180,7 +179,10 @@ void main() {
 }
 `)
 	mb := pum.MicroBlaze()
-	a := annotate.Annotate(prog, mb, core.FullDetail)
+	a, err := engine.New(engine.Options{}).AnnotateCtx(context.Background(), prog, mb)
+	if err != nil {
+		t.Fatalf("AnnotateCtx: %v", err)
+	}
 	// Functional profile: run the interpreter directly (the eseest path).
 	counts := map[string]map[*cdfg.Block]uint64{"microblaze": countRun(t, prog)}
 	r, err := Build("", prog, counts, map[string][]core.Estimate{"microblaze": a.Table.Estimates()})
@@ -232,10 +234,6 @@ func TestReportReconcilesUnderBothEngines(t *testing.T) {
 		t.Fatal(err)
 	}
 	hw := pum.CustomHW("acc", 100_000_000)
-	est := map[string][]core.Estimate{
-		"cpu": annotate.Annotate(prog, mb, core.FullDetail).Table.Estimates(),
-		"acc": annotate.Annotate(prog, hw, core.FullDetail).Table.Estimates(),
-	}
 	for _, kind := range []interp.EngineKind{interp.EngineTree, interp.EngineCompiled} {
 		d := &platform.Design{
 			Name:    "pingpong-" + kind.String(),
@@ -246,16 +244,7 @@ func TestReportReconcilesUnderBothEngines(t *testing.T) {
 				{Name: "acc", Kind: platform.HWUnit, Entry: "worker", PUM: hw},
 			},
 		}
-		res, err := tlm.Run(d, tlm.Options{
-			Timed:    true,
-			WaitMode: tlm.WaitAtTransactions,
-			Detail:   core.FullDetail,
-			Profile:  true,
-			Engine:   kind,
-		})
-		if err != nil {
-			t.Fatalf("%v: Run: %v", kind, err)
-		}
+		res, est := profiledRun(t, d, kind)
 		r, err := Build(d.Name, prog, res.BlockCountsByPE, est)
 		if err != nil {
 			t.Fatalf("%v: Build: %v", kind, err)

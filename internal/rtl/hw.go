@@ -27,11 +27,10 @@ func NewHW(prog *cdfg.Program, model *pum.PUM) *HW {
 		M:      interp.New(prog),
 		delays: make(map[*cdfg.Block]float64, prog.NumBlocks()),
 	}
-	est := core.EstimateBlocks(prog, model, core.Detail{}).Estimates()
+	s := core.NewScheduler(model)
 	for _, fn := range prog.Funcs {
 		for _, b := range fn.Blocks {
-			h.delays[b] = float64(est[0].Sched)
-			est = est[1:]
+			h.delays[b] = float64(s.ScheduleBlock(b).Sched)
 		}
 	}
 	return h

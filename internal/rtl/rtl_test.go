@@ -1,6 +1,7 @@
 package rtl
 
 import (
+	"context"
 	"testing"
 
 	"ese/internal/apps"
@@ -146,7 +147,11 @@ void main() {
 	}
 	model := pum.CustomHW("hw", 100_000_000)
 	hw := NewHW(prog, model)
-	est := core.EstimateBlocks(prog, model, core.Detail{}).Estimates()
+	tab, err := core.EstimateBlocksCtx(context.Background(), prog, model, core.Detail{}, core.EstOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	est := tab.Estimates()
 	for _, fn := range prog.Funcs {
 		for _, b := range fn.Blocks {
 			if hw.Delay(b) != float64(est[0].Sched) {

@@ -1,12 +1,13 @@
 // Package tlm builds and executes transaction-level models of a mapped
 // design on the discrete-event kernel: the functional TLM (untimed), the
-// timed TLM with the annotated per-block delays applied at transaction
-// boundaries (the paper's generated model), and the shared abstract bus
-// channel both use. The cycle-accurate board model reuses the same bus so
-// that communication timing is common-mode between the estimate and the
-// reference, as in the paper's methodology (ref. [16]). A timed run can
-// record its transactions (Recording), so that later runs of the same
-// program under other delays replay them instead of interpreting it.
+// timed TLM with the caller's per-block delay tables (Options.Delays)
+// applied at transaction boundaries (the paper's generated model), and
+// the shared abstract bus channel both use. The cycle-accurate board model
+// reuses the same bus so that communication timing is common-mode between
+// the estimate and the reference, as in the paper's methodology (ref.
+// [16]). A timed run can record its transactions (Recording), so that
+// later runs of the same program under other delays replay them instead
+// of interpreting it.
 package tlm
 
 import (

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"ese/internal/core"
 	"ese/internal/diag"
 	"ese/internal/platform"
 	"ese/internal/pum"
@@ -40,7 +39,7 @@ func TestRunDeadlineReturnsPartialResult(t *testing.T) {
 	res, err := Run(d, Options{
 		Timed:    true,
 		WaitMode: WaitAtTransactions,
-		Detail:   core.FullDetail,
+		Delays:   fullDelays(t, d),
 		Timeout:  150 * time.Millisecond,
 	})
 	if !errors.Is(err, diag.ErrDeadline) {
@@ -66,7 +65,7 @@ func TestRunCancelReturnsPartialResult(t *testing.T) {
 	res, err := Run(d, Options{
 		Timed:    true,
 		WaitMode: WaitAtTransactions,
-		Detail:   core.FullDetail,
+		Delays:   fullDelays(t, d),
 		Ctx:      ctx,
 	})
 	if !errors.Is(err, diag.ErrCanceled) {

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"ese/internal/core"
 	"ese/internal/interp"
 	"ese/internal/platform"
 	"ese/internal/rtos"
@@ -19,7 +18,7 @@ func runWith(t *testing.T, d *platform.Design, eng interp.EngineKind, mode WaitM
 	return Run(d, Options{
 		Timed:     true,
 		WaitMode:  mode,
-		Detail:    core.FullDetail,
+		Delays:    fullDelays(t, d),
 		Engine:    eng,
 		Profile:   true,
 		StepLimit: limit,
@@ -144,6 +143,7 @@ func TestEngineStressParallel(t *testing.T) {
 	if _, err := interp.CompileCached(d.Program); err != nil {
 		t.Fatal(err)
 	}
+	delays := fullDelays(t, d)
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for i := 0; i < 8; i++ {
@@ -154,7 +154,7 @@ func TestEngineStressParallel(t *testing.T) {
 				if _, err := Run(d, Options{
 					Timed:    true,
 					WaitMode: WaitAtTransactions,
-					Detail:   core.FullDetail,
+					Delays:   delays,
 					Engine:   interp.EngineCompiled,
 					Profile:  true,
 				}); err != nil {

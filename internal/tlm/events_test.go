@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"ese/internal/core"
 	"ese/internal/metrics"
 	"ese/internal/platform"
 	"ese/internal/pum"
@@ -23,7 +22,7 @@ func TestTimedRunEmitsTraceEvents(t *testing.T) {
 	res, err := Run(d, Options{
 		Timed:    true,
 		WaitMode: WaitAtTransactions,
-		Detail:   core.FullDetail,
+		Delays:   fullDelays(t, d),
 		Events:   ev,
 		Metrics:  reg,
 	})
@@ -118,7 +117,7 @@ func TestRTOSRunEmitsTaskTracks(t *testing.T) {
 	if _, err := Run(d, Options{
 		Timed:    true,
 		WaitMode: WaitAtTransactions,
-		Detail:   core.FullDetail,
+		Delays:   fullDelays(t, d),
 		Events:   ev,
 	}); err != nil {
 		t.Fatalf("Run: %v", err)

@@ -6,8 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"ese/internal/annotate"
-	"ese/internal/core"
 	"ese/internal/metrics"
 	"ese/internal/platform"
 	"ese/internal/pum"
@@ -109,15 +107,15 @@ func contentionDesign(t *testing.T) *platform.Design {
 
 // annotatedDelays is the per-PE delay tables a pipeline would hand Run,
 // rewritten block by block by f into fresh tables.
-func annotatedDelays(d *platform.Design, f func(pe string, i int, v float64) float64) map[string][]float64 {
+func annotatedDelays(t *testing.T, d *platform.Design, f func(pe string, i int, v float64) float64) map[string][]float64 {
+	t.Helper()
 	out := make(map[string][]float64, len(d.PEs))
-	for _, pe := range d.PEs {
-		ann := annotate.Annotate(d.Program, pe.PUM, core.FullDetail).Delays()
+	for name, ann := range fullDelays(t, d) {
 		dm := make([]float64, len(ann))
 		for i, v := range ann {
-			dm[i] = f(pe.Name, i, v)
+			dm[i] = f(name, i, v)
 		}
-		out[pe.Name] = dm
+		out[name] = dm
 	}
 	return out
 }
@@ -128,7 +126,6 @@ func timedOpts(delays map[string][]float64, rec *Recording, reg *metrics.Registr
 		Timed:     true,
 		WaitMode:  WaitAtTransactions,
 		Delays:    delays,
-		AnnoTime:  time.Millisecond,
 		Recording: rec,
 		Metrics:   reg,
 	}
@@ -166,7 +163,7 @@ func TestReplayMatchesSimulation(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			d := tc.d
 			rec := &Recording{}
-			if _, err := Run(d, timedOpts(annotatedDelays(d, keep), rec, nil)); err != nil {
+			if _, err := Run(d, timedOpts(fullDelays(t, d), rec, nil)); err != nil {
 				t.Fatalf("recording run: %v", err)
 			}
 			if !rec.Filled() {
@@ -175,7 +172,7 @@ func TestReplayMatchesSimulation(t *testing.T) {
 			for name, f := range map[string]func(string, int, float64) float64{
 				"same": keep, "scaled": scaled, "zero-worker": zeroWorker, "all-zero": allZero,
 			} {
-				delays := annotatedDelays(d, f)
+				delays := annotatedDelays(t, d, f)
 				wantReg, gotReg := metrics.NewRegistry(), metrics.NewRegistry()
 				want, err := Run(d, timedOpts(delays, nil, wantReg))
 				if err != nil {
@@ -216,14 +213,14 @@ func TestReplayMatchesSimulation(t *testing.T) {
 func TestReplayNeedsIntegerDelays(t *testing.T) {
 	d := twoPEDesign(t, pingPongSrc)
 	rec := &Recording{}
-	if _, err := Run(d, timedOpts(nil, rec, nil)); err != nil || !rec.Filled() {
+	if _, err := Run(d, timedOpts(fullDelays(t, d), rec, nil)); err != nil || !rec.Filled() {
 		t.Fatalf("recording run: filled=%v err=%v", rec.Filled(), err)
 	}
 	for name, bad := range map[string]func(string, int, float64) float64{
 		"fraction": func(_ string, _ int, v float64) float64 { return v + 0.1 },
 		"negative": func(string, int, float64) float64 { return -1 },
 	} {
-		delays := annotatedDelays(d, bad)
+		delays := annotatedDelays(t, d, bad)
 		byPE := map[*platform.PE][]float64{d.PEs[0]: delays["cpu"], d.PEs[1]: delays["acc"]}
 		if _, ok := rec.segmentDelays(d, byPE); ok {
 			t.Fatalf("%s: delays accepted for replay", name)
@@ -253,32 +250,29 @@ func TestReplayNeedsIntegerDelays(t *testing.T) {
 // waveforms, step limits, untimed runs, and runs that fail or are
 // cancelled.
 func TestRecordingFallbacks(t *testing.T) {
-	timed := func(mut func(*Options)) Options {
-		o := Options{Timed: true, WaitMode: WaitAtTransactions, Detail: core.FullDetail}
-		mut(&o)
-		return o
-	}
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, tc := range []struct {
 		name string
 		d    *platform.Design
-		opts Options
+		mut  func(*Options)
 	}{
-		{"rtos", rtosDesign(t, rtos.Config{Policy: rtos.Cooperative}), timed(func(*Options) {})},
-		{"per-block", twoPEDesign(t, pingPongSrc), timed(func(o *Options) { o.WaitMode = WaitPerBlock })},
-		{"profile", twoPEDesign(t, pingPongSrc), timed(func(o *Options) { o.Profile = true })},
-		{"events", twoPEDesign(t, pingPongSrc), timed(func(o *Options) { o.Events = trace.NewEvents() })},
-		{"vcd", twoPEDesign(t, pingPongSrc), timed(func(o *Options) { o.Trace = trace.New() })},
-		{"step-limit", twoPEDesign(t, pingPongSrc), timed(func(o *Options) { o.StepLimit = 1 << 30 })},
-		{"untimed", twoPEDesign(t, pingPongSrc), Options{}},
-		{"failed", twoPEDesign(t, pingPongSrc), timed(func(o *Options) { o.StepLimit = 10 })},
-		{"canceled", twoPEDesign(t, pingPongSrc), timed(func(o *Options) { o.Ctx = canceled })},
-		{"deadline", spinDesign(t), timed(func(o *Options) { o.Timeout = 50 * time.Millisecond })},
+		{"rtos", rtosDesign(t, rtos.Config{Policy: rtos.Cooperative}), func(*Options) {}},
+		{"per-block", twoPEDesign(t, pingPongSrc), func(o *Options) { o.WaitMode = WaitPerBlock }},
+		{"profile", twoPEDesign(t, pingPongSrc), func(o *Options) { o.Profile = true }},
+		{"events", twoPEDesign(t, pingPongSrc), func(o *Options) { o.Events = trace.NewEvents() }},
+		{"vcd", twoPEDesign(t, pingPongSrc), func(o *Options) { o.Trace = trace.New() }},
+		{"step-limit", twoPEDesign(t, pingPongSrc), func(o *Options) { o.StepLimit = 1 << 30 }},
+		{"untimed", twoPEDesign(t, pingPongSrc), func(o *Options) { *o = Options{} }},
+		{"failed", twoPEDesign(t, pingPongSrc), func(o *Options) { o.StepLimit = 10 }},
+		{"canceled", twoPEDesign(t, pingPongSrc), func(o *Options) { o.Ctx = canceled }},
+		{"deadline", spinDesign(t), func(o *Options) { o.Timeout = 50 * time.Millisecond }},
 	} {
 		rec := &Recording{}
-		tc.opts.Recording = rec
-		Run(tc.d, tc.opts)
+		opts := Options{Timed: true, WaitMode: WaitAtTransactions, Delays: fullDelays(t, tc.d)}
+		tc.mut(&opts)
+		opts.Recording = rec
+		Run(tc.d, opts)
 		if rec.Filled() {
 			t.Errorf("%s: run filled the recording", tc.name)
 		}
@@ -290,12 +284,13 @@ func TestRecordingFallbacks(t *testing.T) {
 // block counts — and leaves it as it was.
 func TestFilledRecordingIgnoredWhenSimulating(t *testing.T) {
 	d := twoPEDesign(t, pingPongSrc)
+	delays := fullDelays(t, d)
 	rec := &Recording{}
-	if _, err := Run(d, timedOpts(nil, rec, nil)); err != nil || !rec.Filled() {
+	if _, err := Run(d, timedOpts(delays, rec, nil)); err != nil || !rec.Filled() {
 		t.Fatalf("recording run: filled=%v err=%v", rec.Filled(), err)
 	}
 	before := *rec
-	res, err := Run(d, Options{Timed: true, Detail: core.FullDetail, Profile: true, Recording: rec})
+	res, err := Run(d, Options{Timed: true, Delays: delays, Profile: true, Recording: rec})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package tlm
 import (
 	"testing"
 
-	"ese/internal/core"
 	"ese/internal/platform"
 	"ese/internal/pum"
 	"ese/internal/rtos"
@@ -93,11 +92,11 @@ func twoPEReference(t *testing.T) *platform.Design {
 }
 
 func TestRTOSFunctionalMatchesTwoPE(t *testing.T) {
-	ref, err := RunFunctional(twoPEReference(t), 0)
+	ref, err := Run(twoPEReference(t), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunFunctional(rtosDesign(t, rtos.Config{Policy: rtos.Cooperative}), 0)
+	got, err := Run(rtosDesign(t, rtos.Config{Policy: rtos.Cooperative}), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,11 +113,13 @@ func TestRTOSFunctionalMatchesTwoPE(t *testing.T) {
 }
 
 func TestRTOSTimedSharedCPUSlowerThanTwoPEs(t *testing.T) {
-	two, err := RunTimed(twoPEReference(t), 0)
+	twoD := twoPEReference(t)
+	two, err := Run(twoD, Options{Timed: true, Delays: fullDelays(t, twoD)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, err := RunTimed(rtosDesign(t, rtos.Config{Policy: rtos.Cooperative}), 0)
+	oneD := rtosDesign(t, rtos.Config{Policy: rtos.Cooperative})
+	one, err := Run(oneD, Options{Timed: true, Delays: fullDelays(t, oneD)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,14 +140,16 @@ func TestRTOSTimedSharedCPUSlowerThanTwoPEs(t *testing.T) {
 }
 
 func TestRTOSContextSwitchCostVisible(t *testing.T) {
-	free, err := RunTimed(rtosDesign(t, rtos.Config{Policy: rtos.Cooperative}), 0)
+	freeD := rtosDesign(t, rtos.Config{Policy: rtos.Cooperative})
+	free, err := Run(freeD, Options{Timed: true, Delays: fullDelays(t, freeD)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	costly, err := RunTimed(rtosDesign(t, rtos.Config{
+	costlyD := rtosDesign(t, rtos.Config{
 		Policy:              rtos.Cooperative,
 		ContextSwitchCycles: 500,
-	}), 0)
+	})
+	costly, err := Run(costlyD, Options{Timed: true, Delays: fullDelays(t, costlyD)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +177,8 @@ func TestRTOSPoliciesAllFunctionallyEquivalent(t *testing.T) {
 		{Policy: rtos.RoundRobin, TimeSliceCycles: 1000, ContextSwitchCycles: 20},
 		{Policy: rtos.PriorityPreemptive, ContextSwitchCycles: 10},
 	} {
-		res, err := RunTimed(rtosDesign(t, cfg), 0)
+		d := rtosDesign(t, cfg)
+		res, err := Run(d, Options{Timed: true, Delays: fullDelays(t, d)})
 		if err != nil {
 			t.Fatalf("%v: %v", cfg.Policy, err)
 		}
@@ -196,7 +200,7 @@ func TestRTOSPoliciesAllFunctionallyEquivalent(t *testing.T) {
 
 func TestRTOSPerBlockModeRuns(t *testing.T) {
 	d := rtosDesign(t, rtos.Config{Policy: rtos.RoundRobin, TimeSliceCycles: 200})
-	res, err := Run(d, Options{Timed: true, WaitMode: WaitPerBlock, Detail: core.FullDetail})
+	res, err := Run(d, Options{Timed: true, WaitMode: WaitPerBlock, Delays: fullDelays(t, d)})
 	if err != nil {
 		t.Fatal(err)
 	}

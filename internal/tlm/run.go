@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"time"
 
-	"ese/internal/annotate"
 	"ese/internal/cdfg"
-	"ese/internal/core"
 	"ese/internal/diag"
 	"ese/internal/interp"
 	"ese/internal/metrics"
@@ -52,17 +50,13 @@ type Options struct {
 	// run is abandoned (with diag.ErrDeadline) once that much host time has
 	// elapsed, so a wedged model cannot hang the caller.
 	Timeout time.Duration
-	// Detail selects the PUM sub-models used during annotation.
-	Detail core.Detail
-	// Delays, when non-nil, supplies precomputed per-PE delay tables (keyed
-	// by PE name, one delay per block in dense program order: functions in
-	// order, each function's blocks in order) and skips the annotation
-	// phase entirely — the staged pipeline of internal/engine uses this to
-	// feed memoized annotations into the simulation stage. The run only
-	// reads the tables. AnnoTime then reports the caller's annotation cost
-	// in the result.
-	Delays   map[string][]float64
-	AnnoTime time.Duration
+	// Delays supplies the per-PE delay tables of a timed run, keyed by PE
+	// name, one delay per block in dense program order: functions in
+	// order, each function's blocks in order. A timed run requires a table
+	// for every PE; annotation is the staged pipeline's job
+	// (internal/engine), and the run only reads the tables. Untimed runs
+	// ignore it.
+	Delays map[string][]float64
 	// Trace, when set, records per-process busy intervals and bus activity
 	// as a VCD waveform.
 	Trace *trace.VCD
@@ -101,7 +95,7 @@ type Result struct {
 	SwitchesByPE map[string]uint64
 	EndPs        sim.Time      // simulated end time (timed runs)
 	Wall         time.Duration // host wall-clock simulation time
-	AnnoTime     time.Duration // annotation time (timed runs)
+	AnnoTime     time.Duration // annotation time, set by the pipeline that annotated a timed run
 	BusWords     uint64
 	Steps        uint64 // total dynamic IR instructions
 	// BlockCountsByPE holds the per-block execution counts of each process
@@ -152,30 +146,19 @@ func Run(d *platform.Design, opts Options) (*Result, error) {
 		SwitchesByPE: make(map[string]uint64),
 	}
 
-	// Annotation phase (timed models only): one delay table per PE, either
-	// precomputed by the caller (pipeline path) or computed here.
+	// Timed models take one delay table per PE from the caller.
 	delays := make(map[*platform.PE][]float64, len(d.PEs))
 	if opts.Timed {
-		if opts.Delays != nil {
-			for _, pe := range d.PEs {
-				dm, ok := opts.Delays[pe.Name]
-				if !ok {
-					return nil, fmt.Errorf("tlm: %s: no precomputed delays for PE %q", d.Name, pe.Name)
-				}
-				if len(dm) != d.Program.NumBlocks() {
-					return nil, fmt.Errorf("tlm: %s: PE %q has %d precomputed delays for a program of %d blocks",
-						d.Name, pe.Name, len(dm), d.Program.NumBlocks())
-				}
-				delays[pe] = dm
+		for _, pe := range d.PEs {
+			dm, ok := opts.Delays[pe.Name]
+			if !ok {
+				return nil, fmt.Errorf("tlm: %s: no precomputed delays for PE %q", d.Name, pe.Name)
 			}
-			res.AnnoTime = opts.AnnoTime
-		} else {
-			annoStart := time.Now()
-			for _, pe := range d.PEs {
-				a := annotate.Annotate(d.Program, pe.PUM, opts.Detail)
-				delays[pe] = a.Delays()
+			if len(dm) != d.Program.NumBlocks() {
+				return nil, fmt.Errorf("tlm: %s: PE %q has %d precomputed delays for a program of %d blocks",
+					d.Name, pe.Name, len(dm), d.Program.NumBlocks())
 			}
-			res.AnnoTime = time.Since(annoStart)
+			delays[pe] = dm
 		}
 	}
 
@@ -514,20 +497,4 @@ func spawnRTOSTask(ctx context.Context, k *sim.Kernel, d *platform.Design, pe *p
 		cpu.Finish(task)
 	})
 	return pr, nil
-}
-
-// RunFunctional executes the untimed (functional) TLM.
-func RunFunctional(d *platform.Design, limit uint64) (*Result, error) {
-	return Run(d, Options{Timed: false, StepLimit: limit})
-}
-
-// RunTimed executes the timed TLM with full PUM detail and transaction-
-// boundary waits, the configuration the paper evaluates.
-func RunTimed(d *platform.Design, limit uint64) (*Result, error) {
-	return Run(d, Options{
-		Timed:     true,
-		WaitMode:  WaitAtTransactions,
-		StepLimit: limit,
-		Detail:    core.FullDetail,
-	})
 }

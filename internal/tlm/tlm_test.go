@@ -1,6 +1,7 @@
 package tlm
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -29,6 +30,21 @@ func compile(t *testing.T, src string) *cdfg.Program {
 		t.Fatalf("Lower: %v", err)
 	}
 	return p
+}
+
+// fullDelays is the per-PE full-detail delay tables a pipeline would hand
+// Run, estimated uncached.
+func fullDelays(t *testing.T, d *platform.Design) map[string][]float64 {
+	t.Helper()
+	out := make(map[string][]float64, len(d.PEs))
+	for _, pe := range d.PEs {
+		tab, err := core.EstimateBlocksCtx(context.Background(), d.Program, pe.PUM, core.FullDetail, core.EstOptions{})
+		if err != nil {
+			t.Fatalf("EstimateBlocksCtx %s: %v", pe.Name, err)
+		}
+		out[pe.Name] = tab.Totals()
+	}
+	return out
 }
 
 // twoPEDesign builds a producer (processor) and consumer (HW) design.
@@ -82,9 +98,9 @@ void worker() {
 
 func TestFunctionalTLMTwoPE(t *testing.T) {
 	d := twoPEDesign(t, pingPongSrc)
-	res, err := RunFunctional(d, 0)
+	res, err := Run(d, Options{})
 	if err != nil {
-		t.Fatalf("RunFunctional: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	want := []int32{0, 14, 20, 34, 40, 54}
 	got := res.OutByPE["cpu"]
@@ -103,9 +119,9 @@ func TestFunctionalTLMTwoPE(t *testing.T) {
 
 func TestTimedTLMAdvancesTime(t *testing.T) {
 	d := twoPEDesign(t, pingPongSrc)
-	res, err := RunTimed(d, 0)
+	res, err := Run(d, Options{Timed: true, Delays: fullDelays(t, d)})
 	if err != nil {
-		t.Fatalf("RunTimed: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	if res.EndPs == 0 {
 		t.Fatal("timed TLM did not advance simulated time")
@@ -126,11 +142,11 @@ func TestTimedTLMAdvancesTime(t *testing.T) {
 func TestTimedMatchesFunctionalOutput(t *testing.T) {
 	d1 := twoPEDesign(t, pingPongSrc)
 	d2 := twoPEDesign(t, pingPongSrc)
-	f, err := RunFunctional(d1, 0)
+	f, err := Run(d1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tm, err := RunTimed(d2, 0)
+	tm, err := Run(d2, Options{Timed: true, Delays: fullDelays(t, d2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,9 +197,9 @@ void worker() {
   send(1, w, 4);
 }
 `)
-	res, err := RunFunctional(d, 0)
+	res, err := Run(d, Options{})
 	if err != nil {
-		t.Fatalf("RunFunctional: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	if res.OutByPE["cpu"][0] != 99 {
 		t.Fatalf("out = %v", res.OutByPE["cpu"])
@@ -272,8 +288,9 @@ func TestRunRejectsInvalidDesign(t *testing.T) {
 	}
 }
 
-// TestRunRejectsMismatchedDelays: precomputed delays must name every PE
-// and hold one delay per block of the design's program.
+// TestRunRejectsMismatchedDelays: a timed run needs precomputed delays
+// that name every PE and hold one delay per block of the design's
+// program; Run never annotates by itself.
 func TestRunRejectsMismatchedDelays(t *testing.T) {
 	d := twoPEDesign(t, pingPongSrc)
 	n := d.Program.NumBlocks()
@@ -281,6 +298,7 @@ func TestRunRejectsMismatchedDelays(t *testing.T) {
 		delays map[string][]float64
 		want   string
 	}{
+		"no tables":   {nil, `no precomputed delays for PE "cpu"`},
 		"missing PE":  {map[string][]float64{"cpu": make([]float64, n)}, `no precomputed delays for PE "acc"`},
 		"short table": {map[string][]float64{"cpu": make([]float64, n), "acc": make([]float64, n-1)}, `PE "acc" has`},
 	} {
@@ -312,7 +330,7 @@ func TestTimedRunProducesVCDTrace(t *testing.T) {
 	res, err := Run(d, Options{
 		Timed:    true,
 		WaitMode: WaitAtTransactions,
-		Detail:   core.FullDetail,
+		Delays:   fullDelays(t, d),
 		Trace:    v,
 	})
 	if err != nil {
@@ -360,7 +378,7 @@ func TestMixedClockDomains(t *testing.T) {
 				{Name: "acc", Kind: platform.HWUnit, Entry: "worker", PUM: pum.CustomHW("acc", hwClock)},
 			},
 		}
-		res, err := RunTimed(d, 0)
+		res, err := Run(d, Options{Timed: true, Delays: fullDelays(t, d)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -53,9 +54,10 @@ func mismatch(ds []diag.Diagnostic, pos, format string, args ...any) []diag.Diag
 	})
 }
 
-// DiffDesign runs one design's timed TLM under the tree-walking and the
-// compiled execution engines — and under the ahead-of-time generated
-// engine when one is registered for the program — and its cycle-accurate
+// DiffDesign runs one design's timed TLM, with the given per-PE delay
+// tables (tlm.Options.Delays), under the tree-walking and the compiled
+// execution engines — and under the ahead-of-time generated engine when
+// one is registered for the program — and its cycle-accurate
 // board simulation (processor PEs execute ISS-generated ISA code there),
 // and cross-checks them:
 //
@@ -70,13 +72,13 @@ func mismatch(ds []diag.Diagnostic, pos, format string, args ...any) []diag.Diag
 //     means a path was silently skipped.
 //
 // Every disagreement is returned as an Error diagnostic.
-func DiffDesign(d *platform.Design) []diag.Diagnostic {
+func DiffDesign(d *platform.Design, delays map[string][]float64) []diag.Diagnostic {
 	var ds []diag.Diagnostic
 	run := func(kind interp.EngineKind) (*tlm.Result, error) {
 		return tlm.Run(d, tlm.Options{
 			Timed:    true,
 			WaitMode: tlm.WaitAtTransactions,
-			Detail:   core.FullDetail,
+			Delays:   delays,
 			Engine:   kind,
 		})
 	}
@@ -248,7 +250,17 @@ func Suite(w io.Writer, frames int) error {
 		report(Design(d), "static", d.Name)
 	}
 	for _, d := range designs {
-		report(DiffDesign(d), "differential", d.Name)
+		// The paper's full-detail estimates, built once per design and
+		// shared by every engine tier of the differential.
+		delays := make(map[string][]float64, len(d.PEs))
+		for _, pe := range d.PEs {
+			t, err := core.EstimateBlocksCtx(context.Background(), d.Program, pe.PUM, core.FullDetail, core.EstOptions{})
+			if err != nil {
+				return fmt.Errorf("verify: estimating %s/%s: %w", d.Name, pe.Name, err)
+			}
+			delays[pe.Name] = t.Totals()
+		}
+		report(DiffDesign(d, delays), "differential", d.Name)
 	}
 	for _, d := range designs {
 		var ds []diag.Diagnostic

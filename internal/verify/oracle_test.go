@@ -2,11 +2,29 @@ package verify
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"ese/internal/apps"
+	"ese/internal/core"
+	"ese/internal/platform"
 	"ese/internal/pum"
 )
+
+// fullDelays is the per-PE full-detail delay tables a pipeline would hand
+// the TLM, estimated uncached.
+func fullDelays(t *testing.T, d *platform.Design) map[string][]float64 {
+	t.Helper()
+	out := make(map[string][]float64, len(d.PEs))
+	for _, pe := range d.PEs {
+		tab, err := core.EstimateBlocksCtx(context.Background(), d.Program, pe.PUM, core.FullDetail, core.EstOptions{})
+		if err != nil {
+			t.Fatalf("EstimateBlocksCtx %s: %v", pe.Name, err)
+		}
+		out[pe.Name] = tab.Totals()
+	}
+	return out
+}
 
 // TestMetamorphicEstimatorInvariants checks the estimator's metamorphic
 // invariants (FU-augmentation monotonicity, x3 delay-scaling envelope,
@@ -41,7 +59,7 @@ func TestEngineISSDifferentialAllDesigns(t *testing.T) {
 		d := d
 		t.Run(d.Name, func(t *testing.T) {
 			t.Parallel()
-			if ds := DiffDesign(d); len(ds) != 0 {
+			if ds := DiffDesign(d, fullDelays(t, d)); len(ds) != 0 {
 				t.Errorf("%d disagreement(s):\n%v", len(ds), ds)
 			}
 		})
