@@ -1,11 +1,11 @@
 // Command esebench reproduces the paper's evaluation: Table 1
 // (scalability), Table 2 (SW-only accuracy vs ISS and board), Table 3
-// (accuracy of the hardware-accelerated designs), and the three ablations
+// (accuracy of the hardware-accelerated designs), and the ablations
 // documented in DESIGN.md.
 //
 // Usage:
 //
-//	esebench [-frames N] [-table 1|2|3] [-ablation sensitivity|granularity|pumdetail] [-all]
+//	esebench [-frames N] [-table 1|2|3] [-ablation sensitivity|granularity|pumdetail|rtos|overlap|blocksize] [-all]
 //
 //	-validate     run the cross-model validation suite instead of the
 //	              experiments: static verification and the
@@ -21,10 +21,10 @@
 //	              the duration of the run
 //
 // Exit codes: 0 success, 1 runtime failure (including timeout), 2 usage or
-// input error. For -bench-compare and -accuracy-compare specifically: 0
-// within tolerance, 1 a genuine regression, 2 a baseline that is missing,
-// truncated, or from a different design set/matrix. Diagnostics go to
-// stderr, results to stdout.
+// input error, an unknown -table or -ablation included. For -bench-compare
+// and -accuracy-compare: 0 within tolerance, 1 a genuine regression, 2 a
+// baseline that is missing, malformed, foreign or of another workload,
+// before anything is measured. Diagnostics go to stderr, results to stdout.
 //
 // The accuracy scoreboard (-accuracy FILE, -accuracy-compare FILE,
 // -accuracy-tolerance PTS) calibrates the statistical PUM models per
@@ -41,13 +41,14 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os"
+	"slices"
+	"strings"
 
 	"ese"
 	"ese/internal/apps"
 	"ese/internal/calib"
 	"ese/internal/cli"
 	"ese/internal/dse"
-	"ese/internal/engine"
 	"ese/internal/experiments"
 	"ese/internal/jobspec"
 	"ese/internal/pum"
@@ -61,7 +62,7 @@ func main() {
 	spec.BindRun(flag.CommandLine)
 	flag.IntVar(&spec.Frames, "frames", spec.Frames, "MP3 frames per run")
 	table := flag.Int("table", 0, "reproduce one table (1, 2 or 3)")
-	ablation := flag.String("ablation", "", "run one ablation: sensitivity, granularity, pumdetail, rtos, overlap")
+	ablation := flag.String("ablation", "", "run one ablation: "+strings.Join(ablationNames(), ", "))
 	all := flag.Bool("all", false, "run every table and ablation")
 	validate := flag.Bool("validate", false, "run the cross-model validation suite and exit")
 	jsonOut := flag.Bool("json", false, "emit results as JSON lines instead of tables")
@@ -96,28 +97,46 @@ func main() {
 		cli.Fail("esebench", runDSE(*dseSpec, *jsonOut))
 		return
 	}
-	cli.Fail("esebench", run(&spec, *table, *ablation, *all, *jsonOut, *showMetrics, benchCfg{
-		json: *benchJSON, compare: *benchCompare,
-		reps: *benchReps, tol: *benchTol,
-	}, accCfg{
-		json: *accJSON, compare: *accCompare, tol: *accTol,
-	}))
+	acc := gate{record: *accJSON, compare: *accCompare, tol: *accTol,
+		name: "accuracy", noun: "accuracy scoreboard", tolerance: fmt.Sprintf("%.2f pt MAPE drift", *accTol)}
+	bench := gate{record: *benchJSON, compare: *benchCompare, tol: *benchTol,
+		name: "benchmark", noun: "benchmark trajectory", tolerance: fmt.Sprintf("%.0f%%", 100**benchTol)}
+	cli.Fail("esebench", run(&spec, *table, *ablation, *all, *jsonOut, *showMetrics, *benchReps, bench, acc))
 }
 
-// accCfg bundles the accuracy-scoreboard flag values.
-type accCfg struct {
-	json, compare string
-	tol           float64
+// tables and ablations are every experiment, in the order -all runs them.
+var (
+	tables = []func(*experiments.Setup) (any, error){
+		func(s *experiments.Setup) (any, error) { return experiments.RunTable1(s) },
+		func(s *experiments.Setup) (any, error) { return experiments.RunTable2(s) },
+		func(s *experiments.Setup) (any, error) { return experiments.RunTable3(s) },
+	}
+	ablations = []struct {
+		name string
+		run  func(*experiments.Setup) (any, error)
+	}{
+		{"sensitivity", func(s *experiments.Setup) (any, error) {
+			return experiments.RunSensitivity(s, pum.CacheCfg{ISize: 2048, DSize: 2048}, []float64{-0.5, -0.25, 0, 0.25, 0.5})
+		}},
+		{"granularity", func(s *experiments.Setup) (any, error) { return experiments.RunGranularity(s, "SW+4") }},
+		{"pumdetail", func(s *experiments.Setup) (any, error) {
+			return experiments.RunPUMDetail(s, pum.CacheCfg{ISize: 2048, DSize: 2048})
+		}},
+		{"rtos", func(s *experiments.Setup) (any, error) { return experiments.RunRTOSStudy(s) }},
+		{"overlap", func(s *experiments.Setup) (any, error) { return experiments.RunOverlapStudy(s) }},
+		{"blocksize", func(s *experiments.Setup) (any, error) { return experiments.RunBlockSizeStudy(s) }},
+	}
+)
+
+func ablationNames() []string {
+	names := make([]string, len(ablations))
+	for i, a := range ablations {
+		names[i] = a.name
+	}
+	return names
 }
 
-// benchCfg bundles the engine-benchmark flag values.
-type benchCfg struct {
-	json, compare string
-	reps          int
-	tol           float64
-}
-
-func run(spec *jobspec.Spec, table int, ablation string, all, jsonOut, showMetrics bool, bench benchCfg, acc accCfg) error {
+func run(spec *jobspec.Spec, table int, ablation string, all, jsonOut, showMetrics bool, benchReps int, bench, acc gate) error {
 	if err := spec.Validate(); err != nil {
 		return cli.Input(err)
 	}
@@ -125,35 +144,55 @@ func run(spec *jobspec.Spec, table int, ablation string, all, jsonOut, showMetri
 	if err != nil {
 		return cli.Input(err)
 	}
-	if acc.json != "" || acc.compare != "" {
+	if table < 0 || table > len(tables) {
+		return cli.Input(fmt.Errorf("-table %d: want 1 to %d", table, len(tables)))
+	}
+	if ablation != "" && !slices.Contains(ablationNames(), ablation) {
+		return cli.Input(fmt.Errorf("-ablation %q: want one of %s", ablation, strings.Join(ablationNames(), ", ")))
+	}
+	if acc.on() {
 		// The scoreboard performs its own per-training-set calibrations;
 		// the shared MP3-only setup below would be redundant work.
-		return runAccuracy(spec.Frames, opts, acc)
+		o := calib.Options{Frames: spec.Frames, Blocks: apps.DefaultJPEG.Blocks, Engine: opts}
+		return runGate(acc, &calib.Scoreboard{Frames: o.Frames, Blocks: o.Blocks}, calib.LoadScoreboard,
+			func() (*calib.Scoreboard, error) { return calib.RunScoreboard(o) })
 	}
-	if !jsonOut {
-		fmt.Printf("workload: MP3-like decode, %d frames (eval seed 0x%X, train seed 0x%X)\n",
-			spec.Frames, apps.DefaultMP3.Seed, apps.TrainMP3.Seed)
-		fmt.Println("calibrating statistical PUM models on the training workload...")
+	setup := func() (*experiments.Setup, error) {
+		if !jsonOut {
+			fmt.Printf("workload: MP3-like decode, %d frames (eval seed 0x%X, train seed 0x%X)\n",
+				spec.Frames, apps.DefaultMP3.Seed, apps.TrainMP3.Seed)
+			fmt.Println("calibrating statistical PUM models on the training workload...")
+		}
+		return experiments.NewSetup(spec.Frames, opts)
 	}
-	s, err := experiments.NewSetup(spec.Frames, opts)
+	if bench.on() {
+		return runGate(bench, &experiments.PerfBench{Frames: spec.Frames}, experiments.LoadBaseline,
+			func() (*experiments.PerfBench, error) {
+				s, err := setup()
+				if err != nil {
+					return nil, err
+				}
+				defer cli.PrintDiags("esebench", s.Pipe.Diagnostics())
+				return experiments.RunPerfBench(s, benchReps)
+			})
+	}
+	s, err := setup()
 	if err != nil {
 		return err
 	}
 	defer cli.PrintDiags("esebench", s.Pipe.Diagnostics())
-	if bench.json != "" || bench.compare != "" {
-		return runBench(s, bench)
-	}
-	emit := func(v any) {
-		if jsonOut {
-			data, err := json.Marshal(v)
-			if err != nil {
-				fmt.Println(`{"error":"marshal failed"}`)
-				return
-			}
-			fmt.Println(string(data))
-			return
+	emit := func(v any, err error) error {
+		if err != nil {
+			return err
 		}
-		fmt.Println(v)
+		if !jsonOut {
+			fmt.Println(v)
+		} else if data, err := json.Marshal(v); err != nil {
+			fmt.Println(`{"error":"marshal failed"}`)
+		} else {
+			fmt.Println(string(data))
+		}
+		return nil
 	}
 	if !jsonOut {
 		fmt.Printf("calibrated branch misprediction ratio: %.3f\n\n", s.MB.Branch.MissRate)
@@ -162,69 +201,19 @@ func run(spec *jobspec.Spec, table int, ablation string, all, jsonOut, showMetri
 	if all || table == 0 && ablation == "" {
 		all = true
 	}
-	if all || table == 1 {
-		t1, err := experiments.RunTable1(s)
-		if err != nil {
-			return err
+	for i, runTable := range tables {
+		if all || table == i+1 {
+			if err := emit(runTable(s)); err != nil {
+				return err
+			}
 		}
-		emit(t1)
 	}
-	if all || table == 2 {
-		t2, err := experiments.RunTable2(s)
-		if err != nil {
-			return err
+	for _, e := range ablations {
+		if all || ablation == e.name {
+			if err := emit(e.run(s)); err != nil {
+				return err
+			}
 		}
-		emit(t2)
-	}
-	if all || table == 3 {
-		t3, err := experiments.RunTable3(s)
-		if err != nil {
-			return err
-		}
-		emit(t3)
-	}
-	if all || ablation == "sensitivity" {
-		sens, err := experiments.RunSensitivity(s, pum.CacheCfg{ISize: 2048, DSize: 2048},
-			[]float64{-0.5, -0.25, 0, 0.25, 0.5})
-		if err != nil {
-			return err
-		}
-		emit(sens)
-	}
-	if all || ablation == "granularity" {
-		g, err := experiments.RunGranularity(s, "SW+4")
-		if err != nil {
-			return err
-		}
-		emit(g)
-	}
-	if all || ablation == "pumdetail" {
-		p, err := experiments.RunPUMDetail(s, pum.CacheCfg{ISize: 2048, DSize: 2048})
-		if err != nil {
-			return err
-		}
-		emit(p)
-	}
-	if all || ablation == "rtos" {
-		study, err := experiments.RunRTOSStudy(s)
-		if err != nil {
-			return err
-		}
-		emit(study)
-	}
-	if all || ablation == "overlap" {
-		study, err := experiments.RunOverlapStudy(s)
-		if err != nil {
-			return err
-		}
-		emit(study)
-	}
-	if all || ablation == "blocksize" {
-		study, err := experiments.RunBlockSizeStudy(s)
-		if err != nil {
-			return err
-		}
-		emit(study)
 	}
 	if !jsonOut {
 		cs := s.Pipe.Stats()
@@ -271,83 +260,61 @@ func runDSE(path string, jsonOut bool) error {
 	return dse.WriteCSV(os.Stdout, res.Pareto)
 }
 
-// runAccuracy runs the calibration accuracy scoreboard and either records
-// it (-accuracy) or checks it against a committed baseline
-// (-accuracy-compare).
-func runAccuracy(frames int, opts engine.Options, acc accCfg) error {
-	cur, err := calib.RunScoreboard(calib.Options{Frames: frames, Engine: opts})
-	if err != nil {
-		return err
-	}
-	fmt.Print(cur)
-	if acc.json != "" {
-		data, err := cur.ToJSON()
-		if err != nil {
-			return err
-		}
-		if acc.json == "-" {
-			fmt.Print(string(data))
-		} else if err := os.WriteFile(acc.json, data, 0o644); err != nil {
-			return err
-		} else {
-			fmt.Printf("wrote accuracy scoreboard to %s\n", acc.json)
-		}
-	}
-	if acc.compare != "" {
-		// A missing, truncated or wrong-matrix baseline is an input error
-		// (exit 2); only genuine accuracy drift exits 1.
-		base, err := calib.LoadScoreboard(acc.compare)
-		if err != nil {
-			return err
-		}
-		if violations := cur.Compare(base, acc.tol); len(violations) > 0 {
-			for _, v := range violations {
-				fmt.Fprintf(os.Stderr, "esebench: accuracy regression: %s\n", v)
-			}
-			return fmt.Errorf("%d accuracy regression(s) against %s", len(violations), acc.compare)
-		}
-		fmt.Printf("accuracy within tolerance of %s (%.2f pt MAPE drift)\n", acc.compare, acc.tol)
-	}
-	return nil
+// gate holds one committed-baseline gate's flags — record FILE writes a
+// fresh run (-accuracy, -bench-json), compare FILE checks it against a
+// baseline (-accuracy-compare, -bench-compare) — and its messages' words.
+type gate struct {
+	record, compare string
+	tol             float64
+	name            string // the gate in drift messages: "accuracy", "benchmark"
+	noun            string // what a record holds: "accuracy scoreboard"
+	tolerance       string // tol as the success line prints it
 }
 
-// runBench measures the engine perf trajectory and either records it
-// (-bench-json) or checks it against a committed baseline (-bench-compare).
-func runBench(s *experiments.Setup, bench benchCfg) error {
-	cur, err := experiments.RunPerfBench(s, bench.reps)
+func (g gate) on() bool { return g.record != "" || g.compare != "" }
+
+// record is what a gate measures, writes and compares: an accuracy
+// scoreboard or an engine benchmark.
+type record[T any] interface {
+	cli.Baseline
+	fmt.Stringer
+	Compare(baseline T, tol float64) []string
+}
+
+// runGate is the one driver of both gates. It reads and checks the
+// baseline, its workload against run's included, before measure
+// calibrates anything, so an unusable baseline exits 2 at once; then it
+// prints and writes the fresh record and reports its drift (exit 1).
+func runGate[T record[T]](g gate, run T, load func(path string) (T, error), measure func() (T, error)) error {
+	var base T
+	if g.compare != "" {
+		var err error
+		if base, err = load(g.compare); err != nil {
+			return err
+		}
+		if err := cli.SameWorkload(g.compare, base, run.Workload()); err != nil {
+			return err
+		}
+	}
+	cur, err := measure()
 	if err != nil {
 		return err
 	}
 	fmt.Print(cur)
-	if bench.json != "" {
-		data, err := json.MarshalIndent(cur, "", "  ")
-		if err != nil {
+	if g.record != "" {
+		if err := cli.WriteRecord(g.record, cur); err != nil {
 			return err
 		}
-		data = append(data, '\n')
-		if bench.json == "-" {
-			fmt.Print(string(data))
-		} else if err := os.WriteFile(bench.json, data, 0o644); err != nil {
-			return err
-		} else {
-			fmt.Printf("wrote benchmark trajectory to %s\n", bench.json)
+		if g.record != "-" {
+			fmt.Printf("wrote %s to %s\n", g.noun, g.record)
 		}
 	}
-	if bench.compare != "" {
-		// A missing, truncated or wrong-design-set baseline is an input
-		// error (exit 2); only a genuine regression of the measurement
-		// exits 1.
-		base, err := experiments.LoadBaseline(bench.compare)
-		if err != nil {
-			return err
-		}
-		if violations := cur.Compare(base, bench.tol); len(violations) > 0 {
-			for _, v := range violations {
-				fmt.Fprintf(os.Stderr, "esebench: bench regression: %s\n", v)
-			}
-			return fmt.Errorf("%d benchmark regression(s) against %s", len(violations), bench.compare)
-		}
-		fmt.Printf("benchmark within tolerance of %s (%.0f%%)\n", bench.compare, 100*bench.tol)
+	if g.compare == "" {
+		return nil
 	}
+	if err := cli.Drift("esebench", g.name, g.compare, cur.Compare(base, g.tol)); err != nil {
+		return err
+	}
+	fmt.Printf("%s within tolerance of %s (%s)\n", g.name, g.compare, g.tolerance)
 	return nil
 }

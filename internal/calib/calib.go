@@ -5,9 +5,8 @@
 // calibrated estimator against the board across the full application ×
 // design × cache-configuration matrix, reporting MAPE and Pearson r per
 // design. The paper's "~6–9% error" headline becomes a tracked number:
-// the scoreboard serializes to BENCH_accuracy.json and Compare gates it
-// in CI exactly like the engine-performance baseline in
-// internal/experiments/perfbench.go.
+// the scoreboard serializes to BENCH_accuracy.json, and CI gates it
+// through internal/cli's baseline contract, as it does BENCH_tlm.json.
 package calib
 
 import (

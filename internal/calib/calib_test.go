@@ -3,8 +3,10 @@ package calib
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"ese/internal/apps"
@@ -209,33 +211,42 @@ func writeScoreboard(t *testing.T, s *Scoreboard) string {
 	return path
 }
 
+// The scoreboard's own baseline checks: its row set and its row check
+// (points present, statistics in range), and the committed baseline's
+// workload. Every rejection is an input error (exit 2); the shared cases
+// (a missing file, malformed JSON, no rows, a duplicate row) are
+// cli.ReadBaseline's.
 func TestLoadScoreboardRejectsBadBaselines(t *testing.T) {
-	if _, err := LoadScoreboard(filepath.Join(t.TempDir(), "missing.json")); cli.ExitCode(err) != cli.ExitUsage {
-		t.Errorf("missing file: want input error, got %v", err)
+	pt := []Point{{Board: 1, Est: 1}}
+	for _, tc := range []struct {
+		name, wantErr string
+		row           Row
+	}{
+		{"foreign row", `unknown row "spec/mp3/SW"`, Row{Train: "spec", App: "mp3", Design: "SW", Points: pt}},
+		{"no points", "no points", Row{Train: "mp3", App: "mp3", Design: "SW"}},
+		{"negative MAPE", "out-of-range statistics", Row{Train: "mp3", App: "mp3", Design: "SW", Points: pt, MAPE: -1}},
+		{"Pearson above 1", "out-of-range statistics", Row{Train: "mp3", App: "jpeg", Design: "SW", Points: pt, Pearson: 1.5}},
+	} {
+		_, err := LoadScoreboard(writeScoreboard(t, &Scoreboard{Frames: 1, Blocks: 4, Rows: []Row{tc.row}}))
+		if code := cli.ExitCode(err); code != cli.ExitUsage || !strings.Contains(fmt.Sprint(err), tc.wantErr) {
+			t.Errorf("%s: exit code %d (%v), want %d mentioning %q", tc.name, code, err, cli.ExitUsage, tc.wantErr)
+		}
 	}
-	bad := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(bad, []byte("{truncated"), 0o644); err != nil {
-		t.Fatal(err)
+
+	// The committed baseline is usable, and a run of another MP3 or JPEG
+	// size is not its workload.
+	base, err := LoadScoreboard("../../BENCH_accuracy.json")
+	if err != nil {
+		t.Fatalf("committed baseline rejected: %v", err)
 	}
-	if _, err := LoadScoreboard(bad); cli.ExitCode(err) != cli.ExitUsage {
-		t.Errorf("malformed JSON: want input error, got %v", err)
+	if err := cli.SameWorkload("BENCH_accuracy.json", base, (&Scoreboard{Frames: base.Frames, Blocks: base.Blocks}).Workload()); err != nil {
+		t.Fatalf("same workload rejected: %v", err)
 	}
-	empty := &Scoreboard{Frames: 1, Blocks: 4}
-	if _, err := LoadScoreboard(writeScoreboard(t, empty)); cli.ExitCode(err) != cli.ExitUsage {
-		t.Errorf("no rows: want input error, got %v", err)
-	}
-	foreign := &Scoreboard{Frames: 1, Blocks: 4, Rows: []Row{
-		{Train: "spec", App: "mp3", Design: "SW", Points: []Point{{Board: 1, Est: 1}}},
-	}}
-	if _, err := LoadScoreboard(writeScoreboard(t, foreign)); cli.ExitCode(err) != cli.ExitUsage {
-		t.Errorf("foreign row: want input error, got %v", err)
-	}
-	dup := &Scoreboard{Frames: 1, Blocks: 4, Rows: []Row{
-		{Train: "mp3", App: "mp3", Design: "SW", Points: []Point{{Board: 1, Est: 1}}},
-		{Train: "mp3", App: "mp3", Design: "SW", Points: []Point{{Board: 1, Est: 1}}},
-	}}
-	if _, err := LoadScoreboard(writeScoreboard(t, dup)); cli.ExitCode(err) != cli.ExitUsage {
-		t.Errorf("duplicate row: want input error, got %v", err)
+	for _, run := range []*Scoreboard{{Frames: base.Frames - 1, Blocks: base.Blocks}, {Frames: base.Frames, Blocks: base.Blocks / 2}} {
+		err := cli.SameWorkload("BENCH_accuracy.json", base, run.Workload())
+		if code := cli.ExitCode(err); code != cli.ExitUsage {
+			t.Errorf("run on %s: exit code %d (%v), want %d", run.Workload(), code, err, cli.ExitUsage)
+		}
 	}
 }
 
@@ -273,12 +284,19 @@ func TestCompareGates(t *testing.T) {
 		MAPE:   4.9, Pearson: 1,
 	}}}
 	if v := cycles.Compare(base, 1); len(v) == 0 {
-		t.Error("cycle change on same workload: want violation")
+		t.Error("cycle change: want violation")
 	}
-	// Different workload: exact-cycle guard off, MAPE gate still on.
+	// Compare always checks cycles: a baseline of another workload is
+	// rejected before it reaches Compare (cli.SameWorkload).
 	cycles.Frames = 4
-	if v := cycles.Compare(base, 1); len(v) != 0 {
-		t.Errorf("cycle change on different workload: unexpected violations %v", v)
+	if v := cycles.Compare(base, 1); len(v) == 0 {
+		t.Error("cycle change with other frames: want violation")
+	}
+	fewer := &Scoreboard{Frames: 2, Blocks: 24, Rows: []Row{{
+		Train: "mp3", App: "mp3", Design: "SW", MAPE: 5, Pearson: 1,
+	}}}
+	if v := fewer.Compare(base, 1); len(v) != 1 || !strings.Contains(v[0], "0 points, baseline 1") {
+		t.Errorf("point count change: violations %v", v)
 	}
 
 	missing := &Scoreboard{Frames: 2, Blocks: 24}

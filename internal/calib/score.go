@@ -1,10 +1,8 @@
 package calib
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 	"strings"
 
 	"ese/internal/apps"
@@ -349,14 +347,9 @@ func score(pts []Point) (mape, r float64) {
 	return mape, cov / math.Sqrt(vx*vy)
 }
 
-// ToJSON serializes the scoreboard for the committed baseline.
-func (s *Scoreboard) ToJSON() ([]byte, error) {
-	data, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
-}
+// ToJSON serializes the scoreboard the way the committed baseline is
+// written (cli.MarshalRecord).
+func (s *Scoreboard) ToJSON() ([]byte, error) { return cli.MarshalRecord(s) }
 
 // knownRows is the row-key whitelist LoadScoreboard accepts.
 func knownRows() map[string]bool {
@@ -374,60 +367,50 @@ func knownRows() map[string]bool {
 
 func rowKey(r Row) string { return r.Train + "/" + r.App + "/" + r.Design }
 
-// LoadScoreboard reads and validates a committed accuracy baseline
-// (BENCH_accuracy.json). Every way the baseline can be unusable — missing
-// file, malformed JSON, no rows, rows for (training, app, design) triples
-// this build does not know (a baseline from a different matrix), duplicate
-// rows, non-finite statistics — is an input error (exit 2 / HTTP 400), not
-// an accuracy regression: the comparison itself never ran.
+// LoadScoreboard reads a committed accuracy baseline (BENCH_accuracy.json)
+// through cli.ReadBaseline; only the standard matrix's rows are known.
 func LoadScoreboard(path string) (*Scoreboard, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, cli.Input(fmt.Errorf("accuracy baseline: %w", err))
-	}
 	var s Scoreboard
-	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, cli.Input(fmt.Errorf("accuracy baseline %s: malformed or truncated JSON: %w", path, err))
-	}
-	if len(s.Rows) == 0 {
-		return nil, cli.Input(fmt.Errorf("accuracy baseline %s: no rows", path))
-	}
-	known := knownRows()
-	seen := make(map[string]bool, len(s.Rows))
-	for _, r := range s.Rows {
-		key := rowKey(r)
-		if !known[key] {
-			return nil, cli.Input(fmt.Errorf(
-				"accuracy baseline %s: unknown row %q — baseline from a different matrix?", path, key))
-		}
-		if seen[key] {
-			return nil, cli.Input(fmt.Errorf("accuracy baseline %s: duplicate row %q", path, key))
-		}
-		seen[key] = true
-		if math.IsNaN(r.MAPE) || r.MAPE < 0 || math.IsNaN(r.Pearson) || r.Pearson < -1 || r.Pearson > 1 {
-			return nil, cli.Input(fmt.Errorf("accuracy baseline %s: row %q has out-of-range statistics", path, key))
-		}
-		if len(r.Points) == 0 {
-			return nil, cli.Input(fmt.Errorf("accuracy baseline %s: row %q has no points", path, key))
-		}
+	if err := cli.ReadBaseline(path, &s, knownRows()); err != nil {
+		return nil, err
 	}
 	return &s, nil
 }
 
-// Compare checks a fresh scoreboard against a committed baseline and
-// returns human-readable violations (empty means the run is acceptable).
-// When the evaluation workloads match, every point's board and estimated
-// cycles must match exactly — the simulation is deterministic, so any
-// difference is a timing-model change that warrants a deliberate baseline
-// regeneration. MAPE may not worsen by more than tolPts percentage points
-// per row, and Pearson r may not fall more than tolPts/100 below baseline.
+// Workload names the scored input: the MP3 frames and the JPEG blocks.
+func (s *Scoreboard) Workload() string {
+	return fmt.Sprintf("MP3 %d frames, JPEG %d blocks", s.Frames, s.Blocks)
+}
+
+// RowKeys lists the rows' training/app/design keys. A row without points
+// or with out-of-range statistics is unusable.
+func (s *Scoreboard) RowKeys() ([]string, error) {
+	keys := make([]string, len(s.Rows))
+	for i, r := range s.Rows {
+		keys[i] = rowKey(r)
+		if len(r.Points) == 0 {
+			return nil, fmt.Errorf("row %q has no points", keys[i])
+		}
+		if math.IsNaN(r.MAPE) || r.MAPE < 0 || math.IsNaN(r.Pearson) || r.Pearson < -1 || r.Pearson > 1 {
+			return nil, fmt.Errorf("row %q has out-of-range statistics", keys[i])
+		}
+	}
+	return keys, nil
+}
+
+// Compare checks a fresh scoreboard against a committed baseline of the
+// same workload and returns human-readable violations (empty means the
+// run is acceptable). Every point's board and estimated cycles must match
+// exactly — the simulation is deterministic, so any difference is a
+// timing-model change that warrants a deliberate baseline regeneration.
+// MAPE may not worsen by more than tolPts percentage points per row, and
+// Pearson r may not fall more than tolPts/100 below baseline.
 func (s *Scoreboard) Compare(baseline *Scoreboard, tolPts float64) []string {
 	var violations []string
 	byKey := make(map[string]Row, len(s.Rows))
 	for _, r := range s.Rows {
 		byKey[rowKey(r)] = r
 	}
-	sameWorkload := s.Frames == baseline.Frames && s.Blocks == baseline.Blocks
 	for _, base := range baseline.Rows {
 		key := rowKey(base)
 		cur, ok := byKey[key]
@@ -435,18 +418,16 @@ func (s *Scoreboard) Compare(baseline *Scoreboard, tolPts float64) []string {
 			violations = append(violations, fmt.Sprintf("%s: missing from current scoreboard", key))
 			continue
 		}
-		if sameWorkload {
-			if len(cur.Points) != len(base.Points) {
-				violations = append(violations, fmt.Sprintf(
-					"%s: %d points, baseline %d (cache sweep changed)", key, len(cur.Points), len(base.Points)))
-			} else {
-				for i, bp := range base.Points {
-					cp := cur.Points[i]
-					if cp.ISize != bp.ISize || cp.DSize != bp.DSize || cp.Board != bp.Board || cp.Est != bp.Est {
-						violations = append(violations, fmt.Sprintf(
-							"%s {%d,%d}: cycles changed: board %d est %d, baseline board %d est %d (determinism or timing-model regression)",
-							key, bp.ISize, bp.DSize, cp.Board, cp.Est, bp.Board, bp.Est))
-					}
+		if len(cur.Points) != len(base.Points) {
+			violations = append(violations, fmt.Sprintf(
+				"%s: %d points, baseline %d (cache sweep changed)", key, len(cur.Points), len(base.Points)))
+		} else {
+			for i, bp := range base.Points {
+				cp := cur.Points[i]
+				if cp.ISize != bp.ISize || cp.DSize != bp.DSize || cp.Board != bp.Board || cp.Est != bp.Est {
+					violations = append(violations, fmt.Sprintf(
+						"%s {%d,%d}: cycles changed: board %d est %d, baseline board %d est %d (determinism or timing-model regression)",
+						key, bp.ISize, bp.DSize, cp.Board, cp.Est, bp.Board, bp.Est))
 				}
 			}
 		}

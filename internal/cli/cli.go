@@ -98,18 +98,12 @@ func PrintDiags(prog string, l *diag.List) {
 }
 
 // WriteProfile renders a cycle-attribution report the way the -profile
-// and -profile-json flags ask: the JSON form to jsonPath ("-" = stdout,
-// "" = none), then, when text is set, the ranked text report with top
-// rows to stdout.
+// and -profile-json flags ask: the JSON form to jsonPath through
+// WriteRecord ("-" = stdout, "" = none), then, when text is set, the
+// ranked text report with top rows to stdout.
 func WriteProfile(rep *profile.Report, jsonPath string, text bool, top int) error {
 	if jsonPath != "" {
-		data, err := rep.JSON()
-		if err != nil {
-			return err
-		}
-		if jsonPath == "-" {
-			fmt.Println(string(data))
-		} else if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
+		if err := WriteRecord(jsonPath, rep); err != nil {
 			return err
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"ese/internal/core"
 	"ese/internal/jobspec"
@@ -185,8 +186,8 @@ func TestRunCheckpointResumeDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
-	if res.Summary.Resumed < 3 {
-		t.Fatalf("resume restored %d points, want >= 3", res.Summary.Resumed)
+	if res.Summary.Resumed != 3 {
+		t.Fatalf("resume restored %d points, want 3", res.Summary.Resumed)
 	}
 	if res.Summary.Resumed+res.Summary.Ran != 8 {
 		t.Fatalf("resumed %d + ran %d != 8 points", res.Summary.Resumed, res.Summary.Ran)
@@ -244,6 +245,46 @@ func TestRunCheckpointResumeDeterministic(t *testing.T) {
 	if _, err := Run(ctx, sweep, Options{Shards: 3, StateDir: dir}); err == nil ||
 		!strings.Contains(err.Error(), "fingerprint mismatch") {
 		t.Fatalf("tampered checkpoint accepted: %v", err)
+	}
+}
+
+// Workers that finish while the HaltAfter-th point is being reported
+// are past the budget: the halted run checkpoints exactly HaltAfter
+// points, however many workers finish together.
+func TestRunHaltAfterIsExact(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs TLM simulations")
+	}
+	const haltAfter = 3
+	sweep := testSweep()
+	reg := metrics.NewRegistry()
+	dir := t.TempDir()
+	_, err := Run(context.Background(), sweep, Options{
+		Shards: 3, Workers: 8, StateDir: dir, HaltAfter: haltAfter,
+		Runner: &jobspec.Runner{Cache: core.NewCache(), Metrics: reg},
+		Progress: func(p Progress) {
+			if p.Done != haltAfter {
+				return
+			}
+			// Stall until every other worker has simulated its point,
+			// then give them time to checkpoint it.
+			for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+				if reg.Snapshot().Histograms["pipeline.stage.simulate.seconds"].Count == 8 {
+					break
+				}
+			}
+			time.Sleep(50 * time.Millisecond)
+		},
+	})
+	if !errors.Is(err, ErrHalted) {
+		t.Fatalf("halted run returned %v, want ErrHalted", err)
+	}
+	res, err := Run(context.Background(), sweep, Options{Shards: 3, Workers: 8, StateDir: dir})
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	if res.Summary.Resumed != haltAfter || res.Summary.Ran != 8-haltAfter {
+		t.Fatalf("resumed %d and ran %d points, want %d and %d", res.Summary.Resumed, res.Summary.Ran, haltAfter, 8-haltAfter)
 	}
 }
 

@@ -281,6 +281,12 @@ func Run(ctx context.Context, sweep *Sweep, opts Options) (*Result, error) {
 					}
 					return
 				}
+				// Claim a place in the HaltAfter budget before checkpointing:
+				// a point past it is dropped, however many finish together.
+				n := int(ran.Add(1))
+				if opts.HaltAfter > 0 && n > opts.HaltAfter {
+					return
+				}
 				row := rowFor(pt, res)
 				if shardFiles != nil {
 					sh := idx % shards
@@ -302,7 +308,7 @@ func Run(ctx context.Context, sweep *Sweep, opts Options) (*Result, error) {
 				done++
 				emit(Progress{Shard: idx % shards, Index: idx, Done: done, Total: len(points)})
 				mu.Unlock()
-				if n := int(ran.Add(1)); opts.HaltAfter > 0 && n >= opts.HaltAfter {
+				if n == opts.HaltAfter {
 					halted.Store(true)
 					cancel()
 				}

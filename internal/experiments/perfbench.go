@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"strings"
 	"time"
@@ -29,8 +27,7 @@ import (
 // simulation is deterministic), and the speedups — machine-independent
 // ratios — must not regress beyond the tolerance. Raw nanosecond fields
 // are recorded for trend inspection only; they are never compared across
-// machines. Baselines recorded before the generated tier existed simply
-// lack the gen fields; those comparisons are skipped, not rejected.
+// machines.
 type PerfBench struct {
 	Frames int            `json:"frames"`
 	Reps   int            `json:"reps"`
@@ -44,21 +41,17 @@ type PerfBenchRow struct {
 	EndPs          uint64  `json:"end_ps"`     // simulated end time (deterministic)
 	TreeNs         int64   `json:"tree_ns"`    // min wall-clock of one run
 	CompiledNs     int64   `json:"compiled_ns"`
-	GenNs          int64   `json:"gen_ns,omitempty"` // ahead-of-time generated engine
-	TreeAllocs     uint64  `json:"tree_allocs"`      // min allocations of one run
+	GenNs          int64   `json:"gen_ns"`      // ahead-of-time generated engine
+	TreeAllocs     uint64  `json:"tree_allocs"` // min allocations of one run
 	CompiledAllocs uint64  `json:"compiled_allocs"`
-	GenAllocs      uint64  `json:"gen_allocs,omitempty"`
-	Speedup        float64 `json:"speedup"`                       // TreeNs / CompiledNs
-	SpeedupVsComp  float64 `json:"speedup_vs_compiled,omitempty"` // CompiledNs / GenNs
-	AllocRatio     float64 `json:"alloc_ratio"`                   // TreeAllocs / max(CompiledAllocs,1)
+	GenAllocs      uint64  `json:"gen_allocs"`
+	Speedup        float64 `json:"speedup"`             // TreeNs / CompiledNs
+	SpeedupVsComp  float64 `json:"speedup_vs_compiled"` // CompiledNs / GenNs
+	AllocRatio     float64 `json:"alloc_ratio"`         // TreeAllocs / max(CompiledAllocs,1)
 }
 
 // perfBenchCacheCfg matches the Table 1 evaluation configuration.
 var perfBenchCacheCfg = pum.CacheCfg{ISize: 8 * 1024, DSize: 4 * 1024}
-
-// perfBenchJPEGDesigns are the JPEG rows appended after the MP3 designs;
-// their row names carry the "jpeg-" prefix to stay distinct.
-var perfBenchJPEGDesigns = apps.JPEGDesignNames
 
 // perfBenchDesigns builds the benchmarked design list: the four MP3
 // mappings followed by the two JPEG mappings, with the JPEG workload
@@ -74,12 +67,12 @@ func perfBenchDesigns(s *Setup) ([]*platform.Design, error) {
 		out = append(out, d)
 	}
 	jpeg := apps.JPEGConfig{Blocks: 8 * s.Eval.Frames, Seed: apps.DefaultJPEG.Seed}
-	for _, design := range perfBenchJPEGDesigns {
+	for _, design := range apps.JPEGDesignNames {
 		d, err := apps.JPEGDesign(design, jpeg, s.MB, perfBenchCacheCfg)
 		if err != nil {
 			return nil, err
 		}
-		d.Name = "jpeg-" + design
+		d.Name = "jpeg-" + design // distinct from the MP3 rows
 		out = append(out, d)
 	}
 	return out, nil
@@ -91,7 +84,7 @@ func perfBenchKnownDesigns() map[string]bool {
 	for _, d := range apps.MP3DesignNames {
 		known[d] = true
 	}
-	for _, d := range perfBenchJPEGDesigns {
+	for _, d := range apps.JPEGDesignNames {
 		known["jpeg-"+d] = true
 	}
 	return known
@@ -195,100 +188,73 @@ func RunPerfBench(s *Setup, reps int) (*PerfBench, error) {
 	return out, nil
 }
 
-// LoadBaseline reads and validates a committed benchmark baseline
-// (BENCH_tlm.json). Every way the baseline can be unusable — missing
-// file, truncated or malformed JSON, no rows, rows for designs this
-// build does not know (a baseline from a different design set) — is an
-// input error (exit 2 / HTTP 400), not a runtime failure: the
-// measurement itself never ran, so exit 1 would misreport a benchmark
-// regression. A baseline recorded before the generated tier (no gen
-// fields) or before the JPEG rows is still valid.
+// LoadBaseline reads a committed benchmark baseline (BENCH_tlm.json)
+// through cli.ReadBaseline; only the benchmarked designs are known.
 func LoadBaseline(path string) (*PerfBench, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, cli.Input(fmt.Errorf("bench baseline: %w", err))
-	}
 	var b PerfBench
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, cli.Input(fmt.Errorf("bench baseline %s: malformed or truncated JSON: %w", path, err))
-	}
-	if len(b.Rows) == 0 {
-		return nil, cli.Input(fmt.Errorf("bench baseline %s: no measurement rows", path))
-	}
-	known := perfBenchKnownDesigns()
-	seen := make(map[string]bool, len(b.Rows))
-	for _, r := range b.Rows {
-		if !known[r.Design] {
-			return nil, cli.Input(fmt.Errorf(
-				"bench baseline %s: unknown design %q — baseline from a different design set?", path, r.Design))
-		}
-		if seen[r.Design] {
-			return nil, cli.Input(fmt.Errorf("bench baseline %s: duplicate design %q", path, r.Design))
-		}
-		seen[r.Design] = true
-		if r.Speedup < 0 || r.TreeNs < 0 || r.CompiledNs < 0 || r.GenNs < 0 {
-			return nil, cli.Input(fmt.Errorf("bench baseline %s: design %q has negative measurements", path, r.Design))
-		}
+	if err := cli.ReadBaseline(path, &b, perfBenchKnownDesigns()); err != nil {
+		return nil, err
 	}
 	return &b, nil
 }
 
-// Compare checks a fresh measurement against a committed baseline and
-// returns human-readable violations (empty means the run is acceptable).
-// Only machine-independent quantities are compared: simulated cycles and
-// end time must match exactly when the workloads match, and the speedup
-// ratios must not fall below baseline*(1-tol). Gen-tier comparisons run
-// only when the baseline has gen measurements, so pre-gen baselines stay
-// usable.
+// Workload names the benchmarked input: MP3 frames, which scale JPEG too.
+func (b *PerfBench) Workload() string { return fmt.Sprintf("%d frames", b.Frames) }
+
+// RowKeys lists the rows' designs. A row whose timings or speedups are
+// not positive is unusable: a negative measurement, or a row without one
+// of the three engines.
+func (b *PerfBench) RowKeys() ([]string, error) {
+	keys := make([]string, len(b.Rows))
+	for i, r := range b.Rows {
+		if r.TreeNs <= 0 || r.CompiledNs <= 0 || r.GenNs <= 0 || r.Speedup <= 0 || r.SpeedupVsComp <= 0 {
+			return nil, fmt.Errorf("row %q: timings and speedups must be positive", r.Design)
+		}
+		keys[i] = r.Design
+	}
+	return keys, nil
+}
+
+// Compare checks a fresh measurement against a committed baseline of the
+// same workload and returns human-readable violations (empty means the
+// run is acceptable). Only machine-independent quantities are compared:
+// simulated cycles and end time must match exactly, the speedup ratios
+// must not fall below baseline*(1-tol), and allocations must not rise
+// above baseline*(1+tol).
 func (b *PerfBench) Compare(baseline *PerfBench, tol float64) []string {
 	var violations []string
 	byDesign := make(map[string]PerfBenchRow, len(b.Rows))
 	for _, r := range b.Rows {
 		byDesign[r.Design] = r
 	}
-	sameWorkload := b.Frames == baseline.Frames
 	for _, base := range baseline.Rows {
-		cur, ok := byDesign[base.Design]
+		design := base.Design
+		cur, ok := byDesign[design]
 		if !ok {
-			violations = append(violations,
-				fmt.Sprintf("%s: missing from current measurement", base.Design))
+			violations = append(violations, fmt.Sprintf("%s: missing from current measurement", design))
 			continue
 		}
-		if sameWorkload && (cur.SimCycles != base.SimCycles || cur.EndPs != base.EndPs) {
+		if cur.SimCycles != base.SimCycles || cur.EndPs != base.EndPs {
 			violations = append(violations, fmt.Sprintf(
 				"%s: simulated outputs changed: %d cycles end %d ps, baseline %d cycles end %d ps (determinism or timing-model regression)",
-				base.Design, cur.SimCycles, cur.EndPs, base.SimCycles, base.EndPs))
+				design, cur.SimCycles, cur.EndPs, base.SimCycles, base.EndPs))
 		}
-		floor := base.Speedup * (1 - tol)
-		if cur.Speedup < floor {
-			violations = append(violations, fmt.Sprintf(
-				"%s: compiled/tree speedup %.2fx below %.2fx (baseline %.2fx - %.0f%% tolerance)",
-				base.Design, cur.Speedup, floor, base.Speedup, 100*tol))
-		}
-		if base.GenNs > 0 {
-			genFloor := base.SpeedupVsComp * (1 - tol)
-			if cur.SpeedupVsComp < genFloor {
-				violations = append(violations, fmt.Sprintf(
-					"%s: gen/compiled speedup %.2fx below %.2fx (baseline %.2fx - %.0f%% tolerance)",
-					base.Design, cur.SpeedupVsComp, genFloor, base.SpeedupVsComp, 100*tol))
-			}
-			if base.GenAllocs > 0 {
-				ceil := float64(base.GenAllocs) * (1 + tol)
-				if float64(cur.GenAllocs) > ceil {
-					violations = append(violations, fmt.Sprintf(
-						"%s: gen-engine allocations %d above %.0f (baseline %d + %.0f%% tolerance)",
-						base.Design, cur.GenAllocs, ceil, base.GenAllocs, 100*tol))
-				}
+		speedup := func(tiers string, cur, base float64) {
+			if floor := base * (1 - tol); cur < floor {
+				violations = append(violations, fmt.Sprintf("%s: %s speedup %.2fx below %.2fx (baseline %.2fx - %.0f%% tolerance)",
+					design, tiers, cur, floor, base, 100*tol))
 			}
 		}
-		if base.CompiledAllocs > 0 {
-			ceil := float64(base.CompiledAllocs) * (1 + tol)
-			if float64(cur.CompiledAllocs) > ceil {
-				violations = append(violations, fmt.Sprintf(
-					"%s: compiled-engine allocations %d above %.0f (baseline %d + %.0f%% tolerance)",
-					base.Design, cur.CompiledAllocs, ceil, base.CompiledAllocs, 100*tol))
+		allocs := func(engine string, cur, base uint64) {
+			if ceil := float64(base) * (1 + tol); float64(cur) > ceil {
+				violations = append(violations, fmt.Sprintf("%s: %s-engine allocations %d above %.0f (baseline %d + %.0f%% tolerance)",
+					design, engine, cur, ceil, base, 100*tol))
 			}
 		}
+		speedup("compiled/tree", cur.Speedup, base.Speedup)
+		speedup("gen/compiled", cur.SpeedupVsComp, base.SpeedupVsComp)
+		allocs("gen", cur.GenAllocs, base.GenAllocs)
+		allocs("compiled", cur.CompiledAllocs, base.CompiledAllocs)
 	}
 	return violations
 }

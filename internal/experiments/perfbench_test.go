@@ -9,9 +9,12 @@ import (
 	"ese/internal/cli"
 )
 
-// Regression: a corrupt or mismatched -bench-compare baseline must be a
-// pinned input error (exit 2), never an unspecified runtime failure or a
-// false "benchmark regression" (exit 1).
+// The engine benchmark's own baseline checks: its design set and its row
+// check. A row without the gen tier's measurements is as unusable as one
+// with a negative measurement. Every rejection is an input error (exit 2),
+// never a false "benchmark regression" (exit 1). The shared cases (a
+// missing file, truncated JSON, no rows, a duplicate row) are
+// cli.ReadBaseline's.
 func TestLoadBaselineRejectsCorruptBaselines(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name, content string) string {
@@ -21,28 +24,21 @@ func TestLoadBaselineRejectsCorruptBaselines(t *testing.T) {
 		}
 		return p
 	}
-	const good = `{"frames":2,"reps":5,"rows":[
-		{"design":"SW","sim_cycles":100,"end_ps":1000,"tree_ns":50,"compiled_ns":10,"speedup":5.0},
-		{"design":"SW+4","sim_cycles":60,"end_ps":700,"tree_ns":40,"compiled_ns":10,"speedup":4.0}]}`
-
 	cases := []struct {
-		name, path, wantErr string
+		name, content, wantErr string
 	}{
-		{"missing", filepath.Join(dir, "nope.json"), "no such file"},
-		{"truncated", write("trunc.json", good[:len(good)/2]), "truncated"},
-		{"empty object", write("empty.json", `{}`), "no measurement rows"},
-		{"wrong design set", write("foreign.json",
-			`{"frames":2,"reps":5,"rows":[{"design":"RISCV+VEC","speedup":2.0}]}`),
-			"different design set"},
-		{"duplicate design", write("dup.json",
-			`{"frames":2,"reps":5,"rows":[{"design":"SW","speedup":2.0},{"design":"SW","speedup":2.0}]}`),
-			"duplicate design"},
-		{"negative measurement", write("neg.json",
-			`{"frames":2,"reps":5,"rows":[{"design":"SW","speedup":-1.0}]}`),
-			"negative measurements"},
+		{"wrong design set", `{"frames":2,"rows":[
+			{"design":"RISCV+VEC","tree_ns":50,"compiled_ns":10,"gen_ns":2,"speedup":5.0,"speedup_vs_compiled":5.0}]}`,
+			`unknown row "RISCV+VEC"`},
+		{"negative measurement", `{"frames":2,"rows":[
+			{"design":"SW","tree_ns":50,"compiled_ns":-10,"gen_ns":2,"speedup":5.0,"speedup_vs_compiled":5.0}]}`,
+			"must be positive"},
+		{"no gen measurements", `{"frames":2,"rows":[
+			{"design":"SW","tree_ns":50,"compiled_ns":10,"speedup":5.0}]}`,
+			"must be positive"},
 	}
 	for _, tc := range cases {
-		_, err := LoadBaseline(tc.path)
+		_, err := LoadBaseline(write(tc.name+".json", tc.content))
 		if err == nil {
 			t.Fatalf("%s: baseline accepted", tc.name)
 		}
@@ -54,78 +50,60 @@ func TestLoadBaselineRejectsCorruptBaselines(t *testing.T) {
 		}
 	}
 
-	b, err := LoadBaseline(write("good.json", good))
+	// The committed baseline, JPEG rows included, is usable, and a run
+	// of another frame count is not its workload.
+	b, err := LoadBaseline("../../BENCH_tlm.json")
 	if err != nil {
-		t.Fatalf("valid baseline rejected: %v", err)
+		t.Fatalf("committed baseline rejected: %v", err)
 	}
-	if len(b.Rows) != 2 || b.Frames != 2 {
-		t.Fatalf("baseline decoded wrong: %+v", b)
+	if len(b.Rows) != 6 || b.Rows[5].Design != "jpeg-SW+DCT" {
+		t.Fatalf("committed baseline decoded wrong: %+v", b.Rows)
+	}
+	if err := cli.SameWorkload("BENCH_tlm.json", b, (&PerfBench{Frames: b.Frames}).Workload()); err != nil {
+		t.Fatalf("same frames rejected: %v", err)
+	}
+	err = cli.SameWorkload("BENCH_tlm.json", b, (&PerfBench{Frames: b.Frames - 1}).Workload())
+	if code := cli.ExitCode(err); code != cli.ExitUsage {
+		t.Fatalf("other frames: exit code %d (%v), want %d", code, err, cli.ExitUsage)
 	}
 }
 
-// A regression against a valid baseline stays a runtime failure (exit 1):
-// Compare reports violations and the caller returns a plain error.
+// Every comparison runs on every row: exact cycles and end time, both
+// speedup floors and both allocation ceilings. A regression is a
+// violation naming the design, which the caller reports as exit 1.
 func TestCompareClassification(t *testing.T) {
-	base := &PerfBench{Frames: 2, Rows: []PerfBenchRow{
-		{Design: "SW", SimCycles: 100, EndPs: 1000, Speedup: 5.0},
-	}}
-	cur := &PerfBench{Frames: 2, Rows: []PerfBenchRow{
-		{Design: "SW", SimCycles: 100, EndPs: 1000, Speedup: 2.0},
-	}}
-	violations := cur.Compare(base, 0.30)
-	if len(violations) != 1 || !strings.Contains(violations[0], "speedup") {
-		t.Fatalf("violations = %v", violations)
+	row := PerfBenchRow{
+		Design: "SW", SimCycles: 100, EndPs: 1000,
+		CompiledAllocs: 100, GenAllocs: 50, Speedup: 5.0, SpeedupVsComp: 4.0,
 	}
-	ok := &PerfBench{Frames: 2, Rows: []PerfBenchRow{
-		{Design: "SW", SimCycles: 100, EndPs: 1000, Speedup: 4.9},
-	}}
-	if v := ok.Compare(base, 0.30); len(v) != 0 {
+	base := &PerfBench{Frames: 2, Rows: []PerfBenchRow{row}}
+	ok := row
+	ok.Speedup, ok.SpeedupVsComp, ok.CompiledAllocs, ok.GenAllocs = 4.9, 3.9, 101, 51
+	if v := (&PerfBench{Frames: 2, Rows: []PerfBenchRow{ok}}).Compare(base, 0.30); len(v) != 0 {
 		t.Fatalf("within-tolerance run flagged: %v", v)
+	}
+	for _, tc := range []struct {
+		name, want string
+		mut        func(*PerfBenchRow)
+	}{
+		{"cycles", "simulated outputs changed", func(r *PerfBenchRow) { r.SimCycles++ }},
+		{"end time", "simulated outputs changed", func(r *PerfBenchRow) { r.EndPs++ }},
+		{"compiled/tree", "compiled/tree speedup", func(r *PerfBenchRow) { r.Speedup = 2.0 }},
+		{"gen/compiled", "gen/compiled speedup", func(r *PerfBenchRow) { r.SpeedupVsComp = 2.0 }},
+		{"compiled allocs", "compiled-engine allocations", func(r *PerfBenchRow) { r.CompiledAllocs = 200 }},
+		{"gen allocs", "gen-engine allocations", func(r *PerfBenchRow) { r.GenAllocs = 100 }},
+	} {
+		cur := row
+		tc.mut(&cur)
+		v := (&PerfBench{Frames: 2, Rows: []PerfBenchRow{cur}}).Compare(base, 0.30)
+		if len(v) != 1 || !strings.HasPrefix(v[0], "SW: "+tc.want) {
+			t.Errorf("%s: violations = %v, want one %q", tc.name, v, tc.want)
+		}
 	}
 	// A current run missing a baselined design is a violation, not a parse
 	// problem: the baseline was valid, the measurement fell short.
 	missing := &PerfBench{Frames: 2}
 	if v := missing.Compare(base, 0.30); len(v) != 1 {
 		t.Fatalf("missing-design run not flagged: %v", v)
-	}
-}
-
-// A baseline recorded before the generated tier existed (no gen fields,
-// no JPEG rows) must still load and compare cleanly against a current
-// three-engine measurement — only a different design set is an input
-// error.
-func TestPreGenBaselineTolerated(t *testing.T) {
-	dir := t.TempDir()
-	p := filepath.Join(dir, "pre_gen.json")
-	const preGen = `{"frames":2,"reps":5,"rows":[
-		{"design":"SW","sim_cycles":100,"end_ps":1000,"tree_ns":50,"compiled_ns":10,"speedup":5.0},
-		{"design":"SW+1","sim_cycles":90,"end_ps":900,"tree_ns":45,"compiled_ns":10,"speedup":4.5}]}`
-	if err := os.WriteFile(p, []byte(preGen), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	base, err := LoadBaseline(p)
-	if err != nil {
-		t.Fatalf("pre-gen baseline rejected: %v", err)
-	}
-	cur := &PerfBench{Frames: 2, Rows: []PerfBenchRow{
-		{Design: "SW", SimCycles: 100, EndPs: 1000, Speedup: 5.0,
-			GenNs: 2, GenAllocs: 10, SpeedupVsComp: 5.0},
-		{Design: "SW+1", SimCycles: 90, EndPs: 900, Speedup: 4.5,
-			GenNs: 2, GenAllocs: 10, SpeedupVsComp: 5.0},
-		{Design: "jpeg-SW", SimCycles: 10, EndPs: 100, Speedup: 2.0,
-			GenNs: 2, GenAllocs: 10, SpeedupVsComp: 3.0},
-	}}
-	if v := cur.Compare(base, 0.30); len(v) != 0 {
-		t.Fatalf("pre-gen baseline produced violations: %v", v)
-	}
-	// A JPEG row in a modern baseline is part of the known design set.
-	pj := filepath.Join(dir, "jpeg.json")
-	const withJPEG = `{"frames":2,"reps":5,"rows":[
-		{"design":"jpeg-SW","sim_cycles":10,"end_ps":100,"tree_ns":50,"compiled_ns":10,"gen_ns":2,"speedup":5.0,"speedup_vs_compiled":5.0}]}`
-	if err := os.WriteFile(pj, []byte(withJPEG), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadBaseline(pj); err != nil {
-		t.Fatalf("baseline with JPEG rows rejected: %v", err)
 	}
 }

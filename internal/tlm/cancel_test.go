@@ -36,11 +36,13 @@ func spinDesign(t *testing.T) *platform.Design {
 
 func TestRunDeadlineReturnsPartialResult(t *testing.T) {
 	d := spinDesign(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
+	defer cancel()
 	res, err := Run(d, Options{
 		Timed:    true,
 		WaitMode: WaitAtTransactions,
 		Delays:   fullDelays(t, d),
-		Timeout:  150 * time.Millisecond,
+		Ctx:      ctx,
 	})
 	if !errors.Is(err, diag.ErrDeadline) {
 		t.Fatalf("Run error = %v, want diag.ErrDeadline", err)

@@ -266,7 +266,11 @@ func TestRecordingFallbacks(t *testing.T) {
 		{"untimed", twoPEDesign(t, pingPongSrc), func(o *Options) { *o = Options{} }},
 		{"failed", twoPEDesign(t, pingPongSrc), func(o *Options) { o.StepLimit = 10 }},
 		{"canceled", twoPEDesign(t, pingPongSrc), func(o *Options) { o.Ctx = canceled }},
-		{"deadline", spinDesign(t), func(o *Options) { o.Timeout = 50 * time.Millisecond }},
+		{"deadline", spinDesign(t), func(o *Options) {
+			ctx, stop := context.WithTimeout(context.Background(), 50*time.Millisecond)
+			t.Cleanup(stop)
+			o.Ctx = ctx
+		}},
 	} {
 		rec := &Recording{}
 		opts := Options{Timed: true, WaitMode: WaitAtTransactions, Delays: fullDelays(t, tc.d)}

@@ -46,10 +46,6 @@ type Options struct {
 	// returns the partial Result together with diag.ErrCanceled or
 	// diag.ErrDeadline.
 	Ctx context.Context
-	// Timeout, when positive, arms a wall-clock watchdog on top of Ctx: the
-	// run is abandoned (with diag.ErrDeadline) once that much host time has
-	// elapsed, so a wedged model cannot hang the caller.
-	Timeout time.Duration
 	// Delays supplies the per-PE delay tables of a timed run, keyed by PE
 	// name, one delay per block in dense program order: functions in
 	// order, each function's blocks in order. A timed run requires a table
@@ -133,11 +129,6 @@ func Run(d *platform.Design, opts Options) (*Result, error) {
 	ctx := opts.Ctx
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if opts.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opts.Timeout)
-		defer cancel()
 	}
 	res := &Result{
 		Design:       d.Name,
