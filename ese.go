@@ -49,6 +49,7 @@ import (
 
 	"ese/internal/annotate"
 	"ese/internal/apps"
+	"ese/internal/calib"
 	"ese/internal/cdfg"
 	"ese/internal/codegen"
 	"ese/internal/core"
@@ -241,11 +242,14 @@ func EstimateBlock(b *Block, p *PUM) Estimate {
 	return core.BlockDelay(b, p, core.FullDetail)
 }
 
-// Calibrate profiles a training process on the cycle-accurate board CPU for
-// the standard cache configurations and returns a PUM with measured
-// statistical memory and branch models.
+// Calibrate runs a training process once on the cycle-accurate board CPU,
+// measuring the cache hit rates of every standard cache configuration and
+// the branch misprediction ratio, and returns a copy of base with those
+// statistical memory and branch models. The provenance is labeled with
+// the entry name.
 func Calibrate(base *PUM, trainProg *Program, entry string) (*PUM, error) {
-	return rtl.Calibrate(base, trainProg, entry, pum.StandardCacheConfigs, 0)
+	model, _, err := calib.Calibrate(base, []calib.Training{{Name: entry, Prog: trainProg, Entry: entry}}, pum.StandardCacheConfigs, 0)
+	return model, err
 }
 
 // DefaultBus returns the standard shared-bus parameters.

@@ -1,7 +1,9 @@
 // Package calib closes the loop between the statistical PUM and the
 // cycle-accurate board model: it calibrates the statistical memory and
-// branch models from one or more training programs (with per-config,
-// per-program provenance recorded in the returned PUM), then scores the
+// branch models from one or more training programs, each run once on the
+// board's processor model for every cache configuration (rtl.Measure), with
+// per-config, per-program provenance recorded in the returned PUM. It is
+// the only code that builds a calibrated model. It then scores the
 // calibrated estimator against the board across the full application ×
 // design × cache-configuration matrix, reporting MAPE and Pearson r per
 // design. The paper's "~6–9% error" headline becomes a tracked number:
@@ -27,16 +29,14 @@ type Training struct {
 	Entry string
 }
 
-// Calibrate is the multi-program generalization of rtl.Calibrate: each
-// training program is profiled on the cycle-accurate processor model for
-// every cached configuration, and the resulting statistics are merged into
-// one model by unweighted averaging — per configuration for the memory
-// table, across programs for the branch misprediction ratio. The returned
-// PUM carries one provenance entry per (configuration, program) pair; the
-// per-program reports are returned alongside for inspection.
-//
-// With a single training program this is exactly rtl.CalibrateReport with
-// the provenance relabeled from the entry name to the training name.
+// Calibrate is the only code that builds calibrated models: it measures each
+// training program with rtl.Measure (one run per program for every cached
+// configuration) and merges the reports into a copy of the base PUM by
+// unweighted averaging — per configuration for the memory table, across
+// programs for the branch misprediction ratio. The returned PUM carries one
+// provenance entry per (configuration, program) pair, labeled with the
+// training name; the per-program reports are returned alongside for
+// inspection. limit bounds each training run's dynamic steps (0 = none).
 func Calibrate(base *pum.PUM, trains []Training, cfgs []pum.CacheCfg, limit uint64) (*pum.PUM, []*rtl.CalibReport, error) {
 	if len(trains) == 0 {
 		return nil, nil, fmt.Errorf("calib: no training programs")
@@ -46,16 +46,15 @@ func Calibrate(base *pum.PUM, trains []Training, cfgs []pum.CacheCfg, limit uint
 	out.Calib = nil // recalibration replaces any prior provenance
 	var missSum float64
 	for _, tr := range trains {
-		_, rep, err := rtl.CalibrateReport(base, tr.Prog, tr.Entry, cfgs, limit)
+		rep, err := rtl.Measure(base, tr.Prog, tr.Entry, cfgs, limit)
 		if err != nil {
 			return nil, nil, fmt.Errorf("calib: training %q: %w", tr.Name, err)
 		}
-		rep.Train = tr.Name
 		reps = append(reps, rep)
 		missSum += rep.BranchMiss
 		for _, cs := range rep.Stats {
 			out.Calib = append(out.Calib, pum.CalibSource{
-				Cfg: cs.Cfg, Train: tr.Name, Steps: cs.Steps, BranchMiss: cs.BranchMiss,
+				Cfg: cs.Cfg, Train: tr.Name, Steps: rep.Steps, BranchMiss: rep.BranchMiss,
 			})
 		}
 	}
@@ -65,17 +64,13 @@ func Calibrate(base *pum.PUM, trains []Training, cfgs []pum.CacheCfg, limit uint
 	for i, cs := range reps[0].Stats {
 		sum := cs.Mem
 		for _, rep := range reps[1:] {
-			other := rep.Stats[i]
-			if other.Cfg != cs.Cfg {
-				return nil, nil, fmt.Errorf("calib: training %q measured %v where %q measured %v",
-					rep.Train, other.Cfg, reps[0].Train, cs.Cfg)
-			}
-			sum.IHitRate += other.Mem.IHitRate
-			sum.DHitRate += other.Mem.DHitRate
-			sum.IHitDelay += other.Mem.IHitDelay
-			sum.DHitDelay += other.Mem.DHitDelay
-			sum.IMissPenalty += other.Mem.IMissPenalty
-			sum.DMissPenalty += other.Mem.DMissPenalty
+			other := rep.Stats[i].Mem
+			sum.IHitRate += other.IHitRate
+			sum.DHitRate += other.DHitRate
+			sum.IHitDelay += other.IHitDelay
+			sum.DHitDelay += other.DHitDelay
+			sum.IMissPenalty += other.IMissPenalty
+			sum.DMissPenalty += other.DMissPenalty
 		}
 		sum.IHitRate /= n
 		sum.DHitRate /= n

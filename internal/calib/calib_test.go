@@ -90,6 +90,109 @@ func TestCalibrateMergesTrainings(t *testing.T) {
 	}
 }
 
+// loopTraining is a small self-contained training program with branches
+// and data traffic.
+func loopTraining(t *testing.T) Training {
+	t.Helper()
+	prog, err := apps.Compile("loop.c", `
+int a[128];
+void main() {
+  int i;
+  int r;
+  for (r = 0; r < 4; r++) {
+    for (i = 0; i < 128; i++) a[i] = a[i] * 3 + i;
+  }
+  out(a[100]);
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Training{Name: "loop", Prog: prog, Entry: "main"}
+}
+
+// Provenance: one entry per cached configuration, each carrying the one
+// branch misprediction ratio and step count the training run measured and
+// labeled with the training name; the model records the same ratio.
+func TestCalibrateProvenance(t *testing.T) {
+	cfgs := []pum.CacheCfg{
+		{ISize: 2048, DSize: 2048},
+		{ISize: 0, DSize: 0},
+		{ISize: 16384, DSize: 16384},
+		{ISize: 0, DSize: 4096},
+	}
+	out, reps, err := Calibrate(pum.MicroBlaze(), []Training{loopTraining(t)}, cfgs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := reps[0]
+	if out.Branch.MissRate != rep.BranchMiss {
+		t.Errorf("model MissRate %v != report %v", out.Branch.MissRate, rep.BranchMiss)
+	}
+	if len(out.Calib) != 3 {
+		t.Fatalf("provenance has %d entries, want 3 (one per cached config)", len(out.Calib))
+	}
+	for i, cs := range out.Calib {
+		if cs.Cfg != rep.Stats[i].Cfg {
+			t.Errorf("entry %d: config %v, report measured %v", i, cs.Cfg, rep.Stats[i].Cfg)
+		}
+		if cs.BranchMiss != rep.BranchMiss {
+			t.Errorf("%v: provenance miss %v != run's %v", cs.Cfg, cs.BranchMiss, rep.BranchMiss)
+		}
+		if cs.Steps != rep.Steps || cs.Steps == 0 {
+			t.Errorf("%v: steps %d, want run's nonzero %d", cs.Cfg, cs.Steps, rep.Steps)
+		}
+		if cs.Train != "loop" {
+			t.Errorf("%v: train label %q, want %q", cs.Cfg, cs.Train, "loop")
+		}
+	}
+}
+
+func TestCalibrateProducesUsableModel(t *testing.T) {
+	prog, err := apps.CompileMP3("SW", apps.MP3Config{Frames: 1, Seed: 77})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mb, _, err := Calibrate(pum.MicroBlaze(), []Training{{Name: "mp3", Prog: prog, Entry: "main"}}, pum.StandardCacheConfigs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mb.Validate(); err != nil {
+		t.Fatalf("calibrated model invalid: %v", err)
+	}
+	for _, cc := range pum.StandardCacheConfigs[1:] {
+		if _, err := mb.WithCache(cc); err != nil {
+			t.Fatalf("WithCache(%v): %v", cc, err)
+		}
+	}
+}
+
+// Calibrated models round-trip through JSON with their provenance intact.
+func TestCalibrateProvenanceJSONRoundTrip(t *testing.T) {
+	out, _, err := Calibrate(pum.MicroBlaze(), []Training{loopTraining(t)}, []pum.CacheCfg{{ISize: 4096, DSize: 4096}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := out.ToJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), `"calib"`) {
+		t.Fatal("serialized PUM lacks calib provenance")
+	}
+	back, err := pum.FromJSON(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(back.Calib) != len(out.Calib) {
+		t.Fatalf("round-trip provenance %d entries, want %d", len(back.Calib), len(out.Calib))
+	}
+	for i := range back.Calib {
+		if back.Calib[i] != out.Calib[i] {
+			t.Errorf("entry %d: %+v != %+v", i, back.Calib[i], out.Calib[i])
+		}
+	}
+}
+
 // Property: every memory snapshot recorded anywhere in the calibration
 // matrix — all training programs, all standard configurations, including a
 // degenerate program with no data traffic — passes pum.MemStats.Validate,

@@ -1,7 +1,9 @@
 package jobspec
 
 import (
+	"bytes"
 	"context"
+	"strings"
 	"testing"
 
 	"ese/internal/pum"
@@ -83,5 +85,39 @@ func TestRunnerCalibrate(t *testing.T) {
 	}
 	if len(model.Calib) != cached || model.Branch.MissRate != c.BranchMiss {
 		t.Fatalf("model: %d provenance entries, miss %v", len(model.Calib), model.Branch.MissRate)
+	}
+}
+
+// A calibrate job's steps bound the training run: a bound below the mp3
+// training program's length fails with the step-limit error and returns
+// no model; a bound at or above it calibrates exactly as no bound does.
+func TestRunnerCalibrateStepBound(t *testing.T) {
+	var r Runner
+	run := func(steps uint64) (*Result, error) {
+		s := DefaultCalibrate()
+		s.Train = "mp3"
+		s.Steps = steps
+		return r.Run(context.Background(), &s)
+	}
+	free, err := run(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	length := free.Calib.Provenance[0].Steps
+	res, err := run(length / 2)
+	if err == nil || !strings.Contains(err.Error(), "step limit") {
+		t.Fatalf("bound below the training length: want the step-limit error, got %v", err)
+	}
+	if res != nil && res.Calib != nil {
+		t.Fatal("bound below the training length returned a calib result")
+	}
+	for _, steps := range []uint64{length, length + 1} {
+		bounded, err := run(steps)
+		if err != nil {
+			t.Fatalf("bound %d (training length %d): %v", steps, length, err)
+		}
+		if !bytes.Equal(bounded.Calib.Model, free.Calib.Model) {
+			t.Errorf("bound %d: model differs from the unbounded one", steps)
+		}
 	}
 }

@@ -229,7 +229,7 @@ type Spec struct {
 	// (default main).
 	Entry string `json:"entry,omitempty"`
 	// Steps bounds the dynamic instruction count of a profiled estimation
-	// job (0 = none).
+	// job, or of each training run of a calibration job (0 = none).
 	Steps uint64 `json:"steps,omitempty"`
 }
 

@@ -223,6 +223,23 @@ func TestRunnerEstimateProfile(t *testing.T) {
 	}
 }
 
+// A Go panic while a profiled estimate executes tenant code fails the job
+// with a simulate-stage *diag.PanicError (exit 1, HTTP 500) instead of
+// unwinding past the Runner and killing the process. Two huge local arrays
+// make the compiled tier, which auto selects for a profiled run, panic
+// sizing the frame.
+func TestRunnerEstimateProfilePanicIsContained(t *testing.T) {
+	s := estimateSpec()
+	s.Source.Code = `int main(){int a[2000000000]; int b[2000000000]; a[1]=1; b[2]=2; return a[1]+b[2];}`
+	s.Profile = true
+	var r Runner
+	_, err := r.Run(context.Background(), s)
+	var pe *diag.PanicError
+	if !errors.As(err, &pe) || pe.Stage != diag.StageSimulate {
+		t.Fatalf("want a simulate-stage *diag.PanicError, got %v", err)
+	}
+}
+
 func TestRunnerTLMFunctionalAndTimed(t *testing.T) {
 	shared := core.NewCache()
 	r := Runner{Cache: shared, Metrics: metrics.NewRegistry()}

@@ -5,10 +5,10 @@ import (
 	"os"
 
 	"ese/internal/apps"
+	"ese/internal/calib"
 	"ese/internal/cdfg"
 	"ese/internal/platform"
 	"ese/internal/pum"
-	"ese/internal/rtl"
 )
 
 // ResolveModel materializes the spec's PE model: inline JSON wins, then
@@ -66,24 +66,21 @@ func (s *Spec) ApplyCache(model *pum.PUM) (*pum.PUM, error) {
 }
 
 // BaseModel materializes a TLM job's base processor model: the
-// MicroBlaze-like soft core, calibrated on the shared training workload
-// when the spec asks for it. The result depends only on s.Calibrate — the
-// training workload is fixed — which is what lets the Runner and the DSE
+// MicroBlaze-like soft core, calibrated on the MP3 training program when
+// the spec asks for it. The result depends only on s.Calibrate — the
+// training program is fixed — which is what lets the Runner and the DSE
 // sweep driver memoize it across thousands of jobs.
 func (s *Spec) BaseModel() (*pum.PUM, error) {
 	mb := pum.MicroBlaze()
 	if !s.Calibrate {
 		return mb, nil
 	}
-	trainSrc, err := apps.MP3Source("SW", apps.TrainMP3)
+	ts, err := calib.Trainings(AppMP3)
 	if err != nil {
 		return nil, err
 	}
-	trainProg, err := apps.Compile("train.c", trainSrc)
-	if err != nil {
-		return nil, err
-	}
-	return rtl.Calibrate(mb, trainProg, "main", pum.StandardCacheConfigs, 0)
+	model, _, err := calib.Calibrate(mb, ts, pum.StandardCacheConfigs, 0)
+	return model, err
 }
 
 // BuildDesign materializes a TLM job's mapped platform: the (optionally

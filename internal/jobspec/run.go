@@ -349,28 +349,38 @@ func (r *Runner) runEstimate(ctx context.Context, s *Spec, pl *engine.Pipeline, 
 // bounded by s.Steps and ctx, counting block executions, and joins the
 // counts with the annotation into the ranked cycle-attribution report.
 // The report's one PE is named after the model; its dynamic total is the
-// program's estimated cycle count on that model.
+// program's estimated cycle count on that model. The engine builds and
+// runs tenant code under diag.Guard, so a Go panic in it fails the job
+// with a *diag.PanicError instead of killing the process.
 func ProfileEstimate(ctx context.Context, s *Spec, a *annotate.Annotated) (*profile.Report, error) {
 	kind, err := s.ExecKind()
 	if err != nil {
 		return nil, err
 	}
-	m, err := interp.NewEngine(a.Prog, kind)
+	var counts map[*cdfg.Block]uint64
+	err = diag.Guard(diag.StageSimulate, func() error {
+		m, err := interp.NewEngine(a.Prog, kind)
+		if err != nil {
+			return err
+		}
+		m.EnableProfile()
+		m.SetLimit(s.Steps)
+		m.SetContext(ctx)
+		entry := s.Entry
+		if entry == "" {
+			entry = "main"
+		}
+		if err := m.Run(entry); err != nil {
+			return fmt.Errorf("profile run: %w", err)
+		}
+		counts = m.BlockCountsMap()
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	m.EnableProfile()
-	m.SetLimit(s.Steps)
-	m.SetContext(ctx)
-	entry := s.Entry
-	if entry == "" {
-		entry = "main"
-	}
-	if err := m.Run(entry); err != nil {
-		return nil, fmt.Errorf("profile run: %w", err)
-	}
 	return profile.Build("", a.Prog,
-		map[string]map[*cdfg.Block]uint64{a.PUM.Name: m.BlockCountsMap()},
+		map[string]map[*cdfg.Block]uint64{a.PUM.Name: counts},
 		map[string][]core.Estimate{a.PUM.Name: a.Table.Estimates()})
 }
 

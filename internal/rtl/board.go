@@ -19,7 +19,8 @@ type PEResult struct {
 	Cycles uint64 // computation cycles at the PE clock
 	Out    []int32
 	Steps  uint64
-	// Observed statistics (Processor PEs), the calibration source.
+	// Observed statistics (Processor PEs), as `esetlm -engine board`
+	// prints them.
 	Mem        pum.MemStats
 	BranchMiss float64
 }

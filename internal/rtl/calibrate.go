@@ -4,147 +4,120 @@ import (
 	"errors"
 	"fmt"
 
+	"ese/internal/branch"
+	"ese/internal/cache"
 	"ese/internal/cdfg"
 	"ese/internal/iss"
 	"ese/internal/pum"
 )
 
-// ErrUncalibrated reports that a calibration run had no cached cache
+// ErrUncalibrated reports that a calibration had no cached cache
 // configuration to profile: every entry of cfgs was the uncached {0,0}
 // geometry, which needs no statistics (every access pays the external
 // latency), so neither the memory table nor the branch misprediction ratio
-// was measured. Returning the base model unchanged in that case used to be
-// silent; callers that meant to calibrate must be told nothing happened.
+// was measured. Callers that meant to calibrate must be told nothing
+// happened.
 var ErrUncalibrated = errors.New("rtl: no cached configuration to calibrate on (statistical models unchanged)")
 
-// CalibStats is one cached configuration's measured statistics: the memory
-// snapshot that enters the PUM table, plus the branch misprediction ratio
-// and dynamic instruction count of the profiling run under that
-// configuration — the per-config provenance of the calibration.
+// CalibStats is one cached configuration's measured memory snapshot, the
+// value that enters the PUM table.
 type CalibStats struct {
-	Cfg        pum.CacheCfg
-	Mem        pum.MemStats
+	Cfg pum.CacheCfg
+	Mem pum.MemStats
+}
+
+// CalibReport is what one training run measured: a memory snapshot per
+// cached configuration, plus the branch misprediction ratio and dynamic
+// instruction count of the run, which do not depend on the caches.
+type CalibReport struct {
+	// Stats holds one entry per cached configuration, in cfgs order.
+	Stats      []CalibStats
 	BranchMiss float64
 	Steps      uint64
 }
 
-// CalibReport is the provenance of one training run: what was measured per
-// cached configuration, which configurations were skipped as uncached, and
-// the config-independent branch misprediction ratio that entered the model.
-type CalibReport struct {
-	// Train labels the training program. Calibrate sets it to the entry
-	// name; multi-program drivers (internal/calib) overwrite it with the
-	// application label before merging reports.
-	Train string
-	Entry string
-	// Stats holds one entry per cached configuration, in cfgs order.
-	Stats []CalibStats
-	// Uncached lists the configurations skipped because both sides are
-	// absent: every access pays the external latency (see PUM.WithCache),
-	// so there is nothing to measure.
-	Uncached []pum.CacheCfg
-	// BranchMiss is the misprediction ratio recorded into the model. The
-	// branch predictor sees the same retired instruction stream whatever
-	// the caches do, so the ratio is config-independent; Calibrate asserts
-	// that instead of silently taking whichever config came first.
-	BranchMiss float64
-	// Steps is the dynamic instruction count of one profiling run
-	// (identical across configurations, asserted).
-	Steps uint64
-}
-
-// Calibrate profiles a training process on the cycle-accurate processor
-// model for each cache configuration and returns a copy of the base PUM
-// whose statistical memory table and branch misprediction ratio hold the
-// measured values — the way a designer populates the paper's statistical
-// memory and branch delay models. The training entry must be a
-// self-contained process (no channel communication), typically a reduced
-// or representative input; evaluating on different inputs is what makes the
-// statistical model approximate.
+// Measure profiles a training process for the statistical memory and
+// branch models, against the base PUM's datasheet (external latency,
+// branch predictor). A processor's retired instruction stream does not
+// depend on its caches, so one functional run of the entry feeds every
+// retired instruction to one real (I-cache, D-cache) pair per cached
+// configuration and to one branch predictor: each cache sees the address
+// stream a standalone CPU of that configuration would see. limit bounds
+// the run's dynamic steps (0 = none). The entry must be a self-contained
+// process (no channel communication), typically a reduced or
+// representative input; evaluating on different inputs is what makes the
+// statistical model approximate. Measure builds no model: internal/calib
+// turns reports into a calibrated PUM.
 //
 // Configuration semantics:
 //   - {0,0} is uncached: no statistics are needed, the configuration is
 //     skipped (every access pays ExtLatency, see PUM.WithCache). If every
-//     configuration is uncached the call fails with ErrUncalibrated
-//     instead of silently returning an uncalibrated clone.
+//     configuration is uncached, Measure fails with ErrUncalibrated before
+//     executing anything.
 //   - Mixed geometry ({0,D} or {I,0}): the absent side pays the external
 //     latency on every access and is recorded with hit rate 0; real
 //     statistics are measured for the present side.
-//
-// Branch model: the misprediction ratio is measured under every cached
-// configuration and asserted identical (the predictor sees the same
-// retired instruction stream whatever the caches do); the common value is
-// recorded, with per-config provenance in the returned PUM's Calib list
-// and in the CalibReport. A divergence means the training program is not
-// self-contained (its instruction stream varied between runs) and is an
-// error, not a silent first-config pick.
-func Calibrate(base *pum.PUM, prog *cdfg.Program, entry string, cfgs []pum.CacheCfg, limit uint64) (*pum.PUM, error) {
-	out, _, err := CalibrateReport(base, prog, entry, cfgs, limit)
-	return out, err
-}
-
-// CalibrateReport is Calibrate returning the per-config provenance next to
-// the calibrated model.
-func CalibrateReport(base *pum.PUM, prog *cdfg.Program, entry string, cfgs []pum.CacheCfg, limit uint64) (*pum.PUM, *CalibReport, error) {
-	isa, err := iss.Generate(prog)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := base.Clone()
-	out.Calib = nil // recalibration replaces any prior provenance
-	rep := &CalibReport{Train: entry, Entry: entry}
+func Measure(base *pum.PUM, prog *cdfg.Program, entry string, cfgs []pum.CacheCfg, limit uint64) (*CalibReport, error) {
+	rep := &CalibReport{}
+	var ics, dcs []*cache.Cache
 	for _, cfg := range cfgs {
 		if cfg.ISize == 0 && cfg.DSize == 0 {
-			// The uncached configuration needs no statistics: every access
-			// pays the external latency (see PUM.WithCache).
-			rep.Uncached = append(rep.Uncached, cfg)
 			continue
 		}
-		m := iss.NewMachine(isa)
-		if err := m.Start(entry); err != nil {
-			return nil, nil, err
-		}
-		cpu, err := NewCPU(m, CPUConfig{
-			Model:  base,
-			ICache: RealCacheConfig(cfg.ISize),
-			DCache: RealCacheConfig(cfg.DSize),
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := cpu.Run(limit); err != nil {
-			return nil, nil, fmt.Errorf("rtl: calibrating %v: %w", cfg, err)
-		}
-		st := cpu.MemStatsSnapshot()
-		if err := st.Validate(); err != nil {
-			return nil, nil, fmt.Errorf("rtl: calibrating %v: degenerate statistics: %w", cfg, err)
-		}
-		out.Mem.Table[cfg] = st
-		rep.Stats = append(rep.Stats, CalibStats{
-			Cfg: cfg, Mem: st, BranchMiss: cpu.BP.MissRate(), Steps: cpu.M.Steps,
-		})
+		rep.Stats = append(rep.Stats, CalibStats{Cfg: cfg})
+		ics = append(ics, cache.New(RealCacheConfig(cfg.ISize)))
+		dcs = append(dcs, cache.New(RealCacheConfig(cfg.DSize)))
 	}
 	if len(rep.Stats) == 0 {
-		return nil, nil, fmt.Errorf("%w: every configuration in %v is uncached", ErrUncalibrated, cfgs)
+		return nil, fmt.Errorf("%w: every configuration in %v is uncached", ErrUncalibrated, cfgs)
 	}
-	first := rep.Stats[0]
-	for _, cs := range rep.Stats[1:] {
-		if cs.BranchMiss != first.BranchMiss || cs.Steps != first.Steps {
-			return nil, nil, fmt.Errorf(
-				"rtl: branch calibration is config-dependent (%v: miss %.6f over %d steps, %v: miss %.6f over %d steps) — training entry %q is not self-contained",
-				first.Cfg, first.BranchMiss, first.Steps, cs.Cfg, cs.BranchMiss, cs.Steps, entry)
+	pred, err := predictorFor(base.Branch.Predictor)
+	if err != nil {
+		return nil, err
+	}
+	bp := &branch.Stats{P: pred}
+	isa, err := iss.Generate(prog)
+	if err != nil {
+		return nil, err
+	}
+	m := iss.NewMachine(isa)
+	if err := m.Start(entry); err != nil {
+		return nil, err
+	}
+	// The loop retires instructions exactly as CPU.Run does; an absent
+	// cache side counts misses only, and memStats reports it as hit rate 0.
+	var t iss.Trace
+	for {
+		if err := m.Step(&t); err != nil {
+			return nil, err
+		}
+		if !t.Executed {
+			break
+		}
+		pc := iss.PCAddr(t.PC)
+		for i, ic := range ics {
+			ic.Access(pc)
+			for _, a := range t.DAddrs {
+				dcs[i].Access(a)
+			}
+		}
+		if t.Branch {
+			bp.Resolve(pc, t.Taken)
+		}
+		if t.Done {
+			break
+		}
+		if limit != 0 && m.Steps > limit {
+			return nil, fmt.Errorf("rtl: step limit %d exceeded", limit)
 		}
 	}
-	out.Branch.MissRate = first.BranchMiss
-	rep.BranchMiss = first.BranchMiss
-	rep.Steps = first.Steps
-	for _, cs := range rep.Stats {
-		out.Calib = append(out.Calib, pum.CalibSource{
-			Cfg: cs.Cfg, Train: rep.Train, Steps: cs.Steps, BranchMiss: cs.BranchMiss,
-		})
+	for i := range rep.Stats {
+		st := memStats(ics[i], dcs[i], uint64(base.Mem.ExtLatency))
+		if err := st.Validate(); err != nil {
+			return nil, fmt.Errorf("rtl: calibrating %v: degenerate statistics: %w", rep.Stats[i].Cfg, err)
+		}
+		rep.Stats[i].Mem = st
 	}
-	if err := out.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("rtl: calibrated model invalid: %w", err)
-	}
-	return out, rep, nil
+	rep.BranchMiss, rep.Steps = bp.MissRate(), m.Steps
+	return rep, nil
 }

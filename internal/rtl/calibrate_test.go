@@ -2,22 +2,25 @@ package rtl
 
 import (
 	"errors"
-	"strings"
 	"testing"
 
+	"ese/internal/apps"
+	"ese/internal/cdfg"
+	"ese/internal/iss"
 	"ese/internal/pum"
 )
 
 // Bugfix regression: calibrating with only uncached configurations used to
 // silently return an uncalibrated clone of the base model; it must fail
-// with ErrUncalibrated so callers know nothing was measured.
+// with ErrUncalibrated so callers know nothing was measured — before
+// anything executes, so even a missing entry is not reached.
 func TestCalibrateAllUncachedIsError(t *testing.T) {
 	prog, _ := generate(t, loopSrc)
-	_, err := Calibrate(pum.MicroBlaze(), prog, "main", []pum.CacheCfg{{ISize: 0, DSize: 0}}, 0)
+	_, err := Measure(pum.MicroBlaze(), prog, "nope", []pum.CacheCfg{{ISize: 0, DSize: 0}}, 0)
 	if !errors.Is(err, ErrUncalibrated) {
 		t.Fatalf("want ErrUncalibrated, got %v", err)
 	}
-	_, err = Calibrate(pum.MicroBlaze(), prog, "main", nil, 0)
+	_, err = Measure(pum.MicroBlaze(), prog, "main", nil, 0)
 	if !errors.Is(err, ErrUncalibrated) {
 		t.Fatalf("empty cfgs: want ErrUncalibrated, got %v", err)
 	}
@@ -31,33 +34,32 @@ func TestCalibrateAllUncachedIsError(t *testing.T) {
 func TestCalibrateMixedGeometry(t *testing.T) {
 	prog, _ := generate(t, loopSrc)
 	cfgs := []pum.CacheCfg{{ISize: 0, DSize: 4096}, {ISize: 4096, DSize: 0}}
-	out, rep, err := CalibrateReport(pum.MicroBlaze(), prog, "main", cfgs, 0)
+	rep, err := Measure(pum.MicroBlaze(), prog, "main", cfgs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dOnly := out.Mem.Table[cfgs[0]]
+	if len(rep.Stats) != 2 {
+		t.Fatalf("report has %d stats, want 2", len(rep.Stats))
+	}
+	dOnly := rep.Stats[0].Mem
 	if dOnly.IHitRate != 0 {
 		t.Errorf("{0,4096}: IHitRate = %v, want 0 (absent side pays external latency)", dOnly.IHitRate)
 	}
 	if dOnly.DHitRate <= 0.5 {
 		t.Errorf("{0,4096}: DHitRate = %v, want measured rate > 0.5", dOnly.DHitRate)
 	}
-	iOnly := out.Mem.Table[cfgs[1]]
+	iOnly := rep.Stats[1].Mem
 	if iOnly.DHitRate != 0 {
 		t.Errorf("{4096,0}: DHitRate = %v, want 0", iOnly.DHitRate)
 	}
 	if iOnly.IHitRate <= 0.5 {
 		t.Errorf("{4096,0}: IHitRate = %v, want measured rate > 0.5", iOnly.IHitRate)
 	}
-	if len(rep.Stats) != 2 {
-		t.Fatalf("report has %d stats, want 2", len(rep.Stats))
-	}
 }
 
-// Bugfix regression: the branch misprediction ratio is measured under every
-// cached configuration and asserted config-independent; the recorded value
-// and per-config provenance must agree. Pre-fix, whichever cached config
-// came first won silently.
+// The report holds one snapshot per cached configuration, in cfgs order
+// with the uncached one skipped, and the one branch misprediction ratio
+// and step count of the run.
 func TestCalibrateBranchConfigIndependent(t *testing.T) {
 	prog, _ := generate(t, loopSrc)
 	cfgs := []pum.CacheCfg{
@@ -66,84 +68,82 @@ func TestCalibrateBranchConfigIndependent(t *testing.T) {
 		{ISize: 16384, DSize: 16384},
 		{ISize: 0, DSize: 4096},
 	}
-	out, rep, err := CalibrateReport(pum.MicroBlaze(), prog, "main", cfgs, 0)
+	rep, err := Measure(pum.MicroBlaze(), prog, "main", cfgs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.BranchMiss <= 0 || rep.BranchMiss >= 1 {
 		t.Fatalf("branch miss %v outside (0,1)", rep.BranchMiss)
 	}
-	if out.Branch.MissRate != rep.BranchMiss {
-		t.Errorf("model MissRate %v != report %v", out.Branch.MissRate, rep.BranchMiss)
+	if rep.Steps == 0 {
+		t.Fatal("report counts no steps")
 	}
-	if len(out.Calib) != 3 {
-		t.Fatalf("provenance has %d entries, want 3 (one per cached config)", len(out.Calib))
+	want := []pum.CacheCfg{cfgs[0], cfgs[2], cfgs[3]}
+	if len(rep.Stats) != len(want) {
+		t.Fatalf("report has %d stats, want %d (one per cached config)", len(rep.Stats), len(want))
 	}
-	for _, cs := range out.Calib {
-		if cs.BranchMiss != rep.BranchMiss {
-			t.Errorf("%v: provenance miss %v != common %v", cs.Cfg, cs.BranchMiss, rep.BranchMiss)
+	for i, cs := range rep.Stats {
+		if cs.Cfg != want[i] {
+			t.Errorf("stats %d measured %v, want %v", i, cs.Cfg, want[i])
 		}
-		if cs.Steps != rep.Steps || cs.Steps == 0 {
-			t.Errorf("%v: steps %d, want common nonzero %d", cs.Cfg, cs.Steps, rep.Steps)
-		}
-		if cs.Train != "main" {
-			t.Errorf("%v: train label %q, want %q", cs.Cfg, cs.Train, "main")
-		}
-	}
-	if len(rep.Uncached) != 1 || rep.Uncached[0] != (pum.CacheCfg{}) {
-		t.Errorf("uncached list %v, want [{0 0}]", rep.Uncached)
 	}
 }
 
-// The config-independence assertion itself: feeding a divergent measurement
-// through the checker must produce the descriptive error, not a silent
-// first-config pick. (Driven through the public API by reusing the same
-// training program — divergence cannot be provoked from outside, which is
-// exactly the property the assertion encodes — so this exercises the
-// degenerate-statistics path instead: a run with no memory accesses on a
-// cached side still validates.)
+// A cached side with no accesses at all is the degenerate case: a program
+// with no data traffic never touches the d-cache, and its snapshot must
+// still validate (idle HitRate default, not NaN).
 func TestCalibrateSnapshotsValidate(t *testing.T) {
-	// A program with no data traffic at all: the d-cache never sees an
-	// access, so its idle HitRate would be the degenerate case.
 	prog, _ := generate(t, `void main() { out(7); }`)
-	out, _, err := CalibrateReport(pum.MicroBlaze(), prog, "main", pum.StandardCacheConfigs, 0)
+	rep, err := Measure(pum.MicroBlaze(), prog, "main", pum.StandardCacheConfigs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for cfg, st := range out.Mem.Table {
-		if err := st.Validate(); err != nil {
-			t.Errorf("%v: %v", cfg, err)
+	for _, cs := range rep.Stats {
+		if err := cs.Mem.Validate(); err != nil {
+			t.Errorf("%v: %v", cs.Cfg, err)
 		}
-	}
-	if err := out.Validate(); err != nil {
-		t.Fatal(err)
 	}
 }
 
-// Calibrated models round-trip through JSON with their provenance intact.
-func TestCalibrateProvenanceJSONRoundTrip(t *testing.T) {
-	prog, _ := generate(t, loopSrc)
-	out, err := Calibrate(pum.MicroBlaze(), prog, "main", []pum.CacheCfg{{ISize: 4096, DSize: 4096}}, 0)
+// The one pass against the reference implementation it replaced: a
+// standalone CPU per cached configuration, each re-executing the program.
+// Every snapshot, the branch misprediction ratio and the step count must
+// be exactly what each standalone run observes.
+func TestMeasureMatchesPerConfigCPU(t *testing.T) {
+	jpeg, err := apps.Compile("jpeg_train.c", apps.JPEGSource(apps.TrainJPEG))
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := out.ToJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), `"calib"`) {
-		t.Fatal("serialized PUM lacks calib provenance")
-	}
-	back, err := pum.FromJSON(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Calib) != len(out.Calib) {
-		t.Fatalf("round-trip provenance %d entries, want %d", len(back.Calib), len(out.Calib))
-	}
-	for i := range back.Calib {
-		if back.Calib[i] != out.Calib[i] {
-			t.Errorf("entry %d: %+v != %+v", i, back.Calib[i], out.Calib[i])
+	loop, _ := generate(t, loopSrc)
+	cfgs := append(append([]pum.CacheCfg(nil), pum.StandardCacheConfigs...),
+		pum.CacheCfg{ISize: 0, DSize: 4096}, pum.CacheCfg{ISize: 4096, DSize: 0})
+	for name, prog := range map[string]*cdfg.Program{"loop": loop, "jpeg": jpeg} {
+		rep, err := Measure(pum.MicroBlaze(), prog, "main", cfgs, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(rep.Stats) != len(cfgs)-1 {
+			t.Fatalf("%s: report has %d stats, want %d (all but the uncached config)", name, len(rep.Stats), len(cfgs)-1)
+		}
+		isa, err := iss.Generate(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, cs := range rep.Stats {
+			if cs.Cfg != cfgs[i+1] { // cfgs[0] is the uncached {0,0}
+				t.Fatalf("%s: stats %d measured %v, want %v", name, i, cs.Cfg, cfgs[i+1])
+			}
+			cpu := newCPU(t, isa, cs.Cfg.ISize, cs.Cfg.DSize)
+			if err := cpu.Run(0); err != nil {
+				t.Fatalf("%s %v: %v", name, cs.Cfg, err)
+			}
+			if ref := cpu.MemStatsSnapshot(); cs.Mem != ref {
+				t.Errorf("%s %v: one pass measured %+v, standalone CPU %+v", name, cs.Cfg, cs.Mem, ref)
+			}
+			if rep.BranchMiss != cpu.BP.MissRate() || rep.Steps != cpu.M.Steps {
+				t.Errorf("%s %v: one pass miss %v over %d steps, standalone CPU %v over %d",
+					name, cs.Cfg, rep.BranchMiss, rep.Steps, cpu.BP.MissRate(), cpu.M.Steps)
+			}
 		}
 	}
 }

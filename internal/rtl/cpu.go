@@ -6,7 +6,10 @@
 // operation costs and the external memory latency come from it, so the
 // difference between the board and the timed TLM is exactly what the paper
 // studies — statistical versus actual cache/branch behaviour, plus
-// block-boundary scheduling effects.
+// block-boundary scheduling effects. The actual behaviour is also what
+// calibration measures: Measure runs a training program once and reports
+// the cache hit rates of every configuration and the branch misprediction
+// ratio; internal/calib builds the calibrated model from those reports.
 package rtl
 
 import (
@@ -161,24 +164,25 @@ func (c *CPU) Run(limit uint64) error {
 	}
 }
 
-// MemStatsSnapshot returns the observed cache statistics in PUM form, the
-// raw material of calibration. A disabled cache side (size 0 in a mixed
-// I/D geometry) is reported as hit rate 0: on the board every access on
-// that side pays the external latency, and the statistical model must say
-// the same — the idle-cache HitRate default of 1.0 would make estimation
+// MemStatsSnapshot returns the observed cache statistics in PUM form.
+func (c *CPU) MemStatsSnapshot() pum.MemStats { return memStats(c.IC, c.DC, c.extLat) }
+
+// memStats puts a cache pair's observed statistics in PUM form, the raw
+// material of calibration. A disabled cache side (size 0 in a mixed I/D
+// geometry) is reported as hit rate 0: on the board every access on that
+// side pays the external latency, and the statistical model must say the
+// same — the idle-cache HitRate default of 1.0 would make estimation
 // charge nothing for a path the board charges ExtLatency per access.
-func (c *CPU) MemStatsSnapshot() pum.MemStats {
+func memStats(ic, dc *cache.Cache, extLat uint64) pum.MemStats {
 	st := pum.MemStats{
-		IHitDelay:    0,
-		DHitDelay:    0,
-		IMissPenalty: float64(c.extLat),
-		DMissPenalty: float64(c.extLat),
+		IMissPenalty: float64(extLat),
+		DMissPenalty: float64(extLat),
 	}
-	if c.IC.Enabled() {
-		st.IHitRate = c.IC.HitRate()
+	if ic.Enabled() {
+		st.IHitRate = ic.HitRate()
 	}
-	if c.DC.Enabled() {
-		st.DHitRate = c.DC.HitRate()
+	if dc.Enabled() {
+		st.DHitRate = dc.HitRate()
 	}
 	return st
 }

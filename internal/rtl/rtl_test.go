@@ -231,25 +231,6 @@ func TestBoardMultiPEOverlap(t *testing.T) {
 	}
 }
 
-func TestCalibrateProducesUsableModel(t *testing.T) {
-	prog, err := apps.CompileMP3("SW", apps.MP3Config{Frames: 1, Seed: 77})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mb, err := Calibrate(pum.MicroBlaze(), prog, "main", pum.StandardCacheConfigs, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mb.Validate(); err != nil {
-		t.Fatalf("calibrated model invalid: %v", err)
-	}
-	for _, cc := range pum.StandardCacheConfigs[1:] {
-		if _, err := mb.WithCache(cc); err != nil {
-			t.Fatalf("WithCache(%v): %v", cc, err)
-		}
-	}
-}
-
 func TestPredictorSelection(t *testing.T) {
 	model := pum.MicroBlaze()
 	model.Branch.Predictor = "2bit"

@@ -297,6 +297,24 @@ func TestProfiledLoopTimesOutAndFreesSlot(t *testing.T) {
 	}
 }
 
+// A tenant program that panics the engine of a profiled estimate fails
+// its own job with 500 and a stage-tagged panic; the server survives and
+// answers the next job.
+func TestProfiledPanicIs500AndServerSurvives(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	bad := estimateSpec()
+	bad.Source.Code = `int main(){int a[2000000000]; int b[2000000000]; a[1]=1; b[2]=2; return a[1]+b[2];}`
+	bad.Profile = true
+	code, body := postJob(t, ts, mustBody(t, bad), "")
+	if code != http.StatusInternalServerError || !strings.Contains(string(body), "internal panic") {
+		t.Fatalf("panicking job: status %d, want 500 with an internal panic: %s", code, body)
+	}
+	code, body = postJob(t, ts, mustBody(t, estimateSpec()), "")
+	if code != http.StatusOK {
+		t.Fatalf("job after the panic: status %d: %s", code, body)
+	}
+}
+
 // TestCoalescing is the acceptance check: 8 concurrent identical jobs on a
 // fresh server perform exactly one cache-miss compile (the shared cache's
 // miss counters match a single-job baseline), one execution, and return
