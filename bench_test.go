@@ -256,8 +256,8 @@ func BenchmarkEngine_BoardCPU(b *testing.B) {
 		}
 		cpu, err := rtl.NewCPU(m, rtl.CPUConfig{
 			Model:  pum.MicroBlaze(),
-			ICache: rtl.RealCacheConfig(benchCache.ISize),
-			DCache: rtl.RealCacheConfig(benchCache.DSize),
+			ICache: cache.BoardConfig(benchCache.ISize),
+			DCache: cache.BoardConfig(benchCache.DSize),
 		})
 		if err != nil {
 			b.Fatal(err)

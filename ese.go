@@ -49,6 +49,7 @@ import (
 
 	"ese/internal/annotate"
 	"ese/internal/apps"
+	"ese/internal/cache"
 	"ese/internal/calib"
 	"ese/internal/cdfg"
 	"ese/internal/codegen"
@@ -333,8 +334,8 @@ func BoardCycles(prog *Program, entry string, p *PUM, cc CacheCfg) (uint64, erro
 	}
 	cpu, err := rtl.NewCPU(m, rtl.CPUConfig{
 		Model:  p,
-		ICache: rtl.RealCacheConfig(cc.ISize),
-		DCache: rtl.RealCacheConfig(cc.DSize),
+		ICache: cache.BoardConfig(cc.ISize),
+		DCache: cache.BoardConfig(cc.DSize),
 	})
 	if err != nil {
 		return 0, err

@@ -53,11 +53,6 @@ func CompileJPEG(design string, cfg JPEGConfig) (*cdfg.Program, error) {
 	return Compile("jpeg_"+design+".c", src)
 }
 
-// realCache is the board cache organization for a size: 2-way, 16B lines.
-func realCache(size int) cache.Config {
-	return cache.Config{Size: size, LineBytes: cache.DefaultLine, Assoc: 2}
-}
-
 // hwPE is a custom hardware unit running one process entry at 100 MHz.
 func hwPE(name, entry string) *platform.PE {
 	return &platform.PE{
@@ -91,8 +86,8 @@ func mapDesign(name string, prog *cdfg.Program, mbPUM *pum.PUM, cacheCfg pum.Cac
 		Kind:   platform.Processor,
 		Entry:  "main",
 		PUM:    cpuPUM,
-		ICache: realCache(cacheCfg.ISize),
-		DCache: realCache(cacheCfg.DSize),
+		ICache: cache.BoardConfig(cacheCfg.ISize),
+		DCache: cache.BoardConfig(cacheCfg.DSize),
 	})
 	d.PEs = append(d.PEs, hw...)
 	return d, nil

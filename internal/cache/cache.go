@@ -1,7 +1,8 @@
-// Package cache implements a set-associative, write-allocate, LRU cache
-// simulator. It is the memory-hierarchy substrate of the cycle-accurate
-// board model and of PUM calibration: the statistical hit rates in the
-// processing unit model are profiled against these caches.
+// Package cache implements a set-associative, write-allocate cache
+// simulator with age-counter replacement. It is the memory-hierarchy
+// substrate of the cycle-accurate board model and of PUM calibration: the
+// statistical hit rates in the processing unit model are profiled against
+// these caches.
 package cache
 
 // Config describes one cache.
@@ -14,15 +15,38 @@ type Config struct {
 // DefaultLine is the line size used across the board model.
 const DefaultLine = 16
 
-// Cache is one direct-mapped or set-associative cache with true LRU
-// replacement.
+// BoardConfig is the board's cache organization for a given size: 2-way
+// set-associative with DefaultLine-byte lines (size 0 = uncached). The
+// board's processor PEs, calibration and the standalone board CPU all
+// build their caches from it.
+func BoardConfig(size int) Config {
+	return Config{Size: size, LineBytes: DefaultLine, Assoc: 2}
+}
+
+// Cache is one direct-mapped or set-associative cache. Its state is one
+// flat array of ways indexed set*Assoc+way, so a set's tags, valid bits and
+// ages share host cache lines.
+//
+// Replacement: a miss fills the set's first invalid way, else evicts the
+// way with the highest age counter (the last such way on ties), and a
+// touch ages every way younger than the touched one and makes it age 0.
+// This was meant as true LRU, but a newly filled way starts at age 0
+// instead of the oldest age, so no counter ever advances: once a set is
+// full, every miss replaces its last way. The board's cycle counts and
+// the committed baselines are measured with this policy.
+//
+// Touching the line of the previous access again changes no state at all
+// (that line has age 0 in its set, and every other set is untouched), so
+// Access answers it from a one-line MRU marker without indexing the
+// arrays.
+//
+// A Cache must come from New.
 type Cache struct {
 	cfg      Config
 	sets     int
 	lineBits uint
-	tags     [][]uint32 // [set][way] tag (tag 0 means empty via valid bit)
-	valid    [][]bool
-	lru      [][]uint8 // lower value = more recently used
+	ways     []way
+	mru      uint64 // line number of the previous access, else noMRU
 
 	Accesses uint64
 	Misses   uint64
@@ -49,7 +73,7 @@ type Cache struct {
 // The effective geometry is readable via Config().
 func New(cfg Config) *Cache {
 	if cfg.Size <= 0 {
-		return &Cache{cfg: Config{Size: 0, LineBytes: 0, Assoc: 0}}
+		return &Cache{cfg: Config{Size: 0, LineBytes: 0, Assoc: 0}, mru: noMRU}
 	}
 	if cfg.LineBytes <= 0 {
 		cfg.LineBytes = DefaultLine
@@ -65,21 +89,25 @@ func New(cfg Config) *Cache {
 	if cfg.Assoc > lines {
 		cfg.Assoc = lines
 	}
-	c := &Cache{cfg: cfg}
+	c := &Cache{cfg: cfg, mru: noMRU}
 	c.sets = lines / cfg.Assoc
 	for lb := cfg.LineBytes; lb > 1; lb >>= 1 {
 		c.lineBits++
 	}
-	c.tags = make([][]uint32, c.sets)
-	c.valid = make([][]bool, c.sets)
-	c.lru = make([][]uint8, c.sets)
-	for s := 0; s < c.sets; s++ {
-		c.tags[s] = make([]uint32, cfg.Assoc)
-		c.valid[s] = make([]bool, cfg.Assoc)
-		c.lru[s] = make([]uint8, cfg.Assoc)
-	}
+	c.ways = make([]way, c.sets*cfg.Assoc)
 	return c
 }
+
+// way is one cache way.
+type way struct {
+	tag   uint32 // meaningful when valid
+	valid bool
+	age   uint8 // lower value = more recently used
+}
+
+// noMRU is the MRU marker of a cache with no resident line: beyond every
+// 32-bit line number, so it matches no access.
+const noMRU = 1 << 32
 
 // prevPow2 returns the largest power of two <= v (v must be >= 1).
 func prevPow2(v int) int {
@@ -100,28 +128,38 @@ func (c *Cache) Capacity() int { return c.sets * c.cfg.Assoc * c.cfg.LineBytes }
 func (c *Cache) Enabled() bool { return c.sets > 0 }
 
 // Access simulates one access to the byte address and reports whether it
-// hit. Misses allocate the line (write-allocate for stores as well).
+// hit. Misses allocate the line (write-allocate for stores as well). The
+// MRU check is small enough to inline into callers' loops.
 func (c *Cache) Access(addr uint32) bool {
 	c.Accesses++
+	if uint64(addr>>c.lineBits) == c.mru {
+		return true
+	}
+	return c.lookup(addr)
+}
+
+// lookup is Access past the MRU check.
+func (c *Cache) lookup(addr uint32) bool {
+	line := addr >> c.lineBits
 	if c.sets == 0 {
 		c.Misses++
 		return false
 	}
-	line := addr >> c.lineBits
-	set := int(line) % c.sets
-	tag := line / uint32(c.sets)
-	ways := c.cfg.Assoc
-	for w := 0; w < ways; w++ {
-		if c.valid[set][w] && c.tags[set][w] == tag {
-			c.touch(set, w)
+	c.mru = uint64(line)
+	set, tag := line%uint32(c.sets), line/uint32(c.sets)
+	base := int(set) * c.cfg.Assoc
+	ways := c.ways[base : base+c.cfg.Assoc]
+	for w := range ways {
+		if ways[w].valid && ways[w].tag == tag {
+			touch(ways, w)
 			return true
 		}
 	}
 	c.Misses++
-	// Choose victim: first invalid way, else LRU (highest counter).
+	// Choose victim: first invalid way, else the highest age counter.
 	victim := -1
-	for w := 0; w < ways; w++ {
-		if !c.valid[set][w] {
+	for w := range ways {
+		if !ways[w].valid {
 			victim = w
 			break
 		}
@@ -129,28 +167,28 @@ func (c *Cache) Access(addr uint32) bool {
 	if victim < 0 {
 		worst := uint8(0)
 		victim = 0
-		for w := 0; w < ways; w++ {
-			if c.lru[set][w] >= worst {
-				worst = c.lru[set][w]
+		for w := range ways {
+			if ways[w].age >= worst {
+				worst = ways[w].age
 				victim = w
 			}
 		}
 	}
-	c.valid[set][victim] = true
-	c.tags[set][victim] = tag
-	c.touch(set, victim)
+	ways[victim].valid = true
+	ways[victim].tag = tag
+	touch(ways, victim)
 	return false
 }
 
-// touch marks the way most-recently-used.
-func (c *Cache) touch(set, way int) {
-	cur := c.lru[set][way]
-	for w := range c.lru[set] {
-		if c.lru[set][w] < cur {
-			c.lru[set][w]++
+// touch marks way w of a set's ways most-recently-used.
+func touch(ways []way, w int) {
+	cur := ways[w].age
+	for i := range ways {
+		if ways[i].age < cur {
+			ways[i].age++
 		}
 	}
-	c.lru[set][way] = 0
+	ways[w].age = 0
 }
 
 // HitRate returns the observed hit rate (1.0 when no accesses were made,
@@ -170,12 +208,7 @@ func (c *Cache) ResetStats() {
 
 // Flush invalidates all lines and clears statistics.
 func (c *Cache) Flush() {
-	for s := range c.valid {
-		for w := range c.valid[s] {
-			c.valid[s][w] = false
-			c.lru[s][w] = 0
-			c.tags[s][w] = 0
-		}
-	}
+	clear(c.ways)
+	c.mru = noMRU
 	c.ResetStats()
 }

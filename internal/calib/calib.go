@@ -6,9 +6,13 @@
 // the only code that builds a calibrated model. It then scores the
 // calibrated estimator against the board across the full application ×
 // design × cache-configuration matrix, reporting MAPE and Pearson r per
-// design. The paper's "~6–9% error" headline becomes a tracked number:
-// the scoreboard serializes to BENCH_accuracy.json, and CI gates it
-// through internal/cli's baseline contract, as it does BENCH_tlm.json.
+// design. The board runs once per design for every configuration it is
+// scored at (rtl.RunBoards: one functional pass, one replay per
+// configuration), and a scoreboard measures each training program once
+// for every training set that includes it. The paper's "~6–9% error"
+// headline becomes a tracked number: the scoreboard serializes to
+// BENCH_accuracy.json, and CI gates it through internal/cli's baseline
+// contract, as it does BENCH_tlm.json.
 package calib
 
 import (
@@ -41,25 +45,47 @@ func Calibrate(base *pum.PUM, trains []Training, cfgs []pum.CacheCfg, limit uint
 	if len(trains) == 0 {
 		return nil, nil, fmt.Errorf("calib: no training programs")
 	}
-	var reps []*rtl.CalibReport
+	names := make([]string, len(trains))
+	reps := make([]*rtl.CalibReport, len(trains))
+	for i, tr := range trains {
+		rep, err := measure(base, tr, cfgs, limit)
+		if err != nil {
+			return nil, nil, err
+		}
+		names[i], reps[i] = tr.Name, rep
+	}
+	out, err := merge(base, names, reps)
+	if err != nil {
+		return nil, nil, err
+	}
+	return out, reps, nil
+}
+
+// measure runs one training program on the board's processor model for
+// every configuration of cfgs.
+func measure(base *pum.PUM, tr Training, cfgs []pum.CacheCfg, limit uint64) (*rtl.CalibReport, error) {
+	rep, err := rtl.Measure(base, tr.Prog, tr.Entry, cfgs, limit)
+	if err != nil {
+		return nil, fmt.Errorf("calib: training %q: %w", tr.Name, err)
+	}
+	return rep, nil
+}
+
+// merge builds the calibrated copy of base from the reports of the named
+// training programs, which all measured the same configuration list.
+func merge(base *pum.PUM, names []string, reps []*rtl.CalibReport) (*pum.PUM, error) {
 	out := base.Clone()
 	out.Calib = nil // recalibration replaces any prior provenance
 	var missSum float64
-	for _, tr := range trains {
-		rep, err := rtl.Measure(base, tr.Prog, tr.Entry, cfgs, limit)
-		if err != nil {
-			return nil, nil, fmt.Errorf("calib: training %q: %w", tr.Name, err)
-		}
-		reps = append(reps, rep)
+	for i, rep := range reps {
 		missSum += rep.BranchMiss
 		for _, cs := range rep.Stats {
 			out.Calib = append(out.Calib, pum.CalibSource{
-				Cfg: cs.Cfg, Train: tr.Name, Steps: rep.Steps, BranchMiss: rep.BranchMiss,
+				Cfg: cs.Cfg, Train: names[i], Steps: rep.Steps, BranchMiss: rep.BranchMiss,
 			})
 		}
 	}
-	// Merge: every report measured the same configuration list, so average
-	// the snapshots per configuration across programs.
+	// Average the snapshots per configuration across programs.
 	n := float64(len(reps))
 	for i, cs := range reps[0].Stats {
 		sum := cs.Mem
@@ -82,7 +108,7 @@ func Calibrate(base *pum.PUM, trains []Training, cfgs []pum.CacheCfg, limit uint
 	}
 	out.Branch.MissRate = missSum / n
 	if err := out.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("calib: merged model invalid: %w", err)
+		return nil, fmt.Errorf("calib: merged model invalid: %w", err)
 	}
-	return out, reps, nil
+	return out, nil
 }

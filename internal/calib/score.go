@@ -1,11 +1,14 @@
 package calib
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"ese/internal/apps"
+	"ese/internal/cdfg"
 	"ese/internal/cli"
 	"ese/internal/engine"
 	"ese/internal/platform"
@@ -142,69 +145,114 @@ func designNames(app string) ([]string, error) {
 	}
 }
 
-// Boards is the board-reference memo of one evaluation workload: the end
-// cycles at the bus clock of each (app, design, cache configuration) on the
-// cycle-accurate board. Board runs depend only on the design and the PUM
-// datasheet constants — never on the calibrated statistics — so each
-// reference is simulated once and serves every model scored against it.
-// Not safe for concurrent use.
+// Boards is the board-reference memo of one evaluation workload: the
+// compiled program of each (app, design) and the end cycles at the bus
+// clock of each (app, design, cache configuration) on the cycle-accurate
+// board. Board runs depend only on the design and the PUM datasheet
+// constants — never on the calibrated statistics — so each reference is
+// simulated once and serves every model scored against it. Not safe for
+// concurrent use.
 type Boards struct {
 	frames, blocks int
 	limit          uint64
-	ends           map[string]uint64 // app/design/cfg -> end cycles at bus clock
+	progs          map[string]*cdfg.Program // app/design -> evaluation program
+	ends           map[string]uint64        // app/design/cfg -> end cycles at bus clock
 }
 
 // NewBoards returns an empty memo for MP3 evaluated on frames frames and
 // JPEG on blocks blocks; limit bounds each board run's steps (0 = none).
 func NewBoards(frames, blocks int, limit uint64) *Boards {
-	return &Boards{frames: frames, blocks: blocks, limit: limit, ends: make(map[string]uint64)}
+	return &Boards{frames: frames, blocks: blocks, limit: limit,
+		progs: make(map[string]*cdfg.Program), ends: make(map[string]uint64)}
 }
 
 // Design maps one (app, design) evaluation workload onto a platform with
-// the given model and cache configuration.
+// the given model and cache configuration. The workload is compiled on its
+// first request; every later design of it maps the same program
+// (apps.MapMP3 / apps.MapJPEG), which no consumer of a design modifies.
 func (b *Boards) Design(app, design string, model *pum.PUM, cc pum.CacheCfg) (*platform.Design, error) {
-	switch app {
-	case "mp3":
-		return apps.MP3Design(design, apps.MP3Config{Frames: b.frames, Seed: apps.DefaultMP3.Seed}, model, cc)
-	case "jpeg":
-		return apps.JPEGDesign(design, apps.JPEGConfig{Blocks: b.blocks, Seed: apps.DefaultJPEG.Seed}, model, cc)
-	default:
-		return nil, cli.Input(fmt.Errorf("calib: unknown application %q", app))
+	key := app + "/" + design
+	prog, ok := b.progs[key]
+	if !ok {
+		var err error
+		switch app {
+		case "mp3":
+			prog, err = apps.CompileMP3(design, apps.MP3Config{Frames: b.frames, Seed: apps.DefaultMP3.Seed})
+		case "jpeg":
+			prog, err = apps.CompileJPEG(design, apps.JPEGConfig{Blocks: b.blocks, Seed: apps.DefaultJPEG.Seed})
+		default:
+			return nil, cli.Input(fmt.Errorf("calib: unknown application %q", app))
+		}
+		if err != nil {
+			return nil, err
+		}
+		b.progs[key] = prog
 	}
+	if app == "jpeg" {
+		return apps.MapJPEG(design, prog, model, cc)
+	}
+	return apps.MapMP3(design, prog, model, cc)
 }
 
-// Ref returns the board reference of the (app, design) workload at cc. d is
-// that workload as Design builds it, under any model; the board simulates
-// it on the first request for the key only.
+// Refs returns the board references of the (app, design) workload at each
+// of cfgs; ds[i] is that workload at cfgs[i] as Design builds it, under any
+// model. The configurations not yet memoized are simulated together, in
+// one functional pass of the board (rtl.RunBoards).
+func (b *Boards) Refs(app, design string, cfgs []pum.CacheCfg, ds []*platform.Design) ([]uint64, error) {
+	keys := make([]string, len(cfgs))
+	var run []*platform.Design
+	var runKeys []string
+	for i, cc := range cfgs {
+		keys[i] = fmt.Sprintf("%s/%s/%s", app, design, cc)
+		if _, ok := b.ends[keys[i]]; !ok && !slices.Contains(runKeys, keys[i]) {
+			run, runKeys = append(run, ds[i]), append(runKeys, keys[i])
+		}
+	}
+	if len(run) > 0 {
+		brs, err := rtl.RunBoards(context.TODO(), run, b.limit)
+		if err != nil {
+			return nil, fmt.Errorf("calib: board %s: %w", strings.Join(runKeys, ", "), err)
+		}
+		for i, br := range brs {
+			b.ends[runKeys[i]] = br.EndCycles(run[i].Bus.ClockHz)
+		}
+	}
+	refs := make([]uint64, len(keys))
+	for i, key := range keys {
+		refs[i] = b.ends[key]
+	}
+	return refs, nil
+}
+
+// Ref is Refs of one configuration.
 func (b *Boards) Ref(app, design string, cc pum.CacheCfg, d *platform.Design) (uint64, error) {
-	key := fmt.Sprintf("%s/%s/%s", app, design, cc)
-	if ref, ok := b.ends[key]; ok {
-		return ref, nil
-	}
-	br, err := rtl.RunBoard(d, b.limit)
+	refs, err := b.Refs(app, design, []pum.CacheCfg{cc}, []*platform.Design{d})
 	if err != nil {
-		return 0, fmt.Errorf("calib: board %s: %w", key, err)
+		return 0, err
 	}
-	ref := br.EndCycles(d.Bus.ClockHz)
-	b.ends[key] = ref
-	return ref, nil
+	return refs[0], nil
 }
 
 // ScoreRow scores a calibrated model's timed-TLM estimate of one (app,
-// design) against the board across cfgs: per configuration it builds the
-// design, takes the board reference from boards and runs the estimate
-// through pipe. Train and Cross are left to the caller.
+// design) against the board across cfgs: it maps the workload at every
+// configuration, takes the board references from boards and runs each
+// estimate through pipe. Train and Cross are left to the caller.
 func ScoreRow(pipe *engine.Pipeline, boards *Boards, model *pum.PUM, app, design string, cfgs []pum.CacheCfg) (Row, error) {
-	row := Row{App: app, Design: design}
-	for _, cc := range cfgs {
+	ds := make([]*platform.Design, len(cfgs))
+	for i, cc := range cfgs {
 		d, err := boards.Design(app, design, model, cc)
 		if err != nil {
 			return Row{}, err
 		}
-		ref, err := boards.Ref(app, design, cc, d)
-		if err != nil {
-			return Row{}, err
-		}
+		ds[i] = d
+	}
+	refs, err := boards.Refs(app, design, cfgs, ds)
+	if err != nil {
+		return Row{}, err
+	}
+	row := Row{App: app, Design: design}
+	for i, cc := range cfgs {
+		d := ds[i]
 		res, err := pipe.RunTimed(d)
 		if err != nil {
 			return Row{}, fmt.Errorf("calib: estimate %s/%s/%s: %w", app, design, cc, err)
@@ -212,8 +260,8 @@ func ScoreRow(pipe *engine.Pipeline, boards *Boards, model *pum.PUM, app, design
 		est := res.EndCycles(d.Bus.ClockHz)
 		row.Points = append(row.Points, Point{
 			ISize: cc.ISize, DSize: cc.DSize,
-			Board: ref, Est: est,
-			ErrPct: pct(float64(est), float64(ref)),
+			Board: refs[i], Est: est,
+			ErrPct: pct(float64(est), float64(refs[i])),
 		})
 	}
 	row.MAPE, row.Pearson = score(row.Points)
@@ -221,8 +269,10 @@ func ScoreRow(pipe *engine.Pipeline, boards *Boards, model *pum.PUM, app, design
 }
 
 // RunScoreboard calibrates one model per training set and scores the
-// estimated TLM against the cycle-accurate board over the matrix, sharing
-// one board-reference memo across training sets.
+// estimated TLM against the cycle-accurate board over the matrix. Each
+// training program is measured once and its report serves every training
+// set that includes it, and one board-reference memo serves every training
+// set.
 func RunScoreboard(opts Options) (*Scoreboard, error) {
 	if opts.Frames <= 0 {
 		opts.Frames = apps.DefaultMP3.Frames
@@ -258,12 +308,26 @@ func RunScoreboard(opts Options) (*Scoreboard, error) {
 	boards := NewBoards(opts.Frames, opts.Blocks, opts.Limit)
 	sb := &Scoreboard{Frames: opts.Frames, Blocks: opts.Blocks}
 
+	base := pum.MicroBlaze()
+	measured := make(map[string]*rtl.CalibReport) // training name -> report
 	for _, label := range trains {
-		ts, err := Trainings(label)
-		if err != nil {
-			return nil, err
+		names := strings.Split(label, "+")
+		reps := make([]*rtl.CalibReport, len(names))
+		for i, name := range names {
+			rep, ok := measured[name]
+			if !ok {
+				ts, err := Trainings(name)
+				if err != nil {
+					return nil, err
+				}
+				if rep, err = measure(base, ts[0], cfgs, opts.Limit); err != nil {
+					return nil, err
+				}
+				measured[name] = rep
+			}
+			reps[i] = rep
 		}
-		model, _, err := Calibrate(pum.MicroBlaze(), ts, cfgs, opts.Limit)
+		model, err := merge(base, names, reps)
 		if err != nil {
 			return nil, err
 		}

@@ -68,7 +68,7 @@ func NewSetup(frames int, opts engine.Options) (*Setup, error) {
 
 // board returns the board reference of the MP3 SW design at cc.
 func (s *Setup) board(cc pum.CacheCfg) (uint64, error) {
-	d, err := apps.MP3Design("SW", s.Eval, s.MB, cc)
+	d, err := s.Boards.Design("mp3", "SW", s.MB, cc)
 	if err != nil {
 		return 0, err
 	}

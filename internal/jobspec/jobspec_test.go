@@ -308,20 +308,32 @@ const loopSrc = `int x; void main() { while (1) { x = x + 1; } }`
 
 // TestRunnerTimeoutBoundsWholeJob checks that a job's timeout — the
 // spec's own, else the Runner's default — bounds the profiled execution
-// as well as the pipeline stages.
+// as well as the pipeline stages, and a board job's functional pass and
+// replay.
 func TestRunnerTimeoutBoundsWholeJob(t *testing.T) {
+	loop := func() *Spec {
+		s := estimateSpec()
+		s.Source.Code = loopSrc
+		s.Profile = true
+		return s
+	}
+	board := func() *Spec {
+		s := DefaultTLM()
+		s.Engine, s.Frames, s.Calibrate = EngineBoard, 400, false
+		return &s
+	}
 	for _, tc := range []struct {
 		name    string
 		r       *Runner
+		spec    func() *Spec
 		timeout time.Duration
 	}{
-		{"runner default", &Runner{DefaultTimeout: 200 * time.Millisecond}, 0},
-		{"spec timeout", &Runner{}, 200 * time.Millisecond},
+		{"runner default", &Runner{DefaultTimeout: 200 * time.Millisecond}, loop, 0},
+		{"spec timeout", &Runner{}, loop, 200 * time.Millisecond},
+		{"board job", &Runner{}, board, 200 * time.Millisecond},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := estimateSpec()
-			s.Source.Code = loopSrc
-			s.Profile = true
+			s := tc.spec()
 			s.Timeout = Duration(tc.timeout)
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()

@@ -391,10 +391,11 @@ func (r *Runner) runTLM(ctx context.Context, s *Spec, pl *engine.Pipeline, res *
 		return err
 	}
 	if s.Engine == EngineBoard {
-		br, err := rtl.RunBoard(d, 0)
+		brs, err := rtl.RunBoards(ctx, []*platform.Design{d}, 0)
 		if err != nil {
 			return err
 		}
+		br := brs[0]
 		sum := &TLMSummary{
 			Design:     d.Name,
 			Engine:     EngineBoard,

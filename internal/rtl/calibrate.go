@@ -1,10 +1,10 @@
 package rtl
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
-	"ese/internal/branch"
 	"ese/internal/cache"
 	"ese/internal/cdfg"
 	"ese/internal/iss"
@@ -38,9 +38,8 @@ type CalibReport struct {
 
 // Measure profiles a training process for the statistical memory and
 // branch models, against the base PUM's datasheet (external latency,
-// branch predictor). A processor's retired instruction stream does not
-// depend on its caches, so one functional run of the entry feeds every
-// retired instruction to one real (I-cache, D-cache) pair per cached
+// branch predictor). One functional pass of the entry (see pass) feeds
+// every retired instruction to one real (I-cache, D-cache) pair per cached
 // configuration and to one branch predictor: each cache sees the address
 // stream a standalone CPU of that configuration would see. limit bounds
 // the run's dynamic steps (0 = none). The entry must be a self-contained
@@ -59,65 +58,39 @@ type CalibReport struct {
 //     statistics are measured for the present side.
 func Measure(base *pum.PUM, prog *cdfg.Program, entry string, cfgs []pum.CacheCfg, limit uint64) (*CalibReport, error) {
 	rep := &CalibReport{}
-	var ics, dcs []*cache.Cache
 	for _, cfg := range cfgs {
-		if cfg.ISize == 0 && cfg.DSize == 0 {
-			continue
+		if cfg.ISize != 0 || cfg.DSize != 0 {
+			rep.Stats = append(rep.Stats, CalibStats{Cfg: cfg})
 		}
-		rep.Stats = append(rep.Stats, CalibStats{Cfg: cfg})
-		ics = append(ics, cache.New(RealCacheConfig(cfg.ISize)))
-		dcs = append(dcs, cache.New(RealCacheConfig(cfg.DSize)))
 	}
 	if len(rep.Stats) == 0 {
 		return nil, fmt.Errorf("%w: every configuration in %v is uncached", ErrUncalibrated, cfgs)
 	}
-	pred, err := predictorFor(base.Branch.Predictor)
-	if err != nil {
-		return nil, err
-	}
-	bp := &branch.Stats{P: pred}
 	isa, err := iss.Generate(prog)
 	if err != nil {
 		return nil, err
 	}
 	m := iss.NewMachine(isa)
+	ps, err := newPass(context.TODO(), m, base.Branch.Predictor, limit)
+	if err != nil {
+		return nil, err
+	}
+	for _, cs := range rep.Stats {
+		ps.addLane(base, cache.BoardConfig(cs.Cfg.ISize), cache.BoardConfig(cs.Cfg.DSize))
+	}
 	if err := m.Start(entry); err != nil {
 		return nil, err
 	}
-	// The loop retires instructions exactly as CPU.Run does; an absent
-	// cache side counts misses only, and memStats reports it as hit rate 0.
-	var t iss.Trace
-	for {
-		if err := m.Step(&t); err != nil {
-			return nil, err
-		}
-		if !t.Executed {
-			break
-		}
-		pc := iss.PCAddr(t.PC)
-		for i, ic := range ics {
-			ic.Access(pc)
-			for _, a := range t.DAddrs {
-				dcs[i].Access(a)
-			}
-		}
-		if t.Branch {
-			bp.Resolve(pc, t.Taken)
-		}
-		if t.Done {
-			break
-		}
-		if limit != 0 && m.Steps > limit {
-			return nil, fmt.Errorf("rtl: step limit %d exceeded", limit)
-		}
+	if err := ps.run(); err != nil {
+		return nil, err
 	}
 	for i := range rep.Stats {
-		st := memStats(ics[i], dcs[i], uint64(base.Mem.ExtLatency))
+		st := ps.mem(i)
 		if err := st.Validate(); err != nil {
 			return nil, fmt.Errorf("rtl: calibrating %v: degenerate statistics: %w", rep.Stats[i].Cfg, err)
 		}
 		rep.Stats[i].Mem = st
 	}
-	rep.BranchMiss, rep.Steps = bp.MissRate(), m.Steps
+	rep.BranchMiss, rep.Steps = ps.bp.MissRate(), m.Steps
 	return rep, nil
 }

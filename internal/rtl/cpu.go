@@ -6,10 +6,23 @@
 // operation costs and the external memory latency come from it, so the
 // difference between the board and the timed TLM is exactly what the paper
 // studies — statistical versus actual cache/branch behaviour, plus
-// block-boundary scheduling effects. The actual behaviour is also what
-// calibration measures: Measure runs a training program once and reports
-// the cache hit rates of every configuration and the branch misprediction
-// ratio; internal/calib builds the calibrated model from those reports.
+// block-boundary scheduling effects.
+//
+// A processor's retired instruction stream does not depend on its caches,
+// and channels are rendezvous, so neither does the sequence of channel
+// operations between PEs. One functional pass (pass) therefore serves
+// every cache configuration of a program: it feeds each retired
+// instruction to one (I-cache, D-cache) pair per configuration and to one
+// branch predictor, charging each configuration its own cycles. Measure
+// runs it on a self-contained training program and reports the cache hit
+// rates of every configuration and the branch misprediction ratio, from
+// which internal/calib builds the calibrated model. RunBoards runs it on
+// a whole design, recording each configuration's cycles per segment
+// between channel operations, and replays each configuration's segments
+// and transactions through tlm's bus on a fresh kernel. Cycles and memory
+// statistics are per configuration; the out streams, step counts and the
+// branch misprediction ratio are shared. CPU is the standalone one-config
+// reference the pass is tested against.
 package rtl
 
 import (
@@ -31,18 +44,46 @@ type CPUConfig struct {
 	Predictor branch.Predictor
 }
 
-// RealCacheConfig is the board's cache organization for a given size:
-// 2-way set-associative with 16-byte lines, LRU.
-func RealCacheConfig(size int) cache.Config {
-	return cache.Config{Size: size, LineBytes: cache.DefaultLine, Assoc: 2}
-}
-
 // predictorFor builds the predictor named by the PUM branch model.
 func predictorFor(name string) (branch.Predictor, error) {
 	if name == "2bit" {
 		return branch.NewBimodal(512)
 	}
 	return branch.StaticNotTaken{}, nil
+}
+
+// timing is a processor datasheet's costs as the board charges them: per
+// op class the bottleneck-stage occupancy (at least one cycle), the
+// external memory latency of a miss or uncached access, the branch
+// misprediction penalty, and the one-time pipeline fill (the first
+// instruction traverses the whole pipe).
+// A model without pipeline stages, which PUM.Validate rejects, gets no
+// fill instead of a panic: calibration validates the model it builds.
+type timing struct {
+	classCost [16]uint64
+	extLat    uint64
+	brPenalty uint64
+	fill      uint64
+}
+
+func timingOf(model *pum.PUM) timing {
+	var tm timing
+	for cls := range tm.classCost {
+		tm.classCost[cls] = 1
+	}
+	for cls, info := range model.Ops {
+		for _, su := range info.Stages {
+			if su.Cycles > 0 {
+				tm.classCost[cls] = max(tm.classCost[cls], uint64(su.Cycles))
+			}
+		}
+	}
+	tm.extLat = uint64(model.Mem.ExtLatency)
+	tm.brPenalty = uint64(model.Branch.Penalty)
+	if len(model.Pipelines) > 0 && len(model.Pipelines[0].Stages) > 0 {
+		tm.fill = uint64(len(model.Pipelines[0].Stages) - 1)
+	}
+	return tm
 }
 
 // CPU is the cycle-accurate in-order pipeline model driving one functional
@@ -57,10 +98,7 @@ type CPU struct {
 	DC *cache.Cache
 	BP *branch.Stats
 
-	classCost [16]uint64
-	extLat    uint64
-	brPenalty uint64
-	fillCost  uint64
+	tm timing
 
 	Cycles uint64
 	tr     iss.Trace
@@ -85,20 +123,8 @@ func NewCPU(m *iss.Machine, cfg CPUConfig) (*CPU, error) {
 		}
 	}
 	c.BP = &branch.Stats{P: pred}
-	for cls, info := range cfg.Model.Ops {
-		cost := 0
-		for _, su := range info.Stages {
-			if su.Cycles > cost {
-				cost = su.Cycles
-			}
-		}
-		c.classCost[cls] = uint64(cost)
-	}
-	c.extLat = uint64(cfg.Model.Mem.ExtLatency)
-	c.brPenalty = uint64(cfg.Model.Branch.Penalty)
-	// Pipeline fill: the first instruction traverses the whole pipe.
-	c.fillCost = uint64(len(cfg.Model.Pipelines[0].Stages) - 1)
-	c.Cycles = c.fillCost
+	c.tm = timingOf(cfg.Model)
+	c.Cycles = c.tm.fill
 	return c, nil
 }
 
@@ -112,41 +138,34 @@ func (c *CPU) StepTimed() (cost uint64, done bool, err error) {
 	if !t.Executed {
 		return 0, true, nil
 	}
-	cost = c.classCost[t.Class]
-	if cost == 0 {
-		cost = 1
-	}
+	cost = c.tm.classCost[t.Class]
 	// Instruction fetch.
 	if c.IC.Enabled() {
 		if !c.IC.Access(iss.PCAddr(t.PC)) {
-			cost += c.extLat
+			cost += c.tm.extLat
 		}
 	} else {
-		cost += c.extLat
+		cost += c.tm.extLat
 	}
 	// Data operands.
 	for _, a := range t.DAddrs {
 		if c.DC.Enabled() {
 			if !c.DC.Access(a) {
-				cost += c.extLat
+				cost += c.tm.extLat
 			}
 		} else {
-			cost += c.extLat
+			cost += c.tm.extLat
 		}
 	}
 	// Branch resolution.
 	if t.Branch {
 		if c.BP.Resolve(iss.PCAddr(t.PC), t.Taken) {
-			cost += c.brPenalty
+			cost += c.tm.brPenalty
 		}
 	}
 	c.Cycles += cost
 	return cost, t.Done, nil
 }
-
-// Trace exposes the last retired instruction's trace (for the board's
-// communication integration).
-func (c *CPU) Trace() *iss.Trace { return &c.tr }
 
 // Run executes to completion standalone (no platform communication).
 func (c *CPU) Run(limit uint64) error {
@@ -165,7 +184,7 @@ func (c *CPU) Run(limit uint64) error {
 }
 
 // MemStatsSnapshot returns the observed cache statistics in PUM form.
-func (c *CPU) MemStatsSnapshot() pum.MemStats { return memStats(c.IC, c.DC, c.extLat) }
+func (c *CPU) MemStatsSnapshot() pum.MemStats { return memStats(c.IC, c.DC, c.tm.extLat) }
 
 // memStats puts a cache pair's observed statistics in PUM form, the raw
 // material of calibration. A disabled cache side (size 0 in a mixed I/D

@@ -34,8 +34,8 @@ func newCPU(t *testing.T, isa *iss.Program, iSize, dSize int) *CPU {
 	}
 	cpu, err := NewCPU(m, CPUConfig{
 		Model:  pum.MicroBlaze(),
-		ICache: RealCacheConfig(iSize),
-		DCache: RealCacheConfig(dSize),
+		ICache: cache.BoardConfig(iSize),
+		DCache: cache.BoardConfig(dSize),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -239,7 +239,7 @@ func TestPredictorSelection(t *testing.T) {
 	if err := m.Start("main"); err != nil {
 		t.Fatal(err)
 	}
-	cpu, err := NewCPU(m, CPUConfig{Model: model, ICache: RealCacheConfig(8192), DCache: RealCacheConfig(8192)})
+	cpu, err := NewCPU(m, CPUConfig{Model: model, ICache: cache.BoardConfig(8192), DCache: cache.BoardConfig(8192)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -262,38 +262,51 @@ func TestDeadlineMapsTo504(t *testing.T) {
 }
 
 // TestProfiledLoopTimesOutAndFreesSlot checks that the default job
-// timeout bounds a profiled estimate job whose program never terminates:
-// the request gets 504 and the server's only worker slot is free again.
+// timeout bounds a profiled estimate job whose program never terminates,
+// and a board job whose workload runs far longer than the timeout: each
+// request gets 504 and the server's only worker slot is free again.
 func TestProfiledLoopTimesOutAndFreesSlot(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, DefaultTimeout: 200 * time.Millisecond})
 	loop := estimateSpec()
 	loop.Source.Code = `int x; void main() { while (1) { x = x + 1; } }`
 	loop.Profile = true
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/jobs", bytes.NewReader(mustBody(t, loop)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	resp, err := ts.Client().Do(req)
-	if err != nil {
-		t.Fatalf("looping profiled job got no answer: %v", err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("looping profiled job status = %d, want 504: %s", resp.StatusCode, body)
-	}
-	if el := time.Since(start); el > 2*time.Second {
-		t.Fatalf("504 arrived after %v", el)
-	}
-	if n := len(s.sem); n != 0 {
-		t.Fatalf("%d worker slots still held after the timeout", n)
-	}
-	code, body := postJob(t, ts, mustBody(t, estimateSpec()), "")
-	if code != http.StatusOK {
-		t.Fatalf("job after the timeout: status %d: %s", code, body)
+	board := jobspec.DefaultTLM()
+	board.Engine, board.Frames, board.Calibrate = jobspec.EngineBoard, 400, false
+	for _, tc := range []struct {
+		name string
+		spec *jobspec.Spec
+	}{
+		{"looping profiled job", loop},
+		{"board job", &board},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ts := newTestServer(t, Config{Workers: 1, DefaultTimeout: 200 * time.Millisecond})
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/jobs", bytes.NewReader(mustBody(t, tc.spec)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			start := time.Now()
+			resp, err := ts.Client().Do(req)
+			if err != nil {
+				t.Fatalf("%s got no answer: %v", tc.name, err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusGatewayTimeout {
+				t.Fatalf("%s status = %d, want 504: %s", tc.name, resp.StatusCode, body)
+			}
+			if el := time.Since(start); el > 2*time.Second {
+				t.Fatalf("504 arrived after %v", el)
+			}
+			if n := len(s.sem); n != 0 {
+				t.Fatalf("%d worker slots still held after the timeout", n)
+			}
+			code, body := postJob(t, ts, mustBody(t, estimateSpec()), "")
+			if code != http.StatusOK {
+				t.Fatalf("job after the timeout: status %d: %s", code, body)
+			}
+		})
 	}
 }
 

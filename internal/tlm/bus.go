@@ -7,7 +7,9 @@
 // the estimate and the reference, as in the paper's methodology (ref.
 // [16]). A timed run can record its transactions (Recording), so that
 // later runs of the same program under other delays replay them instead
-// of interpreting it.
+// of interpreting it. The replay loop takes any run reduced to pooled
+// cycles and transactions (Replay): the board replays its one functional
+// pass through it under every cache configuration.
 package tlm
 
 import (

@@ -52,18 +52,18 @@ func TestReplayTimeOverflow(t *testing.T) {
 		}
 		return m
 	}
-	counts, ok := rec.segmentDelays(d, byPE(uniformDelays(d, 1)))
+	counts, ok := rec.pooled(d, byPE(uniformDelays(d, 1)))
 	if !ok {
 		t.Fatal("unit delays not replayable")
 	}
 	most := 0.0
-	for _, segs := range counts {
-		for _, n := range segs {
-			most = max(most, n)
+	for _, proc := range counts {
+		for _, n := range proc.Cycles {
+			most = max(most, float64(n))
 		}
 	}
 	delays := uniformDelays(d, float64(int64((maxExact-1)/most)))
-	if _, ok := rec.segmentDelays(d, byPE(delays)); !ok {
+	if _, ok := rec.pooled(d, byPE(delays)); !ok {
 		t.Fatal("delays below 2^53 per segment were not accepted for replay")
 	}
 	res, err := Run(d, timedOpts(delays, rec, nil))

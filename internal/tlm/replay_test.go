@@ -182,12 +182,12 @@ func TestReplayMatchesSimulation(t *testing.T) {
 				for _, pe := range d.PEs {
 					byPE[pe] = delays[pe.Name]
 				}
-				pends, ok := rec.segmentDelays(d, byPE)
+				procs, ok := rec.pooled(d, byPE)
 				if !ok {
 					t.Fatalf("%s: delays not replayable", name)
 				}
-				if tc.name == "contention" && !reflect.DeepEqual(pends[0], pends[1]) {
-					t.Fatalf("%s: senders' segment delays %v and %v differ; want one timestamp", name, pends[0], pends[1])
+				if tc.name == "contention" && !reflect.DeepEqual(procs[0].Cycles, procs[1].Cycles) {
+					t.Fatalf("%s: senders' segment delays %v and %v differ; want one timestamp", name, procs[0].Cycles, procs[1].Cycles)
 				}
 				got, err := Run(d, timedOpts(delays, rec, gotReg))
 				if err != nil {
@@ -222,7 +222,7 @@ func TestReplayNeedsIntegerDelays(t *testing.T) {
 	} {
 		delays := annotatedDelays(t, d, bad)
 		byPE := map[*platform.PE][]float64{d.PEs[0]: delays["cpu"], d.PEs[1]: delays["acc"]}
-		if _, ok := rec.segmentDelays(d, byPE); ok {
+		if _, ok := rec.pooled(d, byPE); ok {
 			t.Fatalf("%s: delays accepted for replay", name)
 		}
 		want, err := Run(d, timedOpts(delays, nil, nil))
@@ -240,7 +240,7 @@ func TestReplayNeedsIntegerDelays(t *testing.T) {
 	}
 	// A recording belongs to its program: another design's run ignores it.
 	other := twoPEDesign(t, pingPongSrc)
-	if _, ok := rec.segmentDelays(other, nil); ok {
+	if _, ok := rec.pooled(other, nil); ok {
 		t.Fatal("recording accepted for another program")
 	}
 }

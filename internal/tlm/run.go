@@ -156,8 +156,8 @@ func Run(d *platform.Design, opts Options) (*Result, error) {
 	rec := opts.Recording
 	recording := rec != nil && replayable(d, opts)
 	if recording && rec.Filled() {
-		if pends, ok := rec.segmentDelays(d, delays); ok {
-			return replay(ctx, d, rec, pends, opts, res)
+		if procs, ok := rec.pooled(d, delays); ok {
+			return replay(ctx, d, rec, procs, opts, res)
 		}
 		recording = false
 	}
@@ -386,7 +386,7 @@ func spawnProcess(ctx context.Context, k *sim.Kernel, d *platform.Design, pe *pl
 		}
 		m.SetChannels(
 			func(ch int, data []int32) error {
-				pr.rec.cut(m, opSend, ch, len(data))
+				pr.rec.cut(m, Transaction{Op: OpSend, Ch: ch, Words: len(data)})
 				if err := wait(m.TakePending()); err != nil {
 					return err
 				}
@@ -394,7 +394,7 @@ func spawnProcess(ctx context.Context, k *sim.Kernel, d *platform.Design, pe *pl
 				return nil
 			},
 			func(ch int, buf []int32) error {
-				pr.rec.cut(m, opRecv, ch, len(buf))
+				pr.rec.cut(m, Transaction{Op: OpRecv, Ch: ch, Words: len(buf)})
 				if err := wait(m.TakePending()); err != nil {
 					return err
 				}
@@ -403,7 +403,7 @@ func spawnProcess(ctx context.Context, k *sim.Kernel, d *platform.Design, pe *pl
 			})
 		err := m.Run(entry)
 		if err == nil {
-			pr.rec.cut(m, opEnd, 0, 0)
+			pr.rec.cut(m, Transaction{Op: OpEnd})
 			err = wait(m.TakePending())
 		}
 		if err != nil {
