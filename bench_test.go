@@ -61,7 +61,7 @@ var benchCache = pum.CacheCfg{ISize: 8 * 1024, DSize: 4 * 1024}
 // callers keep it outside the timer.
 func benchDelays(b *testing.B, s *experiments.Setup, d *Design) map[string][]float64 {
 	b.Helper()
-	dm, _, err := s.Pipe.DelaysCtx(context.Background(), d, s.Pipe.Detail())
+	dm, _, err := s.Pipe.DelaysCtx(context.Background(), d)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -172,7 +172,7 @@ func run(spec *jobspec.Spec, table int, ablation string, all, jsonOut, showMetri
 				if err != nil {
 					return nil, err
 				}
-				defer cli.PrintDiags("esebench", s.Pipe.Diagnostics())
+				defer func() { cli.PrintDiags("esebench", s.Diagnostics()) }()
 				return experiments.RunPerfBench(s, benchReps)
 			})
 	}
@@ -180,7 +180,7 @@ func run(spec *jobspec.Spec, table int, ablation string, all, jsonOut, showMetri
 	if err != nil {
 		return err
 	}
-	defer cli.PrintDiags("esebench", s.Pipe.Diagnostics())
+	defer func() { cli.PrintDiags("esebench", s.Diagnostics()) }()
 	emit := func(v any, err error) error {
 		if err != nil {
 			return err

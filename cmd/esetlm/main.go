@@ -27,7 +27,8 @@
 //	                            (timed engine)
 //	-profile-json FILE          write the attribution report as JSON
 //	-top N                      rows shown by -profile (default 20)
-//	-timeout D                  wall-clock watchdog for the simulation
+//	-timeout D                  wall-clock bound on the whole run, board
+//	                            runs included
 //
 // The flag→options wiring lives in internal/jobspec, shared with eseest,
 // esebench and the esed daemon: this command is one front end over the
@@ -48,6 +49,8 @@ import (
 	"ese"
 	"ese/internal/cli"
 	"ese/internal/jobspec"
+	"ese/internal/platform"
+	"ese/internal/rtl"
 	"ese/internal/tlm"
 	"ese/internal/trace"
 )
@@ -92,6 +95,12 @@ func run(spec *jobspec.Spec, o outputs) error {
 	if err != nil {
 		return cli.Input(err)
 	}
+	ctx := context.Background()
+	if spec.Timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(spec.Timeout))
+		defer cancel()
+	}
 	d, err := spec.BuildDesign()
 	if err != nil {
 		return err
@@ -123,7 +132,7 @@ func run(spec *jobspec.Spec, o outputs) error {
 	case jobspec.EngineFunctional:
 		pl := ese.NewPipeline(opts)
 		defer cli.PrintDiags("esetlm", pl.Diagnostics())
-		res, err := pl.RunFunctional(d)
+		res, err := pl.SimulateCtx(ctx, d, tlm.Options{})
 		if err != nil {
 			return err
 		}
@@ -150,7 +159,7 @@ func run(spec *jobspec.Spec, o outputs) error {
 			ev = trace.NewEvents()
 			simOpts.Events = ev
 		}
-		res, err := pl.Simulate(d, simOpts)
+		res, err := pl.SimulateCtx(ctx, d, simOpts)
 		if err != nil {
 			return err
 		}
@@ -179,7 +188,7 @@ func run(spec *jobspec.Spec, o outputs) error {
 			printTLM(res, d)
 		}
 		if doProfile {
-			rep, err := jobspec.ProfileTLM(context.Background(), pl, d, res)
+			rep, err := jobspec.ProfileTLM(ctx, pl, d, res)
 			if err != nil {
 				return err
 			}
@@ -191,10 +200,11 @@ func run(spec *jobspec.Spec, o outputs) error {
 		if o.jsonOut {
 			return cli.Input(fmt.Errorf("-json is only supported with the functional and timed engines"))
 		}
-		res, err := ese.RunBoard(d)
+		brs, err := rtl.RunBoards(ctx, []*platform.Design{d}, 0)
 		if err != nil {
 			return err
 		}
+		res := brs[0]
 		fmt.Printf("design %s on cycle-accurate board: %v wall\n", d.Name, res.Wall.Round(time.Millisecond))
 		fmt.Printf("total time: %d bus cycles (%.3f ms simulated)\n",
 			res.EndCycles(d.Bus.ClockHz), float64(res.EndPs)/1e9)

@@ -59,7 +59,7 @@ func TestEngineDifferentialMP3Designs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			delays, _, err := NewPipeline(PipelineOptions{}).DelaysCtx(context.Background(), d, FullDetail)
+			delays, _, err := NewPipeline(PipelineOptions{}).DelaysCtx(context.Background(), d)
 			if err != nil {
 				t.Fatal(err)
 			}

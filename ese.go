@@ -286,7 +286,7 @@ func GenerateTLM(d *Design) (string, error) {
 // "go.mod"); the built binary prints the same canonical {cycles_by_pe,
 // out_by_pe, steps} JSON summary that `esetlm -json` prints for the spec.
 func GenerateTLMPackage(d *Design, module string) (map[string][]byte, error) {
-	delays, _, err := defaultPipeline.DelaysCtx(context.Background(), d, defaultPipeline.Detail())
+	delays, _, err := defaultPipeline.DelaysCtx(context.Background(), d)
 	if err != nil {
 		return nil, err
 	}

@@ -53,6 +53,18 @@ func CompileJPEG(design string, cfg JPEGConfig) (*cdfg.Program, error) {
 	return Compile("jpeg_"+design+".c", src)
 }
 
+// DesignNames lists the designs of an application, "mp3" or "jpeg", in
+// order (MP3DesignNames, JPEGDesignNames); nil for any other name.
+func DesignNames(app string) []string {
+	switch app {
+	case "mp3":
+		return MP3DesignNames
+	case "jpeg":
+		return JPEGDesignNames
+	}
+	return nil
+}
+
 // hwPE is a custom hardware unit running one process entry at 100 MHz.
 func hwPE(name, entry string) *platform.PE {
 	return &platform.PE{

@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"time"
 
 	"ese/internal/apps"
 	"ese/internal/cdfg"
@@ -133,18 +134,6 @@ func trainCovers(label, app string) bool {
 	return false
 }
 
-// designNames lists the designs of an application.
-func designNames(app string) ([]string, error) {
-	switch app {
-	case "mp3":
-		return apps.MP3DesignNames, nil
-	case "jpeg":
-		return apps.JPEGDesignNames, nil
-	default:
-		return nil, cli.Input(fmt.Errorf("calib: unknown application %q", app))
-	}
-}
-
 // Boards is the board-reference memo of one evaluation workload: the
 // compiled program of each (app, design) and the end cycles at the bus
 // clock of each (app, design, cache configuration) on the cycle-accurate
@@ -224,15 +213,6 @@ func (b *Boards) Refs(app, design string, cfgs []pum.CacheCfg, ds []*platform.De
 	return refs, nil
 }
 
-// Ref is Refs of one configuration.
-func (b *Boards) Ref(app, design string, cc pum.CacheCfg, d *platform.Design) (uint64, error) {
-	refs, err := b.Refs(app, design, []pum.CacheCfg{cc}, []*platform.Design{d})
-	if err != nil {
-		return 0, err
-	}
-	return refs[0], nil
-}
-
 // ScoreRow scores a calibrated model's timed-TLM estimate of one (app,
 // design) against the board across cfgs: it maps the workload at every
 // configuration, takes the board references from boards and runs each
@@ -252,20 +232,31 @@ func ScoreRow(pipe *engine.Pipeline, boards *Boards, model *pum.PUM, app, design
 	}
 	row := Row{App: app, Design: design}
 	for i, cc := range cfgs {
-		d := ds[i]
-		res, err := pipe.RunTimed(d)
+		p, _, err := Estimate(pipe, ds[i], cc, refs[i])
 		if err != nil {
 			return Row{}, fmt.Errorf("calib: estimate %s/%s/%s: %w", app, design, cc, err)
 		}
-		est := res.EndCycles(d.Bus.ClockHz)
-		row.Points = append(row.Points, Point{
-			ISize: cc.ISize, DSize: cc.DSize,
-			Board: refs[i], Est: est,
-			ErrPct: pct(float64(est), float64(refs[i])),
-		})
+		row.Points = append(row.Points, p)
 	}
 	row.MAPE, row.Pearson = score(row.Points)
 	return row, nil
+}
+
+// Estimate is ScoreRow's per-design step: it runs pipe's timed TLM of d, a
+// workload mapped at cache configuration cc, and scores its end cycles at
+// the bus clock against board, the design's end cycles on the board. It
+// also returns the time the run spent annotating d.
+func Estimate(pipe *engine.Pipeline, d *platform.Design, cc pum.CacheCfg, board uint64) (Point, time.Duration, error) {
+	res, err := pipe.RunTimed(d)
+	if err != nil {
+		return Point{}, 0, err
+	}
+	est := res.EndCycles(d.Bus.ClockHz)
+	return Point{
+		ISize: cc.ISize, DSize: cc.DSize,
+		Board: board, Est: est,
+		ErrPct: pct(float64(est), float64(board)),
+	}, res.AnnoTime, nil
 }
 
 // RunScoreboard calibrates one model per training set and scores the
@@ -332,9 +323,9 @@ func RunScoreboard(opts Options) (*Scoreboard, error) {
 			return nil, err
 		}
 		for _, app := range appList {
-			designs, err := designNames(app)
-			if err != nil {
-				return nil, err
+			designs := apps.DesignNames(app)
+			if designs == nil {
+				return nil, cli.Input(fmt.Errorf("calib: unknown application %q", app))
 			}
 			for _, design := range designs {
 				if !wantDesign(design) {

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"ese/internal/cdfg"
-	"ese/internal/core"
 	"ese/internal/engine"
 	"ese/internal/platform"
 	"ese/internal/pum"
@@ -139,7 +138,7 @@ func checkStandaloneMatchesInProcess(t *testing.T, d *platform.Design) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("go toolchain not available")
 	}
-	delays, _, err := engine.New(engine.Options{}).DelaysCtx(context.Background(), d, core.FullDetail)
+	delays, _, err := engine.New(engine.Options{}).DelaysCtx(context.Background(), d)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,6 +27,7 @@ import (
 	"sort"
 	"strings"
 
+	"ese/internal/apps"
 	"ese/internal/jobspec"
 )
 
@@ -129,19 +130,19 @@ func (s *Sweep) Validate() error {
 	if s.Limit < 0 {
 		return fmt.Errorf("dse: limit %d must be non-negative", s.Limit)
 	}
-	apps := s.Axes.Apps
-	if len(apps) == 0 {
-		apps = []string{jobspec.AppMP3}
+	appNames := s.Axes.Apps
+	if len(appNames) == 0 {
+		appNames = []string{jobspec.AppMP3}
 	}
-	for _, app := range apps {
-		if len(jobspec.DesignNames(app)) == 0 {
+	for _, app := range appNames {
+		if apps.DesignNames(app) == nil {
 			return fmt.Errorf("dse: unknown app %q", app)
 		}
 	}
 	for _, d := range s.Axes.Designs {
 		found := false
-		for _, app := range apps {
-			for _, known := range jobspec.DesignNames(app) {
+		for _, app := range appNames {
+			for _, known := range apps.DesignNames(app) {
 				if known == d {
 					found = true
 				}
@@ -263,11 +264,11 @@ func (s *Sweep) Expand() ([]Point, error) {
 	n := s.Normalized()
 	designs := func(app string) []string {
 		if len(n.Axes.Designs) == 0 {
-			return jobspec.DesignNames(app)
+			return apps.DesignNames(app)
 		}
 		var out []string
 		for _, d := range n.Axes.Designs {
-			for _, known := range jobspec.DesignNames(app) {
+			for _, known := range apps.DesignNames(app) {
 				if known == d {
 					out = append(out, d)
 				}

@@ -9,9 +9,9 @@
 // estimates every PE of a mapped design into the per-PE delay tables the
 // timed TLM and the Go generator consume; SimulateCtx runs a mapped design
 // (tlm.Result), annotating it first when the caller passes no tables.
-// Every annotation the pipeline makes on its own uses Options.Detail;
-// DelaysCtx's detail argument is the one per-call override, for the
-// ablations that vary detail. Compile, Simulate, RunTimed and
+// Every annotation a pipeline makes uses Options.Detail, fixed when the
+// pipeline is built; a caller that varies detail builds one pipeline per
+// level over one shared cache. Compile, Simulate, RunTimed and
 // RunFunctional are context-free forms with the same semantics.
 //
 // A Pipeline owns a content-addressed schedule/estimate cache (see
@@ -57,18 +57,15 @@ type Options struct {
 	// Workers bounds the annotation worker pool; zero or negative uses
 	// GOMAXPROCS, 1 annotates serially.
 	Workers int
-	// NoCache disables schedule/estimate memoization.
-	NoCache bool
 	// CacheLimit bounds the cache to that many schedule entries and that
 	// many block estimates across its estimate tables (seeded random
 	// replacement beyond it, counted as evictions); zero or negative means
 	// unbounded.
 	CacheLimit int
 	// Detail selects the PUM sub-models of every annotation the pipeline
-	// makes on its own — AnnotateCtx, and SimulateCtx/RunTimed when the
+	// makes — AnnotateCtx, DelaysCtx, and SimulateCtx/RunTimed when the
 	// caller passes no delay tables; nil means core.FullDetail (the
-	// paper's full Algorithm 2). DelaysCtx's detail argument is the one
-	// per-call override.
+	// paper's full Algorithm 2).
 	Detail *core.Detail
 	// Strict makes annotation fail when the PUM does not map an op class
 	// the program uses, instead of degrading to fallback latencies.
@@ -100,8 +97,8 @@ type Options struct {
 	// instead of the per-pipeline one New would otherwise construct.
 	// Several pipelines (one per job in the esed daemon) can point at one
 	// process-wide handle so every request shares warmed schedules.
-	// NoCache still wins; CacheLimit is ignored for an injected cache
-	// (the owner chose its bound).
+	// CacheLimit is ignored for an injected cache (the owner chose its
+	// bound).
 	Cache *core.Cache
 	// Metrics, when non-nil, injects a shared metric registry instead of
 	// a per-pipeline one, letting a long-lived process aggregate stage
@@ -145,38 +142,27 @@ type Pipeline struct {
 
 // New constructs a pipeline with the given options.
 func New(opts Options) *Pipeline {
-	pl := &Pipeline{opts: opts, detail: core.FullDetail, metrics: opts.Metrics}
+	pl := &Pipeline{opts: opts, detail: core.FullDetail, cache: opts.Cache, metrics: opts.Metrics}
+	if pl.cache == nil {
+		pl.cache = core.NewCacheLimit(opts.CacheLimit)
+	}
 	if pl.metrics == nil {
 		pl.metrics = metrics.NewRegistry()
 	}
 	if opts.Detail != nil {
 		pl.detail = *opts.Detail
 	}
-	if !opts.NoCache {
-		if opts.Cache != nil {
-			pl.cache = opts.Cache
-		} else {
-			pl.cache = core.NewCacheLimit(opts.CacheLimit)
-		}
-	}
 	return pl
 }
 
-// Detail returns the detail level of the annotations the pipeline makes on
-// its own (Options.Detail).
-func (pl *Pipeline) Detail() core.Detail { return pl.detail }
-
-// Stats returns the counters accumulated so far: cache hits/misses (zero
-// when the cache is disabled) and the graceful-degradation tallies.
+// Stats returns the counters accumulated so far: cache hits/misses and
+// the graceful-degradation tallies.
 func (pl *Pipeline) Stats() Stats {
-	s := Stats{
+	return Stats{
+		CacheStats:     pl.cache.Stats(),
 		UnmappedOps:    pl.unmappedOps.Load(),
 		DegradedBlocks: pl.degradedBlocks.Load(),
 	}
-	if pl.cache != nil {
-		s.CacheStats = pl.cache.Stats()
-	}
-	return s
 }
 
 // Diagnostics returns the pipeline's diagnostic sink: structured,
@@ -195,17 +181,15 @@ func (pl *Pipeline) Metrics() *metrics.Registry { return pl.metrics }
 // graceful-degradation tallies so one call captures the whole picture.
 func (pl *Pipeline) MetricsSnapshot() metrics.Snapshot {
 	snap := pl.metrics.Snapshot()
-	if pl.cache != nil {
-		cs := pl.cache.Stats()
-		snap.Counters["cache.sched.hits"] = cs.SchedHits
-		snap.Counters["cache.sched.misses"] = cs.SchedMisses
-		snap.Counters["cache.est.hits"] = cs.EstHits
-		snap.Counters["cache.est.misses"] = cs.EstMisses
-		snap.Counters["cache.evictions"] = cs.Evictions
-		sched, est := pl.cache.Len()
-		snap.Gauges["cache.entries.sched"] = int64(sched)
-		snap.Gauges["cache.entries.est"] = int64(est)
-	}
+	cs := pl.cache.Stats()
+	snap.Counters["cache.sched.hits"] = cs.SchedHits
+	snap.Counters["cache.sched.misses"] = cs.SchedMisses
+	snap.Counters["cache.est.hits"] = cs.EstHits
+	snap.Counters["cache.est.misses"] = cs.EstMisses
+	snap.Counters["cache.evictions"] = cs.Evictions
+	sched, est := pl.cache.Len()
+	snap.Gauges["cache.entries.sched"] = int64(sched)
+	snap.Gauges["cache.entries.est"] = int64(est)
 	snap.Counters["degrade.unmapped_ops"] = pl.unmappedOps.Load()
 	snap.Counters["degrade.blocks"] = pl.degradedBlocks.Load()
 	return snap
@@ -355,18 +339,18 @@ func (pl *Pipeline) AnnotateCtx(ctx context.Context, prog *cdfg.Program, p *pum.
 			return nil, err
 		}
 	}
-	return pl.annotate(ctx, prog, p, pl.detail)
+	return pl.annotate(ctx, prog, p)
 }
 
 // annotate is the shared annotation stage. It runs no PUM lint: the
 // design-level paths verify with verify.Design, which lints each PE model
 // scoped to its own entry functions (a whole-program lint would hold a
 // hardware PE to op classes it never executes).
-func (pl *Pipeline) annotate(ctx context.Context, prog *cdfg.Program, p *pum.PUM, detail core.Detail) (*annotate.Annotated, error) {
+func (pl *Pipeline) annotate(ctx context.Context, prog *cdfg.Program, p *pum.PUM) (*annotate.Annotated, error) {
 	var a *annotate.Annotated
 	start := time.Now()
 	err := diag.Guard(diag.StageAnnotate, func() (err error) {
-		a, err = annotate.AnnotateCtx(ctx, prog, p, detail, pl.estOpts())
+		a, err = annotate.AnnotateCtx(ctx, prog, p, pl.detail, pl.estOpts())
 		return
 	})
 	pl.timeStage(diag.StageAnnotate, start)
@@ -386,15 +370,15 @@ func (pl *Pipeline) annotate(ctx context.Context, prog *cdfg.Program, p *pum.PUM
 
 // ------------------------------------------------------------- Build / Sim
 
-// DelaysCtx annotates a design's program once per PE at the given detail
-// level through the cache and returns the per-PE delay tables the timed
-// TLM consumes (keyed by PE name, each in dense program block order and
-// shared read-only with the cache), plus the wall-clock annotation time
+// DelaysCtx annotates a design's program once per PE at the pipeline's
+// detail level through the cache and returns the per-PE delay tables the
+// timed TLM consumes (keyed by PE name, each in dense program block order
+// and shared read-only with the cache), plus the wall-clock annotation time
 // (the paper's "Anno." column). Cancellation or a strict-mode mapping
 // failure aborts the per-PE annotation loop with the typed error. With
 // Options.Verify the whole design is verified first (program, PE models
 // scoped to their entries, channel topology).
-func (pl *Pipeline) DelaysCtx(ctx context.Context, d *platform.Design, detail core.Detail) (map[string][]float64, time.Duration, error) {
+func (pl *Pipeline) DelaysCtx(ctx context.Context, d *platform.Design) (map[string][]float64, time.Duration, error) {
 	ctx, cancel := pl.withTimeout(ctx)
 	defer cancel()
 	if pl.opts.Verify {
@@ -402,15 +386,15 @@ func (pl *Pipeline) DelaysCtx(ctx context.Context, d *platform.Design, detail co
 			return nil, 0, err
 		}
 	}
-	return pl.delays(ctx, d, detail)
+	return pl.delays(ctx, d)
 }
 
 // delays computes the per-PE delay tables of an already verified design.
-func (pl *Pipeline) delays(ctx context.Context, d *platform.Design, detail core.Detail) (map[string][]float64, time.Duration, error) {
+func (pl *Pipeline) delays(ctx context.Context, d *platform.Design) (map[string][]float64, time.Duration, error) {
 	start := time.Now()
 	out := make(map[string][]float64, len(d.PEs))
 	for _, pe := range d.PEs {
-		a, err := pl.annotate(ctx, d.Program, pe.PUM, detail)
+		a, err := pl.annotate(ctx, d.Program, pe.PUM)
 		if err != nil {
 			return nil, time.Since(start), err
 		}
@@ -446,7 +430,7 @@ func (pl *Pipeline) SimulateCtx(ctx context.Context, d *platform.Design, opts tl
 	}
 	var annoTime time.Duration
 	if opts.Timed && opts.Delays == nil {
-		dm, dur, err := pl.delays(ctx, d, pl.detail)
+		dm, dur, err := pl.delays(ctx, d)
 		if err != nil {
 			return nil, err
 		}

@@ -102,21 +102,30 @@ func TestParallelAnnotationDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for variant, pl := range map[string]*Pipeline{
-				"parallel":         New(Options{NoCache: true}),
-				"parallel+cache":   New(Options{}),
-				"serial+cache":     New(Options{Workers: 1}),
-				"explicit-workers": New(Options{Workers: 4}),
+			for variant, annotateCtx := range map[string]func(context.Context, *cdfg.Program, *pum.PUM) (*annotate.Annotated, error){
+				// Uncached, on several workers: the core path without a cache.
+				"parallel": func(ctx context.Context, prog *cdfg.Program, m *pum.PUM) (*annotate.Annotated, error) {
+					return annotate.AnnotateCtx(ctx, prog, m, core.FullDetail, core.EstOptions{Workers: 4})
+				},
+				"parallel+cache":   New(Options{}).AnnotateCtx,
+				"serial+cache":     New(Options{Workers: 1}).AnnotateCtx,
+				"explicit-workers": New(Options{Workers: 4}).AnnotateCtx,
 			} {
 				label := fmt.Sprintf("gomaxprocs=%d/%s/%s", gmp, name, variant)
-				a := annotateOK(t, pl, prog, m)
+				a, err := annotateCtx(context.Background(), prog, m)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
 				sameEstimates(t, label, ref.Table, a.Table)
 				if want, got := ref.EmitTimedC(), a.EmitTimedC(); want != got {
 					t.Fatalf("%s: EmitTimedC differs from serial reference", label)
 				}
-				// Annotating again must be fully served from the cache and
-				// still identical.
-				a2 := annotateOK(t, pl, prog, m)
+				// Annotating again must be fully served from the cache, when
+				// there is one, and still identical.
+				a2, err := annotateCtx(context.Background(), prog, m)
+				if err != nil {
+					t.Fatalf("%s/reannotate: %v", label, err)
+				}
 				sameEstimates(t, label+"/reannotate", ref.Table, a2.Table)
 			}
 		}
@@ -317,7 +326,7 @@ void main() {
 	}
 	ctx := context.Background()
 	_, annoErr := pl.AnnotateCtx(ctx, prog, gap)
-	_, _, delaysErr := pl.DelaysCtx(ctx, d, pl.Detail())
+	_, _, delaysErr := pl.DelaysCtx(ctx, d)
 	_, simErr := pl.SimulateCtx(ctx, d, tlm.Options{Timed: true, WaitMode: tlm.WaitAtTransactions})
 	_, timedErr := pl.RunTimed(d)
 	var want diag.Diagnostic

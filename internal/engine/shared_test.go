@@ -46,12 +46,6 @@ func TestSharedCacheInjection(t *testing.T) {
 	if snap.Counters["cache.est.hits"] != st.EstHits {
 		t.Fatalf("snapshot est hits %d, cache reports %d", snap.Counters["cache.est.hits"], st.EstHits)
 	}
-
-	// NoCache still wins over an injected handle.
-	p3 := New(Options{Cache: shared, NoCache: true})
-	if p3.cache != nil {
-		t.Fatal("NoCache pipeline kept the injected cache")
-	}
 }
 
 // TestSharedMetricsInjection proves that pipelines built around one

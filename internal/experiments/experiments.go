@@ -9,13 +9,13 @@
 // The "board" is the cycle-accurate virtual board of internal/rtl; the
 // statistical PUM is calibrated on a training workload distinct from the
 // evaluation workload, so reported errors are genuine estimation errors.
-// Calibration, board references and the board-vs-estimate points of
-// Tables 2–3 come from internal/calib, the same path that produces the
-// accuracy scoreboard (BENCH_accuracy.json).
+// Calibration, board references and every board-vs-estimate point — of
+// Tables 2–3 and of ablations A1, A3, A5 and A6 — come from internal/calib,
+// the same scorer that produces the accuracy scoreboard
+// (BENCH_accuracy.json).
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -23,8 +23,10 @@ import (
 	"ese/internal/apps"
 	"ese/internal/calib"
 	"ese/internal/core"
+	"ese/internal/diag"
 	"ese/internal/engine"
 	"ese/internal/iss"
+	"ese/internal/metrics"
 	"ese/internal/platform"
 	"ese/internal/pum"
 	"ese/internal/rtl"
@@ -32,23 +34,36 @@ import (
 )
 
 // Setup bundles what every experiment needs: the calibrated processor
-// model, the evaluation workload, one shared estimation pipeline and one
-// board-reference memo. Every timed-TLM run of every experiment goes
-// through the pipeline, so the cache-configuration sweeps of Tables 2–3
-// (and the ablations) compute each Algorithm 1 schedule once and reuse it
-// across configurations — Pipe.Stats() exposes the hit counters. Every
+// model, the evaluation workload, its estimation pipelines and one
+// board-reference memo. A pipeline's detail level is fixed when it is
+// built, so the Setup builds one per level an experiment asks for, all
+// over one schedule/estimate cache and one metric registry: the
+// cache-configuration sweeps of Tables 2–3 and the ablations compute each
+// Algorithm 1 schedule once and reuse it across configurations and detail
+// levels — Pipe.Stats() exposes the shared cache's hit counters. Every
 // board reference of the evaluation workload goes through Boards, so each
 // is simulated once per Setup.
 type Setup struct {
 	Eval   apps.MP3Config
 	MB     *pum.PUM         // calibrated MicroBlaze-like model
-	Pipe   *engine.Pipeline // shared staged pipeline (schedule/estimate cache)
+	Pipe   *engine.Pipeline // the pipeline at the options' detail level
 	Boards *calib.Boards    // board references of the evaluation workload
+
+	opts  engine.Options // Pipe's options, with the shared cache and registry
+	pipes []leveled      // every pipeline, Pipe first, in the order built
+}
+
+// leveled is one of a Setup's pipelines and the detail level it annotates
+// at.
+type leveled struct {
+	detail core.Detail
+	pipe   *engine.Pipeline
 }
 
 // NewSetup calibrates the MicroBlaze model on the MP3 training workload
 // (apps.TrainMP3) and evaluates on frames frames of the default seed; opts
-// configures the shared pipeline (watchdog timeout, strictness, workers).
+// configures every pipeline of the setup (watchdog timeout, strictness,
+// workers), and its Detail that of Pipe.
 func NewSetup(frames int, opts engine.Options) (*Setup, error) {
 	ts, err := calib.Trainings("mp3")
 	if err != nil {
@@ -58,34 +73,49 @@ func NewSetup(frames int, opts engine.Options) (*Setup, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Setup{
+	if opts.Cache == nil {
+		opts.Cache = core.NewCacheLimit(opts.CacheLimit)
+	}
+	if opts.Metrics == nil {
+		opts.Metrics = metrics.NewRegistry()
+	}
+	detail := core.FullDetail
+	if opts.Detail != nil {
+		detail = *opts.Detail
+	}
+	s := &Setup{
 		Eval:   apps.MP3Config{Frames: frames, Seed: apps.DefaultMP3.Seed},
 		MB:     mb,
-		Pipe:   engine.New(opts),
 		Boards: calib.NewBoards(frames, apps.DefaultJPEG.Blocks, 0),
-	}, nil
+		opts:   opts,
+	}
+	s.Pipe = s.pipeline(detail)
+	return s, nil
 }
 
-// board returns the board reference of the MP3 SW design at cc.
-func (s *Setup) board(cc pum.CacheCfg) (uint64, error) {
-	d, err := s.Boards.Design("mp3", "SW", s.MB, cc)
-	if err != nil {
-		return 0, err
+// pipeline returns the setup's pipeline at detail, built on first use.
+func (s *Setup) pipeline(detail core.Detail) *engine.Pipeline {
+	for _, l := range s.pipes {
+		if l.detail == detail {
+			return l.pipe
+		}
 	}
-	return s.Boards.Ref("mp3", "SW", cc, d)
+	opts := s.opts
+	opts.Detail = &detail
+	pl := engine.New(opts)
+	s.pipes = append(s.pipes, leveled{detail, pl})
+	return pl
 }
 
-// simulateDetail annotates d at detail through the shared pipeline's
-// DelaysCtx — the one per-call detail override, for the ablations that
-// vary it — and simulates the tables with transaction-boundary waits. It
-// also returns the annotation time.
-func (s *Setup) simulateDetail(d *platform.Design, detail core.Detail) (*tlm.Result, time.Duration, error) {
-	dm, anno, err := s.Pipe.DelaysCtx(context.Background(), d, detail)
-	if err != nil {
-		return nil, anno, err
+// Diagnostics gathers the diagnostics of every pipeline of the setup.
+func (s *Setup) Diagnostics() *diag.List {
+	var all diag.List
+	for _, l := range s.pipes {
+		for _, d := range l.pipe.Diagnostics().All() {
+			all.Add(d)
+		}
 	}
-	res, err := s.Pipe.Simulate(d, tlm.Options{Timed: true, WaitMode: tlm.WaitAtTransactions, Delays: dm})
-	return res, anno, err
+	return &all
 }
 
 // score scores s.MB's estimate of one MP3 design against the board across
@@ -360,14 +390,10 @@ type Sensitivity struct {
 }
 
 // RunSensitivity perturbs the calibrated miss rates and misprediction
-// ratio by the given relative amounts and re-estimates the SW design.
+// ratio by the given relative amounts and scores each perturbed model's
+// estimate of the SW design at cc against the board.
 func RunSensitivity(s *Setup, cc pum.CacheCfg, perturbs []float64) (*Sensitivity, error) {
-	board, err := s.board(cc)
-	if err != nil {
-		return nil, err
-	}
-	out := &Sensitivity{Cfg: cc, Board: board}
-
+	out := &Sensitivity{Cfg: cc}
 	for _, p := range perturbs {
 		mb := s.MB.Clone()
 		st := mb.Mem.Table[cc]
@@ -375,20 +401,13 @@ func RunSensitivity(s *Setup, cc pum.CacheCfg, perturbs []float64) (*Sensitivity
 		st.DHitRate = clamp01(1 - (1-st.DHitRate)*(1+p))
 		mb.Mem.Table[cc] = st
 		mb.Branch.MissRate = clamp01(mb.Branch.MissRate * (1 + p))
-		d, err := apps.MP3Design("SW", s.Eval, mb, cc)
+		row, err := calib.ScoreRow(s.Pipe, s.Boards, mb, "mp3", "SW", []pum.CacheCfg{cc})
 		if err != nil {
 			return nil, err
 		}
-		res, err := s.Pipe.RunTimed(d)
-		if err != nil {
-			return nil, err
-		}
-		est := res.CyclesByPE["mb"]
-		out.Points = append(out.Points, SensitivityPoint{
-			Perturb: p,
-			TLM:     est,
-			Err:     pct(float64(est), float64(out.Board)),
-		})
+		pt := row.Points[0]
+		out.Board = pt.Board
+		out.Points = append(out.Points, SensitivityPoint{Perturb: p, TLM: pt.Est, Err: pt.ErrPct})
 	}
 	return out, nil
 }
@@ -484,30 +503,29 @@ type PUMDetail struct {
 	Levels []DetailLevel
 }
 
-// RunPUMDetail estimates the SW design with increasing PUM detail.
+// RunPUMDetail scores the SW design's estimate at cc against the board
+// with increasing PUM detail, one Setup pipeline per level.
 func RunPUMDetail(s *Setup, cc pum.CacheCfg) (*PUMDetail, error) {
-	board, err := s.board(cc)
+	d, err := s.Boards.Design("mp3", "SW", s.MB, cc)
 	if err != nil {
 		return nil, err
 	}
-	out := &PUMDetail{Cfg: cc, Board: board}
+	refs, err := s.Boards.Refs("mp3", "SW", []pum.CacheCfg{cc}, []*platform.Design{d})
+	if err != nil {
+		return nil, err
+	}
+	out := &PUMDetail{Cfg: cc, Board: refs[0]}
 	levels := []DetailLevel{
 		{Name: "schedule only", Detail: core.Detail{}},
 		{Name: "+memory", Detail: core.Detail{Memory: true}},
 		{Name: "+memory+branch", Detail: core.FullDetail},
 	}
 	for _, lv := range levels {
-		d, err := apps.MP3Design("SW", s.Eval, s.MB, cc)
+		p, anno, err := calib.Estimate(s.pipeline(lv.Detail), d, cc, out.Board)
 		if err != nil {
 			return nil, err
 		}
-		res, anno, err := s.simulateDetail(d, lv.Detail)
-		if err != nil {
-			return nil, err
-		}
-		lv.TLM = res.CyclesByPE["mb"]
-		lv.Err = pct(float64(lv.TLM), float64(out.Board))
-		lv.Anno = anno
+		lv.TLM, lv.Err, lv.Anno = p.Est, p.ErrPct, anno
 		out.Levels = append(out.Levels, lv)
 	}
 	return out, nil

@@ -27,9 +27,12 @@ func tinySetup(t *testing.T) *Setup {
 	return tinyS
 }
 
-// TestTablesMatchScoreboard pins Tables 2 and 3 to the committed accuracy
-// baseline: on the scoreboard's workload, every board and TLM cell equals
-// the corresponding point of the mp3-trained MP3 rows.
+// TestTablesMatchScoreboard pins Tables 2 and 3 and the board-referenced
+// ablations to the committed accuracy baseline: on the scoreboard's
+// workload, every board and TLM cell and its error equals the
+// corresponding point of the mp3-trained MP3 rows — A5's faithful column
+// is the SW row, A1's unperturbed point and A3's full-detail level its
+// 2k/2k point, and A6's raw-lowering row its 8k/4k point.
 func TestTablesMatchScoreboard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-size calibration and board runs in -short mode")
@@ -48,33 +51,62 @@ func TestTablesMatchScoreboard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check := func(design string, i int, cc pum.CacheCfg, board, tlm uint64) {
+	check := func(what, design string, cc pum.CacheCfg, board, tlm uint64, errPct float64) {
 		t.Helper()
-		r, ok := rows[design]
-		if !ok || i >= len(r.Points) {
-			t.Fatalf("baseline has no point %d for mp3/mp3/%s", i, design)
+		for _, p := range rows[design].Points {
+			if p.ISize == cc.ISize && p.DSize == cc.DSize {
+				if p.Board != board || p.Est != tlm || p.ErrPct != errPct {
+					t.Errorf("%s: %s %v: board %d TLM %d err %v%%, baseline %+v", what, design, cc, board, tlm, errPct, p)
+				}
+				return
+			}
 		}
-		p := r.Points[i]
-		if p.ISize != cc.ISize || p.DSize != cc.DSize || p.Board != board || p.Est != tlm {
-			t.Errorf("%s %v: board %d TLM %d, baseline %+v", design, cc, board, tlm, p)
-		}
+		t.Errorf("%s: baseline has no mp3/mp3/%s point at %v", what, design, cc)
 	}
 	t2, err := RunTable2(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range t2.Rows {
-		check("SW", i, r.Cfg, r.Board, r.TLM)
+	for _, r := range t2.Rows {
+		check("Table 2", "SW", r.Cfg, r.Board, r.TLM, r.TLMErr)
 	}
 	t3, err := RunTable3(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range t3.Rows {
+	for _, r := range t3.Rows {
 		for _, d := range t3.Designs {
-			check(d, i, r.Cfg, r.Cells[d].Board, r.Cells[d].TLM)
+			check("Table 3", d, r.Cfg, r.Cells[d].Board, r.Cells[d].TLM, r.Cells[d].Err)
 		}
 	}
+	a5, err := RunOverlapStudy(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range a5.Rows {
+		check("A5", "SW", r.Cfg, r.Board, r.Faithful, r.FaithErr)
+	}
+	if a5.AvgFaith != rows["SW"].MAPE {
+		t.Errorf("A5: faithful avg |err| %v%%, baseline MAPE %v%%", a5.AvgFaith, rows["SW"].MAPE)
+	}
+	small := pum.CacheCfg{ISize: 2048, DSize: 2048}
+	a1, err := RunSensitivity(s, small, []float64{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("A1", "SW", small, a1.Board, a1.Points[0].TLM, a1.Points[0].Err)
+	a3, err := RunPUMDetail(s, small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := a3.Levels[len(a3.Levels)-1]
+	check("A3 "+full.Name, "SW", small, a3.Board, full.TLM, full.Err)
+	a6, err := RunBlockSizeStudy(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := a6.Rows[0]
+	check("A6 "+raw.Label, "SW", pum.CacheCfg{ISize: 8192, DSize: 4096}, raw.Board, raw.TLM, raw.Err)
 }
 
 func TestCalibrationFillsTable(t *testing.T) {

@@ -104,7 +104,7 @@ func RunPerfBench(s *Setup, reps int) (*PerfBench, error) {
 		return nil, err
 	}
 	for _, d := range designs {
-		dm, _, err := s.Pipe.DelaysCtx(context.Background(), d, s.Pipe.Detail())
+		dm, _, err := s.Pipe.DelaysCtx(context.Background(), d)
 		if err != nil {
 			return nil, fmt.Errorf("perfbench %s: %w", d.Name, err)
 		}

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"ese/internal/apps"
+	"ese/internal/calib"
 	"ese/internal/cdfg"
 	"ese/internal/core"
 	"ese/internal/platform"
@@ -163,41 +164,27 @@ type OverlapStudy struct {
 	AvgFaith, AvgOverlap float64
 }
 
-// RunOverlapStudy measures both estimators against the board.
+// RunOverlapStudy scores both estimators of the SW design against the
+// board across the standard cache sweep, one Setup pipeline each: the
+// faithful column is the scorer's row for the design.
 func RunOverlapStudy(s *Setup) (*OverlapStudy, error) {
-	out := &OverlapStudy{}
-	for _, cc := range pum.StandardCacheConfigs {
-		board, err := s.board(cc)
-		if err != nil {
-			return nil, err
-		}
-		row := OverlapRow{Cfg: cc, Board: board}
-
-		for _, variant := range []struct {
-			detail core.Detail
-			cycles *uint64
-			errPct *float64
-		}{
-			{core.FullDetail, &row.Faithful, &row.FaithErr},
-			{core.OverlapDetail, &row.Overlap, &row.OverlapErr},
-		} {
-			d, err := apps.MP3Design("SW", s.Eval, s.MB, cc)
-			if err != nil {
-				return nil, err
-			}
-			res, _, err := s.simulateDetail(d, variant.detail)
-			if err != nil {
-				return nil, err
-			}
-			*variant.cycles = res.CyclesByPE["mb"]
-			*variant.errPct = pct(float64(*variant.cycles), float64(row.Board))
-		}
-		out.Rows = append(out.Rows, row)
-		out.AvgFaith += abs(row.FaithErr)
-		out.AvgOverlap += abs(row.OverlapErr)
+	faith, err := calib.ScoreRow(s.pipeline(core.FullDetail), s.Boards, s.MB, "mp3", "SW", pum.StandardCacheConfigs)
+	if err != nil {
+		return nil, err
 	}
-	out.AvgFaith /= float64(len(out.Rows))
-	out.AvgOverlap /= float64(len(out.Rows))
+	over, err := calib.ScoreRow(s.pipeline(core.OverlapDetail), s.Boards, s.MB, "mp3", "SW", pum.StandardCacheConfigs)
+	if err != nil {
+		return nil, err
+	}
+	out := &OverlapStudy{AvgFaith: faith.MAPE, AvgOverlap: over.MAPE}
+	for i, cc := range pum.StandardCacheConfigs {
+		f, o := faith.Points[i], over.Points[i]
+		out.Rows = append(out.Rows, OverlapRow{
+			Cfg: cc, Board: f.Board,
+			Faithful: f.Est, FaithErr: f.ErrPct,
+			Overlap: o.Est, OverlapErr: o.ErrPct,
+		})
+	}
 	return out, nil
 }
 
@@ -235,53 +222,53 @@ type BlockSizeStudy struct {
 	Rows []BlockSizeRow
 }
 
-// RunBlockSizeStudy measures the SW design at 8k/4k with raw and
-// simplified CFGs.
+// RunBlockSizeStudy scores the SW design at 8k/4k with raw and simplified
+// CFGs, each with and without overlap compensation. The raw row is the
+// scorer's point for the design; the simplified CFG is a fresh compile of
+// it, simplified, so its board run bypasses the memo of the evaluation
+// workload.
 func RunBlockSizeStudy(s *Setup) (*BlockSizeStudy, error) {
 	cc := pum.CacheCfg{ISize: 8 * 1024, DSize: 4 * 1024}
+	raw, err := s.Boards.Design("mp3", "SW", s.MB, cc)
+	if err != nil {
+		return nil, err
+	}
+	refs, err := s.Boards.Refs("mp3", "SW", []pum.CacheCfg{cc}, []*platform.Design{raw})
+	if err != nil {
+		return nil, err
+	}
+	simp, err := apps.MP3Design("SW", s.Eval, s.MB, cc)
+	if err != nil {
+		return nil, err
+	}
+	cdfg.SimplifyProgram(simp.Program)
+	br, err := rtl.RunBoard(simp, 0)
+	if err != nil {
+		return nil, err
+	}
 	out := &BlockSizeStudy{}
-	for _, variant := range []struct {
-		label    string
-		simplify bool
+	for _, v := range []struct {
+		label string
+		d     *platform.Design
+		board uint64
 	}{
-		{"raw lowering", false},
-		{"simplified CFG", true},
+		{"raw lowering", raw, refs[0]},
+		{"simplified CFG", simp, br.EndCycles(simp.Bus.ClockHz)},
 	} {
-		d, err := apps.MP3Design("SW", s.Eval, s.MB, cc)
+		p, _, err := calib.Estimate(s.Pipe, v.d, cc, v.board)
 		if err != nil {
 			return nil, err
 		}
-		if variant.simplify {
-			cdfg.SimplifyProgram(d.Program)
-		}
-		row := BlockSizeRow{Label: variant.label, Blocks: d.Program.NumBlocks()}
-		row.AvgOps = float64(d.Program.NumInstrs()) / float64(d.Program.NumBlocks())
-
-		// The simplified CFG is a different program, so its board run
-		// bypasses the memo of the evaluation workload.
-		if variant.simplify {
-			board, err := rtl.RunBoard(d, 0)
-			if err != nil {
-				return nil, err
-			}
-			row.Board = board.PEs["mb"].Cycles
-		} else if row.Board, err = s.Boards.Ref("mp3", "SW", cc, d); err != nil {
-			return nil, err
-		}
-
-		res, err := s.Pipe.RunTimed(d)
+		pc, _, err := calib.Estimate(s.pipeline(core.OverlapDetail), v.d, cc, v.board)
 		if err != nil {
 			return nil, err
 		}
-		row.TLM = res.CyclesByPE["mb"]
-		row.Err = pct(float64(row.TLM), float64(row.Board))
-
-		resC, _, err := s.simulateDetail(d, core.OverlapDetail)
-		if err != nil {
-			return nil, err
-		}
-		row.ErrComp = pct(float64(resC.CyclesByPE["mb"]), float64(row.Board))
-		out.Rows = append(out.Rows, row)
+		prog := v.d.Program
+		out.Rows = append(out.Rows, BlockSizeRow{
+			Label: v.label, Blocks: prog.NumBlocks(),
+			AvgOps: float64(prog.NumInstrs()) / float64(prog.NumBlocks()),
+			Board:  v.board, TLM: p.Est, Err: p.ErrPct, ErrComp: pc.ErrPct,
+		})
 	}
 	return out, nil
 }

@@ -19,10 +19,11 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
+	"ese/internal/apps"
 	"ese/internal/core"
 	"ese/internal/engine"
 	"ese/internal/interp"
@@ -59,12 +60,15 @@ const (
 	AppJPEG = "jpeg"
 )
 
-// Default workload seeds per app, mirrored from internal/apps so that
-// Validate/Fingerprint stay free of the app-construction dependency
-// (resolve.go consumes apps; a test pins the mirror against the source).
-var defaultSeeds = map[string]uint32{
-	AppMP3:  0xC0FFEE, // apps.DefaultMP3.Seed
-	AppJPEG: 0xBEEF,   // apps.DefaultJPEG.Seed
+// defaultSeed is an app's default workload seed (0 for an unknown app).
+func defaultSeed(app string) uint32 {
+	switch app {
+	case AppMP3:
+		return apps.DefaultMP3.Seed
+	case AppJPEG:
+		return apps.DefaultJPEG.Seed
+	}
+	return 0
 }
 
 // Tune is the structural design-space tuning of a TLM job's processor
@@ -324,28 +328,6 @@ func (d *Duration) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// knownDesigns mirrors the design catalogs of internal/apps without
-// importing it here (resolve.go consumes the apps package; validation
-// should not need to build anything).
-var knownDesigns = map[string]map[string]bool{
-	AppMP3:  {"SW": true, "SW+1": true, "SW+2": true, "SW+4": true},
-	AppJPEG: {"SW": true, "SW+DCT": true},
-}
-
-// DesignNames lists the valid designs of an app, sorted (empty for an
-// unknown app) — the vocabulary the DSE expander validates sweeps against.
-func DesignNames(app string) []string {
-	if app == "" {
-		app = AppMP3
-	}
-	out := make([]string, 0, len(knownDesigns[app]))
-	for d := range knownDesigns[app] {
-		out = append(out, d)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Validate checks the spec for structural problems a front end should
 // reject before any work is spent on it.
 func (s *Spec) Validate() error {
@@ -362,13 +344,13 @@ func (s *Spec) Validate() error {
 		if app == "" {
 			app = AppMP3
 		}
-		designs, ok := knownDesigns[app]
-		if !ok {
+		designs := apps.DesignNames(app)
+		if designs == nil {
 			return fmt.Errorf("jobspec: unknown app %q (want %s or %s)", s.App, AppMP3, AppJPEG)
 		}
-		if !designs[s.Design] {
+		if !slices.Contains(designs, s.Design) {
 			return fmt.Errorf("jobspec: unknown design %q for app %s (want %s)",
-				s.Design, app, strings.Join(DesignNames(app), ", "))
+				s.Design, app, strings.Join(designs, ", "))
 		}
 		if s.Frames < 1 {
 			return fmt.Errorf("jobspec: tlm job needs frames >= 1, got %d", s.Frames)
@@ -491,7 +473,7 @@ func (s *Spec) Normalized() Spec {
 			n.Engine = EngineTimed
 		}
 		if n.Seed == 0 {
-			n.Seed = defaultSeeds[n.App]
+			n.Seed = defaultSeed(n.App)
 		}
 		if n.Tune.isZero() {
 			n.Tune = nil

@@ -38,7 +38,7 @@ func TestProgramMemoSharing(t *testing.T) {
 		"caches":   func(s *Spec) { s.ICache, s.DCache = 16384, 16384 },
 		"branch":   func(s *Spec) { s.Tune = &Tune{BranchMiss: &miss} },
 		"engine":   func(s *Spec) { s.Engine = EngineFunctional },
-		"seed-set": func(s *Spec) { s.Seed = defaultSeeds[AppMP3] },
+		"seed-set": func(s *Spec) { s.Seed = defaultSeed(AppMP3) },
 	}
 	for name, mut := range shared {
 		s := memoBase()

@@ -3,8 +3,6 @@ package jobspec
 import (
 	"context"
 	"testing"
-
-	"ese/internal/apps"
 )
 
 // Regression: a spec relying on kind-probed defaults and one spelling the
@@ -77,18 +75,6 @@ func TestFingerprintDistinguishesRealDifferences(t *testing.T) {
 	mp3.Frames = 4
 	if jpeg.Fingerprint() == mp3.Fingerprint() {
 		t.Fatal("jpeg and mp3 jobs share a fingerprint")
-	}
-}
-
-// The seed table mirrors the apps package defaults so jobspec need not
-// import apps (resolve.go does). Pin the mirror against the source of
-// truth.
-func TestDefaultSeedsMatchApps(t *testing.T) {
-	if got, want := defaultSeeds[AppMP3], apps.DefaultMP3.Seed; got != want {
-		t.Fatalf("mp3 default seed %#x, apps says %#x", got, want)
-	}
-	if got, want := defaultSeeds[AppJPEG], apps.DefaultJPEG.Seed; got != want {
-		t.Fatalf("jpeg default seed %#x, apps says %#x", got, want)
 	}
 }
 

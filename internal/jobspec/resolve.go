@@ -146,7 +146,7 @@ func (s *Spec) workload() workload {
 		w.app = AppMP3
 	}
 	if w.seed == 0 {
-		w.seed = defaultSeeds[w.app]
+		w.seed = defaultSeed(w.app)
 	}
 	return w
 }
