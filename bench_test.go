@@ -37,7 +37,7 @@ var benchSetupCache *experiments.Setup
 func benchSetup(b *testing.B) *experiments.Setup {
 	b.Helper()
 	if benchSetupCache == nil {
-		s, err := experiments.NewSetup(benchEval.Frames, engine.Options{})
+		s, err := experiments.NewSetup(context.Background(), benchEval.Frames, engine.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -136,7 +136,7 @@ func BenchmarkTable1_ISS_SW(b *testing.B) {
 			b.Fatal(err)
 		}
 		sim := iss.NewISS(m, iss.DefaultTiming(benchCache.ISize, benchCache.DSize))
-		if err := sim.Run(0); err != nil {
+		if err := sim.Run(context.Background(), 0); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportMetric(float64(sim.Cycles), "sim-cycles")

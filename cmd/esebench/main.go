@@ -12,10 +12,7 @@
 //	              tree/compiled/board differential over every example
 //	              design, the metamorphic estimator invariants, and the
 //	              seeded-mutation corpus (every corruption must be caught)
-//	-dse FILE     run the design-space sweep described in FILE (see
-//	              DESIGN.md) and print its Pareto front; the esedse
-//	              command adds sharding, checkpoint/resume and file
-//	              outputs
+//	-timeout D    one deadline for the whole run, -validate excepted
 //	-metrics      print the pipeline's internal metrics snapshot at exit
 //	-pprof ADDR   serve net/http/pprof on ADDR (e.g. localhost:6060) for
 //	              the duration of the run
@@ -48,7 +45,6 @@ import (
 	"ese/internal/apps"
 	"ese/internal/calib"
 	"ese/internal/cli"
-	"ese/internal/dse"
 	"ese/internal/experiments"
 	"ese/internal/jobspec"
 	"ese/internal/pum"
@@ -68,7 +64,6 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit results as JSON lines instead of tables")
 	showMetrics := flag.Bool("metrics", false, "print the pipeline metrics snapshot at exit")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	dseSpec := flag.String("dse", "", "run the design-space sweep described in FILE and print its Pareto front")
 	benchJSON := flag.String("bench-json", "", "measure the engine perf trajectory and write it as JSON to FILE (\"-\" = stdout)")
 	benchCompare := flag.String("bench-compare", "", "measure the engine perf trajectory and compare it against the baseline JSON in FILE")
 	benchReps := flag.Int("bench-reps", 5, "repetitions per design for -bench-json/-bench-compare (min is recorded)")
@@ -93,10 +88,6 @@ func main() {
 		cli.Fail("esebench", ese.ValidationSuite(os.Stdout, spec.Frames))
 		return
 	}
-	if *dseSpec != "" {
-		cli.Fail("esebench", runDSE(*dseSpec, *jsonOut))
-		return
-	}
 	acc := gate{record: *accJSON, compare: *accCompare, tol: *accTol,
 		name: "accuracy", noun: "accuracy scoreboard", tolerance: fmt.Sprintf("%.2f pt MAPE drift", *accTol)}
 	bench := gate{record: *benchJSON, compare: *benchCompare, tol: *benchTol,
@@ -104,27 +95,34 @@ func main() {
 	cli.Fail("esebench", run(&spec, *table, *ablation, *all, *jsonOut, *showMetrics, *benchReps, bench, acc))
 }
 
+// experiment runs one table or ablation on a setup under the run's
+// deadline.
+type experiment func(context.Context, *experiments.Setup) (any, error)
+
+// exp adapts a table or ablation runner to an experiment.
+func exp[T any](run func(context.Context, *experiments.Setup) (T, error)) experiment {
+	return func(ctx context.Context, s *experiments.Setup) (any, error) { return run(ctx, s) }
+}
+
 // tables and ablations are every experiment, in the order -all runs them.
 var (
-	tables = []func(*experiments.Setup) (any, error){
-		func(s *experiments.Setup) (any, error) { return experiments.RunTable1(s) },
-		func(s *experiments.Setup) (any, error) { return experiments.RunTable2(s) },
-		func(s *experiments.Setup) (any, error) { return experiments.RunTable3(s) },
-	}
+	tables    = []experiment{exp(experiments.RunTable1), exp(experiments.RunTable2), exp(experiments.RunTable3)}
 	ablations = []struct {
 		name string
-		run  func(*experiments.Setup) (any, error)
+		run  experiment
 	}{
-		{"sensitivity", func(s *experiments.Setup) (any, error) {
-			return experiments.RunSensitivity(s, pum.CacheCfg{ISize: 2048, DSize: 2048}, []float64{-0.5, -0.25, 0, 0.25, 0.5})
+		{"sensitivity", func(ctx context.Context, s *experiments.Setup) (any, error) {
+			return experiments.RunSensitivity(ctx, s, pum.CacheCfg{ISize: 2048, DSize: 2048}, []float64{-0.5, -0.25, 0, 0.25, 0.5})
 		}},
-		{"granularity", func(s *experiments.Setup) (any, error) { return experiments.RunGranularity(s, "SW+4") }},
-		{"pumdetail", func(s *experiments.Setup) (any, error) {
-			return experiments.RunPUMDetail(s, pum.CacheCfg{ISize: 2048, DSize: 2048})
+		{"granularity", func(ctx context.Context, s *experiments.Setup) (any, error) {
+			return experiments.RunGranularity(ctx, s, "SW+4")
 		}},
-		{"rtos", func(s *experiments.Setup) (any, error) { return experiments.RunRTOSStudy(s) }},
-		{"overlap", func(s *experiments.Setup) (any, error) { return experiments.RunOverlapStudy(s) }},
-		{"blocksize", func(s *experiments.Setup) (any, error) { return experiments.RunBlockSizeStudy(s) }},
+		{"pumdetail", func(ctx context.Context, s *experiments.Setup) (any, error) {
+			return experiments.RunPUMDetail(ctx, s, pum.CacheCfg{ISize: 2048, DSize: 2048})
+		}},
+		{"rtos", exp(experiments.RunRTOSStudy)},
+		{"overlap", exp(experiments.RunOverlapStudy)},
+		{"blocksize", exp(experiments.RunBlockSizeStudy)},
 	}
 )
 
@@ -150,10 +148,12 @@ func run(spec *jobspec.Spec, table int, ablation string, all, jsonOut, showMetri
 	if ablation != "" && !slices.Contains(ablationNames(), ablation) {
 		return cli.Input(fmt.Errorf("-ablation %q: want one of %s", ablation, strings.Join(ablationNames(), ", ")))
 	}
+	ctx, cancel := spec.WithTimeout(context.Background(), 0)
+	defer cancel()
 	if acc.on() {
 		// The scoreboard performs its own per-training-set calibrations;
 		// the shared MP3-only setup below would be redundant work.
-		o := calib.Options{Frames: spec.Frames, Blocks: apps.DefaultJPEG.Blocks, Engine: opts}
+		o := calib.Options{Frames: spec.Frames, Blocks: apps.DefaultJPEG.Blocks, Engine: opts, Ctx: ctx}
 		return runGate(acc, &calib.Scoreboard{Frames: o.Frames, Blocks: o.Blocks}, calib.LoadScoreboard,
 			func() (*calib.Scoreboard, error) { return calib.RunScoreboard(o) })
 	}
@@ -163,7 +163,7 @@ func run(spec *jobspec.Spec, table int, ablation string, all, jsonOut, showMetri
 				spec.Frames, apps.DefaultMP3.Seed, apps.TrainMP3.Seed)
 			fmt.Println("calibrating statistical PUM models on the training workload...")
 		}
-		return experiments.NewSetup(spec.Frames, opts)
+		return experiments.NewSetup(ctx, spec.Frames, opts)
 	}
 	if bench.on() {
 		return runGate(bench, &experiments.PerfBench{Frames: spec.Frames}, experiments.LoadBaseline,
@@ -173,7 +173,7 @@ func run(spec *jobspec.Spec, table int, ablation string, all, jsonOut, showMetri
 					return nil, err
 				}
 				defer func() { cli.PrintDiags("esebench", s.Diagnostics()) }()
-				return experiments.RunPerfBench(s, benchReps)
+				return experiments.RunPerfBench(ctx, s, benchReps)
 			})
 	}
 	s, err := setup()
@@ -203,14 +203,14 @@ func run(spec *jobspec.Spec, table int, ablation string, all, jsonOut, showMetri
 	}
 	for i, runTable := range tables {
 		if all || table == i+1 {
-			if err := emit(runTable(s)); err != nil {
+			if err := emit(runTable(ctx, s)); err != nil {
 				return err
 			}
 		}
 	}
 	for _, e := range ablations {
 		if all || ablation == e.name {
-			if err := emit(e.run(s)); err != nil {
+			if err := emit(e.run(ctx, s)); err != nil {
 				return err
 			}
 		}
@@ -228,36 +228,6 @@ func run(spec *jobspec.Spec, table int, ablation string, all, jsonOut, showMetri
 		fmt.Printf("\npipeline metrics:\n%s", s.Pipe.MetricsSnapshot())
 	}
 	return nil
-}
-
-// runDSE runs a declarative design-space sweep and prints its Pareto
-// front — the quick-look mode; the esedse command adds sharded
-// checkpointing, resume and file outputs for real sweeps.
-func runDSE(path string, jsonOut bool) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return cli.Input(err)
-	}
-	sweep, err := dse.ParseSweep(data)
-	if err != nil {
-		return cli.Input(err)
-	}
-	res, err := dse.Run(context.Background(), sweep, dse.Options{})
-	if err != nil {
-		return err
-	}
-	if jsonOut {
-		data, err := json.Marshal(res)
-		if err != nil {
-			return err
-		}
-		fmt.Println(string(data))
-		return nil
-	}
-	s := res.Summary
-	fmt.Printf("design-space sweep: %d points, %d on the Pareto front, cache hit rate %.1f%%\n",
-		s.Points, len(res.Pareto), 100*s.CacheHitRate)
-	return dse.WriteCSV(os.Stdout, res.Pareto)
 }
 
 // gate holds one committed-baseline gate's flags — record FILE writes a

@@ -1,13 +1,17 @@
 package main
 
 import (
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"ese/internal/calib"
 	"ese/internal/cli"
+	"ese/internal/diag"
 	"ese/internal/experiments"
 	"ese/internal/jobspec"
 )
@@ -115,5 +119,33 @@ func TestRunRejectsUnknownTableAndAblation(t *testing.T) {
 		if cli.ExitCode(err) != cli.ExitUsage {
 			t.Errorf("-table %d -ablation %q: %v, want exit %d", tc.table, tc.ablation, err, cli.ExitUsage)
 		}
+	}
+}
+
+// -timeout is one deadline for the whole run: it stops the board runs
+// behind Table 2 and behind the accuracy scoreboard, whose record is then
+// not written.
+func TestTimeoutBoundsWholeRun(t *testing.T) {
+	record := filepath.Join(t.TempDir(), "accuracy.json")
+	for _, tc := range []struct {
+		name   string
+		frames int
+		table  int
+		acc    gate
+	}{
+		{"-frames 20 -table 2", 20, 2, gate{}},
+		{"-accuracy FILE", 2, 0, gate{record: record, name: "accuracy"}},
+	} {
+		spec := jobspec.DefaultTLM()
+		spec.Calibrate = true
+		spec.Frames = tc.frames
+		spec.Timeout = jobspec.Duration(300 * time.Millisecond)
+		err := run(&spec, tc.table, "", false, true, false, 1, gate{}, tc.acc)
+		if !errors.Is(err, diag.ErrDeadline) || cli.ExitCode(err) != cli.ExitRuntime {
+			t.Errorf("%s -timeout 300ms: %v, want %v (exit %d)", tc.name, err, diag.ErrDeadline, cli.ExitRuntime)
+		}
+	}
+	if _, err := os.Stat(record); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("a scoreboard past its deadline was written (stat: %v)", err)
 	}
 }

@@ -33,7 +33,7 @@
 //	                      coverage gaps) as errors
 //	-fallback N           cycles charged to unmapped op classes when not
 //	                      strict (graceful degradation)
-//	-timeout D            wall-clock watchdog for the whole run
+//	-timeout D            one deadline for the whole run
 //
 // The flag→options wiring lives in internal/jobspec, shared with esetlm,
 // esebench and the esed daemon: this command is one front end over the
@@ -49,7 +49,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
 	"ese"
 	"ese/internal/cdfg"
@@ -108,12 +107,8 @@ func run(file string, spec *jobspec.Spec, o outputs) error {
 	if err != nil {
 		return cli.Input(err)
 	}
-	ctx := context.Background()
-	if spec.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(spec.Timeout))
-		defer cancel()
-	}
+	ctx, cancel := spec.WithTimeout(context.Background(), 0)
+	defer cancel()
 	pl := ese.NewPipeline(opts)
 	defer cli.PrintDiags("eseest", pl.Diagnostics())
 	prog, err := pl.CompileCtx(ctx, file, string(src))

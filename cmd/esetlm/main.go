@@ -95,12 +95,8 @@ func run(spec *jobspec.Spec, o outputs) error {
 	if err != nil {
 		return cli.Input(err)
 	}
-	ctx := context.Background()
-	if spec.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(spec.Timeout))
-		defer cancel()
-	}
+	ctx, cancel := spec.WithTimeout(context.Background(), 0)
+	defer cancel()
 	d, err := spec.BuildDesign()
 	if err != nil {
 		return err

@@ -26,7 +26,7 @@
 //
 //	ctx := context.Background()
 //	pl := ese.NewPipeline(ese.PipelineOptions{})
-//	prog, _ := pl.Compile("app.c", src)
+//	prog, _ := pl.CompileCtx(ctx, "app.c", src)
 //	for _, cc := range ese.StandardCacheConfigs {
 //		cfg, _ := mb.WithCache(cc)
 //		a, _ := pl.AnnotateCtx(ctx, prog, cfg) // schedules reused after 1st
@@ -142,7 +142,8 @@ type (
 	// sweep so Algorithm 1 schedules are computed once per block.
 	Pipeline = engine.Pipeline
 	// PipelineOptions configures a Pipeline (workers, cache, detail,
-	// strictness, fallback latency, watchdog timeout, verification).
+	// strictness, fallback latency, verification). A caller bounds a run
+	// with its context's deadline.
 	PipelineOptions = engine.Options
 	// PipelineStats aggregates cache counters and degradation tallies.
 	PipelineStats = engine.Stats
@@ -161,8 +162,7 @@ var (
 	// ErrCanceled reports that a run was interrupted by context
 	// cancellation.
 	ErrCanceled = diag.ErrCanceled
-	// ErrDeadline reports that a run exceeded its deadline or watchdog
-	// timeout.
+	// ErrDeadline reports that a run exceeded its context's deadline.
 	ErrDeadline = diag.ErrDeadline
 )
 
@@ -181,7 +181,7 @@ func Simplify(prog *Program) { cdfg.SimplifyProgram(prog) }
 
 // CompileC parses, checks and lowers a C-subset source into CDFG form.
 func CompileC(name, src string) (*Program, error) {
-	return defaultPipeline.Compile(name, src)
+	return defaultPipeline.CompileCtx(context.Background(), name, src)
 }
 
 // Validation (see internal/verify): the static IR verifier, the PUM lint
@@ -257,7 +257,9 @@ func Calibrate(base *PUM, trainProg *Program, entry string) (*PUM, error) {
 func DefaultBus() platform.Bus { return platform.DefaultBus() }
 
 // RunFunctionalTLM executes the untimed TLM of a design.
-func RunFunctionalTLM(d *Design) (*TLMResult, error) { return defaultPipeline.RunFunctional(d) }
+func RunFunctionalTLM(d *Design) (*TLMResult, error) {
+	return defaultPipeline.SimulateCtx(context.Background(), d, tlm.Options{})
+}
 
 // RunTimedTLM generates and executes the timed TLM of a design (per-block
 // delays applied at transaction boundaries).
@@ -315,7 +317,7 @@ func ISSCycles(prog *Program, entry string, cc CacheCfg) (uint64, error) {
 		return 0, err
 	}
 	s := iss.NewISS(m, iss.DefaultTiming(cc.ISize, cc.DSize))
-	if err := s.Run(0); err != nil {
+	if err := s.Run(context.Background(), 0); err != nil {
 		return 0, err
 	}
 	return s.Cycles, nil

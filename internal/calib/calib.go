@@ -16,6 +16,7 @@
 package calib
 
 import (
+	"context"
 	"fmt"
 
 	"ese/internal/cdfg"
@@ -40,7 +41,8 @@ type Training struct {
 // programs for the branch misprediction ratio. The returned PUM carries one
 // provenance entry per (configuration, program) pair, labeled with the
 // training name; the per-program reports are returned alongside for
-// inspection. limit bounds each training run's dynamic steps (0 = none).
+// inspection. limit bounds each training run's dynamic steps (0 = none);
+// no deadline bounds a calibration.
 func Calibrate(base *pum.PUM, trains []Training, cfgs []pum.CacheCfg, limit uint64) (*pum.PUM, []*rtl.CalibReport, error) {
 	if len(trains) == 0 {
 		return nil, nil, fmt.Errorf("calib: no training programs")
@@ -48,7 +50,7 @@ func Calibrate(base *pum.PUM, trains []Training, cfgs []pum.CacheCfg, limit uint
 	names := make([]string, len(trains))
 	reps := make([]*rtl.CalibReport, len(trains))
 	for i, tr := range trains {
-		rep, err := measure(base, tr, cfgs, limit)
+		rep, err := measure(context.Background(), base, tr, cfgs, limit)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -62,9 +64,9 @@ func Calibrate(base *pum.PUM, trains []Training, cfgs []pum.CacheCfg, limit uint
 }
 
 // measure runs one training program on the board's processor model for
-// every configuration of cfgs.
-func measure(base *pum.PUM, tr Training, cfgs []pum.CacheCfg, limit uint64) (*rtl.CalibReport, error) {
-	rep, err := rtl.Measure(base, tr.Prog, tr.Entry, cfgs, limit)
+// every configuration of cfgs, under ctx.
+func measure(ctx context.Context, base *pum.PUM, tr Training, cfgs []pum.CacheCfg, limit uint64) (*rtl.CalibReport, error) {
+	rep, err := rtl.Measure(ctx, base, tr.Prog, tr.Entry, cfgs, limit)
 	if err != nil {
 		return nil, fmt.Errorf("calib: training %q: %w", tr.Name, err)
 	}

@@ -15,6 +15,7 @@ import (
 	"ese/internal/platform"
 	"ese/internal/pum"
 	"ese/internal/rtl"
+	"ese/internal/tlm"
 )
 
 // Point is one (cache configuration) measurement of a row: end cycles at
@@ -89,6 +90,10 @@ type Options struct {
 	Configs []pum.CacheCfg // nil = pum.StandardCacheConfigs
 	Engine  engine.Options
 	Limit   uint64
+	// Ctx, when non-nil, bounds the whole scoreboard: every training
+	// measurement, board run and estimate. Expiry fails it with
+	// diag.ErrCanceled or diag.ErrDeadline.
+	Ctx context.Context
 }
 
 // Trainings resolves a training-set label — one application name or
@@ -186,8 +191,8 @@ func (b *Boards) Design(app, design string, model *pum.PUM, cc pum.CacheCfg) (*p
 // Refs returns the board references of the (app, design) workload at each
 // of cfgs; ds[i] is that workload at cfgs[i] as Design builds it, under any
 // model. The configurations not yet memoized are simulated together, in
-// one functional pass of the board (rtl.RunBoards).
-func (b *Boards) Refs(app, design string, cfgs []pum.CacheCfg, ds []*platform.Design) ([]uint64, error) {
+// one functional pass of the board (rtl.RunBoards) bounded by ctx.
+func (b *Boards) Refs(ctx context.Context, app, design string, cfgs []pum.CacheCfg, ds []*platform.Design) ([]uint64, error) {
 	keys := make([]string, len(cfgs))
 	var run []*platform.Design
 	var runKeys []string
@@ -198,7 +203,7 @@ func (b *Boards) Refs(app, design string, cfgs []pum.CacheCfg, ds []*platform.De
 		}
 	}
 	if len(run) > 0 {
-		brs, err := rtl.RunBoards(context.TODO(), run, b.limit)
+		brs, err := rtl.RunBoards(ctx, run, b.limit)
 		if err != nil {
 			return nil, fmt.Errorf("calib: board %s: %w", strings.Join(runKeys, ", "), err)
 		}
@@ -216,8 +221,9 @@ func (b *Boards) Refs(app, design string, cfgs []pum.CacheCfg, ds []*platform.De
 // ScoreRow scores a calibrated model's timed-TLM estimate of one (app,
 // design) against the board across cfgs: it maps the workload at every
 // configuration, takes the board references from boards and runs each
-// estimate through pipe. Train and Cross are left to the caller.
-func ScoreRow(pipe *engine.Pipeline, boards *Boards, model *pum.PUM, app, design string, cfgs []pum.CacheCfg) (Row, error) {
+// estimate through pipe, all under ctx. Train and Cross are left to the
+// caller.
+func ScoreRow(ctx context.Context, pipe *engine.Pipeline, boards *Boards, model *pum.PUM, app, design string, cfgs []pum.CacheCfg) (Row, error) {
 	ds := make([]*platform.Design, len(cfgs))
 	for i, cc := range cfgs {
 		d, err := boards.Design(app, design, model, cc)
@@ -226,13 +232,13 @@ func ScoreRow(pipe *engine.Pipeline, boards *Boards, model *pum.PUM, app, design
 		}
 		ds[i] = d
 	}
-	refs, err := boards.Refs(app, design, cfgs, ds)
+	refs, err := boards.Refs(ctx, app, design, cfgs, ds)
 	if err != nil {
 		return Row{}, err
 	}
 	row := Row{App: app, Design: design}
 	for i, cc := range cfgs {
-		p, _, err := Estimate(pipe, ds[i], cc, refs[i])
+		p, _, err := Estimate(ctx, pipe, ds[i], cc, refs[i])
 		if err != nil {
 			return Row{}, fmt.Errorf("calib: estimate %s/%s/%s: %w", app, design, cc, err)
 		}
@@ -246,8 +252,8 @@ func ScoreRow(pipe *engine.Pipeline, boards *Boards, model *pum.PUM, app, design
 // workload mapped at cache configuration cc, and scores its end cycles at
 // the bus clock against board, the design's end cycles on the board. It
 // also returns the time the run spent annotating d.
-func Estimate(pipe *engine.Pipeline, d *platform.Design, cc pum.CacheCfg, board uint64) (Point, time.Duration, error) {
-	res, err := pipe.RunTimed(d)
+func Estimate(ctx context.Context, pipe *engine.Pipeline, d *platform.Design, cc pum.CacheCfg, board uint64) (Point, time.Duration, error) {
+	res, err := pipe.SimulateCtx(ctx, d, tlm.Options{Timed: true, WaitMode: tlm.WaitAtTransactions})
 	if err != nil {
 		return Point{}, 0, err
 	}
@@ -265,6 +271,10 @@ func Estimate(pipe *engine.Pipeline, d *platform.Design, cc pum.CacheCfg, board 
 // set that includes it, and one board-reference memo serves every training
 // set.
 func RunScoreboard(opts Options) (*Scoreboard, error) {
+	ctx := opts.Ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	if opts.Frames <= 0 {
 		opts.Frames = apps.DefaultMP3.Frames
 	}
@@ -311,7 +321,7 @@ func RunScoreboard(opts Options) (*Scoreboard, error) {
 				if err != nil {
 					return nil, err
 				}
-				if rep, err = measure(base, ts[0], cfgs, opts.Limit); err != nil {
+				if rep, err = measure(ctx, base, ts[0], cfgs, opts.Limit); err != nil {
 					return nil, err
 				}
 				measured[name] = rep
@@ -331,7 +341,7 @@ func RunScoreboard(opts Options) (*Scoreboard, error) {
 				if !wantDesign(design) {
 					continue
 				}
-				row, err := ScoreRow(pipe, boards, model, app, design, cfgs)
+				row, err := ScoreRow(ctx, pipe, boards, model, app, design, cfgs)
 				if err != nil {
 					return nil, fmt.Errorf("%w (train %s)", err, label)
 				}

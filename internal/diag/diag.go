@@ -198,8 +198,7 @@ func (l *List) String() string {
 var ErrCanceled = &cancelError{msg: "run canceled", cause: context.Canceled}
 
 // ErrDeadline is the typed error a stage returns when its context's
-// deadline (or the wall-clock watchdog) expired. It wraps
-// context.DeadlineExceeded.
+// deadline expired. It wraps context.DeadlineExceeded.
 var ErrDeadline = &cancelError{msg: "deadline exceeded", cause: context.DeadlineExceeded}
 
 type cancelError struct {

@@ -11,8 +11,8 @@
 // (tlm.Result), annotating it first when the caller passes no tables.
 // Every annotation a pipeline makes uses Options.Detail, fixed when the
 // pipeline is built; a caller that varies detail builds one pipeline per
-// level over one shared cache. Compile, Simulate, RunTimed and
-// RunFunctional are context-free forms with the same semantics.
+// level over one shared cache. A caller bounds a run with its context's
+// deadline; RunTimed is the one context-free form.
 //
 // A Pipeline owns a content-addressed schedule/estimate cache (see
 // core.Cache) and a bounded worker pool that schedules the blocks the
@@ -74,12 +74,7 @@ type Options struct {
 	// in graceful-degradation mode; zero or negative selects
 	// core.DefaultFallbackCycles.
 	FallbackCycles int
-	// Timeout, when positive, arms a wall-clock watchdog on every entry
-	// point (CompileCtx, AnnotateCtx, DelaysCtx, SimulateCtx and their
-	// context-free forms): the call is abandoned with diag.ErrDeadline once
-	// that much host time has elapsed.
-	Timeout time.Duration
-	// Engine is the pipeline-wide default execution engine for Simulate
+	// Engine is the pipeline-wide default execution engine for SimulateCtx
 	// runs: interp.EngineAuto (the zero value) uses the registered
 	// generated engine, else the flat compiled engine. A per-run
 	// tlm.Options.Engine other than auto takes precedence.
@@ -219,14 +214,6 @@ func (pl *Pipeline) estOpts() core.EstOptions {
 	}
 }
 
-// withTimeout applies the pipeline's watchdog to a context.
-func (pl *Pipeline) withTimeout(ctx context.Context) (context.Context, context.CancelFunc) {
-	if pl.opts.Timeout > 0 {
-		return context.WithTimeout(ctx, pl.opts.Timeout)
-	}
-	return ctx, func() {}
-}
-
 // runVerify records verification findings in the pipeline's diagnostic
 // sink and returns the first failing one under the Werror convention
 // (Errors always fail, Warnings fail only with Options.Werror). A nil
@@ -259,19 +246,12 @@ func (pl *Pipeline) recordDegradation(a *annotate.Annotated) {
 
 // ---------------------------------------------------------------- Front end
 
-// Compile runs the front end — parse, check, lower and (when configured)
-// simplify — on one C-subset source.
-func (pl *Pipeline) Compile(name, src string) (*cdfg.Program, error) {
-	return pl.CompileCtx(context.Background(), name, src)
-}
-
-// CompileCtx is Compile with panic containment and cancellation: every
-// front-end stage runs under a recover guard, so a malformed input that
-// trips a bug in the parser or lowerer surfaces as a stage-tagged
-// *diag.PanicError instead of killing the process.
+// CompileCtx runs the front end — parse, check, lower and (when
+// configured) simplify — on one C-subset source, with panic containment
+// and cancellation: every front-end stage runs under a recover guard, so a
+// malformed input that trips a bug in the parser or lowerer surfaces as a
+// stage-tagged *diag.PanicError instead of killing the process.
 func (pl *Pipeline) CompileCtx(ctx context.Context, name, src string) (*cdfg.Program, error) {
-	ctx, cancel := pl.withTimeout(ctx)
-	defer cancel()
 	var (
 		f    *cfront.File
 		u    *cfront.Unit
@@ -330,8 +310,6 @@ func (pl *Pipeline) CompileCtx(ctx context.Context, name, src string) (*cdfg.Pro
 // the program uses, and a panic inside the estimator is returned as a
 // stage-tagged *diag.PanicError.
 func (pl *Pipeline) AnnotateCtx(ctx context.Context, prog *cdfg.Program, p *pum.PUM) (*annotate.Annotated, error) {
-	ctx, cancel := pl.withTimeout(ctx)
-	defer cancel()
 	// Lint the model against the op classes the program uses before
 	// spending any scheduling work on it.
 	if pl.opts.Verify {
@@ -379,8 +357,6 @@ func (pl *Pipeline) annotate(ctx context.Context, prog *cdfg.Program, p *pum.PUM
 // Options.Verify the whole design is verified first (program, PE models
 // scoped to their entries, channel topology).
 func (pl *Pipeline) DelaysCtx(ctx context.Context, d *platform.Design) (map[string][]float64, time.Duration, error) {
-	ctx, cancel := pl.withTimeout(ctx)
-	defer cancel()
 	if pl.opts.Verify {
 		if err := pl.runVerify(verify.Design(d)); err != nil {
 			return nil, 0, err
@@ -403,26 +379,17 @@ func (pl *Pipeline) delays(ctx context.Context, d *platform.Design) (map[string]
 	return out, time.Since(start), nil
 }
 
-// Simulate is SimulateCtx without a context. For timed runs the
-// annotation phase goes through the pipeline's cache and worker pool, so
-// a sweep that simulates several configurations of one program reuses
-// every schedule after the first.
-func (pl *Pipeline) Simulate(d *platform.Design, opts tlm.Options) (*tlm.Result, error) {
-	return pl.SimulateCtx(context.Background(), d, opts)
-}
-
 // SimulateCtx runs the TLM of a design under a context with panic
-// containment and the pipeline's watchdog. A timed run without delay
-// tables (opts.Delays nil) is annotated first at the pipeline's detail
-// level, and the result's AnnoTime reports that annotation. Cancellation
-// or deadline expiry interrupts both the annotation fan-out and the
-// simulation event loop. On cancellation mid-simulation the partial
-// tlm.Result is returned together with diag.ErrCanceled/ErrDeadline; a
-// panic anywhere in the stage surfaces as a *diag.PanicError instead of
-// killing the process.
+// containment. A timed run without delay tables (opts.Delays nil) is
+// annotated first at the pipeline's detail level, through the pipeline's
+// cache and worker pool, so a sweep that simulates several configurations
+// of one program reuses every schedule after the first; the result's
+// AnnoTime reports that annotation. Cancellation or deadline expiry
+// interrupts both the annotation fan-out and the simulation event loop.
+// On cancellation mid-simulation the partial tlm.Result is returned
+// together with diag.ErrCanceled/ErrDeadline; a panic anywhere in the
+// stage surfaces as a *diag.PanicError instead of killing the process.
 func (pl *Pipeline) SimulateCtx(ctx context.Context, d *platform.Design, opts tlm.Options) (*tlm.Result, error) {
-	ctx, cancel := pl.withTimeout(ctx)
-	defer cancel()
 	if pl.opts.Verify {
 		if err := pl.runVerify(verify.Design(d)); err != nil {
 			return nil, err
@@ -461,14 +428,9 @@ func (pl *Pipeline) SimulateCtx(ctx context.Context, d *platform.Design, opts tl
 	return res, err
 }
 
-// RunFunctional executes the untimed TLM of a design.
-func (pl *Pipeline) RunFunctional(d *platform.Design) (*tlm.Result, error) {
-	return pl.Simulate(d, tlm.Options{Timed: false})
-}
-
 // RunTimed executes the timed TLM of a design with the pipeline's detail
 // level and transaction-boundary waits, the configuration the paper
-// evaluates.
+// evaluates, under no deadline.
 func (pl *Pipeline) RunTimed(d *platform.Design) (*tlm.Result, error) {
-	return pl.Simulate(d, tlm.Options{Timed: true, WaitMode: tlm.WaitAtTransactions})
+	return pl.SimulateCtx(context.Background(), d, tlm.Options{Timed: true, WaitMode: tlm.WaitAtTransactions})
 }

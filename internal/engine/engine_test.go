@@ -36,7 +36,7 @@ func testProgram(t *testing.T) *cdfg.Program {
 	if err != nil {
 		t.Fatalf("MP3Source: %v", err)
 	}
-	prog, err := New(Options{}).Compile("mp3.c", src)
+	prog, err := New(Options{}).CompileCtx(context.Background(), "mp3.c", src)
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
@@ -194,11 +194,11 @@ func TestCacheSurvivesRecompilation(t *testing.T) {
 		t.Fatalf("MP3Source: %v", err)
 	}
 	pl := New(Options{})
-	p1, err := pl.Compile("mp3.c", src)
+	p1, err := pl.CompileCtx(context.Background(), "mp3.c", src)
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	p2, err := pl.Compile("mp3.c", src)
+	p2, err := pl.CompileCtx(context.Background(), "mp3.c", src)
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
@@ -285,7 +285,7 @@ func TestSimulateUsesPipelineDetail(t *testing.T) {
 		t.Fatalf("MP3Design: %v", err)
 	}
 	pl := New(Options{})
-	got, err := pl.Simulate(d, tlm.Options{Timed: true, WaitMode: tlm.WaitAtTransactions})
+	got, err := pl.SimulateCtx(context.Background(), d, tlm.Options{Timed: true, WaitMode: tlm.WaitAtTransactions})
 	if err != nil {
 		t.Fatalf("Simulate: %v", err)
 	}
@@ -305,7 +305,7 @@ func TestSimulateUsesPipelineDetail(t *testing.T) {
 // SimulateCtx and RunTimed.
 func TestStrictDesignPaths(t *testing.T) {
 	pl := New(Options{Strict: true})
-	prog, err := pl.Compile("mul.c", `
+	prog, err := pl.CompileCtx(context.Background(), "mul.c", `
 int a[8];
 void main() {
   int i; int s;

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -29,7 +30,7 @@ void worker() {
 // and the snapshot folds in the cache's hit/miss/entry numbers.
 func TestPipelineMetricsSnapshot(t *testing.T) {
 	pl := New(Options{})
-	prog, err := pl.Compile("m.c", metricsSrc)
+	prog, err := pl.CompileCtx(context.Background(), "m.c", metricsSrc)
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
@@ -46,7 +47,7 @@ func TestPipelineMetricsSnapshot(t *testing.T) {
 			{Name: "acc", Kind: platform.HWUnit, Entry: "worker", PUM: pum.CustomHW("acc", 100_000_000)},
 		},
 	}
-	res, err := pl.Simulate(d, tlm.Options{Timed: true, WaitMode: tlm.WaitAtTransactions})
+	res, err := pl.SimulateCtx(context.Background(), d, tlm.Options{Timed: true, WaitMode: tlm.WaitAtTransactions})
 	if err != nil {
 		t.Fatalf("Simulate: %v", err)
 	}
@@ -96,7 +97,7 @@ func TestPipelineMetricsSnapshot(t *testing.T) {
 // limit evict a resident entry and count it.
 func TestCacheLimitEvicts(t *testing.T) {
 	pl := New(Options{CacheLimit: 4})
-	prog, err := pl.Compile("m.c", metricsSrc)
+	prog, err := pl.CompileCtx(context.Background(), "m.c", metricsSrc)
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -86,7 +87,7 @@ func TestStageHook(t *testing.T) {
 	if err != nil {
 		t.Fatalf("MP3Source: %v", err)
 	}
-	prog, err := pl.Compile("mp3.c", src)
+	prog, err := pl.CompileCtx(context.Background(), "mp3.c", src)
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}

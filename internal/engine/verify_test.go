@@ -26,7 +26,7 @@ func TestPipelineVerifyOption(t *testing.T) {
 	}
 
 	pl := New(Options{Verify: true, Simplify: true})
-	prog, err := pl.Compile("mp3.c", src)
+	prog, err := pl.CompileCtx(context.Background(), "mp3.c", src)
 	if err != nil {
 		t.Fatalf("verified compile of a clean program failed: %v", err)
 	}
@@ -50,7 +50,7 @@ func TestPipelineVerifyOption(t *testing.T) {
 		t.Fatalf("coverage warning failed annotation without Werror: %v", err)
 	}
 	strictPl := New(Options{Verify: true, Werror: true, Simplify: true})
-	prog2, err := strictPl.Compile("mp3.c", src)
+	prog2, err := strictPl.CompileCtx(context.Background(), "mp3.c", src)
 	if err != nil {
 		t.Fatal(err)
 	}

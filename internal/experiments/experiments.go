@@ -16,6 +16,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -62,15 +63,19 @@ type leveled struct {
 
 // NewSetup calibrates the MicroBlaze model on the MP3 training workload
 // (apps.TrainMP3) and evaluates on frames frames of the default seed; opts
-// configures every pipeline of the setup (watchdog timeout, strictness,
-// workers), and its Detail that of Pipe.
-func NewSetup(frames int, opts engine.Options) (*Setup, error) {
+// configures every pipeline of the setup (strictness, workers), and its
+// Detail that of Pipe. The calibration runs under no deadline
+// (calib.Calibrate); a ctx that has ended by then fails the setup.
+func NewSetup(ctx context.Context, frames int, opts engine.Options) (*Setup, error) {
 	ts, err := calib.Trainings("mp3")
 	if err != nil {
 		return nil, err
 	}
 	mb, _, err := calib.Calibrate(pum.MicroBlaze(), ts, pum.StandardCacheConfigs, 0)
 	if err != nil {
+		return nil, err
+	}
+	if err := diag.FromContext(ctx); err != nil {
 		return nil, err
 	}
 	if opts.Cache == nil {
@@ -120,9 +125,13 @@ func (s *Setup) Diagnostics() *diag.List {
 
 // score scores s.MB's estimate of one MP3 design against the board across
 // the standard cache sweep.
-func (s *Setup) score(design string) (calib.Row, error) {
-	return calib.ScoreRow(s.Pipe, s.Boards, s.MB, "mp3", design, pum.StandardCacheConfigs)
+func (s *Setup) score(ctx context.Context, design string) (calib.Row, error) {
+	return calib.ScoreRow(ctx, s.Pipe, s.Boards, s.MB, "mp3", design, pum.StandardCacheConfigs)
 }
+
+// timed is the timed TLM configuration the paper evaluates: waits at
+// transaction boundaries.
+var timed = tlm.Options{Timed: true, WaitMode: tlm.WaitAtTransactions}
 
 func pct(est, ref float64) float64 {
 	if ref == 0 {
@@ -157,7 +166,7 @@ type Table1 struct {
 }
 
 // RunTable1 measures annotation and simulation times for every design.
-func RunTable1(s *Setup) (*Table1, error) {
+func RunTable1(ctx context.Context, s *Setup) (*Table1, error) {
 	t := &Table1{}
 	cacheCfg := pum.CacheCfg{ISize: 8 * 1024, DSize: 4 * 1024}
 	for _, design := range apps.MP3DesignNames {
@@ -167,24 +176,24 @@ func RunTable1(s *Setup) (*Table1, error) {
 		}
 		row := Table1Row{Design: design}
 
-		fun, err := s.Pipe.RunFunctional(d)
+		fun, err := s.Pipe.SimulateCtx(ctx, d, tlm.Options{})
 		if err != nil {
 			return nil, err
 		}
 		row.TLMFunc = fun.Wall
 
-		timed, err := s.Pipe.RunTimed(d)
+		tr, err := s.Pipe.SimulateCtx(ctx, d, timed)
 		if err != nil {
 			return nil, err
 		}
-		row.TLMTimed = timed.Wall
-		row.Anno = timed.AnnoTime
+		row.TLMTimed = tr.Wall
+		row.Anno = tr.AnnoTime
 
-		board, err := rtl.RunBoard(d, 0)
+		boards, err := rtl.RunBoards(ctx, []*platform.Design{d}, 0)
 		if err != nil {
 			return nil, err
 		}
-		row.PCAM = board.Wall
+		row.PCAM = boards[0].Wall
 
 		if design == "SW" {
 			isa, err := iss.Generate(d.Program)
@@ -197,7 +206,7 @@ func RunTable1(s *Setup) (*Table1, error) {
 			}
 			sim := iss.NewISS(m, iss.DefaultTiming(cacheCfg.ISize, cacheCfg.DSize))
 			start := time.Now()
-			if err := sim.Run(0); err != nil {
+			if err := sim.Run(ctx, 0); err != nil {
 				return nil, err
 			}
 			row.ISS = time.Since(start)
@@ -252,8 +261,8 @@ type Table2 struct {
 // RunTable2 compares board, ISS and timed-TLM cycle counts for the pure
 // software design across the standard cache sweep. The board and TLM
 // columns are the scorer's points for the SW design.
-func RunTable2(s *Setup) (*Table2, error) {
-	scored, err := s.score("SW")
+func RunTable2(ctx context.Context, s *Setup) (*Table2, error) {
+	scored, err := s.score(ctx, "SW")
 	if err != nil {
 		return nil, err
 	}
@@ -273,7 +282,7 @@ func RunTable2(s *Setup) (*Table2, error) {
 			return nil, err
 		}
 		sim := iss.NewISS(m, iss.DefaultTiming(cc.ISize, cc.DSize))
-		if err := sim.Run(0); err != nil {
+		if err := sim.Run(ctx, 0); err != nil {
 			return nil, err
 		}
 		row := Table2Row{Cfg: cc, Board: p.Board, ISS: sim.Cycles, TLM: p.Est, TLMErr: p.ErrPct}
@@ -325,7 +334,7 @@ type Table3 struct {
 
 // RunTable3 compares board and timed-TLM total times for the designs with
 // custom hardware: each design's column is the scorer's row for it.
-func RunTable3(s *Setup) (*Table3, error) {
+func RunTable3(ctx context.Context, s *Setup) (*Table3, error) {
 	designs := []string{"SW+1", "SW+2", "SW+4"}
 	t := &Table3{
 		Designs: designs,
@@ -335,7 +344,7 @@ func RunTable3(s *Setup) (*Table3, error) {
 		t.Rows = append(t.Rows, Table3Row{Cfg: cc, Cells: make(map[string]Table3Cell, len(designs))})
 	}
 	for _, design := range designs {
-		scored, err := s.score(design)
+		scored, err := s.score(ctx, design)
 		if err != nil {
 			return nil, err
 		}
@@ -392,7 +401,7 @@ type Sensitivity struct {
 // RunSensitivity perturbs the calibrated miss rates and misprediction
 // ratio by the given relative amounts and scores each perturbed model's
 // estimate of the SW design at cc against the board.
-func RunSensitivity(s *Setup, cc pum.CacheCfg, perturbs []float64) (*Sensitivity, error) {
+func RunSensitivity(ctx context.Context, s *Setup, cc pum.CacheCfg, perturbs []float64) (*Sensitivity, error) {
 	out := &Sensitivity{Cfg: cc}
 	for _, p := range perturbs {
 		mb := s.MB.Clone()
@@ -401,7 +410,7 @@ func RunSensitivity(s *Setup, cc pum.CacheCfg, perturbs []float64) (*Sensitivity
 		st.DHitRate = clamp01(1 - (1-st.DHitRate)*(1+p))
 		mb.Mem.Table[cc] = st
 		mb.Branch.MissRate = clamp01(mb.Branch.MissRate * (1 + p))
-		row, err := calib.ScoreRow(s.Pipe, s.Boards, mb, "mp3", "SW", []pum.CacheCfg{cc})
+		row, err := calib.ScoreRow(ctx, s.Pipe, s.Boards, mb, "mp3", "SW", []pum.CacheCfg{cc})
 		if err != nil {
 			return nil, err
 		}
@@ -447,13 +456,13 @@ type Granularity struct {
 }
 
 // RunGranularity runs the timed TLM of a design in both wait modes.
-func RunGranularity(s *Setup, design string) (*Granularity, error) {
+func RunGranularity(ctx context.Context, s *Setup, design string) (*Granularity, error) {
 	cc := pum.CacheCfg{ISize: 8 * 1024, DSize: 4 * 1024}
 	d, err := apps.MP3Design(design, s.Eval, s.MB, cc)
 	if err != nil {
 		return nil, err
 	}
-	tx, err := s.Pipe.Simulate(d, tlm.Options{Timed: true, WaitMode: tlm.WaitAtTransactions})
+	tx, err := s.Pipe.SimulateCtx(ctx, d, timed)
 	if err != nil {
 		return nil, err
 	}
@@ -461,7 +470,7 @@ func RunGranularity(s *Setup, design string) (*Granularity, error) {
 	if err != nil {
 		return nil, err
 	}
-	bb, err := s.Pipe.Simulate(d2, tlm.Options{Timed: true, WaitMode: tlm.WaitPerBlock})
+	bb, err := s.Pipe.SimulateCtx(ctx, d2, tlm.Options{Timed: true, WaitMode: tlm.WaitPerBlock})
 	if err != nil {
 		return nil, err
 	}
@@ -505,12 +514,12 @@ type PUMDetail struct {
 
 // RunPUMDetail scores the SW design's estimate at cc against the board
 // with increasing PUM detail, one Setup pipeline per level.
-func RunPUMDetail(s *Setup, cc pum.CacheCfg) (*PUMDetail, error) {
+func RunPUMDetail(ctx context.Context, s *Setup, cc pum.CacheCfg) (*PUMDetail, error) {
 	d, err := s.Boards.Design("mp3", "SW", s.MB, cc)
 	if err != nil {
 		return nil, err
 	}
-	refs, err := s.Boards.Refs("mp3", "SW", []pum.CacheCfg{cc}, []*platform.Design{d})
+	refs, err := s.Boards.Refs(ctx, "mp3", "SW", []pum.CacheCfg{cc}, []*platform.Design{d})
 	if err != nil {
 		return nil, err
 	}
@@ -521,7 +530,7 @@ func RunPUMDetail(s *Setup, cc pum.CacheCfg) (*PUMDetail, error) {
 		{Name: "+memory+branch", Detail: core.FullDetail},
 	}
 	for _, lv := range levels {
-		p, anno, err := calib.Estimate(s.pipeline(lv.Detail), d, cc, out.Board)
+		p, anno, err := calib.Estimate(ctx, s.pipeline(lv.Detail), d, cc, out.Board)
 		if err != nil {
 			return nil, err
 		}
@@ -540,51 +549,4 @@ func (p *PUMDetail) String() string {
 		fmt.Fprintf(&sb, "%-16s %12d %8.2f%% %12v\n", lv.Name, lv.TLM, lv.Err, lv.Anno.Round(time.Microsecond))
 	}
 	return sb.String()
-}
-
-// CheckFunctionalEquivalence verifies the keystone invariant across every
-// design and engine: identical out() streams everywhere.
-func CheckFunctionalEquivalence(s *Setup) error {
-	cc := pum.CacheCfg{ISize: 8 * 1024, DSize: 4 * 1024}
-	var ref []int32
-	for _, design := range apps.MP3DesignNames {
-		d, err := apps.MP3Design(design, s.Eval, s.MB, cc)
-		if err != nil {
-			return err
-		}
-		fun, err := s.Pipe.RunFunctional(d)
-		if err != nil {
-			return err
-		}
-		timed, err := s.Pipe.RunTimed(d)
-		if err != nil {
-			return err
-		}
-		board, err := rtl.RunBoard(d, 0)
-		if err != nil {
-			return err
-		}
-		outs := [][]int32{fun.OutByPE["mb"], timed.OutByPE["mb"], board.PEs["mb"].Out}
-		if ref == nil {
-			ref = outs[0]
-		}
-		for i, o := range outs {
-			if !equalI32(o, ref) {
-				return fmt.Errorf("experiments: %s engine %d output diverges", design, i)
-			}
-		}
-	}
-	return nil
-}
-
-func equalI32(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

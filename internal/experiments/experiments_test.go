@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -20,7 +21,7 @@ var (
 // seeds, calibrated once and shared by every test of the package.
 func tinySetup(t *testing.T) *Setup {
 	t.Helper()
-	tinyOnce.Do(func() { tinyS, tinyErr = NewSetup(1, engine.Options{}) })
+	tinyOnce.Do(func() { tinyS, tinyErr = NewSetup(context.Background(), 1, engine.Options{}) })
 	if tinyErr != nil {
 		t.Fatalf("NewSetup: %v", tinyErr)
 	}
@@ -47,7 +48,7 @@ func TestTablesMatchScoreboard(t *testing.T) {
 			rows[r.Design] = r
 		}
 	}
-	s, err := NewSetup(base.Frames, engine.Options{})
+	s, err := NewSetup(context.Background(), base.Frames, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,14 +64,14 @@ func TestTablesMatchScoreboard(t *testing.T) {
 		}
 		t.Errorf("%s: baseline has no mp3/mp3/%s point at %v", what, design, cc)
 	}
-	t2, err := RunTable2(s)
+	t2, err := RunTable2(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range t2.Rows {
 		check("Table 2", "SW", r.Cfg, r.Board, r.TLM, r.TLMErr)
 	}
-	t3, err := RunTable3(s)
+	t3, err := RunTable3(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestTablesMatchScoreboard(t *testing.T) {
 			check("Table 3", d, r.Cfg, r.Cells[d].Board, r.Cells[d].TLM, r.Cells[d].Err)
 		}
 	}
-	a5, err := RunOverlapStudy(s)
+	a5, err := RunOverlapStudy(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,18 +91,18 @@ func TestTablesMatchScoreboard(t *testing.T) {
 		t.Errorf("A5: faithful avg |err| %v%%, baseline MAPE %v%%", a5.AvgFaith, rows["SW"].MAPE)
 	}
 	small := pum.CacheCfg{ISize: 2048, DSize: 2048}
-	a1, err := RunSensitivity(s, small, []float64{0})
+	a1, err := RunSensitivity(context.Background(), s, small, []float64{0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	check("A1", "SW", small, a1.Board, a1.Points[0].TLM, a1.Points[0].Err)
-	a3, err := RunPUMDetail(s, small)
+	a3, err := RunPUMDetail(context.Background(), s, small)
 	if err != nil {
 		t.Fatal(err)
 	}
 	full := a3.Levels[len(a3.Levels)-1]
 	check("A3 "+full.Name, "SW", small, a3.Board, full.TLM, full.Err)
-	a6, err := RunBlockSizeStudy(s)
+	a6, err := RunBlockSizeStudy(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,16 +135,9 @@ func TestCalibrationFillsTable(t *testing.T) {
 	}
 }
 
-func TestFunctionalEquivalenceAcrossEngines(t *testing.T) {
-	s := tinySetup(t)
-	if err := CheckFunctionalEquivalence(s); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestTable2ShapeHolds(t *testing.T) {
 	s := tinySetup(t)
-	tbl, err := RunTable2(s)
+	tbl, err := RunTable2(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +178,7 @@ func TestTable2ShapeHolds(t *testing.T) {
 
 func TestTable3ShapeHolds(t *testing.T) {
 	s := tinySetup(t)
-	tbl, err := RunTable3(s)
+	tbl, err := RunTable3(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +201,7 @@ func TestTable3ShapeHolds(t *testing.T) {
 
 func TestTable1ShapeHolds(t *testing.T) {
 	s := tinySetup(t)
-	tbl, err := RunTable1(s)
+	tbl, err := RunTable1(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +230,7 @@ func TestTable1ShapeHolds(t *testing.T) {
 
 func TestSensitivityMonotone(t *testing.T) {
 	s := tinySetup(t)
-	sens, err := RunSensitivity(s, pum.CacheCfg{ISize: 2048, DSize: 2048},
+	sens, err := RunSensitivity(context.Background(), s, pum.CacheCfg{ISize: 2048, DSize: 2048},
 		[]float64{-0.5, -0.2, 0, 0.2, 0.5})
 	if err != nil {
 		t.Fatal(err)
@@ -254,7 +248,7 @@ func TestSensitivityMonotone(t *testing.T) {
 
 func TestGranularitySameCyclesDifferentSpeed(t *testing.T) {
 	s := tinySetup(t)
-	g, err := RunGranularity(s, "SW+4")
+	g, err := RunGranularity(context.Background(), s, "SW+4")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +262,7 @@ func TestGranularitySameCyclesDifferentSpeed(t *testing.T) {
 
 func TestPUMDetailImprovesAccuracy(t *testing.T) {
 	s := tinySetup(t)
-	p, err := RunPUMDetail(s, pum.CacheCfg{ISize: 2048, DSize: 2048})
+	p, err := RunPUMDetail(context.Background(), s, pum.CacheCfg{ISize: 2048, DSize: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +278,7 @@ func TestPUMDetailImprovesAccuracy(t *testing.T) {
 
 func TestRTOSStudyShape(t *testing.T) {
 	s := tinySetup(t)
-	study, err := RunRTOSStudy(s)
+	study, err := RunRTOSStudy(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +317,7 @@ func TestRTOSStudyShape(t *testing.T) {
 
 func TestOverlapCompensationImprovesSmallBlockAccuracy(t *testing.T) {
 	s := tinySetup(t)
-	study, err := RunOverlapStudy(s)
+	study, err := RunOverlapStudy(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +340,7 @@ func TestOverlapCompensationImprovesSmallBlockAccuracy(t *testing.T) {
 
 func TestBlockSizeStudy(t *testing.T) {
 	s := tinySetup(t)
-	study, err := RunBlockSizeStudy(s)
+	study, err := RunBlockSizeStudy(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,7 +94,7 @@ func perfBenchKnownDesigns() map[string]bool {
 // three engines. Delays are annotated once per design through the
 // setup's pipeline outside the timed region, so the measurement isolates
 // simulation (the quantity the engine choice affects).
-func RunPerfBench(s *Setup, reps int) (*PerfBench, error) {
+func RunPerfBench(ctx context.Context, s *Setup, reps int) (*PerfBench, error) {
 	if reps < 1 {
 		reps = 1
 	}
@@ -104,7 +104,7 @@ func RunPerfBench(s *Setup, reps int) (*PerfBench, error) {
 		return nil, err
 	}
 	for _, d := range designs {
-		dm, _, err := s.Pipe.DelaysCtx(context.Background(), d)
+		dm, _, err := s.Pipe.DelaysCtx(ctx, d)
 		if err != nil {
 			return nil, fmt.Errorf("perfbench %s: %w", d.Name, err)
 		}
@@ -115,6 +115,7 @@ func RunPerfBench(s *Setup, reps int) (*PerfBench, error) {
 				WaitMode: tlm.WaitAtTransactions,
 				Delays:   dm,
 				Engine:   kind,
+				Ctx:      ctx,
 			}
 			// Collect before timing so one engine's garbage is never paid
 			// for during another engine's timed region.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -91,13 +92,13 @@ func twoPEMediaDesign(s *Setup) (*platform.Design, error) {
 }
 
 // RunRTOSStudy runs the consolidation sweep.
-func RunRTOSStudy(s *Setup) (*RTOSStudy, error) {
+func RunRTOSStudy(ctx context.Context, s *Setup) (*RTOSStudy, error) {
 	out := &RTOSStudy{}
 	ref, err := twoPEMediaDesign(s)
 	if err != nil {
 		return nil, err
 	}
-	refRes, err := s.Pipe.RunTimed(ref)
+	refRes, err := s.Pipe.SimulateCtx(ctx, ref, timed)
 	if err != nil {
 		return nil, err
 	}
@@ -118,7 +119,7 @@ func RunRTOSStudy(s *Setup) (*RTOSStudy, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := s.Pipe.RunTimed(d)
+		res, err := s.Pipe.SimulateCtx(ctx, d, timed)
 		if err != nil {
 			return nil, err
 		}
@@ -167,12 +168,12 @@ type OverlapStudy struct {
 // RunOverlapStudy scores both estimators of the SW design against the
 // board across the standard cache sweep, one Setup pipeline each: the
 // faithful column is the scorer's row for the design.
-func RunOverlapStudy(s *Setup) (*OverlapStudy, error) {
-	faith, err := calib.ScoreRow(s.pipeline(core.FullDetail), s.Boards, s.MB, "mp3", "SW", pum.StandardCacheConfigs)
+func RunOverlapStudy(ctx context.Context, s *Setup) (*OverlapStudy, error) {
+	faith, err := calib.ScoreRow(ctx, s.pipeline(core.FullDetail), s.Boards, s.MB, "mp3", "SW", pum.StandardCacheConfigs)
 	if err != nil {
 		return nil, err
 	}
-	over, err := calib.ScoreRow(s.pipeline(core.OverlapDetail), s.Boards, s.MB, "mp3", "SW", pum.StandardCacheConfigs)
+	over, err := calib.ScoreRow(ctx, s.pipeline(core.OverlapDetail), s.Boards, s.MB, "mp3", "SW", pum.StandardCacheConfigs)
 	if err != nil {
 		return nil, err
 	}
@@ -227,13 +228,13 @@ type BlockSizeStudy struct {
 // scorer's point for the design; the simplified CFG is a fresh compile of
 // it, simplified, so its board run bypasses the memo of the evaluation
 // workload.
-func RunBlockSizeStudy(s *Setup) (*BlockSizeStudy, error) {
+func RunBlockSizeStudy(ctx context.Context, s *Setup) (*BlockSizeStudy, error) {
 	cc := pum.CacheCfg{ISize: 8 * 1024, DSize: 4 * 1024}
 	raw, err := s.Boards.Design("mp3", "SW", s.MB, cc)
 	if err != nil {
 		return nil, err
 	}
-	refs, err := s.Boards.Refs("mp3", "SW", []pum.CacheCfg{cc}, []*platform.Design{raw})
+	refs, err := s.Boards.Refs(ctx, "mp3", "SW", []pum.CacheCfg{cc}, []*platform.Design{raw})
 	if err != nil {
 		return nil, err
 	}
@@ -242,7 +243,7 @@ func RunBlockSizeStudy(s *Setup) (*BlockSizeStudy, error) {
 		return nil, err
 	}
 	cdfg.SimplifyProgram(simp.Program)
-	br, err := rtl.RunBoard(simp, 0)
+	brs, err := rtl.RunBoards(ctx, []*platform.Design{simp}, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -253,13 +254,13 @@ func RunBlockSizeStudy(s *Setup) (*BlockSizeStudy, error) {
 		board uint64
 	}{
 		{"raw lowering", raw, refs[0]},
-		{"simplified CFG", simp, br.EndCycles(simp.Bus.ClockHz)},
+		{"simplified CFG", simp, brs[0].EndCycles(simp.Bus.ClockHz)},
 	} {
-		p, _, err := calib.Estimate(s.Pipe, v.d, cc, v.board)
+		p, _, err := calib.Estimate(ctx, s.Pipe, v.d, cc, v.board)
 		if err != nil {
 			return nil, err
 		}
-		pc, _, err := calib.Estimate(s.pipeline(core.OverlapDetail), v.d, cc, v.board)
+		pc, _, err := calib.Estimate(ctx, s.pipeline(core.OverlapDetail), v.d, cc, v.board)
 		if err != nil {
 			return nil, err
 		}

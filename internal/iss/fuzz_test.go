@@ -1,6 +1,7 @@
 package iss
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -252,7 +253,7 @@ func TestDifferentialISSMonotoneInLatency(t *testing.T) {
 			cfg := DefaultTiming(0, 0)
 			cfg.UncachedLatency = lat
 			s := NewISS(m, cfg)
-			if err := s.Run(10_000_000); err != nil {
+			if err := s.Run(context.Background(), 10_000_000); err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
 			return s.Cycles

@@ -1,11 +1,14 @@
 package iss
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
 	"ese/internal/cdfg"
 	"ese/internal/cfront"
+	"ese/internal/diag"
 	"ese/internal/interp"
 )
 
@@ -290,7 +293,7 @@ void main() {
 			t.Fatal(err)
 		}
 		s := NewISS(m, DefaultTiming(iSize, dSize))
-		if err := s.Run(0); err != nil {
+		if err := s.Run(context.Background(), 0); err != nil {
 			t.Fatal(err)
 		}
 		return s.Cycles
@@ -332,7 +335,7 @@ void main() {
 			t.Fatal(err)
 		}
 		s := NewISS(m, DefaultTiming(2048, 2048))
-		if err := s.Run(0); err != nil {
+		if err := s.Run(context.Background(), 0); err != nil {
 			t.Fatal(err)
 		}
 		if round == 0 {
@@ -481,5 +484,29 @@ void main() {
 	lines := strings.Count(asm, "\n")
 	if lines < len(mp.Instrs) {
 		t.Fatalf("disassembly too short: %d lines for %d instrs", lines, len(mp.Instrs))
+	}
+}
+
+// Run polls its context: a program that never finishes stops with the
+// typed deadline error once the deadline has passed.
+func TestISSRunHonorsDeadline(t *testing.T) {
+	_, mp := generate(t, `
+void main() {
+  int i;
+  i = 0;
+  while (i >= 0) { i = (i + 1) % 1000; }
+  out(i);
+}`)
+	m := NewMachine(mp)
+	if err := m.Start("main"); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 0)
+	defer cancel()
+	if err := NewISS(m, DefaultTiming(2048, 2048)).Run(ctx, 0); !errors.Is(err, diag.ErrDeadline) {
+		t.Fatalf("Run past its deadline: %v, want %v", err, diag.ErrDeadline)
+	}
+	if m.Steps > 2*ctxCheckSteps {
+		t.Fatalf("ran %d steps past an expired deadline", m.Steps)
 	}
 }

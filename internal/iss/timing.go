@@ -1,8 +1,11 @@
 package iss
 
 import (
+	"context"
+
 	"ese/internal/cache"
 	"ese/internal/cdfg"
+	"ese/internal/diag"
 )
 
 // TimingConfig is the ISS's interpretation of the target's timing. The
@@ -103,14 +106,26 @@ func (s *ISS) StepTimed() error {
 	return nil
 }
 
-// Run interprets until the program completes (limit 0 = unbounded).
-func (s *ISS) Run(limit uint64) error {
+// ctxCheckSteps is how many instructions Run executes between context
+// checks, as the board's instruction loop does.
+const ctxCheckSteps = 4096
+
+// Run interprets until the program completes (limit 0 = unbounded) or ctx
+// ends, which it polls every ctxCheckSteps instructions.
+func (s *ISS) Run(ctx context.Context, limit uint64) error {
+	countdown := ctxCheckSteps
 	for !s.M.Done() {
 		if err := s.StepTimed(); err != nil {
 			return err
 		}
 		if limit != 0 && s.M.Steps > limit {
 			return errLimit
+		}
+		if countdown--; countdown == 0 {
+			countdown = ctxCheckSteps
+			if err := diag.FromContext(ctx); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

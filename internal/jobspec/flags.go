@@ -17,7 +17,7 @@ import (
 func (s *Spec) BindRun(fs *flag.FlagSet) {
 	fs.StringVar(&s.Exec, "exec", s.Exec, "IR execution engine: auto | gen | compiled | tree")
 	fs.DurationVar((*time.Duration)(&s.Timeout), "timeout", time.Duration(s.Timeout),
-		"wall-clock watchdog for the run (0 = none)")
+		"one deadline for the whole run (0 = none)")
 }
 
 // BindCache registers -icache/-dcache.

@@ -15,6 +15,7 @@ package jobspec
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -71,6 +72,11 @@ func defaultSeed(app string) uint32 {
 	return 0
 }
 
+// MaxBranchPenalty bounds a tuned misprediction penalty, in cycles. A
+// penalty far beyond any real pipeline's would only wrap simulated time
+// (sim.ErrTimeOverflow), so Validate rejects it as bad input.
+const MaxBranchPenalty = 1000
+
 // Tune is the structural design-space tuning of a TLM job's processor
 // model: the DSE axes over the datapath and branch sub-models, applied to
 // the (optionally calibrated) base model before cache retargeting. The
@@ -85,7 +91,8 @@ type Tune struct {
 	FUs map[string]int `json:"fus,omitempty"`
 	// BranchMiss overrides the branch misprediction ratio (nil = keep).
 	BranchMiss *float64 `json:"branch_miss,omitempty"`
-	// BranchPenalty overrides the misprediction penalty (nil = keep).
+	// BranchPenalty overrides the misprediction penalty, in cycles up to
+	// MaxBranchPenalty (nil = keep).
 	BranchPenalty *float64 `json:"branch_penalty,omitempty"`
 }
 
@@ -138,8 +145,8 @@ func (t *Tune) validate() error {
 	if t.BranchMiss != nil && (*t.BranchMiss < 0 || *t.BranchMiss > 1 || *t.BranchMiss != *t.BranchMiss) {
 		return fmt.Errorf("jobspec: tune branch miss rate %v out of [0,1]", *t.BranchMiss)
 	}
-	if t.BranchPenalty != nil && (*t.BranchPenalty < 0 || *t.BranchPenalty != *t.BranchPenalty) {
-		return fmt.Errorf("jobspec: tune branch penalty %v must be non-negative", *t.BranchPenalty)
+	if t.BranchPenalty != nil && !(*t.BranchPenalty >= 0 && *t.BranchPenalty <= MaxBranchPenalty) {
+		return fmt.Errorf("jobspec: tune branch penalty %v out of [0,%d]", *t.BranchPenalty, MaxBranchPenalty)
 	}
 	return nil
 }
@@ -220,8 +227,8 @@ type Spec struct {
 	Verify bool `json:"verify,omitempty"`
 	// Werror promotes verification warnings to failures.
 	Werror bool `json:"werror,omitempty"`
-	// Timeout arms a wall-clock watchdog on the whole job (0 = none; the
-	// daemon may impose its own default).
+	// Timeout is the one deadline of the whole job (0 = none; the daemon
+	// may impose its own default). See WithTimeout.
 	Timeout Duration `json:"timeout,omitempty"`
 	// Workers bounds the annotation worker pool (0 = GOMAXPROCS).
 	Workers int `json:"workers,omitempty"`
@@ -527,11 +534,24 @@ func (s *Spec) Options() (engine.Options, error) {
 		Workers:        s.Workers,
 		Strict:         s.Strict,
 		FallbackCycles: s.Fallback,
-		Timeout:        time.Duration(s.Timeout),
 		Engine:         kind,
 		Verify:         s.Verify,
 		Werror:         s.Werror,
 	}, nil
+}
+
+// WithTimeout derives a run's one deadline from parent: the spec's
+// Timeout, else fallback; zero means none. Every command and the Runner
+// bound everything a run does with the returned context.
+func (s *Spec) WithTimeout(parent context.Context, fallback time.Duration) (context.Context, context.CancelFunc) {
+	timeout := time.Duration(s.Timeout)
+	if timeout == 0 {
+		timeout = fallback
+	}
+	if timeout > 0 {
+		return context.WithTimeout(parent, timeout)
+	}
+	return parent, func() {}
 }
 
 // replays reports whether the spec's TLM job may record and replay its

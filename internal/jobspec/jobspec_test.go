@@ -59,6 +59,7 @@ func TestValidate(t *testing.T) {
 		func(s *Spec) { s.Design = "SW+3" },
 		func(s *Spec) { s.Frames = 0 },
 		func(s *Spec) { s.Engine = "quantum" },
+		func(s *Spec) { s.Tune = &Tune{BranchPenalty: f64(1e300)} },
 	}
 	for i, mut := range badTLM {
 		s := DefaultTLM()

@@ -257,17 +257,8 @@ func (r *Runner) RunWith(ctx context.Context, s *Spec, ro RunOpts) (res *Result,
 	if err != nil {
 		return nil, err
 	}
-	timeout := opts.Timeout
-	if timeout == 0 {
-		timeout = r.DefaultTimeout
-	}
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	// The job deadline above bounds every stage; no per-stage watchdog.
-	opts.Timeout = 0
+	ctx, cancel := s.WithTimeout(ctx, r.DefaultTimeout)
+	defer cancel()
 	opts.Cache = r.Cache
 	opts.Metrics = r.Metrics
 	opts.StageHook = ro.StageHook

@@ -40,7 +40,7 @@ func compile(t *testing.T, src string) *cdfg.Program {
 func profiledRun(t *testing.T, d *platform.Design, kind interp.EngineKind) (*tlm.Result, map[string][]core.Estimate) {
 	t.Helper()
 	pl := engine.New(engine.Options{})
-	res, err := pl.Simulate(d, tlm.Options{Timed: true, WaitMode: tlm.WaitAtTransactions, Profile: true, Engine: kind})
+	res, err := pl.SimulateCtx(context.Background(), d, tlm.Options{Timed: true, WaitMode: tlm.WaitAtTransactions, Profile: true, Engine: kind})
 	if err != nil {
 		t.Fatalf("Simulate: %v", err)
 	}

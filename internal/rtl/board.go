@@ -47,9 +47,9 @@ func (r *BoardResult) EndCycles(clockHz int64) uint64 {
 // generated ISA code through the pipeline model with real caches and branch
 // prediction; hardware PEs execute their exact datapath schedules; all PEs
 // communicate over the arbitrated bus. It is RunBoards of the one design,
-// without a context.
+// under no deadline.
 func RunBoard(d *platform.Design, limit uint64) (*BoardResult, error) {
-	rs, err := RunBoards(context.TODO(), []*platform.Design{d}, limit)
+	rs, err := RunBoards(context.Background(), []*platform.Design{d}, limit)
 	if err != nil {
 		return nil, err
 	}

@@ -42,7 +42,8 @@ type CalibReport struct {
 // every retired instruction to one real (I-cache, D-cache) pair per cached
 // configuration and to one branch predictor: each cache sees the address
 // stream a standalone CPU of that configuration would see. limit bounds
-// the run's dynamic steps (0 = none). The entry must be a self-contained
+// the run's dynamic steps (0 = none), and ctx the run, which polls it
+// every few thousand instructions. The entry must be a self-contained
 // process (no channel communication), typically a reduced or
 // representative input; evaluating on different inputs is what makes the
 // statistical model approximate. Measure builds no model: internal/calib
@@ -56,7 +57,7 @@ type CalibReport struct {
 //   - Mixed geometry ({0,D} or {I,0}): the absent side pays the external
 //     latency on every access and is recorded with hit rate 0; real
 //     statistics are measured for the present side.
-func Measure(base *pum.PUM, prog *cdfg.Program, entry string, cfgs []pum.CacheCfg, limit uint64) (*CalibReport, error) {
+func Measure(ctx context.Context, base *pum.PUM, prog *cdfg.Program, entry string, cfgs []pum.CacheCfg, limit uint64) (*CalibReport, error) {
 	rep := &CalibReport{}
 	for _, cfg := range cfgs {
 		if cfg.ISize != 0 || cfg.DSize != 0 {
@@ -71,7 +72,7 @@ func Measure(base *pum.PUM, prog *cdfg.Program, entry string, cfgs []pum.CacheCf
 		return nil, err
 	}
 	m := iss.NewMachine(isa)
-	ps, err := newPass(context.TODO(), m, base.Branch.Predictor, limit)
+	ps, err := newPass(ctx, m, base.Branch.Predictor, limit)
 	if err != nil {
 		return nil, err
 	}

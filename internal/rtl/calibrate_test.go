@@ -1,6 +1,7 @@
 package rtl
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -16,11 +17,11 @@ import (
 // anything executes, so even a missing entry is not reached.
 func TestCalibrateAllUncachedIsError(t *testing.T) {
 	prog, _ := generate(t, loopSrc)
-	_, err := Measure(pum.MicroBlaze(), prog, "nope", []pum.CacheCfg{{ISize: 0, DSize: 0}}, 0)
+	_, err := Measure(context.Background(), pum.MicroBlaze(), prog, "nope", []pum.CacheCfg{{ISize: 0, DSize: 0}}, 0)
 	if !errors.Is(err, ErrUncalibrated) {
 		t.Fatalf("want ErrUncalibrated, got %v", err)
 	}
-	_, err = Measure(pum.MicroBlaze(), prog, "main", nil, 0)
+	_, err = Measure(context.Background(), pum.MicroBlaze(), prog, "main", nil, 0)
 	if !errors.Is(err, ErrUncalibrated) {
 		t.Fatalf("empty cfgs: want ErrUncalibrated, got %v", err)
 	}
@@ -34,7 +35,7 @@ func TestCalibrateAllUncachedIsError(t *testing.T) {
 func TestCalibrateMixedGeometry(t *testing.T) {
 	prog, _ := generate(t, loopSrc)
 	cfgs := []pum.CacheCfg{{ISize: 0, DSize: 4096}, {ISize: 4096, DSize: 0}}
-	rep, err := Measure(pum.MicroBlaze(), prog, "main", cfgs, 0)
+	rep, err := Measure(context.Background(), pum.MicroBlaze(), prog, "main", cfgs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestCalibrateBranchConfigIndependent(t *testing.T) {
 		{ISize: 16384, DSize: 16384},
 		{ISize: 0, DSize: 4096},
 	}
-	rep, err := Measure(pum.MicroBlaze(), prog, "main", cfgs, 0)
+	rep, err := Measure(context.Background(), pum.MicroBlaze(), prog, "main", cfgs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestCalibrateBranchConfigIndependent(t *testing.T) {
 // still validate (idle HitRate default, not NaN).
 func TestCalibrateSnapshotsValidate(t *testing.T) {
 	prog, _ := generate(t, `void main() { out(7); }`)
-	rep, err := Measure(pum.MicroBlaze(), prog, "main", pum.StandardCacheConfigs, 0)
+	rep, err := Measure(context.Background(), pum.MicroBlaze(), prog, "main", pum.StandardCacheConfigs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestMeasureMatchesPerConfigCPU(t *testing.T) {
 	cfgs := append(append([]pum.CacheCfg(nil), pum.StandardCacheConfigs...),
 		pum.CacheCfg{ISize: 0, DSize: 4096}, pum.CacheCfg{ISize: 4096, DSize: 0})
 	for name, prog := range map[string]*cdfg.Program{"loop": loop, "jpeg": jpeg} {
-		rep, err := Measure(pum.MicroBlaze(), prog, "main", cfgs, 0)
+		rep, err := Measure(context.Background(), pum.MicroBlaze(), prog, "main", cfgs, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

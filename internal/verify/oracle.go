@@ -57,13 +57,14 @@ func mismatch(ds []diag.Diagnostic, pos, format string, args ...any) []diag.Diag
 // DiffDesign runs one design's timed TLM, with the given per-PE delay
 // tables (tlm.Options.Delays), under the tree-walking and the compiled
 // execution engines — and under the ahead-of-time generated engine when
-// one is registered for the program — and its cycle-accurate
-// board simulation (processor PEs execute ISS-generated ISA code there),
-// and cross-checks them:
+// one is registered for the program — its untimed TLM on the tree-walking
+// engine, and its cycle-accurate board simulation (processor PEs execute
+// ISS-generated ISA code there), and cross-checks them:
 //
 //   - tree vs compiled (and tree vs gen) must agree exactly on every
 //     observable: per-PE Out streams, total dynamic steps, per-PE cycle
 //     totals, simulated end time and bus words;
+//   - the untimed TLM's per-PE Out streams must match the timed TLM's;
 //   - the board's per-PE Out streams must match the TLM's bit for bit
 //     (the functional differential against the reference ISA path);
 //   - per-PE board cycle totals must be positive wherever the TLM charged
@@ -106,6 +107,15 @@ func DiffDesign(d *platform.Design, delays map[string][]float64) []diag.Diagnost
 		}
 		if rt.BusWords != rc.BusWords {
 			ds = mismatch(ds, d.Name, "BusWords diverge: tree %d, %s %d", rt.BusWords, tier, rc.BusWords)
+		}
+	}
+	ru, err := tlm.Run(d, tlm.Options{Engine: interp.EngineTree})
+	if err != nil {
+		return mismatch(ds, d.Name, "untimed TLM failed: %v", err)
+	}
+	for _, pe := range d.PEs {
+		if !slices.Equal(rt.OutByPE[pe.Name], ru.OutByPE[pe.Name]) {
+			ds = mismatch(ds, d.Name+"/"+pe.Name, "Out stream diverges between the timed and the untimed TLM")
 		}
 	}
 	rc, err := run(interp.EngineCompiled)

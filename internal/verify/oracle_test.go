@@ -43,10 +43,10 @@ func TestMetamorphicEstimatorInvariants(t *testing.T) {
 }
 
 // TestEngineISSDifferentialAllDesigns is the cross-model differential:
-// for every example design, the tree interpreter, the compiled engine and
-// the ISS board must agree on the Out streams, and the timed TLM totals
-// (Steps, per-PE cycles, EndPs, BusWords) must be identical across the
-// two TLM engines.
+// for every example design, the untimed TLM, the tree interpreter, the
+// compiled engine and the ISS board must agree on the Out streams, and the
+// timed TLM totals (Steps, per-PE cycles, EndPs, BusWords) must be
+// identical across the two TLM engines.
 func TestEngineISSDifferentialAllDesigns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every example design on three execution paths")
