@@ -138,13 +138,7 @@ func registryPrograms() ([]registryEntry, error) {
 	}
 	jpegSyms := map[string]string{"SW": "JPEGSW", "SW+DCT": "JPEGSWDCT"}
 	for _, design := range []string{"SW", "SW+DCT"} {
-		var src string
-		if design == "SW" {
-			src = apps.JPEGSource(apps.DefaultJPEG)
-		} else {
-			src = apps.JPEGSourceDCTHW(apps.DefaultJPEG)
-		}
-		prog, err := apps.Compile("jpeg_"+design+".c", src)
+		prog, err := apps.CompileJPEG(design, apps.DefaultJPEG)
 		if err != nil {
 			return nil, fmt.Errorf("jpeg %s: %w", design, err)
 		}

@@ -2,6 +2,8 @@ package apps
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"ese/internal/cache"
 	"ese/internal/cdfg"
@@ -28,29 +30,111 @@ func Compile(name, src string) (*cdfg.Program, error) {
 	return cdfg.Lower(u)
 }
 
-// CompileMP3 generates and compiles one MP3 design variant.
+// CompileMP3 returns a private program of one MP3 design variant at the
+// given workload: the design's template deep-copied onto the workload's
+// NGRANULES (2·Frames) and bitstream. It equals Compile of
+// MP3Source(design, cfg) in everything but instruction positions, which
+// are the template's (see template).
 func CompileMP3(design string, cfg MP3Config) (*cdfg.Program, error) {
-	src, err := MP3Source(design, cfg)
+	t := templates["mp3/"+design]
+	if t == nil {
+		return nil, fmt.Errorf("apps: unknown MP3 design %q", design)
+	}
+	return t.bind(int32(2*cfg.Frames), genBitstream(cfg))
+}
+
+// CompileJPEG returns a private program of one JPEG design variant at the
+// given workload, as CompileMP3 does, bound to the workload's NBLOCKS and
+// image: "SW" runs the whole encoder on the processor, "SW+DCT" ships the
+// 2-D DCT to a hardware process.
+func CompileJPEG(design string, cfg JPEGConfig) (*cdfg.Program, error) {
+	t := templates["jpeg/"+design]
+	if t == nil {
+		return nil, fmt.Errorf("apps: unknown JPEG design %q", design)
+	}
+	if cfg.Blocks < 1 {
+		return nil, fmt.Errorf("apps: JPEG workload needs blocks >= 1, got %d", cfg.Blocks)
+	}
+	return t.bind(int32(cfg.Blocks), jpegImage(cfg))
+}
+
+// template is one design's program, compiled once per process from the
+// design's source at the default workload (DefaultMP3, DefaultJPEG).
+// Workloads of one design differ only in two globals, a count (NGRANULES,
+// NBLOCKS) and an input array (bitstream, image): sizes and initializers,
+// which the code fingerprint excludes. So bind serves every workload from
+// the template's code, and a new workload costs its input data and one
+// deep copy instead of a pass through the C front end. A bound program
+// carries the template's instruction positions, which are the positions
+// the generated engines report for every workload (they are generated
+// from the default workload's programs).
+type template struct {
+	file, count, input string
+	source             func() (string, error)
+
+	once sync.Once
+	prog *cdfg.Program
+	err  error
+}
+
+// templates holds the template of every (app, design), keyed "app/design";
+// each compiles on first use.
+var templates = func() map[string]*template {
+	m := make(map[string]*template)
+	for _, app := range []string{"mp3", "jpeg"} {
+		for _, d := range DesignNames(app) {
+			m[app+"/"+d] = newTemplate(app, d)
+		}
+	}
+	return m
+}()
+
+// newTemplate returns the uncompiled template of one design of an app,
+// "mp3" or "jpeg".
+func newTemplate(app, design string) *template {
+	if app == "mp3" {
+		return &template{file: "mp3_" + design + ".c", count: "NGRANULES", input: "bitstream",
+			source: func() (string, error) { return MP3Source(design, DefaultMP3) }}
+	}
+	return &template{file: "jpeg_" + design + ".c", count: "NBLOCKS", input: "image",
+		source: func() (string, error) { return jpegSource(DefaultJPEG, design == "SW+DCT"), nil }}
+}
+
+// program returns the template's program, compiling it on first use
+// (concurrent first callers share one compile; an error is kept too).
+// The fingerprint table is computed here, so every bound copy carries it.
+func (t *template) program() (*cdfg.Program, error) {
+	t.once.Do(func() {
+		src, err := t.source()
+		if err == nil {
+			t.prog, err = Compile(t.file, src)
+		}
+		if err == nil {
+			t.prog.CodeFingerprint()
+		}
+		t.err = err
+	})
+	return t.prog, t.err
+}
+
+// bind returns a private copy of the template's code with the count
+// global set to n and the input array to data. Every other global is the
+// template's, shared read-only: the engines copy initializers.
+func (t *template) bind(n int32, data []int32) (*cdfg.Program, error) {
+	prog, err := t.program()
 	if err != nil {
 		return nil, err
 	}
-	return Compile("mp3_"+design+".c", src)
-}
-
-// CompileJPEG generates and compiles one JPEG design variant: "SW" runs
-// the whole encoder on the processor, "SW+DCT" ships the 2-D DCT to a
-// hardware process.
-func CompileJPEG(design string, cfg JPEGConfig) (*cdfg.Program, error) {
-	var src string
-	switch design {
-	case "SW":
-		src = JPEGSource(cfg)
-	case "SW+DCT":
-		src = JPEGSourceDCTHW(cfg)
-	default:
-		return nil, fmt.Errorf("apps: unknown JPEG design %q", design)
+	globals := slices.Clone(prog.Globals)
+	for i, g := range globals {
+		switch g.Name {
+		case t.count:
+			globals[i] = &cdfg.Global{Name: g.Name, Size: 1, Init: []int32{n}}
+		case t.input:
+			globals[i] = &cdfg.Global{Name: g.Name, IsArray: true, Size: int32(len(data)), Init: data}
+		}
 	}
-	return Compile("jpeg_"+design+".c", src)
+	return prog.WithGlobals(globals)
 }
 
 // DesignNames lists the designs of an application, "mp3" or "jpeg", in

@@ -18,6 +18,12 @@
 // place of |x|^(4/3), sine-derived window), but the computational structure
 // — kernel shapes, table sizes, data volumes, communication pattern — is
 // that of the paper's workload, which is what performance estimation needs.
+//
+// MP3Source and JPEGSource generate a workload's C text. CompileMP3 and
+// CompileJPEG do not parse it per workload: each design's source goes
+// through the front end once per process, at the default workload, and a
+// workload's generated input data (a count and one array) is bound to a
+// private copy of that template's code.
 package apps
 
 import (
@@ -88,27 +94,29 @@ func (x *xorshift32) next() uint32 {
 
 // bitWriter packs MSB-first bits into 32-bit words, matching getbits().
 type bitWriter struct {
-	words []uint32
-	cur   uint32
+	words []int32
+	cur   uint32 // the pending word's nbits bits, right-aligned
 	nbits int
 }
 
+// put appends the low n bits of v (n in [0, 32]), most significant first.
 func (w *bitWriter) put(v uint32, n int) {
-	for i := n - 1; i >= 0; i-- {
-		bit := (v >> uint(i)) & 1
-		w.cur = (w.cur << 1) | bit
-		w.nbits++
-		if w.nbits == 32 {
-			w.words = append(w.words, w.cur)
-			w.cur = 0
-			w.nbits = 0
-		}
+	v &= uint32(1)<<n - 1
+	free := 32 - w.nbits
+	if n < free {
+		w.cur = w.cur<<n | v
+		w.nbits += n
+		return
 	}
+	rem := n - free // bits of v that start the next word
+	w.words = append(w.words, int32(w.cur<<free|v>>rem))
+	w.cur = v & (uint32(1)<<rem - 1)
+	w.nbits = rem
 }
 
 func (w *bitWriter) flush() {
 	if w.nbits > 0 {
-		w.words = append(w.words, w.cur<<(32-uint(w.nbits)))
+		w.words = append(w.words, int32(w.cur<<(32-w.nbits)))
 		w.cur = 0
 		w.nbits = 0
 	}
@@ -145,7 +153,7 @@ func (w *bitWriter) putCoef(v int) {
 // genBitstream synthesizes the frame data: per granule, channel gains, the
 // stereo mode bit, then 576 VLC coefficients per channel with a plausible
 // spectral envelope (energetic low bands, sparse high bands).
-func genBitstream(cfg MP3Config) []uint32 {
+func genBitstream(cfg MP3Config) []int32 {
 	rng := xorshift32(cfg.Seed)
 	if rng == 0 {
 		rng = 1
@@ -253,20 +261,12 @@ func writeIntArray(sb *strings.Builder, name string, vals32 []int32) {
 	sb.WriteString("};\n")
 }
 
-func writeUintArray(sb *strings.Builder, name string, vals []uint32) {
-	out := make([]int32, len(vals))
-	for i, v := range vals {
-		out[i] = int32(v)
-	}
-	writeIntArray(sb, name, out)
-}
-
 // writeMP3Common emits the tables, state, and kernel functions shared by
 // every design variant.
 func writeMP3Common(sb *strings.Builder, cfg MP3Config) {
 	fmt.Fprintf(sb, "// MP3-decoder-like workload: %d frames, seed 0x%X (generated)\n", cfg.Frames, cfg.Seed)
 	fmt.Fprintf(sb, "int NGRANULES = %d;\n", cfg.Frames*2)
-	writeUintArray(sb, "bitstream", genBitstream(cfg))
+	writeIntArray(sb, "bitstream", genBitstream(cfg))
 	writeIntArray(sb, "dct32tab", dct32Table())
 	writeIntArray(sb, "imdcttab", imdct36Table())
 	writeIntArray(sb, "win36", sineWindow36())

@@ -134,7 +134,7 @@ func TestBitstreamRoundTrip(t *testing.T) {
 
 	var srcBuilder strings.Builder
 	srcBuilder.WriteString("int NGRANULES = 1;\n")
-	writeUintArray(&srcBuilder, "bitstream", w.words)
+	writeIntArray(&srcBuilder, "bitstream", w.words)
 	srcBuilder.WriteString(`
 int bs_pos = 0;
 int getbits(int n) {

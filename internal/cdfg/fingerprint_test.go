@@ -185,3 +185,55 @@ func TestSimplifyClearsFingerprints(t *testing.T) {
 		t.Fatal("code fingerprint not recomputed after SimplifyProgram")
 	}
 }
+
+// TestWithGlobals: a copy over new globals of the same shape is private,
+// reuses the program's fingerprint table, and stays correct when one side
+// is then rewritten; globals of another shape are rejected.
+func TestWithGlobals(t *testing.T) {
+	p := compile(t, "int n = 3;\nint data[4] = {1, 2, 3, 4};\n"+fpSrc)
+	before := p.BlockFingerprints()
+	code := p.CodeFingerprint()
+	globals := []*Global{
+		{Name: "n", Size: 1, Init: []int32{6}},
+		{Name: "data", IsArray: true, Size: 6, Init: []int32{6, 5, 4, 3, 2, 1}},
+	}
+	q, err := p.WithGlobals(globals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.Globals[1] != globals[1] || q.NumInstrs() != p.NumInstrs() || q.Func("main") != q.Funcs[1] {
+		t.Fatal("copy does not carry the given globals and the program's code")
+	}
+	if &q.BlockFingerprints()[0] != &before[0] || q.CodeFingerprint() != code {
+		t.Fatal("copy recomputed the fingerprint table")
+	}
+	for i, fn := range q.Funcs {
+		for j, b := range fn.Blocks {
+			if b == p.Funcs[i].Blocks[j] || b.Fn != fn {
+				t.Fatalf("%s bb%d: block shared with the original or owned by another function", fn.Name, j)
+			}
+			for _, s := range b.Succs() {
+				if s.Fn != fn {
+					t.Fatalf("%s bb%d: successor outside the copy", fn.Name, j)
+				}
+			}
+		}
+	}
+	SimplifyProgram(q)
+	if !equalFingerprints(p.BlockFingerprints(), denseFingerprints(p)) || !equalFingerprints(q.BlockFingerprints(), denseFingerprints(q)) {
+		t.Fatal("simplifying the copy left a stale fingerprint table")
+	}
+	if equalFingerprints(p.BlockFingerprints(), q.BlockFingerprints()) {
+		t.Fatal("simplifying the copy changed the original")
+	}
+
+	for name, bad := range map[string][]*Global{
+		"count":      globals[:1],
+		"name":       {globals[0], {Name: "date", IsArray: true, Size: 4}},
+		"array-ness": {globals[0], {Name: "data", Size: 1}},
+	} {
+		if _, err := p.WithGlobals(bad); err == nil {
+			t.Errorf("globals differing in %s accepted", name)
+		}
+	}
+}

@@ -19,6 +19,7 @@ package cdfg
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"ese/internal/cfront"
@@ -296,6 +297,59 @@ type Program struct {
 
 // Func returns the function with the given name, or nil.
 func (p *Program) Func(name string) *Function { return p.funcMap[name] }
+
+// WithGlobals returns a deep copy of the program's code over the given
+// globals, which must match the program's own in count, name and
+// array-ness: only sizes and initializers, the workload data the code
+// fingerprint excludes, may differ. The globals are used as given, not
+// copied. The copy is private (functions, slots, blocks, instructions
+// and call arguments are its own) and carries the program's memoized
+// fingerprint table, which such globals cannot change.
+func (p *Program) WithGlobals(globals []*Global) (*Program, error) {
+	if len(globals) != len(p.Globals) {
+		return nil, fmt.Errorf("cdfg: %d globals for a program with %d", len(globals), len(p.Globals))
+	}
+	for i, g := range globals {
+		if own := p.Globals[i]; g.Name != own.Name || g.IsArray != own.IsArray {
+			return nil, fmt.Errorf("cdfg: global %d is %s (array %t), the program's is %s (array %t)",
+				i, g.Name, g.IsArray, own.Name, own.IsArray)
+		}
+	}
+	q := &Program{Globals: globals, funcMap: make(map[string]*Function, len(p.Funcs))}
+	fnOf := make(map[*Function]*Function, len(p.Funcs))
+	blockOf := make(map[*Block]*Block)
+	for _, f := range p.Funcs {
+		nf := &Function{Name: f.Name, ReturnsInt: f.ReturnsInt, NTemps: f.NTemps,
+			Slots: make([]*Slot, len(f.Slots)), Blocks: make([]*Block, len(f.Blocks))}
+		for i, s := range f.Slots {
+			c := *s
+			c.Init = slices.Clone(s.Init)
+			nf.Slots[i] = &c
+		}
+		nf.Params = nf.Slots[:len(f.Params):len(f.Params)]
+		for i, b := range f.Blocks {
+			nf.Blocks[i] = &Block{ID: b.ID, Fn: nf}
+			blockOf[b] = nf.Blocks[i]
+		}
+		q.Funcs = append(q.Funcs, nf)
+		q.funcMap[f.Name] = nf
+		fnOf[f] = nf
+	}
+	for _, f := range p.Funcs {
+		for _, b := range f.Blocks {
+			instrs := slices.Clone(b.Instrs)
+			for i := range instrs {
+				in := &instrs[i]
+				in.Then, in.Else, in.Target = blockOf[in.Then], blockOf[in.Else], blockOf[in.Target]
+				in.Callee = fnOf[in.Callee]
+				in.Args = slices.Clone(in.Args)
+			}
+			blockOf[b].Instrs = instrs
+		}
+	}
+	q.fps.Store(p.fps.Load())
+	return q, nil
+}
 
 // NumBlocks returns the total basic-block count, a convenient size metric.
 func (p *Program) NumBlocks() int {

@@ -86,6 +86,7 @@ func TestExpandDeterministicAndFiltered(t *testing.T) {
 		{Axes: Axes{Depths: []int{99}}},
 		{Engine: jobspec.EngineBoard},
 		{Axes: Axes{Caches: []CacheGeom{{I: -1}}}},
+		{Frames: jobspec.MaxFrames + 1},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Fatalf("bad sweep accepted: %+v", bad)

@@ -78,7 +78,8 @@ type Filter struct {
 type Sweep struct {
 	// Name labels outputs and the state directory (default "sweep").
 	Name string `json:"name,omitempty"`
-	// Frames sizes every point's workload (default 1).
+	// Frames sizes every point's workload (default 1, at most
+	// jobspec.MaxFrames).
 	Frames int `json:"frames,omitempty"`
 	// Seed seeds every point's workload generator (0 = app default).
 	Seed uint32 `json:"seed,omitempty"`
@@ -124,8 +125,8 @@ func (s *Sweep) Validate() error {
 	default:
 		return fmt.Errorf("dse: unknown engine %q", s.Engine)
 	}
-	if s.Frames < 0 {
-		return fmt.Errorf("dse: frames %d must be non-negative", s.Frames)
+	if s.Frames < 0 || s.Frames > jobspec.MaxFrames {
+		return fmt.Errorf("dse: frames %d out of [0,%d]", s.Frames, jobspec.MaxFrames)
 	}
 	if s.Limit < 0 {
 		return fmt.Errorf("dse: limit %d must be non-negative", s.Limit)

@@ -72,6 +72,12 @@ func defaultSeed(app string) uint32 {
 	return 0
 }
 
+// MaxFrames bounds a TLM job's workload: MP3 frames, or JPEG blocks. It
+// sits well above any workload the tools run (CI's longest board job is
+// 400 frames), and keeps a request from sizing an input the generator
+// would build without checking the job's deadline.
+const MaxFrames = 4096
+
 // MaxBranchPenalty bounds a tuned misprediction penalty, in cycles. A
 // penalty far beyond any real pipeline's would only wrap simulated time
 // (sim.ErrTimeOverflow), so Validate rejects it as bad input.
@@ -187,7 +193,7 @@ type Spec struct {
 	// SW+2, SW+4; jpeg: SW, SW+DCT).
 	Design string `json:"design,omitempty"`
 	// Frames sizes the workload of a TLM job (MP3 frames, or 8x8 blocks
-	// for the JPEG app).
+	// for the JPEG app), at most MaxFrames.
 	Frames int `json:"frames,omitempty"`
 	// Tune structurally varies the processor model of a TLM job (DSE axes
 	// over pipeline depth, issue width, FU mix and the branch model).
@@ -359,8 +365,8 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("jobspec: unknown design %q for app %s (want %s)",
 				s.Design, app, strings.Join(designs, ", "))
 		}
-		if s.Frames < 1 {
-			return fmt.Errorf("jobspec: tlm job needs frames >= 1, got %d", s.Frames)
+		if s.Frames < 1 || s.Frames > MaxFrames {
+			return fmt.Errorf("jobspec: tlm job needs frames in [1,%d], got %d", MaxFrames, s.Frames)
 		}
 		switch s.Engine {
 		case EngineFunctional, EngineTimed, EngineBoard:

@@ -58,6 +58,9 @@ func TestValidate(t *testing.T) {
 	badTLM := []func(*Spec){
 		func(s *Spec) { s.Design = "SW+3" },
 		func(s *Spec) { s.Frames = 0 },
+		func(s *Spec) { s.Frames = MaxFrames + 1 },
+		func(s *Spec) { s.Frames = 1_000_000_000 },
+		func(s *Spec) { s.App, s.Design, s.Frames = AppJPEG, "SW", MaxFrames+1 },
 		func(s *Spec) { s.Engine = "quantum" },
 		func(s *Spec) { s.Tune = &Tune{BranchPenalty: f64(1e300)} },
 	}
@@ -67,6 +70,10 @@ func TestValidate(t *testing.T) {
 		if err := s.Validate(); err == nil {
 			t.Errorf("tlm mutation %d accepted", i)
 		}
+	}
+	tlm.Frames = MaxFrames
+	if err := tlm.Validate(); err != nil {
+		t.Errorf("tlm job at MaxFrames rejected: %v", err)
 	}
 }
 

@@ -101,9 +101,9 @@ func (s *Spec) BuildDesign() (*platform.Design, error) {
 
 // BuildDesignFrom is BuildDesign with the base processor model and the
 // compiled program supplied by the caller (typically memoized across jobs
-// — calibration and the front end cost far more than mapping). prog must
-// be the spec's workload program; neither it nor the base model is
-// mutated: tuning and cache retargeting operate on clones.
+// — calibration and building the program cost far more than mapping).
+// prog must be the spec's workload program; neither it nor the base model
+// is mutated: tuning and cache retargeting operate on clones.
 func (s *Spec) BuildDesignFrom(base *pum.PUM, prog *cdfg.Program) (*platform.Design, error) {
 	mb := base
 	if t := s.Tune; !t.isZero() {
@@ -130,8 +130,8 @@ func (s *Spec) BuildDesignFrom(base *pum.PUM, prog *cdfg.Program) (*platform.Des
 }
 
 // workload is the normalized identity of a TLM job's program. The four
-// fields fully determine the generated source, which is what lets the
-// Runner memoize lowered programs under it without generating the source.
+// fields fully determine the program, which is what lets the Runner
+// memoize programs under it.
 type workload struct {
 	app, design string
 	frames      int
@@ -151,7 +151,8 @@ func (s *Spec) workload() workload {
 	return w
 }
 
-// compile generates and lowers the workload's program.
+// compile builds the workload's program: its input data bound to the
+// design's compiled template.
 func (w workload) compile() (*cdfg.Program, error) {
 	switch w.app {
 	case AppMP3:

@@ -44,11 +44,13 @@ type Runner struct {
 
 	// progs memoizes lowered TLM programs by normalized workload, so the
 	// DSE points and repeated requests of one workload share one program
-	// (and its memoized block fingerprints) instead of regenerating,
-	// parsing, checking and lowering it per job. Shared programs are
-	// read-only: every TLM path (annotation, the engines, the board and
-	// verification) only reads IR. An entry also holds the workload's
-	// timed-TLM recording once a repeated job has made one.
+	// instead of building it per job. A miss binds the workload's input
+	// data to the design's compiled template (apps.CompileMP3,
+	// apps.CompileJPEG), which runs no front end and carries the
+	// template's fingerprint table. Shared programs are read-only: every
+	// TLM path (annotation, the engines, the board and verification) only
+	// reads IR. An entry also holds the workload's timed-TLM recording
+	// once a repeated job has made one.
 	progMu sync.Mutex
 	progs  map[workload]*memoEntry
 }

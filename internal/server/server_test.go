@@ -223,6 +223,12 @@ func TestBadRequests(t *testing.T) {
 	if code != http.StatusBadRequest {
 		t.Fatalf("unknown field status = %d, want 400", code)
 	}
+	// A workload beyond jobspec.MaxFrames is refused before any input is
+	// generated for it.
+	code, _ = postJob(t, ts, []byte(`{"kind":"tlm","design":"SW","frames":1000000000}`), "")
+	if code != http.StatusBadRequest {
+		t.Fatalf("frames beyond MaxFrames status = %d, want 400", code)
+	}
 
 	resp, err := ts.Client().Get(ts.URL + "/v1/jobs")
 	if err != nil {
