@@ -131,15 +131,11 @@ func BenchmarkTable1_ISS_SW(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m := iss.NewMachine(isa)
-		if err := m.Start("main"); err != nil {
+		cycles, err := rtl.ISSCycles(context.Background(), isa, "main", []pum.CacheCfg{benchCache})
+		if err != nil {
 			b.Fatal(err)
 		}
-		sim := iss.NewISS(m, iss.DefaultTiming(benchCache.ISize, benchCache.DSize))
-		if err := sim.Run(context.Background(), 0); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(sim.Cycles), "sim-cycles")
+		b.ReportMetric(float64(cycles[0]), "sim-cycles")
 	}
 }
 
@@ -233,36 +229,6 @@ func BenchmarkEngine_ISAMachine(b *testing.B) {
 			b.Fatal(err)
 		}
 		if err := m.Run(0); err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(m.Steps))
-	}
-}
-
-func BenchmarkEngine_BoardCPU(b *testing.B) {
-	prog, err := apps.CompileMP3("SW", benchEval)
-	if err != nil {
-		b.Fatal(err)
-	}
-	isa, err := iss.Generate(prog)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := iss.NewMachine(isa)
-		if err := m.Start("main"); err != nil {
-			b.Fatal(err)
-		}
-		cpu, err := rtl.NewCPU(m, rtl.CPUConfig{
-			Model:  pum.MicroBlaze(),
-			ICache: cache.BoardConfig(benchCache.ISize),
-			DCache: cache.BoardConfig(benchCache.DSize),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := cpu.Run(0); err != nil {
 			b.Fatal(err)
 		}
 		b.SetBytes(int64(m.Steps))

@@ -312,40 +312,27 @@ func ISSCycles(prog *Program, entry string, cc CacheCfg) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	m := iss.NewMachine(isa)
-	if err := m.Start(entry); err != nil {
+	cycles, err := rtl.ISSCycles(context.Background(), isa, entry, []CacheCfg{cc})
+	if err != nil {
 		return 0, err
 	}
-	s := iss.NewISS(m, iss.DefaultTiming(cc.ISize, cc.DSize))
-	if err := s.Run(context.Background(), 0); err != nil {
-		return 0, err
-	}
-	return s.Cycles, nil
+	return cycles[0], nil
 }
 
-// BoardCycles runs the cycle-accurate CPU model on a single process and
-// returns the measured cycles (the "board measurement" of a SW design).
+// BoardCycles runs the cycle-accurate board on a single process, as a
+// one-processor design with the board's caches of the given sizes, and
+// returns the processor's measured cycles (the "board measurement" of a
+// SW design).
 func BoardCycles(prog *Program, entry string, p *PUM, cc CacheCfg) (uint64, error) {
-	isa, err := iss.Generate(prog)
+	d := &Design{Name: entry, Program: prog, Bus: DefaultBus(), PEs: []*PE{{
+		Name: "cpu", Kind: Processor, Entry: entry, PUM: p,
+		ICache: cache.BoardConfig(cc.ISize), DCache: cache.BoardConfig(cc.DSize),
+	}}}
+	res, err := rtl.RunBoard(d, 0)
 	if err != nil {
 		return 0, err
 	}
-	m := iss.NewMachine(isa)
-	if err := m.Start(entry); err != nil {
-		return 0, err
-	}
-	cpu, err := rtl.NewCPU(m, rtl.CPUConfig{
-		Model:  p,
-		ICache: cache.BoardConfig(cc.ISize),
-		DCache: cache.BoardConfig(cc.DSize),
-	})
-	if err != nil {
-		return 0, err
-	}
-	if err := cpu.Run(0); err != nil {
-		return 0, err
-	}
-	return cpu.Cycles, nil
+	return res.PEs["cpu"].Cycles, nil
 }
 
 // MP3 evaluation application (the paper's workload).

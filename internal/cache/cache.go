@@ -17,8 +17,7 @@ const DefaultLine = 16
 
 // BoardConfig is the board's cache organization for a given size: 2-way
 // set-associative with DefaultLine-byte lines (size 0 = uncached). The
-// board's processor PEs, calibration and the standalone board CPU all
-// build their caches from it.
+// board's processor PEs and calibration build their caches from it.
 func BoardConfig(size int) Config {
 	return Config{Size: size, LineBytes: DefaultLine, Assoc: 2}
 }

@@ -200,13 +200,8 @@ func RunTable1(ctx context.Context, s *Setup) (*Table1, error) {
 			if err != nil {
 				return nil, err
 			}
-			m := iss.NewMachine(isa)
-			if err := m.Start("main"); err != nil {
-				return nil, err
-			}
-			sim := iss.NewISS(m, iss.DefaultTiming(cacheCfg.ISize, cacheCfg.DSize))
 			start := time.Now()
-			if err := sim.Run(ctx, 0); err != nil {
+			if _, err := rtl.ISSCycles(ctx, isa, "main", []pum.CacheCfg{cacheCfg}); err != nil {
 				return nil, err
 			}
 			row.ISS = time.Since(start)
@@ -260,7 +255,8 @@ type Table2 struct {
 
 // RunTable2 compares board, ISS and timed-TLM cycle counts for the pure
 // software design across the standard cache sweep. The board and TLM
-// columns are the scorer's points for the SW design.
+// columns are the scorer's points for the SW design; the ISS column comes
+// from one functional run timed under every configuration.
 func RunTable2(ctx context.Context, s *Setup) (*Table2, error) {
 	scored, err := s.score(ctx, "SW")
 	if err != nil {
@@ -274,18 +270,14 @@ func RunTable2(ctx context.Context, s *Setup) (*Table2, error) {
 	if err != nil {
 		return nil, err
 	}
+	issCycles, err := rtl.ISSCycles(ctx, isa, "main", pum.StandardCacheConfigs)
+	if err != nil {
+		return nil, err
+	}
 	t := &Table2{AvgTLMErr: scored.MAPE}
 	for i, cc := range pum.StandardCacheConfigs {
 		p := scored.Points[i]
-		m := iss.NewMachine(isa)
-		if err := m.Start("main"); err != nil {
-			return nil, err
-		}
-		sim := iss.NewISS(m, iss.DefaultTiming(cc.ISize, cc.DSize))
-		if err := sim.Run(ctx, 0); err != nil {
-			return nil, err
-		}
-		row := Table2Row{Cfg: cc, Board: p.Board, ISS: sim.Cycles, TLM: p.Est, TLMErr: p.ErrPct}
+		row := Table2Row{Cfg: cc, Board: p.Board, ISS: issCycles[i], TLM: p.Est, TLMErr: p.ErrPct}
 		row.ISSErr = pct(float64(row.ISS), float64(row.Board))
 		t.Rows = append(t.Rows, row)
 		t.AvgISSErr += abs(row.ISSErr)

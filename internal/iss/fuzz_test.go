@@ -1,7 +1,6 @@
 package iss
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -226,40 +225,6 @@ func TestDifferentialInterpVsMachine(t *testing.T) {
 		if ir.Steps != mp.Steps {
 			t.Fatalf("seed %d: steps differ (%d vs %d)\n%s",
 				seed, ir.Steps, mp.Steps, src)
-		}
-	}
-}
-
-// TestDifferentialTimingModelsAgreeOnOrder checks, on random programs, the
-// cross-model sanity property that richer memory latency never makes the
-// ISS faster.
-func TestDifferentialISSMonotoneInLatency(t *testing.T) {
-	for seed := 1; seed <= 20; seed++ {
-		g := &progGen{rng: uint32(seed) * 40503}
-		if g.rng == 0 {
-			g.rng = 1
-		}
-		src := g.generate()
-		prog := compile(t, src)
-		isa, err := Generate(prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		run := func(lat uint64) uint64 {
-			m := NewMachine(isa)
-			if err := m.Start("main"); err != nil {
-				t.Fatal(err)
-			}
-			cfg := DefaultTiming(0, 0)
-			cfg.UncachedLatency = lat
-			s := NewISS(m, cfg)
-			if err := s.Run(context.Background(), 10_000_000); err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			return s.Cycles
-		}
-		if run(2) > run(8) {
-			t.Fatalf("seed %d: ISS cycles not monotone in memory latency\n%s", seed, src)
 		}
 	}
 }

@@ -1,8 +1,10 @@
 // Package iss implements the instruction-set level of the reproduction: a
-// MicroBlaze-like virtual ISA generated 1:1 from CDFG operations, a
-// functional machine that executes it while emitting per-instruction timing
-// traces, and the interpreted ISS baseline with its (deliberately coarse)
-// memory timing model — the "ISS" column of the paper's Tables 1 and 2.
+// MicroBlaze-like virtual ISA generated 1:1 from CDFG operations and a
+// functional machine that executes it, reporting each retired
+// instruction's trace. The machine is timing-free: internal/rtl's one
+// instruction-timing loop charges the traces, as the board and as the
+// interpreted ISS baseline (the "ISS" column of the paper's Tables 1 and
+// 2).
 //
 // ISA model. The target is a register-window soft core: every function has
 // a private register file (one register per scalar local/param and per

@@ -1,14 +1,11 @@
 package iss
 
 import (
-	"context"
-	"errors"
 	"strings"
 	"testing"
 
 	"ese/internal/cdfg"
 	"ese/internal/cfront"
-	"ese/internal/diag"
 	"ese/internal/interp"
 )
 
@@ -273,79 +270,6 @@ void main() { g += 1; out(g); }`)
 	}
 }
 
-func TestISSTimingCachedVsUncached(t *testing.T) {
-	src := `
-int a[256];
-void main() {
-  int i;
-  int s = 0;
-  int r;
-  for (r = 0; r < 4; r++) {
-    for (i = 0; i < 256; i++) { a[i] = i; s += a[i]; }
-  }
-  out(s);
-}`
-	_, mp := generate(t, src)
-
-	run := func(iSize, dSize int) uint64 {
-		m := NewMachine(mp)
-		if err := m.Start("main"); err != nil {
-			t.Fatal(err)
-		}
-		s := NewISS(m, DefaultTiming(iSize, dSize))
-		if err := s.Run(context.Background(), 0); err != nil {
-			t.Fatal(err)
-		}
-		return s.Cycles
-	}
-	uncached := run(0, 0)
-	cached := run(8*1024, 8*1024)
-	if cached >= uncached {
-		t.Fatalf("cached (%d) not faster than uncached (%d)", cached, uncached)
-	}
-	// Uncached pays the uncached latency on every fetch: at least
-	// steps * (1 + UncachedLatency).
-	m := NewMachine(mp)
-	if err := m.Start("main"); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	minUncached := m.Steps * (1 + DefaultTiming(0, 0).UncachedLatency)
-	if uncached < minUncached {
-		t.Fatalf("uncached cycles %d below floor %d", uncached, minUncached)
-	}
-}
-
-func TestISSDeterministic(t *testing.T) {
-	_, mp := generate(t, `
-int a[64];
-void main() {
-  int i;
-  for (i = 0; i < 64; i++) a[i] = (i * 37) % 19;
-  int s = 0;
-  for (i = 0; i < 64; i++) s += a[i];
-  out(s);
-}`)
-	var first uint64
-	for round := 0; round < 3; round++ {
-		m := NewMachine(mp)
-		if err := m.Start("main"); err != nil {
-			t.Fatal(err)
-		}
-		s := NewISS(m, DefaultTiming(2048, 2048))
-		if err := s.Run(context.Background(), 0); err != nil {
-			t.Fatal(err)
-		}
-		if round == 0 {
-			first = s.Cycles
-		} else if s.Cycles != first {
-			t.Fatalf("nondeterministic ISS cycles: %d vs %d", s.Cycles, first)
-		}
-	}
-}
-
 func TestManyCallArguments(t *testing.T) {
 	// More arguments than the machine's inline arg buffer (16).
 	runBoth(t, `
@@ -484,29 +408,5 @@ void main() {
 	lines := strings.Count(asm, "\n")
 	if lines < len(mp.Instrs) {
 		t.Fatalf("disassembly too short: %d lines for %d instrs", lines, len(mp.Instrs))
-	}
-}
-
-// Run polls its context: a program that never finishes stops with the
-// typed deadline error once the deadline has passed.
-func TestISSRunHonorsDeadline(t *testing.T) {
-	_, mp := generate(t, `
-void main() {
-  int i;
-  i = 0;
-  while (i >= 0) { i = (i + 1) % 1000; }
-  out(i);
-}`)
-	m := NewMachine(mp)
-	if err := m.Start("main"); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 0)
-	defer cancel()
-	if err := NewISS(m, DefaultTiming(2048, 2048)).Run(ctx, 0); !errors.Is(err, diag.ErrDeadline) {
-		t.Fatalf("Run past its deadline: %v, want %v", err, diag.ErrDeadline)
-	}
-	if m.Steps > 2*ctxCheckSteps {
-		t.Fatalf("ran %d steps past an expired deadline", m.Steps)
 	}
 }

@@ -8,10 +8,10 @@ import (
 	"ese/internal/cfront"
 )
 
-// Trace reports what one executed instruction did, in the form the timing
-// models (the ISS timing model and the cycle-accurate board pipeline)
-// consume. The functional machine is timing-free; timing is layered on top
-// (functional-first, timing-directed simulation).
+// Trace reports what one executed instruction did, in the form the one
+// instruction-timing loop (internal/rtl's pass, whose lanes are the board
+// and the ISS) consumes. The functional machine is timing-free; timing is
+// layered on top (functional-first, timing-directed simulation).
 type Trace struct {
 	PC     int // executed instruction index
 	Op     cdfg.Opcode
@@ -33,8 +33,8 @@ type Trace struct {
 var ErrStackOverflow = errors.New("iss: stack overflow")
 
 // Machine executes a Program functionally. Communication and output are
-// delegated to callbacks so the same machine serves the standalone ISS, the
-// cycle-accurate board model, and multi-PE platforms.
+// delegated to callbacks so the same machine serves a standalone process
+// (the ISS, calibration) and the PEs of a multi-PE board.
 type Machine struct {
 	Prog    *Program
 	globals []int32

@@ -97,7 +97,10 @@ type Pipeline struct {
 
 // BranchModel is the statistical branch delay model.
 type BranchModel struct {
-	Predictor string  // descriptive only ("static-nt", "2bit", ...)
+	// Predictor selects the real predictor of the board and of
+	// calibration: "2bit" is a 512-entry bimodal table, any other name
+	// ("static-nt", ...) static not-taken. Estimation does not read it.
+	Predictor string
 	MissRate  float64 // average misprediction ratio
 	Penalty   float64 // cycles lost per misprediction
 }

@@ -44,10 +44,10 @@ func (r *BoardResult) EndCycles(clockHz int64) uint64 {
 }
 
 // RunBoard simulates the whole design cycle-accurately: processor PEs run
-// generated ISA code through the pipeline model with real caches and branch
-// prediction; hardware PEs execute their exact datapath schedules; all PEs
-// communicate over the arbitrated bus. It is RunBoards of the one design,
-// under no deadline.
+// generated ISA code through the instruction loop (pass) with real caches
+// and branch prediction; hardware PEs execute their exact datapath
+// schedules; all PEs communicate over the arbitrated bus. It is RunBoards
+// of the one design, under no deadline.
 func RunBoard(d *platform.Design, limit uint64) (*BoardResult, error) {
 	rs, err := RunBoards(context.Background(), []*platform.Design{d}, limit)
 	if err != nil {
@@ -218,7 +218,7 @@ func functionalPass(ctx context.Context, ds []*platform.Design, limit uint64) ([
 			}
 			for _, d := range ds {
 				dpe := d.PEs[i]
-				ps.addLane(dpe.PUM, dpe.ICache, dpe.DCache)
+				ps.addLane(timingOf(dpe.PUM), dpe.ICache, dpe.DCache)
 			}
 			r.cpu, r.take = ps, ps.take
 			k.Spawn(pe.Name, func(p *sim.Process) {

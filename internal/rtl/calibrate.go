@@ -41,9 +41,9 @@ type CalibReport struct {
 // branch predictor). One functional pass of the entry (see pass) feeds
 // every retired instruction to one real (I-cache, D-cache) pair per cached
 // configuration and to one branch predictor: each cache sees the address
-// stream a standalone CPU of that configuration would see. limit bounds
-// the run's dynamic steps (0 = none), and ctx the run, which polls it
-// every few thousand instructions. The entry must be a self-contained
+// stream a one-configuration run would see. limit bounds the run's dynamic
+// steps (0 = none), and ctx the run, which polls it every few thousand
+// instructions. The entry must be a self-contained
 // process (no channel communication), typically a reduced or
 // representative input; evaluating on different inputs is what makes the
 // statistical model approximate. Measure builds no model: internal/calib
@@ -76,8 +76,9 @@ func Measure(ctx context.Context, base *pum.PUM, prog *cdfg.Program, entry strin
 	if err != nil {
 		return nil, err
 	}
+	tm := timingOf(base)
 	for _, cs := range rep.Stats {
-		ps.addLane(base, cache.BoardConfig(cs.Cfg.ISize), cache.BoardConfig(cs.Cfg.DSize))
+		ps.addLane(tm, cache.BoardConfig(cs.Cfg.ISize), cache.BoardConfig(cs.Cfg.DSize))
 	}
 	if err := m.Start(entry); err != nil {
 		return nil, err

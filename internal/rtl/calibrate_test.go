@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ese/internal/apps"
+	"ese/internal/cache"
 	"ese/internal/cdfg"
 	"ese/internal/iss"
 	"ese/internal/pum"
@@ -106,10 +107,9 @@ func TestCalibrateSnapshotsValidate(t *testing.T) {
 	}
 }
 
-// The one pass against the reference implementation it replaced: a
-// standalone CPU per cached configuration, each re-executing the program.
-// Every snapshot, the branch misprediction ratio and the step count must
-// be exactly what each standalone run observes.
+// The one pass against a reference CPU per cached configuration, each
+// re-executing the program. Every snapshot, the branch misprediction ratio
+// and the step count must be exactly what each reference run observes.
 func TestMeasureMatchesPerConfigCPU(t *testing.T) {
 	jpeg, err := apps.Compile("jpeg_train.c", apps.JPEGSource(apps.TrainJPEG))
 	if err != nil {
@@ -134,16 +134,13 @@ func TestMeasureMatchesPerConfigCPU(t *testing.T) {
 			if cs.Cfg != cfgs[i+1] { // cfgs[0] is the uncached {0,0}
 				t.Fatalf("%s: stats %d measured %v, want %v", name, i, cs.Cfg, cfgs[i+1])
 			}
-			cpu := newCPU(t, isa, cs.Cfg.ISize, cs.Cfg.DSize)
-			if err := cpu.Run(0); err != nil {
-				t.Fatalf("%s %v: %v", name, cs.Cfg, err)
+			cpu := runRefCPU(t, isa, pum.MicroBlaze(), cache.BoardConfig(cs.Cfg.ISize), cache.BoardConfig(cs.Cfg.DSize))
+			if ref := cpu.mem(); cs.Mem != ref {
+				t.Errorf("%s %v: one pass measured %+v, reference CPU %+v", name, cs.Cfg, cs.Mem, ref)
 			}
-			if ref := cpu.MemStatsSnapshot(); cs.Mem != ref {
-				t.Errorf("%s %v: one pass measured %+v, standalone CPU %+v", name, cs.Cfg, cs.Mem, ref)
-			}
-			if rep.BranchMiss != cpu.BP.MissRate() || rep.Steps != cpu.M.Steps {
-				t.Errorf("%s %v: one pass miss %v over %d steps, standalone CPU %v over %d",
-					name, cs.Cfg, rep.BranchMiss, rep.Steps, cpu.BP.MissRate(), cpu.M.Steps)
+			if rep.BranchMiss != cpu.bp.MissRate() || rep.Steps != cpu.m.Steps {
+				t.Errorf("%s %v: one pass miss %v over %d steps, reference CPU %v over %d",
+					name, cs.Cfg, rep.BranchMiss, rep.Steps, cpu.bp.MissRate(), cpu.m.Steps)
 			}
 		}
 	}

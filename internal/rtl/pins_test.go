@@ -15,7 +15,7 @@ import (
 	"ese/internal/pum"
 )
 
-var updatePins = flag.Bool("update-pins", false, "rewrite testdata/board_pins.json from one RunBoard per configuration")
+var updatePins = flag.Bool("update-pins", false, "rewrite testdata/board_pins.json from one RunBoard per configuration and testdata/iss_pins.json from ISSCycles")
 
 // The pinned workload: every MP3 and JPEG design at the standard cache
 // configurations, on a small input.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ese/internal/apps"
+	"ese/internal/branch"
 	"ese/internal/cache"
 	"ese/internal/cdfg"
 	"ese/internal/core"
@@ -26,21 +27,87 @@ func generate(t *testing.T, src string) (*cdfg.Program, *iss.Program) {
 	return prog, isa
 }
 
-func newCPU(t *testing.T, isa *iss.Program, iSize, dSize int) *CPU {
+// runPass runs main of isa to completion as one pass with one board lane
+// of model per configuration, and returns the pass.
+func runPass(t *testing.T, isa *iss.Program, model *pum.PUM, cfgs ...pum.CacheCfg) *pass {
 	t.Helper()
 	m := iss.NewMachine(isa)
-	if err := m.Start("main"); err != nil {
-		t.Fatal(err)
-	}
-	cpu, err := NewCPU(m, CPUConfig{
-		Model:  pum.MicroBlaze(),
-		ICache: cache.BoardConfig(iSize),
-		DCache: cache.BoardConfig(dSize),
-	})
+	ps, err := newPass(context.Background(), m, model.Branch.Predictor, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cpu
+	for _, cc := range cfgs {
+		ps.addLane(timingOf(model), cache.BoardConfig(cc.ISize), cache.BoardConfig(cc.DSize))
+	}
+	if err := m.Start("main"); err != nil {
+		t.Fatal(err)
+	}
+	if err := ps.run(); err != nil {
+		t.Fatal(err)
+	}
+	return ps
+}
+
+// refCPU is the reference the pass is checked against: one board
+// configuration, stepped and charged one instruction at a time by a loop
+// written apart from the pass's.
+type refCPU struct {
+	m      *iss.Machine
+	ic, dc *cache.Cache
+	bp     branch.Stats
+	tm     timing
+	cycles uint64
+}
+
+// runRefCPU runs main of isa to completion on a reference CPU of model's
+// datasheet with real caches of the given organizations.
+func runRefCPU(t *testing.T, isa *iss.Program, model *pum.PUM, ic, dc cache.Config) *refCPU {
+	t.Helper()
+	pred, err := predictorFor(model.Branch.Predictor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &refCPU{m: iss.NewMachine(isa), ic: cache.New(ic), dc: cache.New(dc), bp: branch.Stats{P: pred}, tm: timingOf(model)}
+	if err := c.m.Start("main"); err != nil {
+		t.Fatal(err)
+	}
+	access := func(cc *cache.Cache, addr uint32) uint64 {
+		if !cc.Enabled() {
+			return c.tm.uncachedLat
+		}
+		if !cc.Access(addr) {
+			return c.tm.missLat
+		}
+		return 0
+	}
+	c.cycles = c.tm.fill
+	var tr iss.Trace
+	for !c.m.Done() {
+		if err := c.m.Step(&tr); err != nil {
+			t.Fatal(err)
+		}
+		c.cycles += c.tm.classCost[tr.Class] + access(c.ic, iss.PCAddr(tr.PC))
+		for _, a := range tr.DAddrs {
+			c.cycles += access(c.dc, a)
+		}
+		if tr.Branch && c.bp.Resolve(iss.PCAddr(tr.PC), tr.Taken) {
+			c.cycles += c.tm.brPenalty
+		}
+	}
+	return c
+}
+
+// mem is the reference CPU's cache statistics in PUM form: an absent side
+// has hit rate 0.
+func (c *refCPU) mem() pum.MemStats {
+	st := pum.MemStats{IMissPenalty: float64(c.tm.missLat), DMissPenalty: float64(c.tm.missLat)}
+	if c.ic.Enabled() {
+		st.IHitRate = c.ic.HitRate()
+	}
+	if c.dc.Enabled() {
+		st.DHitRate = c.dc.HitRate()
+	}
+	return st
 }
 
 const loopSrc = `
@@ -56,81 +123,58 @@ void main() {
 
 func TestCPUTimingComponents(t *testing.T) {
 	_, isa := generate(t, `void main() { out(1); }`)
-	cpu := newCPU(t, isa, 0, 0)
-	if err := cpu.Run(0); err != nil {
-		t.Fatal(err)
-	}
+	ps := runPass(t, isa, pum.MicroBlaze(), pum.CacheCfg{})
 	// Tiny program: pipeline fill (2) + per-instruction costs with the
 	// uncached fetch latency (8) on each instruction.
-	steps := cpu.M.Steps
+	steps, cycles := ps.m.Steps, ps.take(0)
 	min := 2 + steps*(1+8)
-	if cpu.Cycles < min {
-		t.Fatalf("cycles %d below uncached floor %d (steps=%d)", cpu.Cycles, min, steps)
+	if cycles < min {
+		t.Fatalf("cycles %d below uncached floor %d (steps=%d)", cycles, min, steps)
 	}
 }
 
 func TestCPUCachedFasterThanUncached(t *testing.T) {
 	_, isa := generate(t, loopSrc)
-	un := newCPU(t, isa, 0, 0)
-	if err := un.Run(0); err != nil {
-		t.Fatal(err)
+	ps := runPass(t, isa, pum.MicroBlaze(), pum.CacheCfg{}, pum.CacheCfg{ISize: 8192, DSize: 8192})
+	if un, ca := ps.take(0), ps.take(1); ca >= un {
+		t.Fatalf("cached %d >= uncached %d", ca, un)
 	}
-	ca := newCPU(t, isa, 8192, 8192)
-	if err := ca.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if ca.Cycles >= un.Cycles {
-		t.Fatalf("cached %d >= uncached %d", ca.Cycles, un.Cycles)
-	}
-	if ca.IC.HitRate() < 0.95 {
-		t.Fatalf("i-cache hit rate %v too low for a loop", ca.IC.HitRate())
+	if hr := ps.lanes[1].ic.HitRate(); hr < 0.95 {
+		t.Fatalf("i-cache hit rate %v too low for a loop", hr)
 	}
 }
 
 func TestCPUMulDivCosts(t *testing.T) {
 	_, isaAdd := generate(t, `void main() { int x = 3; int i; for (i=0;i<100;i++) x = x + 7; out(x); }`)
 	_, isaDiv := generate(t, `void main() { int x = 3; int i; for (i=0;i<100;i++) x = x / 7 + 900; out(x); }`)
-	add := newCPU(t, isaAdd, 32768, 32768)
-	if err := add.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	div := newCPU(t, isaDiv, 32768, 32768)
-	if err := div.Run(0); err != nil {
-		t.Fatal(err)
-	}
+	cc := pum.CacheCfg{ISize: 32768, DSize: 32768}
+	add := runPass(t, isaAdd, pum.MicroBlaze(), cc).take(0)
+	div := runPass(t, isaDiv, pum.MicroBlaze(), cc).take(0)
 	// 100 divides at 32 cycles each must dominate.
-	if div.Cycles < add.Cycles+100*31-200 {
-		t.Fatalf("div loop %d vs add loop %d: divide cost missing", div.Cycles, add.Cycles)
+	if div < add+100*31-200 {
+		t.Fatalf("div loop %d vs add loop %d: divide cost missing", div, add)
 	}
 }
 
 func TestCPUBranchPredictorCounts(t *testing.T) {
 	_, isa := generate(t, loopSrc)
-	cpu := newCPU(t, isa, 8192, 8192)
-	if err := cpu.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if cpu.BP.Branches == 0 {
+	ps := runPass(t, isa, pum.MicroBlaze(), pum.CacheCfg{ISize: 8192, DSize: 8192})
+	if ps.bp.Branches == 0 {
 		t.Fatal("no branches resolved")
 	}
 	// Static not-taken on backward loop branches: high miss rate.
-	if cpu.BP.MissRate() < 0.5 {
-		t.Fatalf("static-NT miss rate %v suspiciously low for loops", cpu.BP.MissRate())
+	if ps.bp.MissRate() < 0.5 {
+		t.Fatalf("static-NT miss rate %v suspiciously low for loops", ps.bp.MissRate())
 	}
 }
 
 func TestCPUDeterministic(t *testing.T) {
 	_, isa := generate(t, loopSrc)
-	a := newCPU(t, isa, 2048, 2048)
-	if err := a.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	b := newCPU(t, isa, 2048, 2048)
-	if err := b.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if a.Cycles != b.Cycles {
-		t.Fatalf("nondeterministic: %d vs %d", a.Cycles, b.Cycles)
+	cc := pum.CacheCfg{ISize: 2048, DSize: 2048}
+	a := runPass(t, isa, pum.MicroBlaze(), cc).take(0)
+	b := runPass(t, isa, pum.MicroBlaze(), cc).take(0)
+	if a != b {
+		t.Fatalf("nondeterministic: %d vs %d", a, b)
 	}
 }
 
@@ -163,8 +207,8 @@ void main() {
 }
 
 // TestBoardMatchesStandaloneCPUForSWDesign: a single-processor design run
-// through the full board (kernel + bus) must give exactly the standalone
-// CPU model's cycles — the kernel integration adds no timing.
+// through the full board (kernel + bus) must give exactly the reference
+// CPU's cycles — the kernel integration adds no timing.
 func TestBoardMatchesStandaloneCPUForSWDesign(t *testing.T) {
 	cfg := apps.MP3Config{Frames: 1, Seed: 9}
 	cc := pum.CacheCfg{ISize: 8192, DSize: 4096}
@@ -180,26 +224,14 @@ func TestBoardMatchesStandaloneCPUForSWDesign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := iss.NewMachine(isa)
-	if err := m.Start("main"); err != nil {
-		t.Fatal(err)
+	cpu := runRefCPU(t, isa, d.PEs[0].PUM,
+		cache.Config{Size: cc.ISize, LineBytes: 16, Assoc: 2},
+		cache.Config{Size: cc.DSize, LineBytes: 16, Assoc: 2})
+	if board.PEs["mb"].Cycles != cpu.cycles {
+		t.Fatalf("board %d != standalone %d", board.PEs["mb"].Cycles, cpu.cycles)
 	}
-	cpu, err := NewCPU(m, CPUConfig{
-		Model:  d.PEs[0].PUM,
-		ICache: cache.Config{Size: cc.ISize, LineBytes: 16, Assoc: 2},
-		DCache: cache.Config{Size: cc.DSize, LineBytes: 16, Assoc: 2},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cpu.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if board.PEs["mb"].Cycles != cpu.Cycles {
-		t.Fatalf("board %d != standalone %d", board.PEs["mb"].Cycles, cpu.Cycles)
-	}
-	if board.EndCycles(100_000_000) != cpu.Cycles {
-		t.Fatalf("board end %d != cpu cycles %d", board.EndCycles(100_000_000), cpu.Cycles)
+	if board.EndCycles(100_000_000) != cpu.cycles {
+		t.Fatalf("board end %d != cpu cycles %d", board.EndCycles(100_000_000), cpu.cycles)
 	}
 }
 
@@ -235,20 +267,10 @@ func TestPredictorSelection(t *testing.T) {
 	model := pum.MicroBlaze()
 	model.Branch.Predictor = "2bit"
 	_, isa := generate(t, loopSrc)
-	m := iss.NewMachine(isa)
-	if err := m.Start("main"); err != nil {
-		t.Fatal(err)
-	}
-	cpu, err := NewCPU(m, CPUConfig{Model: model, ICache: cache.BoardConfig(8192), DCache: cache.BoardConfig(8192)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cpu.Run(0); err != nil {
-		t.Fatal(err)
-	}
+	ps := runPass(t, isa, model, pum.CacheCfg{ISize: 8192, DSize: 8192})
 	// A bimodal predictor must beat static-NT massively on loop code.
-	if cpu.BP.MissRate() > 0.3 {
-		t.Fatalf("2bit predictor miss rate %v too high", cpu.BP.MissRate())
+	if ps.bp.MissRate() > 0.3 {
+		t.Fatalf("2bit predictor miss rate %v too high", ps.bp.MissRate())
 	}
 }
 
