@@ -27,9 +27,11 @@
 //	esegen -registry [-dir internal/codegen/registry]
 //
 // It emits one generated engine per example design and per codegen
-// self-test program, registered under the program's code fingerprint;
-// the output is deterministic, so CI can regenerate and `git diff
-// --exit-code` the directory.
+// self-test program, registered under the program's code fingerprint,
+// in one file per group: each app's designs share a base type holding
+// the functions they emit identically, and each self-test program is a
+// group of one. The output is deterministic, so CI can regenerate and
+// `git diff --exit-code` the directory.
 //
 // Exit codes: 0 success, 1 runtime failure, 2 usage or input error.
 package main
@@ -114,56 +116,54 @@ func runStandalone(spec *jobspec.Spec, outDir, module string) error {
 	return nil
 }
 
-// registryEntry is one program the registry covers.
-type registryEntry struct {
-	file string // gen_<file>.go
-	sym  string // gen<sym> type name
-	prog *cdfg.Program
+// registryGroup is one generated file: the designs of one app, which
+// share a base type, or one self-test program.
+type registryGroup struct {
+	file    string // gen_<file>.go
+	base    string // gen<base> base type name
+	members []codegen.EngineMember
 }
 
-// registryPrograms builds the deterministic program list the registry is
-// generated from: the six example designs plus the codegen self-test
-// corpus.
-func registryPrograms() ([]registryEntry, error) {
-	var entries []registryEntry
-	mp3Syms := map[string]string{"SW": "MP3SW", "SW+1": "MP3SW1", "SW+2": "MP3SW2", "SW+4": "MP3SW4"}
+// registryGroups builds the deterministic group list the registry is
+// generated from: the example designs of each app, then the codegen
+// self-test corpus, one program per group.
+func registryGroups() ([]registryGroup, error) {
+	mp3 := registryGroup{file: "mp3", base: "MP3"}
 	for _, design := range []string{"SW", "SW+1", "SW+2", "SW+4"} {
 		prog, err := apps.CompileMP3(design, apps.DefaultMP3)
 		if err != nil {
 			return nil, fmt.Errorf("mp3 %s: %w", design, err)
 		}
-		entries = append(entries, registryEntry{
-			file: "mp3_" + sanitize(design), sym: mp3Syms[design], prog: prog,
-		})
+		mp3.members = append(mp3.members, codegen.EngineMember{Sym: "MP3" + symOf(design), Prog: prog})
 	}
-	jpegSyms := map[string]string{"SW": "JPEGSW", "SW+DCT": "JPEGSWDCT"}
+	jpeg := registryGroup{file: "jpeg", base: "JPEG"}
 	for _, design := range []string{"SW", "SW+DCT"} {
 		prog, err := apps.CompileJPEG(design, apps.DefaultJPEG)
 		if err != nil {
 			return nil, fmt.Errorf("jpeg %s: %w", design, err)
 		}
-		entries = append(entries, registryEntry{
-			file: "jpeg_" + sanitize(design), sym: jpegSyms[design], prog: prog,
-		})
+		jpeg.members = append(jpeg.members, codegen.EngineMember{Sym: "JPEG" + symOf(design), Prog: prog})
 	}
+	groups := []registryGroup{mp3, jpeg}
 	for _, sp := range codegen.SelfTest {
 		prog, err := codegen.CompileSelfTest(sp.Name)
 		if err != nil {
 			return nil, fmt.Errorf("selftest %s: %w", sp.Name, err)
 		}
-		entries = append(entries, registryEntry{
-			file: "selftest_" + sanitize(sp.Name),
-			sym:  "ST" + strings.ToUpper(sp.Name[:1]) + sp.Name[1:],
-			prog: prog,
+		sym := "ST" + strings.ToUpper(sp.Name[:1]) + sp.Name[1:]
+		groups = append(groups, registryGroup{
+			file: "selftest_" + sanitize(sp.Name), base: sym,
+			members: []codegen.EngineMember{{Sym: sym, Prog: prog}},
 		})
 	}
-	return entries, nil
+	return groups, nil
 }
 
-// runRegistry regenerates dir: one gen_*.go per unique program
-// fingerprint, stale generated files removed, byte-deterministic output.
+// runRegistry regenerates dir: one gen_*.go per group, each program
+// fingerprint emitted once, stale generated files removed,
+// byte-deterministic output.
 func runRegistry(dir string) error {
-	entries, err := registryPrograms()
+	groups, err := registryGroups()
 	if err != nil {
 		return err
 	}
@@ -172,26 +172,35 @@ func runRegistry(dir string) error {
 	}
 	seen := make(map[cdfg.Fingerprint]string)
 	keep := make(map[string]bool)
-	for _, e := range entries {
-		fp := e.prog.CodeFingerprint()
-		if prev, dup := seen[fp]; dup {
-			fmt.Printf("skip %s: same code fingerprint as %s\n", e.file, prev)
+	engines := 0
+	for _, g := range groups {
+		var members []codegen.EngineMember
+		for _, m := range g.members {
+			fp := m.Prog.CodeFingerprint()
+			if prev, dup := seen[fp]; dup {
+				fmt.Printf("skip gen%s: same code fingerprint as gen%s\n", m.Sym, prev)
+				continue
+			}
+			seen[fp] = m.Sym
+			members = append(members, m)
+		}
+		if len(members) == 0 {
 			continue
 		}
-		seen[fp] = e.file
-		src, err := codegen.EngineSource(e.prog, "registry", e.sym)
+		src, err := codegen.EngineSource("registry", g.base, members...)
 		if err != nil {
-			return fmt.Errorf("%s: %w", e.file, err)
+			return fmt.Errorf("%s: %w", g.file, err)
 		}
-		name := "gen_" + e.file + ".go"
+		name := "gen_" + g.file + ".go"
 		keep[name] = true
+		engines += len(members)
 		path := filepath.Join(dir, name)
 		if err := os.WriteFile(path, src, 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s (%d bytes, fp %s)\n", path, len(src), fp)
+		fmt.Printf("wrote %s (%d bytes, %d engines)\n", path, len(src), len(members))
 	}
-	// Drop generated files for programs no longer in the list.
+	// Drop generated files for groups no longer in the list.
 	old, err := filepath.Glob(filepath.Join(dir, "gen_*.go"))
 	if err != nil {
 		return err
@@ -205,9 +214,12 @@ func runRegistry(dir string) error {
 		}
 		fmt.Printf("removed stale %s\n", path)
 	}
-	fmt.Printf("registry: %d engines in %s\n", len(keep), dir)
+	fmt.Printf("registry: %d engines in %d files in %s\n", engines, len(keep), dir)
 	return nil
 }
+
+// symOf maps a design name onto a type-name fragment: "SW+DCT" -> "SWDCT".
+func symOf(design string) string { return strings.ReplaceAll(design, "+", "") }
 
 // sanitize maps a design/app name onto a file/identifier fragment.
 func sanitize(s string) string {

@@ -145,27 +145,21 @@ func run(spec *jobspec.Spec, o outputs) error {
 			WaitMode: tlm.WaitAtTransactions,
 			Profile:  doProfile,
 		}
-		var v *trace.VCD
-		if o.vcdPath != "" {
-			v = trace.New()
-			simOpts.Trace = v
-		}
-		var ev *trace.Events
-		if o.traceJSON != "" {
-			ev = trace.NewEvents()
-			simOpts.Events = ev
+		if o.vcdPath != "" || o.traceJSON != "" {
+			simOpts.Events = trace.NewEvents()
 		}
 		res, err := pl.SimulateCtx(ctx, d, simOpts)
 		if err != nil {
 			return err
 		}
-		if v != nil {
-			if werr := os.WriteFile(o.vcdPath, []byte(v.Render()), 0o644); werr != nil {
+		ev := simOpts.Events
+		if o.vcdPath != "" {
+			if werr := os.WriteFile(o.vcdPath, []byte(ev.RenderVCD()), 0o644); werr != nil {
 				return werr
 			}
 			fmt.Printf("wrote waveform to %s\n", o.vcdPath)
 		}
-		if ev != nil {
+		if o.traceJSON != "" {
 			data, jerr := ev.RenderJSON()
 			if jerr != nil {
 				return jerr

@@ -9,10 +9,13 @@
 //
 // The same lowering ships two ways:
 //
-//   - EngineSource emits an in-process engine that embeds
-//     interp.GenBase and registers itself by the program's code
-//     fingerprint (interp.RegisterGen); `esegen -registry` pre-generates
-//     these for the example apps so `-exec=gen` needs no plugin support.
+//   - EngineSource emits the in-process engines of a group of programs
+//     (an app's designs): each registers itself by its program's code
+//     fingerprint (interp.RegisterGen) and embeds the group's base type,
+//     which embeds interp.GenBase and holds the globals and every function
+//     the members emit identically, once; `esegen -registry`
+//     pre-generates these for the example apps so `-exec=gen` needs no
+//     plugin support.
 //   - StandaloneFiles emits a self-contained `go build`-able package: the
 //     per-PE timed process code with its annotated delays baked in as
 //     hex float constants, a miniature cooperative kernel with the
@@ -624,13 +627,16 @@ func (e *fnEmit) lowerInstr(sb *strings.Builder, in *cdfg.Instr) error {
 	return nil
 }
 
-// emitGlobalsAndFuncs lowers the receiver struct's global fields and
-// every function body; the caller wraps with mode-specific scaffolding.
-func (p *progEmit) emitFuncs() error {
-	for _, fn := range p.prog.Funcs {
+// emitFuncs lowers every function, in program order, and returns each
+// one's emitted text; the caller wraps with mode-specific scaffolding.
+func (p *progEmit) emitFuncs() ([]string, error) {
+	texts := make([]string, len(p.prog.Funcs))
+	for i, fn := range p.prog.Funcs {
+		start := p.w.Len()
 		if err := p.emitFunc(fn); err != nil {
-			return fmt.Errorf("codegen: %s: %w", fn.Name, err)
+			return nil, fmt.Errorf("codegen: %s: %w", fn.Name, err)
 		}
+		texts[i] = string(p.w.Bytes()[start:])
 	}
-	return nil
+	return texts, nil
 }

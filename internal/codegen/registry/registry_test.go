@@ -8,8 +8,13 @@ package registry_test
 import (
 	"bytes"
 	"context"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"maps"
 	"os"
+	"path/filepath"
+	"regexp"
 	"slices"
 	"testing"
 
@@ -459,41 +464,98 @@ func TestUnregisteredProgram(t *testing.T) {
 
 // TestGoldenRegistryFiles is the byte-for-byte determinism golden: the
 // committed generated files must equal a fresh emission for the same
-// program, and two emissions must be identical.
+// group, and two emissions must be identical. The JPEG case is a group of
+// two, so it covers the shared base type; the self-tests are groups of one.
 func TestGoldenRegistryFiles(t *testing.T) {
+	selftest := func(name, sym string) func() ([]codegen.EngineMember, error) {
+		return func() ([]codegen.EngineMember, error) {
+			prog, err := codegen.CompileSelfTest(name)
+			return []codegen.EngineMember{{Sym: sym, Prog: prog}}, err
+		}
+	}
+	jpeg := func() ([]codegen.EngineMember, error) {
+		var ms []codegen.EngineMember
+		for _, m := range []struct{ design, sym string }{{"SW", "JPEGSW"}, {"SW+DCT", "JPEGSWDCT"}} {
+			prog, err := apps.CompileJPEG(m.design, apps.DefaultJPEG)
+			if err != nil {
+				return nil, err
+			}
+			ms = append(ms, codegen.EngineMember{Sym: m.sym, Prog: prog})
+		}
+		return ms, nil
+	}
 	cases := []struct {
-		selftest string
-		sym      string
-		file     string
+		base    string
+		file    string
+		members func() ([]codegen.EngineMember, error)
 	}{
-		{"arith", "STArith", "gen_selftest_arith.go"},
-		{"chans", "STChans", "gen_selftest_chans.go"},
+		{"STArith", "gen_selftest_arith.go", selftest("arith", "STArith")},
+		{"STChans", "gen_selftest_chans.go", selftest("chans", "STChans")},
+		{"JPEG", "gen_jpeg.go", jpeg},
 	}
 	for _, c := range cases {
-		prog, err := codegen.CompileSelfTest(c.selftest)
+		members, err := c.members()
 		if err != nil {
 			t.Fatal(err)
 		}
-		src1, err := codegen.EngineSource(prog, "registry", c.sym)
+		src1, err := codegen.EngineSource("registry", c.base, members...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		src2, err := codegen.EngineSource(prog, "registry", c.sym)
+		src2, err := codegen.EngineSource("registry", c.base, members...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(src1, src2) {
-			t.Fatalf("%s: EngineSource is not deterministic", c.selftest)
+			t.Fatalf("%s: EngineSource is not deterministic", c.file)
 		}
 		committed, err := os.ReadFile(c.file)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(src1, committed) {
-			t.Fatalf("%s: committed %s is stale; run `go run ./cmd/esegen -registry`", c.selftest, c.file)
+			t.Fatalf("committed %s is stale; run `go run ./cmd/esegen -registry`", c.file)
 		}
 	}
 }
+
+// TestNoCopiedGeneratedFunctions keeps copies from growing back: no two
+// generated functions (methods f<N>_*) in the committed files may have
+// byte-identical bodies, since a function several engines share belongs
+// on their group's base type.
+func TestNoCopiedGeneratedFunctions(t *testing.T) {
+	files, err := filepath.Glob("gen_*.go")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no generated files: %v", err)
+	}
+	fset := token.NewFileSet()
+	where := make(map[string]string) // body text -> file:method that first had it
+	for _, name := range files {
+		src, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := parser.ParseFile(fset, name, src, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Recv == nil || !genFunc.MatchString(fd.Name.Name) {
+				continue
+			}
+			body := string(src[fset.Position(fd.Body.Lbrace).Offset:fset.Position(fd.Body.Rbrace).Offset])
+			at := name + ":" + fd.Name.Name
+			if prev, dup := where[body]; dup {
+				t.Errorf("%s has the same body as %s", at, prev)
+				continue
+			}
+			where[body] = at
+		}
+	}
+}
+
+var genFunc = regexp.MustCompile(`^f[0-9]+_`)
 
 // TestProfilerReconciliationUnderGen pins the PR 3 invariant on the
 // generated tier: a timed MP3 run under -exec=gen yields block counts

@@ -56,7 +56,7 @@ func FuzzEngines(f *testing.F) {
 		if err := codegen.Validate(prog); err != nil {
 			t.Fatalf("compiled engine accepts but codegen rejects: %v\nsource:\n%s", err, src)
 		}
-		if _, err := codegen.EngineSource(prog, "registry", "Fuzz"); err != nil {
+		if _, err := codegen.EngineSource("registry", "Fuzz", codegen.EngineMember{Sym: "Fuzz", Prog: prog}); err != nil {
 			t.Fatalf("codegen emitted unparsable Go: %v\nsource:\n%s", err, src)
 		}
 		const limit = 200_000

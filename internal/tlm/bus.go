@@ -37,24 +37,13 @@ type Bus struct {
 	Transfers uint64
 	Words     uint64
 
-	// Optional waveform tracing.
-	vcd    *trace.VCD
-	busSig *trace.Signal
-
-	// Optional trace_event timeline: one slice per bus transaction.
+	// Optional activity timeline: one slice per bus transaction.
 	events   *trace.Events
 	busTrack int
 }
 
-// WithTrace attaches a waveform dump; the bus records its busy intervals.
-func (b *Bus) WithTrace(v *trace.VCD) *Bus {
-	b.vcd = v
-	b.busSig = v.Signal("bus_busy")
-	return b
-}
-
-// WithEvents attaches a trace_event timeline; the bus records one slice
-// per transaction, annotated with the channel and word count.
+// WithEvents attaches an activity record; the bus records one slice per
+// transaction, annotated with the channel and word count.
 func (b *Bus) WithEvents(e *trace.Events) *Bus {
 	b.events = e
 	b.busTrack = e.Track("bus")
@@ -110,9 +99,6 @@ func (b *Bus) transferDelay(ch, words int) sim.Time {
 	}
 	dur := sim.Time(b.cfg.ArbCycles+words*b.cfg.WordCycles) * b.periodPs
 	b.busyUntil = start + dur
-	if b.vcd != nil {
-		b.vcd.Pulse(b.busSig, start, b.busyUntil)
-	}
 	if b.events != nil {
 		b.events.SliceArgs(b.busTrack, fmt.Sprintf("ch%d", ch), start, b.busyUntil,
 			map[string]any{"words": words})

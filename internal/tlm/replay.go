@@ -87,10 +87,10 @@ type Pooled struct {
 // replayed: a timed run with transaction-boundary waits on plain processes
 // (no RTOS PE, whose preemption depends on timing), with no step limit and
 // nothing that observes individual blocks or busy intervals (profile,
-// waveform, timeline).
+// activity timeline).
 func replayable(d *platform.Design, opts Options) bool {
 	if !opts.Timed || opts.WaitMode != WaitAtTransactions || opts.StepLimit != 0 ||
-		opts.Profile || opts.Trace != nil || opts.Events != nil {
+		opts.Profile || opts.Events != nil {
 		return false
 	}
 	for _, pe := range d.PEs {

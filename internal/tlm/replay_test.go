@@ -246,8 +246,8 @@ func TestReplayNeedsIntegerDelays(t *testing.T) {
 }
 
 // TestRecordingFallbacks: runs that must simulate leave an empty
-// recording empty — RTOS PEs, per-block waits, profiling, timelines,
-// waveforms, step limits, untimed runs, and runs that fail or are
+// recording empty — RTOS PEs, per-block waits, profiling, activity
+// timelines, step limits, untimed runs, and runs that fail or are
 // cancelled.
 func TestRecordingFallbacks(t *testing.T) {
 	canceled, cancel := context.WithCancel(context.Background())
@@ -261,7 +261,6 @@ func TestRecordingFallbacks(t *testing.T) {
 		{"per-block", twoPEDesign(t, pingPongSrc), func(o *Options) { o.WaitMode = WaitPerBlock }},
 		{"profile", twoPEDesign(t, pingPongSrc), func(o *Options) { o.Profile = true }},
 		{"events", twoPEDesign(t, pingPongSrc), func(o *Options) { o.Events = trace.NewEvents() }},
-		{"vcd", twoPEDesign(t, pingPongSrc), func(o *Options) { o.Trace = trace.New() }},
 		{"step-limit", twoPEDesign(t, pingPongSrc), func(o *Options) { o.StepLimit = 1 << 30 }},
 		{"untimed", twoPEDesign(t, pingPongSrc), func(o *Options) { *o = Options{} }},
 		{"failed", twoPEDesign(t, pingPongSrc), func(o *Options) { o.StepLimit = 10 }},

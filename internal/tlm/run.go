@@ -53,12 +53,10 @@ type Options struct {
 	// (internal/engine), and the run only reads the tables. Untimed runs
 	// ignore it.
 	Delays map[string][]float64
-	// Trace, when set, records per-process busy intervals and bus activity
-	// as a VCD waveform.
-	Trace *trace.VCD
-	// Events, when set, records the same activity as a Chrome trace_event
-	// timeline (Perfetto): one track per PE (per task for RTOS PEs), one
-	// for the bus, one slice per activity interval or transaction.
+	// Events, when set, records the run's activity: one track per PE (per
+	// task for RTOS PEs), one for the bus, one slice per activity interval
+	// or transaction. It renders as a Chrome trace_event timeline
+	// (Perfetto) and as a VCD waveform.
 	Events *trace.Events
 	// Profile enables per-block execution counting in every interpreter;
 	// the counts are returned in Result.BlockCountsByPE and feed the
@@ -164,9 +162,6 @@ func Run(d *platform.Design, opts Options) (*Result, error) {
 
 	k := sim.NewKernel()
 	bus := NewBus(k, d.Bus, opts.Timed)
-	if opts.Trace != nil {
-		bus.WithTrace(opts.Trace)
-	}
 	if opts.Events != nil {
 		bus.WithEvents(opts.Events)
 	}
@@ -184,25 +179,13 @@ func Run(d *platform.Design, opts Options) (*Result, error) {
 		periodPs := sim.Time(1_000_000_000_000 / pe.PUM.ClockHz)
 		if len(pe.Tasks) > 0 && opts.Timed {
 			cpu := rtos.NewCPU(k, pe.RTOS, periodPs)
-			if opts.Trace != nil || opts.Events != nil {
-				sigs := make(map[string]*trace.Signal)
+			if events := opts.Events; events != nil {
 				tracks := make(map[string]int)
 				for _, tk := range pe.Tasks {
-					if opts.Trace != nil {
-						sigs[tk.Name] = opts.Trace.Signal(pe.Name + "/" + tk.Name + "_busy")
-					}
-					if opts.Events != nil {
-						tracks[tk.Name] = opts.Events.Track(pe.Name + "/" + tk.Name)
-					}
+					tracks[tk.Name] = events.Track(pe.Name + "/" + tk.Name)
 				}
-				vcd, events := opts.Trace, opts.Events
 				cpu.OnRun = func(t *rtos.Task, from, to sim.Time) {
-					if sig := sigs[t.Name]; sig != nil {
-						vcd.Pulse(sig, from, to)
-					}
-					if events != nil {
-						events.Slice(tracks[t.Name], "run", from, to)
-					}
+					events.Slice(tracks[t.Name], "run", from, to)
 				}
 			}
 			rtosCPUs = append(rtosCPUs, struct {
@@ -351,18 +334,11 @@ func spawnProcess(ctx context.Context, k *sim.Kernel, d *platform.Design, pe *pl
 	}
 	pr.m = m
 	k.Spawn(key, func(p *sim.Process) {
-		var busy *trace.Signal
-		if opts.Trace != nil {
-			busy = opts.Trace.Signal(key + "_busy")
-		}
 		track := 0
 		if opts.Events != nil {
 			track = opts.Events.Track(key)
 		}
 		ran := func(from, to sim.Time) {
-			if busy != nil {
-				opts.Trace.Pulse(busy, from, to)
-			}
 			if opts.Events != nil {
 				opts.Events.Slice(track, "compute", from, to)
 			}

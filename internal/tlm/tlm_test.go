@@ -326,17 +326,17 @@ func TestStepLimitPropagates(t *testing.T) {
 
 func TestTimedRunProducesVCDTrace(t *testing.T) {
 	d := twoPEDesign(t, pingPongSrc)
-	v := trace.New()
+	ev := trace.NewEvents()
 	res, err := Run(d, Options{
 		Timed:    true,
 		WaitMode: WaitAtTransactions,
 		Delays:   fullDelays(t, d),
-		Trace:    v,
+		Events:   ev,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := v.Render()
+	out := ev.RenderVCD()
 	for _, want := range []string{"bus_busy", "cpu_busy", "acc_busy"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("VCD missing signal %q:\n%s", want, out)
@@ -354,8 +354,8 @@ func TestTimedRunProducesVCDTrace(t *testing.T) {
 	if lastTime > uint64(res.EndPs) {
 		t.Fatalf("VCD time %d beyond end %d", lastTime, res.EndPs)
 	}
-	if v.Changes() < 6 {
-		t.Fatalf("suspiciously few changes: %d", v.Changes())
+	if ev.Len() < 3 {
+		t.Fatalf("suspiciously few slices: %d", ev.Len())
 	}
 }
 

@@ -33,48 +33,48 @@ func TestVCDIDCollisionFree(t *testing.T) {
 }
 
 // TestVCDSignalIDsUnique exercises the same property through the public
-// Signal API, as Render uses it.
+// Track API, as RenderVCD uses it.
 func TestVCDSignalIDsUnique(t *testing.T) {
-	v := New()
-	ids := make(map[string]bool)
+	e := NewEvents()
 	for i := 0; i < 300; i++ {
-		s := v.Signal(fmt.Sprintf("sig%d", i))
-		if ids[s.id] {
-			t.Fatalf("duplicate id %q at signal %d", s.id, i)
+		e.Track(fmt.Sprintf("sig%d", i))
+	}
+	ids := make(map[string]bool)
+	for i, id := range wireIDs(e.RenderVCD()) {
+		if ids[id] {
+			t.Fatalf("duplicate id %q at signal %d", id, i)
 		}
-		ids[s.id] = true
+		ids[id] = true
 	}
 }
 
-// TestRenderSimultaneousChangesStableOrder checks that changes recorded at
-// the same timestamp render in recording (seq) order, whatever order the
-// sort visits them in, and that rendering is reproducible.
+// TestRenderSimultaneousChangesStableOrder checks that changes at the
+// same timestamp render in recording order, whatever order the sort
+// visits them in, and that rendering is reproducible.
 func TestRenderSimultaneousChangesStableOrder(t *testing.T) {
-	build := func() *VCD {
-		v := New()
-		var sigs []*Signal
+	build := func() *Events {
+		e := NewEvents()
+		var tracks []int
 		for i := 0; i < 8; i++ {
-			sigs = append(sigs, v.Signal(fmt.Sprintf("s%d", i)))
+			tracks = append(tracks, e.Track(fmt.Sprintf("s%d", i)))
 		}
-		// All eight signals change at t=100 in a known order; a second
-		// round at the same instant reverses some of them. Out-of-order
-		// recording across time is also exercised.
-		for i, s := range sigs {
-			v.Set(s, 100, 1)
-			_ = i
+		// All eight tracks rise at t=100 in a known order; a slice recorded
+		// later ends on s3 at the same instant. Out-of-order recording
+		// across time is also exercised.
+		for _, tr := range tracks {
+			e.Slice(tr, "x", 100, 200)
 		}
-		v.Set(sigs[3], 50, 1)
-		v.Set(sigs[3], 100, 0) // same instant as the rises, recorded later
-		v.Set(sigs[0], 25, 1)
-		return v
+		e.Slice(tracks[3], "x", 50, 100) // falls at the rises' instant, recorded later
+		e.Slice(tracks[0], "x", 25, 30)
+		return e
 	}
-	out1 := build().Render()
-	out2 := build().Render()
+	out1 := build().RenderVCD()
+	out2 := build().RenderVCD()
 	if out1 != out2 {
-		t.Fatalf("Render is not reproducible:\n%s\nvs\n%s", out1, out2)
+		t.Fatalf("RenderVCD is not reproducible:\n%s\nvs\n%s", out1, out2)
 	}
 	// Within the #100 section, s3's fall (recorded last) must come after
-	// the rises of the other signals, i.e. seq order is preserved.
+	// the rises of the other signals, i.e. recording order is preserved.
 	sec := out1[strings.Index(out1, "#100"):]
 	idxRise := strings.Index(sec, "1"+vcdID(7)) // last signal's rise
 	idxFall := strings.Index(sec, "0"+vcdID(3)) // s3's later fall
@@ -82,7 +82,7 @@ func TestRenderSimultaneousChangesStableOrder(t *testing.T) {
 		t.Fatalf("expected changes missing from section:\n%s", sec)
 	}
 	if idxFall < idxRise {
-		t.Fatalf("same-time changes rendered out of seq order:\n%s", sec)
+		t.Fatalf("same-time changes rendered out of recording order:\n%s", sec)
 	}
 	// s3 rose at t=50, so at t=100 it falls: both transitions must render.
 	if !strings.Contains(out1, "#50") {
@@ -90,36 +90,36 @@ func TestRenderSimultaneousChangesStableOrder(t *testing.T) {
 	}
 }
 
-// TestRenderDeduplicatesRedundantChanges: recording the same value twice
-// must render a single transition.
+// TestRenderDeduplicatesRedundantChanges: a slice that starts while its
+// track is already busy must not render a second rise.
 func TestRenderDeduplicatesRedundantChanges(t *testing.T) {
-	v := New()
-	s := v.Signal("x")
-	v.Set(s, 10, 1)
-	v.Set(s, 20, 1) // redundant
-	v.Set(s, 30, 0)
-	out := v.Render()
+	e := NewEvents()
+	x := e.Track("x")
+	e.Slice(x, "a", 10, 30)
+	e.Slice(x, "b", 20, 30) // redundant
+	out := e.RenderVCD()
 	if strings.Contains(out, "#20") {
 		t.Fatalf("redundant change rendered its own timestamp:\n%s", out)
 	}
-	if got := strings.Count(out, "1"+s.id); got != 1 {
+	if got := strings.Count(out, "1"+vcdID(0)); got != 1 {
 		t.Fatalf("rise rendered %d times, want once:\n%s", got, out)
 	}
 }
 
-// TestPulseRoundTripThroughSimTime: pulses recorded via sim.Time survive
+// TestPulseRoundTripThroughSimTime: slices recorded via sim.Time survive
 // the sort with correct interval nesting.
 func TestPulseRoundTripThroughSimTime(t *testing.T) {
-	v := New()
-	a := v.Signal("a")
-	b := v.Signal("b")
-	v.Pulse(b, sim.Time(200), sim.Time(300))
-	v.Pulse(a, sim.Time(100), sim.Time(400))
-	out := v.Render()
+	e := NewEvents()
+	a := e.Track("a")
+	b := e.Track("b")
+	e.Slice(b, "inner", sim.Time(200), sim.Time(300))
+	e.Slice(a, "outer", sim.Time(100), sim.Time(400))
+	out := e.RenderVCD()
 	// Search past the $dumpvars preamble so its initial 0-values don't
 	// shadow the real transitions.
 	body := out[strings.Index(out, "#100"):]
-	wantOrder := []string{"#100", "1" + a.id, "#200", "1" + b.id, "#300", "0" + b.id, "#400", "0" + a.id}
+	ida, idb := vcdID(a-1), vcdID(b-1)
+	wantOrder := []string{"#100", "1" + ida, "#200", "1" + idb, "#300", "0" + idb, "#400", "0" + ida}
 	pos := 0
 	for _, tok := range wantOrder {
 		i := strings.Index(body[pos:], tok)

@@ -1,3 +1,9 @@
+// Package trace records the activity of a TLM simulation as one timeline
+// of slices on named tracks and renders it two ways: a Chrome trace_event
+// JSON timeline (RenderJSON) and a VCD waveform with one busy wire per
+// track (RenderVCD). Because the timed TLM advances in lump-sum waits,
+// both show exactly the transaction-level activity picture the model
+// computes.
 package trace
 
 import (
@@ -6,16 +12,16 @@ import (
 	"ese/internal/sim"
 )
 
-// Events accumulates execution slices on named tracks and renders them in
-// the Chrome trace_event JSON format, the timeline format Perfetto and
-// chrome://tracing load directly. The TLM uses one track per PE (per task
-// for RTOS PEs) plus one for the shared bus; each slice is one interval of
-// activity: a lump of computed block delays, one RTOS run interval, or one
-// bus transaction.
+// Events accumulates execution slices on named tracks. RenderJSON writes
+// them in the Chrome trace_event JSON format, the timeline format Perfetto
+// and chrome://tracing load directly; RenderVCD writes them as a waveform.
+// The TLM uses one track per PE (per task for RTOS PEs) plus one for the
+// shared bus; each slice is one interval of activity: a lump of computed
+// block delays, one RTOS run interval, or one bus transaction.
 //
-// Like the VCD recorder, Events is single-threaded by construction: the
-// simulation kernel dispatches exactly one process at a time, so recording
-// needs no locking and the slice order is deterministic.
+// Events is single-threaded by construction: the simulation kernel
+// dispatches exactly one process at a time, so recording needs no locking
+// and the slice order is deterministic.
 type Events struct {
 	tracks []string
 	slices []evSlice

@@ -1,9 +1,3 @@
-// Package trace records activity waveforms of a TLM simulation and renders
-// them as a standard VCD (value change dump) file, viewable in GTKWave and
-// friends: one busy wire per processing element (per task for RTOS PEs) and
-// one for the shared bus. Because the timed TLM advances in lump-sum waits,
-// the waveform shows exactly the transaction-level activity picture the
-// model computes.
 package trace
 
 import (
@@ -14,31 +8,7 @@ import (
 	"ese/internal/sim"
 )
 
-// Signal is one 1-bit wire in the dump.
-type Signal struct {
-	Name string
-	id   string
-	idx  int
-}
-
-type change struct {
-	t   sim.Time
-	sig int
-	val int
-	seq int
-}
-
-// VCD accumulates value changes. Changes may be recorded out of time order
-// (different processes interleave); Render sorts them.
-type VCD struct {
-	signals []*Signal
-	changes []change
-}
-
-// New creates an empty dump.
-func New() *VCD { return &VCD{} }
-
-// vcdID builds the short identifier code for signal index i.
+// vcdID builds the short identifier code for wire index i.
 func vcdID(i int) string {
 	const alphabet = "!\"#$%&'()*+,-./0123456789:;<=>?@ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 	if i < len(alphabet) {
@@ -47,53 +17,42 @@ func vcdID(i int) string {
 	return string(alphabet[i%len(alphabet)]) + vcdID(i/len(alphabet)-1)
 }
 
-// Signal registers a new wire.
-func (v *VCD) Signal(name string) *Signal {
-	s := &Signal{Name: name, idx: len(v.signals)}
-	s.id = vcdID(s.idx)
-	v.signals = append(v.signals, s)
-	return s
-}
-
-// Set records a value change at simulation time t.
-func (v *VCD) Set(s *Signal, t sim.Time, val int) {
-	v.changes = append(v.changes, change{t: t, sig: s.idx, val: val, seq: len(v.changes)})
-}
-
-// Pulse records a 1-interval [from, to) on the signal.
-func (v *VCD) Pulse(s *Signal, from, to sim.Time) {
-	v.Set(s, from, 1)
-	v.Set(s, to, 0)
-}
-
-// Render produces the VCD text with a 1 ps timescale.
-func (v *VCD) Render() string {
+// RenderVCD renders the timeline as a VCD (value change dump) waveform
+// with a 1 ps timescale, viewable in GTKWave and friends: one 1-bit wire
+// per track, in track order, named after it with a _busy suffix. Each
+// slice drives its track's wire to 1 at its start and back to 0 at its
+// end. Slices are recorded out of time order (processes interleave), so
+// the changes are sorted by time, keeping recording order among
+// simultaneous ones; a change to the value a wire already holds is
+// dropped.
+func (e *Events) RenderVCD() string {
 	var sb strings.Builder
 	sb.WriteString("$timescale 1ps $end\n$scope module tlm $end\n")
-	for _, s := range v.signals {
-		name := strings.NewReplacer(" ", "_", "/", ".").Replace(s.Name)
-		fmt.Fprintf(&sb, "$var wire 1 %s %s $end\n", s.id, name)
+	wire := strings.NewReplacer(" ", "_", "/", ".")
+	for i, name := range e.tracks {
+		fmt.Fprintf(&sb, "$var wire 1 %s %s_busy $end\n", vcdID(i), wire.Replace(name))
 	}
 	sb.WriteString("$upscope $end\n$enddefinitions $end\n")
 	// Initial values.
 	sb.WriteString("$dumpvars\n")
-	for _, s := range v.signals {
-		fmt.Fprintf(&sb, "0%s\n", s.id)
+	for i := range e.tracks {
+		fmt.Fprintf(&sb, "0%s\n", vcdID(i))
 	}
 	sb.WriteString("$end\n")
-
-	ordered := append([]change(nil), v.changes...)
-	sort.SliceStable(ordered, func(i, j int) bool {
-		if ordered[i].t != ordered[j].t {
-			return ordered[i].t < ordered[j].t
-		}
-		return ordered[i].seq < ordered[j].seq
-	})
-	last := make([]int, len(v.signals))
+	type change struct {
+		t        sim.Time
+		wire, to int
+	}
+	changes := make([]change, 0, 2*len(e.slices))
+	for _, s := range e.slices {
+		changes = append(changes, change{s.from, s.tid - 1, 1}, change{s.to, s.tid - 1, 0})
+	}
+	sort.SliceStable(changes, func(i, j int) bool { return changes[i].t < changes[j].t })
+	last := make([]int, len(e.tracks))
 	curTime := sim.Time(0)
 	headerOut := false
-	for _, c := range ordered {
-		if c.val == last[c.sig] {
+	for _, c := range changes {
+		if c.to == last[c.wire] {
 			continue
 		}
 		if c.t != curTime || !headerOut {
@@ -101,11 +60,8 @@ func (v *VCD) Render() string {
 			curTime = c.t
 			headerOut = true
 		}
-		fmt.Fprintf(&sb, "%d%s\n", c.val, v.signals[c.sig].id)
-		last[c.sig] = c.val
+		fmt.Fprintf(&sb, "%d%s\n", c.to, vcdID(c.wire))
+		last[c.wire] = c.to
 	}
 	return sb.String()
 }
-
-// Changes returns the number of recorded raw changes (before dedup).
-func (v *VCD) Changes() int { return len(v.changes) }

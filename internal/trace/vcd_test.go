@@ -8,17 +8,28 @@ import (
 	"ese/internal/sim"
 )
 
+// wireIDs returns the id code of every $var wire in a rendered VCD.
+func wireIDs(out string) []string {
+	var ids []string
+	for _, line := range strings.Split(out, "\n") {
+		if f := strings.Fields(line); len(f) == 6 && f[0] == "$var" {
+			ids = append(ids, f[3])
+		}
+	}
+	return ids
+}
+
 func TestRenderStructure(t *testing.T) {
-	v := New()
-	a := v.Signal("cpu_busy")
-	b := v.Signal("bus busy") // space must be sanitized
-	v.Pulse(a, 100, 200)
-	v.Pulse(b, 150, 250)
-	out := v.Render()
+	e := NewEvents()
+	a := e.Track("cpu")
+	b := e.Track("bus main") // space must be sanitized
+	e.Slice(a, "compute", 100, 200)
+	e.Slice(b, "ch0", 150, 250)
+	out := e.RenderVCD()
 	for _, want := range []string{
 		"$timescale 1ps $end",
 		"$var wire 1 ! cpu_busy $end",
-		"$var wire 1 \" bus_busy $end",
+		"$var wire 1 \" bus_main_busy $end",
 		"$enddefinitions $end",
 		"$dumpvars",
 		"#100",
@@ -33,12 +44,12 @@ func TestRenderStructure(t *testing.T) {
 }
 
 func TestRenderChronological(t *testing.T) {
-	v := New()
-	a := v.Signal("a")
+	e := NewEvents()
+	a := e.Track("a")
 	// Recorded out of order.
-	v.Set(a, 300, 0)
-	v.Set(a, 100, 1)
-	out := v.Render()
+	e.Slice(a, "late", 300, 400)
+	e.Slice(a, "early", 100, 200)
+	out := e.RenderVCD()
 	i1 := strings.Index(out, "#100")
 	i3 := strings.Index(out, "#300")
 	if i1 < 0 || i3 < 0 || i1 > i3 {
@@ -61,12 +72,11 @@ func TestRenderChronological(t *testing.T) {
 }
 
 func TestRenderDedupsRepeatedValues(t *testing.T) {
-	v := New()
-	a := v.Signal("a")
-	v.Set(a, 10, 1)
-	v.Set(a, 20, 1) // repeated value: no change emitted
-	v.Set(a, 30, 0)
-	out := v.Render()
+	e := NewEvents()
+	a := e.Track("a")
+	e.Slice(a, "outer", 10, 30)
+	e.Slice(a, "inner", 20, 30) // rises while high: no change emitted
+	out := e.RenderVCD()
 	if strings.Contains(out, "#20") {
 		t.Fatalf("repeated value emitted a change:\n%s", out)
 	}
@@ -76,23 +86,27 @@ func TestRenderDedupsRepeatedValues(t *testing.T) {
 }
 
 func TestManySignalsGetDistinctIDs(t *testing.T) {
-	v := New()
-	seen := make(map[string]bool)
+	e := NewEvents()
 	for i := 0; i < 100; i++ {
-		s := v.Signal("s" + strconv.Itoa(i))
-		if seen[s.id] {
-			t.Fatalf("duplicate VCD id %q", s.id)
+		e.Track("s" + strconv.Itoa(i))
+	}
+	seen := make(map[string]bool)
+	for _, id := range wireIDs(e.RenderVCD()) {
+		if seen[id] {
+			t.Fatalf("duplicate VCD id %q", id)
 		}
-		seen[s.id] = true
+		seen[id] = true
+	}
+	if len(seen) != 100 {
+		t.Fatalf("got %d wires, want 100", len(seen))
 	}
 }
 
 func TestZeroTimeChange(t *testing.T) {
-	v := New()
-	a := v.Signal("a")
-	v.Set(a, 0, 1)
-	v.Set(a, sim.Time(50), 0)
-	out := v.Render()
+	e := NewEvents()
+	a := e.Track("a")
+	e.Slice(a, "compute", 0, sim.Time(50))
+	out := e.RenderVCD()
 	if !strings.Contains(out, "#0\n1!") {
 		t.Fatalf("missing initial change at time 0:\n%s", out)
 	}
