@@ -103,13 +103,12 @@ func run(file string, spec *jobspec.Spec, o outputs) error {
 		return cli.Input(err)
 	}
 	spec.Source = jobspec.Source{Name: file, Code: string(src)}
-	opts, err := spec.Options()
+	pl, err := new(jobspec.Runner).Pipeline(spec, jobspec.RunOpts{})
 	if err != nil {
 		return cli.Input(err)
 	}
 	ctx, cancel := spec.WithTimeout(context.Background(), 0)
 	defer cancel()
-	pl := ese.NewPipeline(opts)
 	defer cli.PrintDiags("eseest", pl.Diagnostics())
 	prog, err := pl.CompileCtx(ctx, file, string(src))
 	if err != nil {
@@ -148,14 +147,7 @@ func run(file string, spec *jobspec.Spec, o outputs) error {
 	if err := spec.LoadModelArg(o.pumArg); err != nil {
 		return cli.Input(err)
 	}
-	model, err := spec.ResolveModel()
-	if err != nil {
-		return cli.Input(err)
-	}
-	if model, err = spec.ApplyCache(model); err != nil {
-		return err
-	}
-	a, err := pl.AnnotateCtx(ctx, prog, model)
+	_, a, err := spec.Annotate(ctx, pl, prog)
 	if err != nil {
 		return err
 	}

@@ -4,8 +4,9 @@
 //
 // Standalone mode (default) emits a self-contained `go build`-able
 // timed-TLM package for one built-in design spec, with the per-block
-// delays the pipeline annotates for a timed run of that spec (the same
-// main.go `esetlm -gen` prints):
+// delays the pipeline annotates for a timed run of that spec: the design
+// and delays come from jobspec's TLM step (Runner.Standalone), as for
+// `esetlm -gen`, which prints the same main.go:
 //
 //	esegen -design SW+1 -o /tmp/tlm_sw1
 //
@@ -37,6 +38,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -44,7 +46,6 @@ import (
 	"sort"
 	"strings"
 
-	"ese"
 	"ese/internal/apps"
 	"ese/internal/cdfg"
 	"ese/internal/cli"
@@ -86,14 +87,16 @@ func runStandalone(spec *jobspec.Spec, outDir, module string) error {
 	if spec.Engine != jobspec.EngineTimed {
 		return cli.Input(fmt.Errorf("esegen: only the timed engine has a standalone form (got -engine %s)", spec.Engine))
 	}
-	d, err := spec.BuildDesign()
+	var r jobspec.Runner
+	pl, err := r.Pipeline(spec, jobspec.RunOpts{})
 	if err != nil {
-		return err
+		return cli.Input(err)
 	}
+	defer cli.PrintDiags("esegen", pl.Diagnostics())
 	if module == "" {
 		module = "esegen_" + sanitize(spec.App+"_"+spec.Design)
 	}
-	files, err := ese.GenerateTLMPackage(d, module)
+	d, files, err := r.Standalone(context.Background(), spec, pl, module)
 	if err != nil {
 		return err
 	}

@@ -1,38 +1,46 @@
 // Command esetlm generates and simulates transaction-level models of the
-// built-in MP3 decoder designs (the paper's §5 evaluation platforms).
+// built-in MP3 decoder and JPEG encoder designs (the paper's §5
+// evaluation platforms).
 //
 // Usage:
 //
 //	esetlm -design SW+2 [flags]
 //
-//	-design SW|SW+1|SW+2|SW+4   mapping (default SW)
-//	-frames N                   MP3 frames to decode (default 2)
+//	-app mp3|jpeg               application (default mp3)
+//	-design NAME                mapping (mp3: SW, SW+1, SW+2, SW+4; jpeg:
+//	                            SW, SW+DCT; default SW)
+//	-frames N                   MP3 frames or JPEG blocks (default 2)
 //	-icache/-dcache N           cache sizes in bytes
 //	-engine functional|timed|board   simulation engine (default timed)
 //	-calibrate                  calibrate the PUM on the training workload
 //	-verify                     statically verify the design (IR, PE
-//	                            models, channels) before running (exit 2
-//	                            on findings)
+//	                            models, channels) once before running
+//	                            (exit 2 on findings)
 //	-Werror                     with -verify, treat warnings as errors
 //	-graph                      print the process/channel structure (Fig. 6)
 //	-gen                        print the standalone timed-TLM Go source
 //	                            (the main.go esegen -o writes) and exit
 //	-json                       print the canonical {cycles_by_pe,
 //	                            out_by_pe, steps} JSON summary (matches a
-//	                            standalone esegen binary byte for byte)
-//	-vcd FILE                   write a VCD activity waveform (timed engine)
+//	                            standalone esegen binary byte for byte;
+//	                            functional and timed engines)
+//	-vcd FILE                   write a VCD activity waveform (timed
+//	                            engine; exit 2 otherwise)
 //	-trace-json FILE            write a Chrome trace_event timeline
-//	                            (Perfetto-loadable; timed engine)
+//	                            (Perfetto-loadable; timed engine; exit 2
+//	                            otherwise)
 //	-profile                    print the ranked cycle-attribution report
-//	                            (timed engine)
+//	                            (functional and timed engines; exit 2 on
+//	                            the board)
 //	-profile-json FILE          write the attribution report as JSON
 //	-top N                      rows shown by -profile (default 20)
-//	-timeout D                  wall-clock bound on the whole run, board
-//	                            runs included
+//	-exec auto|gen|compiled|tree   IR execution engine
+//	-timeout D                  wall-clock bound on the whole run,
+//	                            calibration and board runs included
 //
-// The flag→options wiring lives in internal/jobspec, shared with eseest,
-// esebench and the esed daemon: this command is one front end over the
-// same job spec the HTTP API accepts.
+// The spec runs through internal/jobspec's one TLM step
+// (jobspec.Runner.ExecTLM), the executor esed and esedse use for the same
+// job spec the HTTP API accepts: this command only renders its outcome.
 //
 // Exit codes: 0 success, 1 runtime failure (including timeout), 2 usage or
 // input error. Diagnostics go to stderr, results to stdout.
@@ -46,7 +54,6 @@ import (
 	"os"
 	"time"
 
-	"ese"
 	"ese/internal/cli"
 	"ese/internal/jobspec"
 	"ese/internal/platform"
@@ -79,7 +86,7 @@ func main() {
 	flag.BoolVar(&o.jsonOut, "json", false, "print the canonical {cycles_by_pe, out_by_pe, steps} JSON summary instead of text")
 	flag.StringVar(&o.vcdPath, "vcd", "", "write a VCD activity waveform to this file (timed engine)")
 	flag.StringVar(&o.traceJSON, "trace-json", "", "write a Chrome trace_event timeline to this file (timed engine)")
-	flag.BoolVar(&o.profile, "profile", false, "print the cycle-attribution report (timed engine)")
+	flag.BoolVar(&o.profile, "profile", false, "print the cycle-attribution report (functional and timed engines)")
 	flag.StringVar(&o.profileJSON, "profile-json", "", "write the attribution report as JSON to this file (\"-\" = stdout)")
 	flag.IntVar(&o.top, "top", 20, "rows shown by -profile (0 = all)")
 	flag.Parse()
@@ -88,135 +95,114 @@ func main() {
 }
 
 func run(spec *jobspec.Spec, o outputs) error {
+	spec.Profile = o.profile || o.profileJSON != ""
 	if err := spec.Validate(); err != nil {
 		return cli.Input(err)
 	}
-	opts, err := spec.Options()
+	if (o.vcdPath != "" || o.traceJSON != "") && spec.Engine != jobspec.EngineTimed {
+		return cli.Input(fmt.Errorf("-vcd and -trace-json are only supported with the timed engine"))
+	}
+	if o.jsonOut && spec.Engine == jobspec.EngineBoard {
+		return cli.Input(fmt.Errorf("-json is only supported with the functional and timed engines"))
+	}
+	var r jobspec.Runner
+	pl, err := r.Pipeline(spec, jobspec.RunOpts{})
 	if err != nil {
 		return cli.Input(err)
 	}
+	defer cli.PrintDiags("esetlm", pl.Diagnostics())
 	ctx, cancel := spec.WithTimeout(context.Background(), 0)
 	defer cancel()
-	d, err := spec.BuildDesign()
+	switch {
+	case o.graph:
+		d, err := r.Design(ctx, spec, pl)
+		if err != nil {
+			return err
+		}
+		fmt.Print(d.Graph())
+		return nil
+	case o.gen:
+		_, files, err := r.Standalone(ctx, spec, pl, "gentlm")
+		if err != nil {
+			return err
+		}
+		fmt.Print(string(files["main.go"]))
+		return nil
+	}
+	var ev *trace.Events
+	if o.vcdPath != "" || o.traceJSON != "" {
+		ev = trace.NewEvents()
+	}
+	run, err := r.ExecTLM(ctx, spec, pl, ev)
 	if err != nil {
 		return err
 	}
-	if spec.Verify {
-		// One explicit design-level verification covers every engine path,
-		// including -graph/-gen/board which bypass the pipeline.
-		ds := ese.VerifyDesign(d)
-		for _, dg := range ds {
-			fmt.Fprintf(os.Stderr, "esetlm: %s\n", dg)
-		}
-		if dg, bad := ese.VerifyFailure(ds, spec.Werror); bad {
-			return dg
-		}
+	if err := writeActivity(ev, o); err != nil {
+		return err
 	}
-	if o.graph {
-		fmt.Print(d.Graph())
-		return nil
-	}
-	if o.gen {
-		src, err := ese.GenerateTLM(d)
-		if err != nil {
+	switch {
+	case run.Board != nil:
+		printBoard(run.Board, run.Design)
+	case o.jsonOut:
+		if err := printJSON(run.TLM); err != nil {
 			return err
-		}
-		fmt.Print(src)
-		return nil
-	}
-	switch spec.Engine {
-	case jobspec.EngineFunctional:
-		pl := ese.NewPipeline(opts)
-		defer cli.PrintDiags("esetlm", pl.Diagnostics())
-		res, err := pl.SimulateCtx(ctx, d, tlm.Options{})
-		if err != nil {
-			return err
-		}
-		if o.jsonOut {
-			return printJSON(res)
-		}
-		printTLM(res, d)
-	case jobspec.EngineTimed:
-		pl := ese.NewPipeline(opts)
-		defer cli.PrintDiags("esetlm", pl.Diagnostics())
-		doProfile := o.profile || o.profileJSON != ""
-		simOpts := tlm.Options{
-			Timed:    true,
-			WaitMode: tlm.WaitAtTransactions,
-			Profile:  doProfile,
-		}
-		if o.vcdPath != "" || o.traceJSON != "" {
-			simOpts.Events = trace.NewEvents()
-		}
-		res, err := pl.SimulateCtx(ctx, d, simOpts)
-		if err != nil {
-			return err
-		}
-		ev := simOpts.Events
-		if o.vcdPath != "" {
-			if werr := os.WriteFile(o.vcdPath, []byte(ev.RenderVCD()), 0o644); werr != nil {
-				return werr
-			}
-			fmt.Printf("wrote waveform to %s\n", o.vcdPath)
-		}
-		if o.traceJSON != "" {
-			data, jerr := ev.RenderJSON()
-			if jerr != nil {
-				return jerr
-			}
-			if werr := os.WriteFile(o.traceJSON, append(data, '\n'), 0o644); werr != nil {
-				return werr
-			}
-			fmt.Printf("wrote trace timeline to %s (%d events)\n", o.traceJSON, ev.Len())
-		}
-		if o.jsonOut {
-			if err := printJSON(res); err != nil {
-				return err
-			}
-		} else {
-			fmt.Printf("annotation time: %v\n", res.AnnoTime.Round(time.Microsecond))
-			printTLM(res, d)
-		}
-		if doProfile {
-			rep, err := jobspec.ProfileTLM(ctx, pl, d, res)
-			if err != nil {
-				return err
-			}
-			if err := cli.WriteProfile(rep, o.profileJSON, o.profile, o.top); err != nil {
-				return err
-			}
-		}
-	case jobspec.EngineBoard:
-		if o.jsonOut {
-			return cli.Input(fmt.Errorf("-json is only supported with the functional and timed engines"))
-		}
-		brs, err := rtl.RunBoards(ctx, []*platform.Design{d}, 0)
-		if err != nil {
-			return err
-		}
-		res := brs[0]
-		fmt.Printf("design %s on cycle-accurate board: %v wall\n", d.Name, res.Wall.Round(time.Millisecond))
-		fmt.Printf("total time: %d bus cycles (%.3f ms simulated)\n",
-			res.EndCycles(d.Bus.ClockHz), float64(res.EndPs)/1e9)
-		for _, pe := range d.PEs {
-			r := res.PEs[pe.Name]
-			fmt.Printf("  PE %-10s %12d cycles  %10d instrs", r.Name, r.Cycles, r.Steps)
-			if pe.Kind == ese.Processor {
-				fmt.Printf("  ihit=%.4f dhit=%.4f brmiss=%.3f",
-					r.Mem.IHitRate, r.Mem.DHitRate, r.BranchMiss)
-			}
-			fmt.Println()
 		}
 	default:
-		return cli.Input(fmt.Errorf("unknown engine %q", spec.Engine))
+		if spec.Engine == jobspec.EngineTimed {
+			fmt.Printf("annotation time: %v\n", run.TLM.AnnoTime.Round(time.Microsecond))
+		}
+		printTLM(run.TLM, run.Design)
+	}
+	if run.Profile == nil {
+		return nil
+	}
+	return cli.WriteProfile(run.Profile, o.profileJSON, o.profile, o.top)
+}
+
+// writeActivity writes the timed run's activity record ev (nil when
+// neither -vcd nor -trace-json was given) to the files they name.
+func writeActivity(ev *trace.Events, o outputs) error {
+	if o.vcdPath != "" {
+		if err := os.WriteFile(o.vcdPath, []byte(ev.RenderVCD()), 0o644); err != nil {
+			return err
+		}
+		fmt.Printf("wrote waveform to %s\n", o.vcdPath)
+	}
+	if o.traceJSON != "" {
+		data, err := ev.RenderJSON()
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(o.traceJSON, append(data, '\n'), 0o644); err != nil {
+			return err
+		}
+		fmt.Printf("wrote trace timeline to %s (%d events)\n", o.traceJSON, ev.Len())
 	}
 	return nil
+}
+
+// printBoard renders a board run: end time and, per PE, cycles and
+// retired instructions, with a processor's cache hit and branch miss
+// rates.
+func printBoard(res *rtl.BoardResult, d *platform.Design) {
+	fmt.Printf("design %s on cycle-accurate board: %v wall\n", d.Name, res.Wall.Round(time.Millisecond))
+	fmt.Printf("total time: %d bus cycles (%.3f ms simulated)\n",
+		res.EndCycles(d.Bus.ClockHz), float64(res.EndPs)/1e9)
+	for _, pe := range d.PEs {
+		r := res.PEs[pe.Name]
+		fmt.Printf("  PE %-10s %12d cycles  %10d instrs", r.Name, r.Cycles, r.Steps)
+		if pe.Kind == platform.Processor {
+			fmt.Printf("  ihit=%.4f dhit=%.4f brmiss=%.3f",
+				r.Mem.IHitRate, r.Mem.DHitRate, r.BranchMiss)
+		}
+		fmt.Println()
+	}
 }
 
 // printJSON emits the canonical {cycles_by_pe, out_by_pe, steps} summary —
 // the same object (byte for byte) a standalone esegen-emitted TLM binary
 // prints for an identical spec, which is what the CI codegen job diffs.
-func printJSON(res *ese.TLMResult) error {
+func printJSON(res *tlm.Result) error {
 	outByPE := make(map[string][]int32, len(res.OutByPE))
 	for key, outs := range res.OutByPE {
 		if outs == nil {
@@ -237,7 +223,7 @@ func printJSON(res *ese.TLMResult) error {
 	return nil
 }
 
-func printTLM(res *ese.TLMResult, d *ese.Design) {
+func printTLM(res *tlm.Result, d *platform.Design) {
 	fmt.Printf("design %s: %v wall, %d IR instructions\n", res.Design, res.Wall.Round(time.Millisecond), res.Steps)
 	if res.EndPs > 0 {
 		fmt.Printf("total time: %d bus cycles (%.3f ms simulated)\n",

@@ -186,7 +186,9 @@ func CompileC(name, src string) (*Program, error) {
 
 // Validation (see internal/verify): the static IR verifier, the PUM lint
 // and the metamorphic/differential oracle suite. The same checks run
-// inside the pipeline when PipelineOptions.Verify is set.
+// inside the pipeline when PipelineOptions.Verify is set: CompileCtx
+// verifies the program, AnnotateCtx lints the model, and
+// Pipeline.VerifyDesign verifies a mapped design.
 
 // VerifyProgram statically verifies a lowered program against the
 // structural invariants every IR consumer assumes (terminators, target

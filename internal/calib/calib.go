@@ -42,15 +42,22 @@ type Training struct {
 // provenance entry per (configuration, program) pair, labeled with the
 // training name; the per-program reports are returned alongside for
 // inspection. limit bounds each training run's dynamic steps (0 = none);
-// no deadline bounds a calibration.
+// Calibrate runs under no deadline (see CalibrateCtx).
 func Calibrate(base *pum.PUM, trains []Training, cfgs []pum.CacheCfg, limit uint64) (*pum.PUM, []*rtl.CalibReport, error) {
+	return CalibrateCtx(context.Background(), base, trains, cfgs, limit)
+}
+
+// CalibrateCtx is Calibrate under ctx: every training run polls it, and
+// once it is canceled or past its deadline the calibration fails with
+// diag.ErrCanceled or diag.ErrDeadline.
+func CalibrateCtx(ctx context.Context, base *pum.PUM, trains []Training, cfgs []pum.CacheCfg, limit uint64) (*pum.PUM, []*rtl.CalibReport, error) {
 	if len(trains) == 0 {
 		return nil, nil, fmt.Errorf("calib: no training programs")
 	}
 	names := make([]string, len(trains))
 	reps := make([]*rtl.CalibReport, len(trains))
 	for i, tr := range trains {
-		rep, err := measure(context.Background(), base, tr, cfgs, limit)
+		rep, err := measure(ctx, base, tr, cfgs, limit)
 		if err != nil {
 			return nil, nil, err
 		}

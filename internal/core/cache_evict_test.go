@@ -34,10 +34,10 @@ func residentTables(c *Cache) string {
 // iteration order, so two caches fed the identical operation sequence
 // could end up holding different entries — bounded-cache hit rates (and
 // every timing baseline derived from them) wobbled run to run. Victims
-// must now be a pure function of (limit, seed, operation sequence).
+// must now be a pure function of (limit, operation sequence).
 func TestBoundedCacheEvictionDeterministic(t *testing.T) {
-	run := func(seed uint64) (*Cache, string, string) {
-		c := NewCacheLimitSeeded(8, seed)
+	run := func() (*Cache, string, string) {
+		c := NewCacheLimit(8)
 		for i := 0; i < 200; i++ {
 			putSched(c, schedKey{fallback: i % 40}, SchedResult{Sched: i})
 			c.tablePut(tableKey{fallback: i % 40}, blockTable(1+i%3, i))
@@ -46,27 +46,17 @@ func TestBoundedCacheEvictionDeterministic(t *testing.T) {
 		}
 		return c, residentSched(c), residentTables(c)
 	}
-	c1, s1, e1 := run(42)
-	c2, s2, e2 := run(42)
+	c1, s1, e1 := run()
+	c2, s2, e2 := run()
 	if s1 != s2 {
-		t.Fatalf("same seed, same ops, different resident schedule sets:\n%s\n%s", s1, s2)
+		t.Fatalf("same ops, different resident schedule sets:\n%s\n%s", s1, s2)
 	}
 	if e1 != e2 {
-		t.Fatalf("same seed, same ops, different resident table sets:\n%s\n%s", e1, e2)
+		t.Fatalf("same ops, different resident table sets:\n%s\n%s", e1, e2)
 	}
 	if c1.Stats().Evictions != c2.Stats().Evictions {
 		t.Fatalf("eviction counts diverged: %d vs %d",
 			c1.Stats().Evictions, c2.Stats().Evictions)
-	}
-	// The default-seed constructor is deterministic too.
-	d1 := NewCacheLimit(4)
-	d2 := NewCacheLimit(4)
-	for i := 0; i < 50; i++ {
-		putSched(d1, schedKey{fallback: i}, SchedResult{})
-		putSched(d2, schedKey{fallback: i}, SchedResult{})
-	}
-	if residentSched(d1) != residentSched(d2) {
-		t.Fatal("NewCacheLimit caches diverged under identical put sequences")
 	}
 }
 
@@ -74,7 +64,7 @@ func TestBoundedCacheEvictionDeterministic(t *testing.T) {
 // victims but already gone), no leaks past the bound, and a resident
 // block-estimate count equal to the tables' sizes.
 func TestBoundedCacheKeyListConsistent(t *testing.T) {
-	c := NewCacheLimitSeeded(3, 7)
+	c := NewCacheLimit(3)
 	for i := 0; i < 100; i++ {
 		putSched(c, schedKey{fallback: i % 10}, SchedResult{Sched: i})
 		c.tablePut(tableKey{fallback: i % 10}, blockTable(1+i%2, i))

@@ -141,19 +141,10 @@ func NewCache() *Cache {
 // results and at most maxEntries block estimates across its tables (a
 // table larger than the whole bound is returned but never stored);
 // maxEntries <= 0 means unbounded. Eviction at the bound is deterministic:
-// the same sequence of gets and puts always drops the same victims (seed
-// fixed at 1). Callers that want a distinct-but-reproducible eviction
-// pattern use NewCacheLimitSeeded.
+// two caches built with the same limit and fed the same sequence of gets
+// and puts drop the same victims (a splitmix64 stream seeded at 1) — the
+// property kill/resume DSE sweeps rely on for byte-identical reruns.
 func NewCacheLimit(maxEntries int) *Cache {
-	return NewCacheLimitSeeded(maxEntries, 1)
-}
-
-// NewCacheLimitSeeded is NewCacheLimit with an explicit seed for the
-// eviction victim picker. Two caches built with the same limit and seed
-// and fed the same operation sequence evict identical victims — the
-// property the benchmark harness and kill/resume DSE sweeps rely on for
-// byte-identical reruns.
-func NewCacheLimitSeeded(maxEntries int, seed uint64) *Cache {
 	if maxEntries < 0 {
 		maxEntries = 0
 	}
@@ -161,7 +152,7 @@ func NewCacheLimitSeeded(maxEntries int, seed uint64) *Cache {
 		sched:  make(map[schedKey]SchedResult),
 		tables: make(map[tableKey]*Table),
 		limit:  maxEntries,
-		rng:    seed,
+		rng:    1,
 	}
 }
 

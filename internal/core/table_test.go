@@ -92,7 +92,7 @@ func sameTable(t *testing.T, label string, tab *core.Table, want []core.Estimate
 // per-block composition — on the building call and on the call that hits.
 func TestEstimateTablesMatchUncached(t *testing.T) {
 	spec := jobspec.DefaultTLM()
-	base, err := spec.BaseModel()
+	base, err := new(jobspec.Runner).BaseModel(&spec)
 	if err != nil {
 		t.Fatal(err)
 	}

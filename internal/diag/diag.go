@@ -115,11 +115,6 @@ func (l *List) Add(d Diagnostic) {
 	l.mu.Unlock()
 }
 
-// Infof emits an Info diagnostic.
-func (l *List) Infof(stage Stage, pos, format string, args ...any) {
-	l.Add(Diagnostic{Severity: Info, Stage: stage, Pos: pos, Msg: fmt.Sprintf(format, args...)})
-}
-
 // Warnf emits a Warning diagnostic.
 func (l *List) Warnf(stage Stage, pos, format string, args ...any) {
 	l.Add(Diagnostic{Severity: Warning, Stage: stage, Pos: pos, Msg: fmt.Sprintf(format, args...)})

@@ -8,7 +8,8 @@
 // estimates a program against a PE model (annotate.Annotated); DelaysCtx
 // estimates every PE of a mapped design into the per-PE delay tables the
 // timed TLM and the Go generator consume; SimulateCtx runs a mapped design
-// (tlm.Result), annotating it first when the caller passes no tables.
+// (tlm.Result), annotating it first when the caller passes no tables;
+// VerifyDesign verifies a mapped design, once, before any of those.
 // Every annotation a pipeline makes uses Options.Detail, fixed when the
 // pipeline is built; a caller that varies detail builds one pipeline per
 // level over one shared cache. A caller bounds a run with its context's
@@ -57,11 +58,6 @@ type Options struct {
 	// Workers bounds the annotation worker pool; zero or negative uses
 	// GOMAXPROCS, 1 annotates serially.
 	Workers int
-	// CacheLimit bounds the cache to that many schedule entries and that
-	// many block estimates across its estimate tables (seeded random
-	// replacement beyond it, counted as evictions); zero or negative means
-	// unbounded.
-	CacheLimit int
 	// Detail selects the PUM sub-models of every annotation the pipeline
 	// makes — AnnotateCtx, DelaysCtx, and SimulateCtx/RunTimed when the
 	// caller passes no delay tables; nil means core.FullDetail (the
@@ -81,19 +77,18 @@ type Options struct {
 	Engine interp.EngineKind
 	// Verify runs the static IR verifier after the front end (CompileCtx),
 	// the PUM lint before annotation (AnnotateCtx), and the full design
-	// verification before a design is annotated or simulated (DelaysCtx,
-	// SimulateCtx). Findings land in Diagnostics(); Error-severity findings
-	// fail the stage.
+	// verification in VerifyDesign, which a design's caller runs once
+	// before it annotates, simulates or generates the design. Findings
+	// land in Diagnostics(); Error-severity findings fail the stage.
 	Verify bool
 	// Werror promotes verification Warnings (e.g. op-mapping coverage
 	// gaps) to stage failures. Only meaningful with Verify.
 	Werror bool
 	// Cache, when non-nil, injects a shared schedule/estimate cache
-	// instead of the per-pipeline one New would otherwise construct.
-	// Several pipelines (one per job in the esed daemon) can point at one
-	// process-wide handle so every request shares warmed schedules.
-	// CacheLimit is ignored for an injected cache (the owner chose its
-	// bound).
+	// instead of the unbounded per-pipeline one New would otherwise
+	// construct. Several pipelines (one per job in the esed daemon) can
+	// point at one process-wide handle so every request shares warmed
+	// schedules; a bounded cache is injected (core.NewCacheLimit).
 	Cache *core.Cache
 	// Metrics, when non-nil, injects a shared metric registry instead of
 	// a per-pipeline one, letting a long-lived process aggregate stage
@@ -139,7 +134,7 @@ type Pipeline struct {
 func New(opts Options) *Pipeline {
 	pl := &Pipeline{opts: opts, detail: core.FullDetail, cache: opts.Cache, metrics: opts.Metrics}
 	if pl.cache == nil {
-		pl.cache = core.NewCacheLimit(opts.CacheLimit)
+		pl.cache = core.NewCache()
 	}
 	if pl.metrics == nil {
 		pl.metrics = metrics.NewRegistry()
@@ -320,10 +315,9 @@ func (pl *Pipeline) AnnotateCtx(ctx context.Context, prog *cdfg.Program, p *pum.
 	return pl.annotate(ctx, prog, p)
 }
 
-// annotate is the shared annotation stage. It runs no PUM lint: the
-// design-level paths verify with verify.Design, which lints each PE model
-// scoped to its own entry functions (a whole-program lint would hold a
-// hardware PE to op classes it never executes).
+// annotate is the shared annotation stage. It runs no PUM lint: a design
+// is verified by VerifyDesign, which lints each PE model scoped to its own
+// entry functions.
 func (pl *Pipeline) annotate(ctx context.Context, prog *cdfg.Program, p *pum.PUM) (*annotate.Annotated, error) {
 	var a *annotate.Annotated
 	start := time.Now()
@@ -348,25 +342,26 @@ func (pl *Pipeline) annotate(ctx context.Context, prog *cdfg.Program, p *pum.PUM
 
 // ------------------------------------------------------------- Build / Sim
 
+// VerifyDesign verifies a mapped design under Options.Verify (a no-op
+// without it): the program, each PE model linted against the op classes
+// its own processes reach (a whole-program lint would hold a hardware PE
+// to classes it never executes), and the channel topology. DelaysCtx and
+// SimulateCtx do not verify, so a caller verifies a design once, whatever
+// it then does with it.
+func (pl *Pipeline) VerifyDesign(d *platform.Design) error {
+	if !pl.opts.Verify {
+		return nil
+	}
+	return pl.runVerify(verify.Design(d))
+}
+
 // DelaysCtx annotates a design's program once per PE at the pipeline's
 // detail level through the cache and returns the per-PE delay tables the
 // timed TLM consumes (keyed by PE name, each in dense program block order
 // and shared read-only with the cache), plus the wall-clock annotation time
 // (the paper's "Anno." column). Cancellation or a strict-mode mapping
-// failure aborts the per-PE annotation loop with the typed error. With
-// Options.Verify the whole design is verified first (program, PE models
-// scoped to their entries, channel topology).
+// failure aborts the per-PE annotation loop with the typed error.
 func (pl *Pipeline) DelaysCtx(ctx context.Context, d *platform.Design) (map[string][]float64, time.Duration, error) {
-	if pl.opts.Verify {
-		if err := pl.runVerify(verify.Design(d)); err != nil {
-			return nil, 0, err
-		}
-	}
-	return pl.delays(ctx, d)
-}
-
-// delays computes the per-PE delay tables of an already verified design.
-func (pl *Pipeline) delays(ctx context.Context, d *platform.Design) (map[string][]float64, time.Duration, error) {
 	start := time.Now()
 	out := make(map[string][]float64, len(d.PEs))
 	for _, pe := range d.PEs {
@@ -390,14 +385,9 @@ func (pl *Pipeline) delays(ctx context.Context, d *platform.Design) (map[string]
 // together with diag.ErrCanceled/ErrDeadline; a panic anywhere in the
 // stage surfaces as a *diag.PanicError instead of killing the process.
 func (pl *Pipeline) SimulateCtx(ctx context.Context, d *platform.Design, opts tlm.Options) (*tlm.Result, error) {
-	if pl.opts.Verify {
-		if err := pl.runVerify(verify.Design(d)); err != nil {
-			return nil, err
-		}
-	}
 	var annoTime time.Duration
 	if opts.Timed && opts.Delays == nil {
-		dm, dur, err := pl.delays(ctx, d)
+		dm, dur, err := pl.DelaysCtx(ctx, d)
 		if err != nil {
 			return nil, err
 		}

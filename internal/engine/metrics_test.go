@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"ese/internal/core"
 	"ese/internal/platform"
 	"ese/internal/pum"
 	"ese/internal/tlm"
@@ -96,7 +97,7 @@ func TestPipelineMetricsSnapshot(t *testing.T) {
 // TestCacheLimitEvicts pins the bounded-cache contract: entries beyond the
 // limit evict a resident entry and count it.
 func TestCacheLimitEvicts(t *testing.T) {
-	pl := New(Options{CacheLimit: 4})
+	pl := New(Options{Cache: core.NewCacheLimit(4)})
 	prog, err := pl.CompileCtx(context.Background(), "m.c", metricsSrc)
 	if err != nil {
 		t.Fatalf("Compile: %v", err)

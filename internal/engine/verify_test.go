@@ -59,10 +59,11 @@ func TestPipelineVerifyOption(t *testing.T) {
 	}
 }
 
-// TestPipelineVerifyDesign checks the design-level seam: SimulateCtx on a
+// TestPipelineVerifyDesign checks the design-level seam: VerifyDesign on a
 // verified pipeline accepts a clean design (including under Werror, which
 // requires the PE-scoped coverage lint — a whole-program lint would
-// reject the hardware PEs) and rejects a corrupted one.
+// reject the hardware PEs), which then simulates, and rejects a corrupted
+// one; without Options.Verify it verifies nothing.
 func TestPipelineVerifyDesign(t *testing.T) {
 	mb, err := pum.MicroBlaze().WithCache(pum.CacheCfg{ISize: 8192, DSize: 4096})
 	if err != nil {
@@ -77,17 +78,24 @@ func TestPipelineVerifyDesign(t *testing.T) {
 		return d
 	}
 	pl := New(Options{Verify: true, Werror: true})
-	if _, err := pl.SimulateCtx(context.Background(), build(), tlm.Options{
+	clean := build()
+	if err := pl.VerifyDesign(clean); err != nil {
+		t.Fatalf("verification of a clean design failed: %v", err)
+	}
+	if _, err := pl.SimulateCtx(context.Background(), clean, tlm.Options{
 		Timed: true, WaitMode: tlm.WaitAtTransactions,
 	}); err != nil {
-		t.Fatalf("verified simulation of a clean design failed: %v", err)
+		t.Fatalf("simulation of a verified design failed: %v", err)
 	}
 
 	corrupt := build()
 	corrupt.PEs[0].PUM.Branch.Penalty = -3
-	_, err = pl.SimulateCtx(context.Background(), corrupt, tlm.Options{Timed: true})
+	err = pl.VerifyDesign(corrupt)
 	var d diag.Diagnostic
 	if !errors.As(err, &d) || d.Stage != diag.StageVerify {
 		t.Fatalf("corrupt design: want verify-stage diagnostic, got %v", err)
+	}
+	if err := New(Options{}).VerifyDesign(corrupt); err != nil {
+		t.Fatalf("a pipeline without Verify verified a design: %v", err)
 	}
 }

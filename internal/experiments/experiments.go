@@ -64,22 +64,18 @@ type leveled struct {
 // NewSetup calibrates the MicroBlaze model on the MP3 training workload
 // (apps.TrainMP3) and evaluates on frames frames of the default seed; opts
 // configures every pipeline of the setup (strictness, workers), and its
-// Detail that of Pipe. The calibration runs under no deadline
-// (calib.Calibrate); a ctx that has ended by then fails the setup.
+// Detail that of Pipe. The calibration runs under ctx.
 func NewSetup(ctx context.Context, frames int, opts engine.Options) (*Setup, error) {
 	ts, err := calib.Trainings("mp3")
 	if err != nil {
 		return nil, err
 	}
-	mb, _, err := calib.Calibrate(pum.MicroBlaze(), ts, pum.StandardCacheConfigs, 0)
+	mb, _, err := calib.CalibrateCtx(ctx, pum.MicroBlaze(), ts, pum.StandardCacheConfigs, 0)
 	if err != nil {
 		return nil, err
 	}
-	if err := diag.FromContext(ctx); err != nil {
-		return nil, err
-	}
 	if opts.Cache == nil {
-		opts.Cache = core.NewCacheLimit(opts.CacheLimit)
+		opts.Cache = core.NewCache()
 	}
 	if opts.Metrics == nil {
 		opts.Metrics = metrics.NewRegistry()

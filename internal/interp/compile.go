@@ -196,15 +196,6 @@ type CompiledProgram struct {
 // NumBlocks returns the number of densely numbered basic blocks.
 func (cp *CompiledProgram) NumBlocks() int { return len(cp.blocks) }
 
-// BlockID returns the dense program-wide id of a block, or -1 if the block
-// is not part of the compiled program.
-func (cp *CompiledProgram) BlockID(b *cdfg.Block) int32 {
-	if id, ok := cp.blockID[b]; ok {
-		return id
-	}
-	return -1
-}
-
 // Source returns the CDFG program this was compiled from.
 func (cp *CompiledProgram) Source() *cdfg.Program { return cp.src }
 

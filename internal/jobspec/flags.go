@@ -7,8 +7,9 @@ import (
 
 // The Bind* helpers register the flag groups the CLI front ends share,
 // each writing straight into the Spec's fields. Groups are split by which
-// commands need them: eseest binds cache+model+strict+verify+run, esetlm
-// binds workload+cache+verify+run, esebench binds run only. Defaults come
+// commands need them: eseest binds cache+strict+verify+run+profile (its
+// -pum argument goes through LoadModelArg), esetlm binds
+// workload+cache+verify+run, esegen workload+cache, esebench run only. Defaults come
 // from the Spec the flags are bound onto, so Default()/DefaultTLM() keep
 // every front end's historical defaults in one place.
 
@@ -36,12 +37,6 @@ func (s *Spec) BindVerify(fs *flag.FlagSet) {
 func (s *Spec) BindStrict(fs *flag.FlagSet) {
 	fs.BoolVar(&s.Strict, "strict", s.Strict, "reject PE models that do not map every op class used")
 	fs.IntVar(&s.Fallback, "fallback", s.Fallback, "fallback cycles for unmapped op classes")
-}
-
-// BindModel registers eseest's -pum model selector. The flag value may be
-// a built-in name or a JSON file path; ResolveModelArg loads it.
-func (s *Spec) BindModel(fs *flag.FlagSet) {
-	fs.StringVar(&s.Model.Name, "pum", s.Model.Name, "PE model name or JSON file")
 }
 
 // BindProfile registers eseest's profiled-execution flags: -entry, -top

@@ -1,10 +1,14 @@
 // Package jobspec defines the request-shaped description of one
-// estimation or TLM job — the configuration surface that cmd/eseest,
-// cmd/esetlm, cmd/esebench and the esed daemon all share. Before this
-// package each front end re-implemented the same flag→Options wiring;
-// now a Spec is the single source of truth: the CLIs bind their flags
-// onto one, the daemon decodes one from a JSON request body, and both
-// hand it to a Runner that executes it through one engine.Pipeline.
+// estimation, TLM or calibration job — the configuration surface that
+// cmd/eseest, cmd/esetlm, cmd/esegen, cmd/esebench, cmd/esedse and the
+// esed daemon all share. A Spec is the single source of truth: the CLIs
+// bind their flags onto one, the daemon decodes one from a JSON request
+// body, and both hand it to a Runner, which executes it through the one
+// engine.Pipeline Runner.Pipeline builds for the job. A TLM spec has one
+// executor, Runner.ExecTLM — esed and esedse reach it through RunWith,
+// esetlm calls it and renders its outcome, and esetlm -graph/-gen and
+// esegen take its design half (Runner.Design, Runner.Standalone) — and an
+// estimate spec is annotated by Spec.Annotate, for eseest as for esed.
 //
 // A Spec is deliberately plain data (JSON-codable, no pointers into IR),
 // so it can be validated, fingerprinted and coalesced: Fingerprint()
@@ -238,7 +242,8 @@ type Spec struct {
 	Timeout Duration `json:"timeout,omitempty"`
 	// Workers bounds the annotation worker pool (0 = GOMAXPROCS).
 	Workers int `json:"workers,omitempty"`
-	// Profile additionally returns the ranked cycle-attribution profile.
+	// Profile additionally returns the ranked cycle-attribution profile
+	// (estimation jobs, and TLM jobs on the functional or timed engine).
 	Profile bool `json:"profile,omitempty"`
 	// Top bounds the profile rows returned (0 = all).
 	Top int `json:"top,omitempty"`
@@ -372,6 +377,9 @@ func (s *Spec) Validate() error {
 		case EngineFunctional, EngineTimed, EngineBoard:
 		default:
 			return fmt.Errorf("jobspec: unknown engine %q (want functional, timed or board)", s.Engine)
+		}
+		if s.Profile && s.Engine == EngineBoard {
+			return fmt.Errorf("jobspec: the board engine has no cycle-attribution profile (want functional or timed)")
 		}
 		if err := s.Tune.validate(); err != nil {
 			return err

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"flag"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -63,6 +64,7 @@ func TestValidate(t *testing.T) {
 		func(s *Spec) { s.App, s.Design, s.Frames = AppJPEG, "SW", MaxFrames+1 },
 		func(s *Spec) { s.Engine = "quantum" },
 		func(s *Spec) { s.Tune = &Tune{BranchPenalty: f64(1e300)} },
+		func(s *Spec) { s.Engine, s.Profile = EngineBoard, true },
 	}
 	for i, mut := range badTLM {
 		s := DefaultTLM()
@@ -165,17 +167,15 @@ func TestFlagBinding(t *testing.T) {
 	s.BindCache(fs)
 	s.BindVerify(fs)
 	s.BindStrict(fs)
-	s.BindModel(fs)
 	if err := fs.Parse([]string{
 		"-exec", "tree", "-timeout", "2s", "-icache", "1024", "-dcache", "512",
-		"-verify", "-Werror", "-strict", "-fallback", "7", "-pum", "dualissue",
+		"-verify", "-Werror", "-strict", "-fallback", "7",
 	}); err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
 	if s.Exec != "tree" || time.Duration(s.Timeout) != 2*time.Second ||
 		s.ICache != 1024 || s.DCache != 512 ||
-		!s.Verify || !s.Werror || !s.Strict || s.Fallback != 7 ||
-		s.Model.Name != "dualissue" {
+		!s.Verify || !s.Werror || !s.Strict || s.Fallback != 7 {
 		t.Fatalf("flags not bound: %+v", s)
 	}
 
@@ -295,6 +295,35 @@ func TestRunnerTLMFunctionalAndTimed(t *testing.T) {
 	}
 }
 
+// TestRunnerVerifiesTLMDesignOnce: a verify:true TLM job verifies its
+// design exactly once through the job's pipeline, whatever its engine
+// (the board included), and a job without verify not at all.
+func TestRunnerVerifiesTLMDesignOnce(t *testing.T) {
+	var r Runner
+	for _, engine := range []string{EngineFunctional, EngineTimed, EngineBoard} {
+		for _, verify := range []bool{false, true} {
+			s := DefaultTLM()
+			s.Frames, s.Calibrate, s.Engine, s.Verify = 1, false, engine, verify
+			var n atomic.Int32
+			hook := func(stage diag.Stage, _ time.Duration) {
+				if stage == diag.StageVerify {
+					n.Add(1)
+				}
+			}
+			if _, err := r.RunWith(context.Background(), &s, RunOpts{StageHook: hook}); err != nil {
+				t.Fatalf("%s, verify %v: %v", engine, verify, err)
+			}
+			want := int32(0)
+			if verify {
+				want = 1
+			}
+			if got := n.Load(); got != want {
+				t.Errorf("%s, verify %v: %d verify stages, want %d", engine, verify, got, want)
+			}
+		}
+	}
+}
+
 func TestRunnerCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -316,8 +345,8 @@ const loopSrc = `int x; void main() { while (1) { x = x + 1; } }`
 
 // TestRunnerTimeoutBoundsWholeJob checks that a job's timeout — the
 // spec's own, else the Runner's default — bounds the profiled execution
-// as well as the pipeline stages, and a board job's functional pass and
-// replay.
+// as well as the pipeline stages, a board job's functional pass and
+// replay, and a calibration job's training runs.
 func TestRunnerTimeoutBoundsWholeJob(t *testing.T) {
 	loop := func() *Spec {
 		s := estimateSpec()
@@ -330,6 +359,10 @@ func TestRunnerTimeoutBoundsWholeJob(t *testing.T) {
 		s.Engine, s.Frames, s.Calibrate = EngineBoard, 400, false
 		return &s
 	}
+	calibrate := func() *Spec {
+		s := DefaultCalibrate()
+		return &s
+	}
 	for _, tc := range []struct {
 		name    string
 		r       *Runner
@@ -339,6 +372,8 @@ func TestRunnerTimeoutBoundsWholeJob(t *testing.T) {
 		{"runner default", &Runner{DefaultTimeout: 200 * time.Millisecond}, loop, 0},
 		{"spec timeout", &Runner{}, loop, 200 * time.Millisecond},
 		{"board job", &Runner{}, board, 200 * time.Millisecond},
+		// The merged calibration takes over 100 ms.
+		{"calibrate job", &Runner{}, calibrate, 20 * time.Millisecond},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := tc.spec()

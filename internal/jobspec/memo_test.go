@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"ese/internal/core"
+	"ese/internal/engine"
 	"ese/internal/metrics"
 )
 
@@ -28,7 +29,7 @@ func TestProgramMemoSharing(t *testing.T) {
 	reg := metrics.NewRegistry()
 	r := &Runner{Metrics: reg}
 	base := memoBase()
-	d0, _, err := r.design(&base)
+	d0, err := r.Design(context.Background(), &base, engine.New(engine.Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestProgramMemoSharing(t *testing.T) {
 	for name, mut := range shared {
 		s := memoBase()
 		mut(&s)
-		d, _, err := r.design(&s)
+		d, err := r.Design(context.Background(), &s, engine.New(engine.Options{}))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -60,14 +61,14 @@ func TestProgramMemoSharing(t *testing.T) {
 	for name, mut := range distinct {
 		s := memoBase()
 		mut(&s)
-		d, _, err := r.design(&s)
+		d, err := r.Design(context.Background(), &s, engine.New(engine.Options{}))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if d.Program == d0.Program {
 			t.Errorf("%s: spec shares the base program; want its own", name)
 		}
-		again, _, err := r.design(&s)
+		again, err := r.Design(context.Background(), &s, engine.New(engine.Options{}))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,35 +1,60 @@
 package jobspec
 
 import (
+	"context"
 	"fmt"
 	"os"
 
+	"ese/internal/annotate"
 	"ese/internal/apps"
-	"ese/internal/calib"
 	"ese/internal/cdfg"
+	"ese/internal/engine"
 	"ese/internal/platform"
 	"ese/internal/pum"
 )
 
-// ResolveModel materializes the spec's PE model: inline JSON wins, then
-// the built-in model names. It does not touch the filesystem — the
-// daemon-safe path. The returned model does not yet carry the spec's
-// cache configuration; ApplyCache does that.
-func (s *Spec) ResolveModel() (*pum.PUM, error) {
-	if len(s.Model.JSON) > 0 {
-		return pum.FromJSON(s.Model.JSON)
-	}
-	switch s.Model.Name {
-	case "microblaze":
-		return pum.MicroBlaze(), nil
-	case "customhw":
-		return pum.CustomHW("customhw", 100_000_000), nil
-	case "dualissue":
-		return pum.DualIssue(), nil
-	case "":
+// model materializes an estimation job's PE model — inline JSON wins,
+// then the built-in model names — and folds in the spec's cache
+// configuration under the front ends' shared convention: models that
+// already carry cache statistics get retargeted to the requested sizes,
+// and an explicit -icache 0 forces the uncached configuration even on
+// models without calibration tables. It does not touch the filesystem —
+// the daemon-safe path.
+func (s *Spec) model() (*pum.PUM, error) {
+	var m *pum.PUM
+	switch {
+	case len(s.Model.JSON) > 0:
+		var err error
+		if m, err = pum.FromJSON(s.Model.JSON); err != nil {
+			return nil, err
+		}
+	case s.Model.Name == "microblaze":
+		m = pum.MicroBlaze()
+	case s.Model.Name == "customhw":
+		m = pum.CustomHW("customhw", 100_000_000)
+	case s.Model.Name == "dualissue":
+		m = pum.DualIssue()
+	case s.Model.Name == "":
 		return nil, fmt.Errorf("jobspec: no PE model selected")
+	default:
+		return nil, fmt.Errorf("jobspec: unknown PE model %q (want microblaze, customhw, dualissue or inline JSON)", s.Model.Name)
 	}
-	return nil, fmt.Errorf("jobspec: unknown PE model %q (want microblaze, customhw, dualissue or inline JSON)", s.Model.Name)
+	if m.Mem.HasICache || m.Mem.HasDCache || s.ICache == 0 {
+		return m.WithCache(pum.CacheCfg{ISize: s.ICache, DSize: s.DCache})
+	}
+	return m, nil
+}
+
+// Annotate is the estimation step of every estimate front end (esed's
+// jobs and eseest): the spec's PE model (see model) annotated against prog
+// through pl. The model is returned even when annotation fails.
+func (s *Spec) Annotate(ctx context.Context, pl *engine.Pipeline, prog *cdfg.Program) (*pum.PUM, *annotate.Annotated, error) {
+	m, err := s.model()
+	if err != nil {
+		return nil, nil, err
+	}
+	a, err := pl.AnnotateCtx(ctx, prog, m)
+	return m, a, err
 }
 
 // LoadModelArg resolves a CLI -pum argument into the spec: built-in names
@@ -53,58 +78,12 @@ func (s *Spec) LoadModelArg(arg string) error {
 	return nil
 }
 
-// ApplyCache folds the spec's cache configuration into the model, under
-// the front ends' shared convention: models that already carry cache
-// statistics get retargeted to the requested sizes, and an explicit
-// -icache 0 forces the uncached configuration even on models without
-// calibration tables.
-func (s *Spec) ApplyCache(model *pum.PUM) (*pum.PUM, error) {
-	if model.Mem.HasICache || model.Mem.HasDCache || s.ICache == 0 {
-		return model.WithCache(pum.CacheCfg{ISize: s.ICache, DSize: s.DCache})
-	}
-	return model, nil
-}
-
-// BaseModel materializes a TLM job's base processor model: the
-// MicroBlaze-like soft core, calibrated on the MP3 training program when
-// the spec asks for it. The result depends only on s.Calibrate — the
-// training program is fixed — which is what lets the Runner and the DSE
-// sweep driver memoize it across thousands of jobs.
-func (s *Spec) BaseModel() (*pum.PUM, error) {
-	mb := pum.MicroBlaze()
-	if !s.Calibrate {
-		return mb, nil
-	}
-	ts, err := calib.Trainings(AppMP3)
-	if err != nil {
-		return nil, err
-	}
-	model, _, err := calib.Calibrate(mb, ts, pum.StandardCacheConfigs, 0)
-	return model, err
-}
-
-// BuildDesign materializes a TLM job's mapped platform: the (optionally
-// calibrated, optionally tuned) processor model plus the named design of
-// the spec's app under the spec's cache configuration, on a freshly
-// compiled program.
-func (s *Spec) BuildDesign() (*platform.Design, error) {
-	base, err := s.BaseModel()
-	if err != nil {
-		return nil, err
-	}
-	prog, err := s.workload().compile()
-	if err != nil {
-		return nil, err
-	}
-	return s.BuildDesignFrom(base, prog)
-}
-
-// BuildDesignFrom is BuildDesign with the base processor model and the
-// compiled program supplied by the caller (typically memoized across jobs
-// — calibration and building the program cost far more than mapping).
-// prog must be the spec's workload program; neither it nor the base model
-// is mutated: tuning and cache retargeting operate on clones.
-func (s *Spec) BuildDesignFrom(base *pum.PUM, prog *cdfg.Program) (*platform.Design, error) {
+// mapDesign maps a TLM job's platform: the base processor model, tuned
+// by the spec, and the named design of the spec's app under the spec's
+// cache configuration, on prog, the spec's workload program. Neither prog
+// nor the base model is mutated: tuning and cache retargeting operate on
+// clones.
+func (s *Spec) mapDesign(base *pum.PUM, prog *cdfg.Program) (*platform.Design, error) {
 	mb := base
 	if t := s.Tune; !t.isZero() {
 		var err error

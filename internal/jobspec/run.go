@@ -10,6 +10,7 @@ import (
 	"ese/internal/annotate"
 	"ese/internal/calib"
 	"ese/internal/cdfg"
+	"ese/internal/codegen"
 	"ese/internal/core"
 	"ese/internal/diag"
 	"ese/internal/engine"
@@ -20,6 +21,7 @@ import (
 	"ese/internal/pum"
 	"ese/internal/rtl"
 	"ese/internal/tlm"
+	"ese/internal/trace"
 )
 
 // Runner executes Specs through engine pipelines built around shared
@@ -68,16 +70,32 @@ type memoEntry struct {
 const programMemoLimit = 64
 
 // BaseModel returns the memoized TLM base processor model for the spec's
-// calibration setting, computing it on first use.
+// calibration setting, computing it on first use under no deadline.
 func (r *Runner) BaseModel(s *Spec) (*pum.PUM, error) {
+	return r.baseModel(context.Background(), s)
+}
+
+// baseModel is BaseModel under ctx: the MicroBlaze-like soft core,
+// calibrated on the MP3 training program when the spec asks for it. The
+// model depends only on s.Calibrate — the training program is fixed — so
+// one calibration serves every TLM job and DSE sweep point the Runner
+// executes. A calibration that fails, past its deadline included, is not
+// memoized.
+func (r *Runner) baseModel(ctx context.Context, s *Spec) (*pum.PUM, error) {
 	r.baseMu.Lock()
 	defer r.baseMu.Unlock()
 	if m := r.base[s.Calibrate]; m != nil {
 		return m, nil
 	}
-	m, err := s.BaseModel()
-	if err != nil {
-		return nil, err
+	m := pum.MicroBlaze()
+	if s.Calibrate {
+		ts, err := calib.Trainings(AppMP3)
+		if err != nil {
+			return nil, err
+		}
+		if m, _, err = calib.CalibrateCtx(ctx, m, ts, pum.StandardCacheConfigs, 0); err != nil {
+			return nil, err
+		}
 	}
 	if r.base == nil {
 		r.base = make(map[bool]*pum.PUM, 2)
@@ -118,13 +136,13 @@ func (r *Runner) program(s *Spec) (e memoEntry, hit bool, err error) {
 	return memoEntry{prog: prog}, false, nil
 }
 
-// design builds the spec's mapped platform from the memoized base model
-// and program. rec is the recording a timed run of the design carries
-// (see Spec.replays): the workload's published recording, an empty one to
-// fill when the job is the workload's first repeat (a memo hit with
-// nothing published yet), else nil.
-func (r *Runner) design(s *Spec) (d *platform.Design, rec *tlm.Recording, err error) {
-	base, err := r.BaseModel(s)
+// design maps the spec's platform from the memoized base model and
+// program and verifies it through pl. rec is the recording a timed run of
+// the design carries (see Spec.replays): the workload's published
+// recording, an empty one to fill when the job is the workload's first
+// repeat (a memo hit with nothing published yet), else nil.
+func (r *Runner) design(ctx context.Context, s *Spec, pl *engine.Pipeline) (d *platform.Design, rec *tlm.Recording, err error) {
+	base, err := r.baseModel(ctx, s)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -132,8 +150,10 @@ func (r *Runner) design(s *Spec) (d *platform.Design, rec *tlm.Recording, err er
 	if err != nil {
 		return nil, nil, err
 	}
-	d, err = s.BuildDesignFrom(base, e.prog)
-	if err != nil || !s.replays() {
+	if d, err = s.mapDesign(base, e.prog); err != nil {
+		return nil, nil, err
+	}
+	if err = pl.VerifyDesign(d); err != nil || !s.replays() {
 		return d, nil, err
 	}
 	rec = e.rec
@@ -246,25 +266,31 @@ func (r *Runner) Run(ctx context.Context, s *Spec) (*Result, error) {
 	return r.RunWith(ctx, s, RunOpts{})
 }
 
-// RunWith executes one validated spec through a fresh pipeline bound to
-// the Runner's shared cache and registry. The context, further bounded by
-// one deadline from the spec's Timeout (else the Runner's
-// DefaultTimeout), bounds the whole job — every pipeline stage and the
-// profiled execution alike: cancellation or deadline expiry surfaces as
-// diag.ErrCanceled / diag.ErrDeadline with a stage-tagged diagnostic in
-// the (partial) Result.
+// Pipeline builds a job's pipeline: the spec's options over the Runner's
+// shared cache and registry, reporting its stages to ro.StageHook.
+func (r *Runner) Pipeline(s *Spec, ro RunOpts) (*engine.Pipeline, error) {
+	opts, err := s.Options()
+	if err != nil {
+		return nil, err
+	}
+	opts.Cache, opts.Metrics, opts.StageHook = r.Cache, r.Metrics, ro.StageHook
+	return engine.New(opts), nil
+}
+
+// RunWith executes one validated spec through a fresh pipeline (Pipeline).
+// The context, further bounded by one deadline from the spec's Timeout
+// (else the Runner's DefaultTimeout), bounds the whole job — calibration,
+// every pipeline stage and the profiled execution alike: cancellation or
+// deadline expiry surfaces as diag.ErrCanceled / diag.ErrDeadline with a
+// stage-tagged diagnostic in the (partial) Result.
 func (r *Runner) RunWith(ctx context.Context, s *Spec, ro RunOpts) (res *Result, err error) {
 	start := time.Now()
-	opts, err := s.Options()
+	pl, err := r.Pipeline(s, ro)
 	if err != nil {
 		return nil, err
 	}
 	ctx, cancel := s.WithTimeout(ctx, r.DefaultTimeout)
 	defer cancel()
-	opts.Cache = r.Cache
-	opts.Metrics = r.Metrics
-	opts.StageHook = ro.StageHook
-	pl := engine.New(opts)
 
 	res = &Result{Kind: s.Kind, Fingerprint: s.Fingerprint()}
 	defer func() {
@@ -289,7 +315,8 @@ func (r *Runner) RunWith(ctx context.Context, s *Spec, ro RunOpts) (res *Result,
 	return res, err
 }
 
-// runEstimate is the eseest flow: compile, annotate, summarize.
+// runEstimate is the eseest flow: compile, annotate (Spec.Annotate),
+// summarize.
 func (r *Runner) runEstimate(ctx context.Context, s *Spec, pl *engine.Pipeline, res *Result) error {
 	name := s.Source.Name
 	if name == "" {
@@ -299,15 +326,10 @@ func (r *Runner) runEstimate(ctx context.Context, s *Spec, pl *engine.Pipeline, 
 	if err != nil {
 		return err
 	}
-	model, err := s.ResolveModel()
-	if err != nil {
-		return err
+	model, a, err := s.Annotate(ctx, pl, prog)
+	if model != nil {
+		res.Model = model.Name
 	}
-	if model, err = s.ApplyCache(model); err != nil {
-		return err
-	}
-	res.Model = model.Name
-	a, err := pl.AnnotateCtx(ctx, prog, model)
 	if err != nil {
 		return err
 	}
@@ -377,21 +399,108 @@ func ProfileEstimate(ctx context.Context, s *Spec, a *annotate.Annotated) (*prof
 		map[string][]core.Estimate{a.PUM.Name: a.Table.Estimates()})
 }
 
-// runTLM is the esetlm flow: build the design, simulate, summarize.
-func (r *Runner) runTLM(ctx context.Context, s *Spec, pl *engine.Pipeline, res *Result) error {
-	d, rec, err := r.design(s)
+// TLMRun is one TLM job's raw outcome: its mapped design and what the
+// spec's engine produced.
+type TLMRun struct {
+	Design *platform.Design
+	// TLM is the functional or timed run's result.
+	TLM *tlm.Result
+	// Board is the board engine's result.
+	Board *rtl.BoardResult
+	// Profile is the cycle-attribution report of a profiled run.
+	Profile *profile.Report
+}
+
+// Design is ExecTLM's first half: the spec's design, mapped from the
+// Runner's memos (a zero Runner is valid) and verified once through pl
+// under s.Verify.
+func (r *Runner) Design(ctx context.Context, s *Spec, pl *engine.Pipeline) (*platform.Design, error) {
+	d, _, err := r.design(ctx, s, pl)
+	return d, err
+}
+
+// ExecTLM is the one TLM step of every front end — esed and esedse through
+// RunWith, esetlm directly: it maps and verifies the spec's design (see
+// Design), then runs the spec's engine through pl, the one place that
+// switches on it. The board engine is rtl.RunBoards; the functional and
+// timed engines are pl.SimulateCtx, a timed job replaying or recording its
+// workload's tlm.Recording where the spec allows (Spec.replays), and
+// recording its activity into ev when ev is non-nil. Under s.Profile the
+// run's block counts are joined with each PE's annotation into the
+// cycle-attribution report.
+func (r *Runner) ExecTLM(ctx context.Context, s *Spec, pl *engine.Pipeline, ev *trace.Events) (*TLMRun, error) {
+	d, rec, err := r.design(ctx, s, pl)
 	if err != nil {
-		return err
+		return nil, err
 	}
+	run := &TLMRun{Design: d}
 	if s.Engine == EngineBoard {
 		brs, err := rtl.RunBoards(ctx, []*platform.Design{d}, 0)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		br := brs[0]
+		run.Board = brs[0]
+		return run, nil
+	}
+	opts := tlm.Options{Profile: s.Profile, Recording: rec}
+	if s.Engine == EngineTimed {
+		opts.Timed, opts.WaitMode, opts.Events = true, tlm.WaitAtTransactions, ev
+	}
+	// A published recording always replays: it was recorded under these
+	// same options, and the pipeline's block delays are integers.
+	replayed := rec.Filled()
+	if run.TLM, err = pl.SimulateCtx(ctx, d, opts); err != nil {
+		return nil, err
+	}
+	switch {
+	case replayed:
+		r.Metrics.Counter("jobspec.replay.hits").Inc()
+	case rec.Filled():
+		r.publish(s, d.Program, rec)
+	}
+	if s.Profile {
+		run.Profile, err = profileTLM(ctx, pl, d, run.TLM)
+	}
+	return run, err
+}
+
+// Standalone returns the spec's design (see Design) and its standalone
+// timed-TLM package (codegen.StandaloneFiles, go.mod naming module), with
+// the per-block delays pl annotates for a timed run of the design: the
+// files esegen -o writes and whose main.go esetlm -gen prints.
+func (r *Runner) Standalone(ctx context.Context, s *Spec, pl *engine.Pipeline, module string) (*platform.Design, map[string][]byte, error) {
+	d, err := r.Design(ctx, s, pl)
+	if err != nil {
+		return nil, nil, err
+	}
+	delays, _, err := pl.DelaysCtx(ctx, d)
+	if err != nil {
+		return nil, nil, err
+	}
+	files, err := codegen.StandaloneFiles(d, delays, module)
+	return d, files, err
+}
+
+// runTLM is the TLM flow of esed and esedse: ExecTLM, summarized.
+func (r *Runner) runTLM(ctx context.Context, s *Spec, pl *engine.Pipeline, res *Result) error {
+	run, err := r.ExecTLM(ctx, s, pl, nil)
+	if err != nil {
+		return err
+	}
+	res.TLM = run.summary(s.Engine)
+	if run.Profile != nil {
+		res.Profile, err = run.Profile.JSON()
+	}
+	return err
+}
+
+// summary is the JSON form of the run's outcome on the named engine.
+func (run *TLMRun) summary(engineName string) *TLMSummary {
+	d := run.Design
+	if br := run.Board; br != nil {
 		sum := &TLMSummary{
 			Design:     d.Name,
-			Engine:     EngineBoard,
+			Engine:     engineName,
 			EndPs:      uint64(br.EndPs),
 			BusCycles:  br.EndCycles(d.Bus.ClockHz),
 			CyclesByPE: make(map[string]uint64, len(br.PEs)),
@@ -401,30 +510,12 @@ func (r *Runner) runTLM(ctx context.Context, s *Spec, pl *engine.Pipeline, res *
 		for name, pe := range br.PEs {
 			sum.CyclesByPE[name] = pe.Cycles
 		}
-		res.TLM = sum
-		return nil
+		return sum
 	}
-	opts := tlm.Options{Profile: s.Profile, Recording: rec}
-	if s.Engine == EngineTimed {
-		opts.Timed = true
-		opts.WaitMode = tlm.WaitAtTransactions
-	}
-	// A published recording always replays: it was recorded under these
-	// same options, and the pipeline's block delays are integers.
-	replayed := rec.Filled()
-	tr, err := pl.SimulateCtx(ctx, d, opts)
-	if err != nil {
-		return err
-	}
-	switch {
-	case replayed:
-		r.Metrics.Counter("jobspec.replay.hits").Inc()
-	case rec.Filled():
-		r.publish(s, d.Program, rec)
-	}
-	res.TLM = &TLMSummary{
+	tr := run.TLM
+	sum := &TLMSummary{
 		Design:       tr.Design,
-		Engine:       s.Engine,
+		Engine:       engineName,
 		EndPs:        uint64(tr.EndPs),
 		CyclesByPE:   tr.CyclesByPE,
 		SwitchesByPE: tr.SwitchesByPE,
@@ -435,26 +526,16 @@ func (r *Runner) runTLM(ctx context.Context, s *Spec, pl *engine.Pipeline, res *
 		WallNs:       tr.Wall.Nanoseconds(),
 	}
 	if tr.EndPs > 0 {
-		res.TLM.BusCycles = tr.EndCycles(d.Bus.ClockHz)
+		sum.BusCycles = tr.EndCycles(d.Bus.ClockHz)
 	}
-	if s.Profile {
-		rep, err := ProfileTLM(ctx, pl, d, tr)
-		if err != nil {
-			return err
-		}
-		res.Profile, err = rep.JSON()
-		return err
-	}
-	return nil
+	return sum
 }
 
 // runCalibrate is the internal/calib flow: profile the training set on
-// the cycle-accurate processor model and return the calibrated PUM with
-// its provenance. Steps bounds each profiling run (0 = none).
+// the cycle-accurate processor model under the job's deadline and return
+// the calibrated PUM with its provenance. Steps bounds each profiling run
+// (0 = none).
 func (r *Runner) runCalibrate(ctx context.Context, s *Spec, res *Result) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
 	train := s.Train
 	if train == "" {
 		train = DefaultTrain
@@ -463,7 +544,7 @@ func (r *Runner) runCalibrate(ctx context.Context, s *Spec, res *Result) error {
 	if err != nil {
 		return err
 	}
-	model, _, err := calib.Calibrate(pum.MicroBlaze(), ts, pum.StandardCacheConfigs, s.Steps)
+	model, _, err := calib.CalibrateCtx(ctx, pum.MicroBlaze(), ts, pum.StandardCacheConfigs, s.Steps)
 	if err != nil {
 		return err
 	}
@@ -487,13 +568,13 @@ func (r *Runner) runCalibrate(ctx context.Context, s *Spec, res *Result) error {
 	return nil
 }
 
-// ProfileTLM is the profiled TLM flow (esed's profiled TLM jobs and
-// `esetlm -profile`): it joins a profiled timed run's per-process block
-// counts with each PE's annotation into the ranked cycle-attribution
-// report. The annotations go through pl's cache at pl's detail, so they
-// are the very estimates pl timed the run with — the report totals
-// reconcile bit for bit with the simulated per-PE cycle counts.
-func ProfileTLM(ctx context.Context, pl *engine.Pipeline, d *platform.Design, tr *tlm.Result) (*profile.Report, error) {
+// profileTLM joins a profiled run's per-process block counts with each
+// PE's annotation into the ranked cycle-attribution report. The
+// annotations go through pl's cache at pl's detail, so they are the very
+// estimates pl times a run with — the report totals reconcile bit for bit
+// with a timed run's per-PE cycle counts, and a functional run, whose
+// block counts are the same, reports the same totals.
+func profileTLM(ctx context.Context, pl *engine.Pipeline, d *platform.Design, tr *tlm.Result) (*profile.Report, error) {
 	est := make(map[string][]core.Estimate, len(d.PEs))
 	for _, pe := range d.PEs {
 		a, err := pl.AnnotateCtx(ctx, d.Program, pe.PUM)

@@ -12,19 +12,12 @@ import (
 //
 // Instrument names are sanitized into the Prometheus grammar (every rune
 // outside [a-zA-Z0-9_:] becomes '_', so "cache.sched.hits" scrapes as
-// "cache_sched_hits"). Names may carry a label block in the exposition
-// syntax — `tenant.jobs{tenant="acme"}`, normally built via Labeled —
-// which is parsed, validated and re-rendered with the label values
-// escaped (backslash, double quote, newline), so hostile values can never
-// break out of the sample line and corrupt the scrape.
-//
-// Invalid series are rejected rather than emitted broken: names that
-// sanitize to nothing, malformed label blocks, and label keys outside the
-// label grammar are all skipped. Series whose sanitized identity collides
-// (two raw names mapping onto the same family, or a family name already
-// claimed by a different section) are emitted once, first-sorted wins —
-// duplicate samples or duplicate TYPE lines make the whole scrape
-// unparseable, which is strictly worse than dropping the collision.
+// "cache_sched_hits"); a name that sanitizes to nothing is skipped. Names
+// whose sanitized family collides (two raw names mapping onto the same
+// family, or a family name already claimed by a different section) are
+// emitted once, first-sorted wins — duplicate samples or duplicate TYPE
+// lines make the whole scrape unparseable, which is strictly worse than
+// dropping the collision.
 //
 // Counters emit as counter, gauges as gauge, and the aggregate histograms
 // as a bucket-less summary (`_sum`/`_count`) plus `_min`/`_max` gauges.
@@ -33,61 +26,28 @@ import (
 func (s Snapshot) WriteProm(w io.Writer) error {
 	emitted := map[string]bool{} // family names claimed so far, across sections
 
-	type series struct {
-		base   string // sanitized family name
-		labels string // canonical label block ("" or `{k="v",...}`)
-		val    string
-	}
-	collect := func(names []string, val func(string) string) []series {
+	// emit writes one section's families: one TYPE line and one sample
+	// each, colliding names dropped.
+	emit := func(names []string, typ string, val func(string) string) error {
 		sort.Strings(names)
-		out := make([]series, 0, len(names))
+		type series struct{ base, val string }
+		ser := make([]series, 0, len(names))
 		for _, n := range names {
-			base, labels, ok := promSeriesName(n)
-			if !ok {
-				continue
+			if base := promName(n); base != "" {
+				ser = append(ser, series{base, val(n)})
 			}
-			out = append(out, series{base: base, labels: labels, val: val(n)})
 		}
-		return out
-	}
-	// emit writes one section's series grouped into families: a single
-	// TYPE line per family, duplicate series dropped, families whose name
-	// is already claimed dropped whole.
-	emit := func(ser []series, typ string) error {
-		// Stable keeps colliding series in raw-name order, so the
+		// Stable keeps colliding names in raw-name order, so the
 		// first-sorted raw name deterministically wins the collision.
-		sort.SliceStable(ser, func(i, j int) bool {
-			if ser[i].base != ser[j].base {
-				return ser[i].base < ser[j].base
-			}
-			return ser[i].labels < ser[j].labels
-		})
-		for i := 0; i < len(ser); {
-			j := i
-			for j < len(ser) && ser[j].base == ser[i].base {
-				j++
-			}
-			fam := ser[i:j]
-			if emitted[fam[0].base] {
-				i = j
+		sort.SliceStable(ser, func(i, j int) bool { return ser[i].base < ser[j].base })
+		for _, sr := range ser {
+			if emitted[sr.base] {
 				continue
 			}
-			emitted[fam[0].base] = true
-			if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", fam[0].base, typ); err != nil {
+			emitted[sr.base] = true
+			if _, err := fmt.Fprintf(w, "# TYPE %s %s\n%s %s\n", sr.base, typ, sr.base, sr.val); err != nil {
 				return err
 			}
-			prev := ""
-			for k, sr := range fam {
-				id := sr.base + sr.labels
-				if k > 0 && id == prev {
-					continue // colliding series: first wins
-				}
-				prev = id
-				if _, err := fmt.Fprintf(w, "%s %s\n", id, sr.val); err != nil {
-					return err
-				}
-			}
-			i = j
 		}
 		return nil
 	}
@@ -96,9 +56,9 @@ func (s Snapshot) WriteProm(w io.Writer) error {
 	for n := range s.Counters {
 		names = append(names, n)
 	}
-	if err := emit(collect(names, func(n string) string {
+	if err := emit(names, "counter", func(n string) string {
 		return fmt.Sprintf("%d", s.Counters[n])
-	}), "counter"); err != nil {
+	}); err != nil {
 		return err
 	}
 
@@ -106,9 +66,9 @@ func (s Snapshot) WriteProm(w io.Writer) error {
 	for n := range s.Gauges {
 		names = append(names, n)
 	}
-	if err := emit(collect(names, func(n string) string {
+	if err := emit(names, "gauge", func(n string) string {
 		return fmt.Sprintf("%d", s.Gauges[n])
-	}), "gauge"); err != nil {
+	}); err != nil {
 		return err
 	}
 
@@ -118,193 +78,22 @@ func (s Snapshot) WriteProm(w io.Writer) error {
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		base, labels, ok := promSeriesName(n)
-		if !ok || emitted[base] || emitted[base+"_min"] || emitted[base+"_max"] {
+		base := promName(n)
+		if base == "" || emitted[base] || emitted[base+"_min"] || emitted[base+"_max"] {
 			continue
 		}
 		emitted[base], emitted[base+"_min"], emitted[base+"_max"] = true, true, true
 		h := s.Histograms[n]
-		if _, err := fmt.Fprintf(w, "# TYPE %s summary\n%s_sum%s %s\n%s_count%s %d\n",
-			base, base, labels, promFloat(h.Sum), base, labels, h.Count); err != nil {
+		if _, err := fmt.Fprintf(w, "# TYPE %s summary\n%s_sum %s\n%s_count %d\n",
+			base, base, promFloat(h.Sum), base, h.Count); err != nil {
 			return err
 		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s_min gauge\n%s_min%s %s\n# TYPE %s_max gauge\n%s_max%s %s\n",
-			base, base, labels, promFloat(h.Min), base, base, labels, promFloat(h.Max)); err != nil {
+		if _, err := fmt.Fprintf(w, "# TYPE %s_min gauge\n%s_min %s\n# TYPE %s_max gauge\n%s_max %s\n",
+			base, base, promFloat(h.Min), base, base, promFloat(h.Max)); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// Labeled builds an instrument name carrying a Prometheus label block:
-// Labeled("tenant.jobs", "tenant", "acme") names the series
-// `tenant.jobs{tenant="acme"}`. Pairs are sorted by key and values are
-// escaped, so the same logical series always maps onto the same
-// instrument regardless of argument order or hostile value content. An
-// odd trailing key gets an empty value.
-func Labeled(name string, kv ...string) string {
-	if len(kv) == 0 {
-		return name
-	}
-	type pair struct{ k, v string }
-	pairs := make([]pair, 0, (len(kv)+1)/2)
-	for i := 0; i < len(kv); i += 2 {
-		p := pair{k: kv[i]}
-		if i+1 < len(kv) {
-			p.v = kv[i+1]
-		}
-		pairs = append(pairs, p)
-	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].k < pairs[j].k })
-	var sb strings.Builder
-	sb.WriteString(name)
-	sb.WriteByte('{')
-	for i, p := range pairs {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(p.k)
-		sb.WriteString(`="`)
-		sb.WriteString(escapeLabelValue(p.v))
-		sb.WriteByte('"')
-	}
-	sb.WriteByte('}')
-	return sb.String()
-}
-
-// promSeriesName splits an instrument name into its sanitized family name
-// and canonical label block. ok is false for names WriteProm must reject:
-// a base that sanitizes to nothing, a malformed label block, or a label
-// key outside the Prometheus label grammar.
-func promSeriesName(name string) (base, labels string, ok bool) {
-	raw := name
-	lb := ""
-	if i := strings.IndexByte(name, '{'); i >= 0 {
-		raw, lb = name[:i], name[i:]
-	}
-	base = promName(raw)
-	if base == "" {
-		return "", "", false
-	}
-	if lb == "" {
-		return base, "", true
-	}
-	pairs, ok := parseLabels(lb)
-	if !ok {
-		return "", "", false
-	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i][0] < pairs[j][0] })
-	var sb strings.Builder
-	sb.WriteByte('{')
-	for i, p := range pairs {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(p[0])
-		sb.WriteString(`="`)
-		sb.WriteString(escapeLabelValue(p[1]))
-		sb.WriteByte('"')
-	}
-	sb.WriteByte('}')
-	return base, sb.String(), true
-}
-
-// parseLabels parses a `{k="v",...}` block into (key, unescaped value)
-// pairs. The value grammar accepts the exposition escapes \\ , \" and \n;
-// anything else after a backslash, a key outside [a-zA-Z_][a-zA-Z0-9_]*,
-// or any structural damage (missing quote, trailing comma, text after the
-// closing brace) rejects the whole block.
-func parseLabels(s string) (pairs [][2]string, ok bool) {
-	if len(s) < 2 || s[0] != '{' || s[len(s)-1] != '}' {
-		return nil, false
-	}
-	s = s[1 : len(s)-1]
-	if s == "" {
-		return nil, true
-	}
-	for len(s) > 0 {
-		eq := strings.IndexByte(s, '=')
-		if eq <= 0 || !validLabelKey(s[:eq]) {
-			return nil, false
-		}
-		key := s[:eq]
-		s = s[eq+1:]
-		if len(s) == 0 || s[0] != '"' {
-			return nil, false
-		}
-		s = s[1:]
-		var val strings.Builder
-		closed := false
-		for i := 0; i < len(s); i++ {
-			c := s[i]
-			if c == '\\' {
-				if i+1 >= len(s) {
-					return nil, false
-				}
-				switch s[i+1] {
-				case '\\':
-					val.WriteByte('\\')
-				case '"':
-					val.WriteByte('"')
-				case 'n':
-					val.WriteByte('\n')
-				default:
-					return nil, false
-				}
-				i++
-				continue
-			}
-			if c == '"' {
-				closed = true
-				s = s[i+1:]
-				break
-			}
-			val.WriteByte(c)
-		}
-		if !closed {
-			return nil, false
-		}
-		pairs = append(pairs, [2]string{key, val.String()})
-		if len(s) == 0 {
-			return pairs, true
-		}
-		if s[0] != ',' || len(s) == 1 {
-			return nil, false
-		}
-		s = s[1:]
-	}
-	return nil, false
-}
-
-// validLabelKey reports whether s matches [a-zA-Z_][a-zA-Z0-9_]*.
-func validLabelKey(s string) bool {
-	for i, r := range s {
-		ok := r == '_' ||
-			(r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') ||
-			(r >= '0' && r <= '9' && i > 0)
-		if !ok {
-			return false
-		}
-	}
-	return s != ""
-}
-
-// escapeLabelValue applies the exposition-format label escapes.
-func escapeLabelValue(v string) string {
-	var sb strings.Builder
-	for i := 0; i < len(v); i++ {
-		switch v[i] {
-		case '\\':
-			sb.WriteString(`\\`)
-		case '"':
-			sb.WriteString(`\"`)
-		case '\n':
-			sb.WriteString(`\n`)
-		default:
-			sb.WriteByte(v[i])
-		}
-	}
-	return sb.String()
 }
 
 // promName maps an instrument name into the Prometheus metric-name

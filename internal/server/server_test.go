@@ -229,6 +229,11 @@ func TestBadRequests(t *testing.T) {
 	if code != http.StatusBadRequest {
 		t.Fatalf("frames beyond MaxFrames status = %d, want 400", code)
 	}
+	// The board engine has no cycle-attribution profile.
+	code, _ = postJob(t, ts, []byte(`{"kind":"tlm","engine":"board","profile":true}`), "")
+	if code != http.StatusBadRequest {
+		t.Fatalf("profiled board job status = %d, want 400", code)
+	}
 
 	resp, err := ts.Client().Get(ts.URL + "/v1/jobs")
 	if err != nil {
@@ -264,6 +269,12 @@ func TestDeadlineMapsTo504(t *testing.T) {
 	code, body := postJob(t, ts, mustBody(t, s), "")
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("deadline status = %d, want 504: %s", code, body)
+	}
+	// A calibration runs under its job's deadline too: the merged training
+	// set takes far longer than 20 ms.
+	code, body = postJob(t, ts, []byte(`{"kind":"calibrate","timeout":"20ms"}`), "")
+	if code != http.StatusGatewayTimeout {
+		t.Fatalf("calibration deadline status = %d, want 504: %s", code, body)
 	}
 }
 

@@ -26,6 +26,3 @@ func (e *Event) Notify(delay Time) {
 	e.pending++
 	e.kernel.scheduleFire(e, delay)
 }
-
-// HasWaiters reports whether any process is currently blocked on the event.
-func (e *Event) HasWaiters() bool { return len(e.waiters) > 0 }

@@ -43,7 +43,6 @@ type Kernel struct {
 	procs   []*Process
 	current *Process
 	stopped bool
-	maxTime Time // 0 means unbounded
 	// ctx, when non-nil, is checked periodically by the event loop so a
 	// runaway simulation (e.g. endless delta cycles) terminates with a
 	// typed cancellation error instead of spinning forever.
@@ -162,9 +161,8 @@ func (k *Kernel) scheduleFire(ev *Event, delay Time) {
 	}
 }
 
-// Run executes the simulation until no further progress is possible, the
-// kernel is stopped, or the optional time limit set by RunUntil is reached.
-// It returns the final simulation time. If processes remain blocked on
+// Run executes the simulation until no further progress is possible or
+// the kernel is stopped. It returns the final simulation time. If processes remain blocked on
 // events that can never fire, Run returns ErrDeadlock wrapping their names.
 func (k *Kernel) Run() (Time, error) {
 	return k.RunCtx(context.Background())
@@ -189,10 +187,6 @@ func (k *Kernel) RunCtx(ctx context.Context) (Time, error) {
 			}
 		}
 		item := heap.Pop(&k.queue).(*queueItem)
-		if k.maxTime != 0 && item.t > k.maxTime {
-			k.now = k.maxTime
-			return k.now, nil
-		}
 		if item.t > k.now {
 			k.now = item.t
 			k.delta = 0
@@ -227,13 +221,6 @@ func (k *Kernel) RunCtx(ctx context.Context) (Time, error) {
 		return k.now, fmt.Errorf("%w: processes still blocked: %v", ErrDeadlock, blocked)
 	}
 	return k.now, nil
-}
-
-// RunUntil is Run with an inclusive simulation-time limit.
-func (k *Kernel) RunUntil(limit Time) (Time, error) {
-	k.maxTime = limit
-	defer func() { k.maxTime = 0 }()
-	return k.Run()
 }
 
 // dispatch resumes p and blocks until it yields back to the scheduler.

@@ -142,27 +142,6 @@ func TestStopHaltsSimulation(t *testing.T) {
 	}
 }
 
-func TestRunUntilBoundsTime(t *testing.T) {
-	k := NewKernel()
-	n := 0
-	k.Spawn("loop", func(p *Process) {
-		for i := 0; i < 1000; i++ {
-			p.Wait(10)
-			n++
-		}
-	})
-	end, err := k.RunUntil(55)
-	if err != nil {
-		t.Fatalf("RunUntil: %v", err)
-	}
-	if end != 55 {
-		t.Fatalf("end = %d, want 55", end)
-	}
-	if n != 5 {
-		t.Fatalf("iterations = %d, want 5", n)
-	}
-}
-
 func TestRendezvousPingPong(t *testing.T) {
 	// Two processes alternating via a pair of events, the skeleton of the
 	// bus-channel handshake.
