@@ -355,21 +355,36 @@ func (pl *Pipeline) VerifyDesign(d *platform.Design) error {
 	return pl.runVerify(verify.Design(d))
 }
 
-// DelaysCtx annotates a design's program once per PE at the pipeline's
-// detail level through the cache and returns the per-PE delay tables the
-// timed TLM consumes (keyed by PE name, each in dense program block order
-// and shared read-only with the cache), plus the wall-clock annotation time
-// (the paper's "Anno." column). Cancellation or a strict-mode mapping
-// failure aborts the per-PE annotation loop with the typed error.
-func (pl *Pipeline) DelaysCtx(ctx context.Context, d *platform.Design) (map[string][]float64, time.Duration, error) {
-	start := time.Now()
-	out := make(map[string][]float64, len(d.PEs))
+// AnnotateDesignCtx annotates a design's program once per PE at the
+// pipeline's detail level through the cache, keyed by PE name. Unlike
+// AnnotateCtx it runs no PUM lint: VerifyDesign lints each PE model scoped
+// to its own entries, once per design. Cancellation or a strict-mode
+// mapping failure aborts the per-PE annotation loop with the typed error.
+func (pl *Pipeline) AnnotateDesignCtx(ctx context.Context, d *platform.Design) (map[string]*annotate.Annotated, error) {
+	out := make(map[string]*annotate.Annotated, len(d.PEs))
 	for _, pe := range d.PEs {
 		a, err := pl.annotate(ctx, d.Program, pe.PUM)
 		if err != nil {
-			return nil, time.Since(start), err
+			return nil, err
 		}
-		out[pe.Name] = a.Delays()
+		out[pe.Name] = a
+	}
+	return out, nil
+}
+
+// DelaysCtx annotates a design (AnnotateDesignCtx) and returns the per-PE
+// delay tables the timed TLM consumes (keyed by PE name, each in dense
+// program block order and shared read-only with the cache), plus the
+// wall-clock annotation time (the paper's "Anno." column).
+func (pl *Pipeline) DelaysCtx(ctx context.Context, d *platform.Design) (map[string][]float64, time.Duration, error) {
+	start := time.Now()
+	as, err := pl.AnnotateDesignCtx(ctx, d)
+	if err != nil {
+		return nil, time.Since(start), err
+	}
+	out := make(map[string][]float64, len(as))
+	for name, a := range as {
+		out[name] = a.Delays()
 	}
 	return out, time.Since(start), nil
 }

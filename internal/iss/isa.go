@@ -18,7 +18,10 @@
 // (zero-filled) frame storage as an ABI service of the core.
 //
 // Address map: code at 0x0 (4 bytes per instruction), globals at
-// GlobalBase, the stack at StackBase..StackTop growing down.
+// GlobalBase, the stack at StackBase..StackTop growing down. The stack's
+// whole range is reserved, so its addresses, the D-cache sets they map to
+// and the overflow depth are fixed; a machine backs only the part of it
+// the program touches.
 package iss
 
 import (
@@ -28,7 +31,7 @@ import (
 // Memory layout constants.
 const (
 	GlobalBase uint32 = 0x1000_0000
-	StackWords        = 1 << 18 // 256K words = 1 MiB stack
+	StackWords        = 1 << 18 // 256K words = 1 MiB of reserved stack addresses, backed on demand
 	StackBase  uint32 = 0x2000_0000
 	StackTop   uint32 = StackBase + 4*StackWords
 )

@@ -38,7 +38,11 @@ var ErrStackOverflow = errors.New("iss: stack overflow")
 type Machine struct {
 	Prog    *Program
 	globals []int32
+	// stack backs the top of the reserved stack range, [stackLo,
+	// StackTop). It grows downward on demand (growStack), so a machine
+	// holds the stack its program touches rather than the whole range.
 	stack   []int32
+	stackLo uint32
 	sp      uint32
 	frames  []frame
 	regPool [][]int32
@@ -75,13 +79,8 @@ func (m *Machine) Reset() {
 	for i := len(m.Prog.Globals); i < len(m.globals); i++ {
 		m.globals[i] = 0
 	}
-	if m.stack == nil {
-		m.stack = make([]int32, StackWords)
-	} else {
-		for i := range m.stack {
-			m.stack[i] = 0
-		}
-	}
+	clear(m.stack)
+	m.stackLo = StackTop - 4*uint32(len(m.stack))
 	m.sp = StackTop
 	m.frames = m.frames[:0]
 	m.pc = 0
@@ -118,10 +117,13 @@ func (m *Machine) pushFrame(fi *FuncInfo, retPC int, retDst Dest) error {
 		return ErrStackOverflow
 	}
 	m.sp -= need
+	if m.sp < m.stackLo {
+		m.growStack(m.sp)
+	}
 	// The ABI zero-fills fresh frames (local arrays) and windows, which
 	// every engine in this repo implements identically and at no cycle
 	// cost; see the package comment.
-	base := (m.sp - StackBase) / 4
+	base := (m.sp - m.stackLo) / 4
 	for i := uint32(0); i < uint32(fi.FrameWords); i++ {
 		m.stack[base+i] = 0
 	}
@@ -143,13 +145,33 @@ func (m *Machine) pushFrame(fi *FuncInfo, retPC int, retDst Dest) error {
 	return nil
 }
 
+// minStackWords is the stack backing's first size, 4 KiB.
+const minStackWords = 1 << 10
+
+// growStack extends the stack's backing down to cover addr, an address of
+// the reserved range below stackLo. It at least doubles the backing, up to
+// the whole range, so a deepening call chain copies it O(log n) times. The
+// new words read zero, as the whole range does after Reset.
+func (m *Machine) growStack(addr uint32) {
+	n := max(2*len(m.stack), minStackWords, int((StackTop-addr+3)/4))
+	n = min(n, StackWords)
+	grown := make([]int32, n)
+	copy(grown[n-len(m.stack):], m.stack)
+	m.stack = grown
+	m.stackLo = StackTop - 4*uint32(n)
+}
+
 func (m *Machine) cur() *frame { return &m.frames[len(m.frames)-1] }
 
-// memIndex resolves a byte address to a segment slice and index.
+// memIndex resolves a byte address to a segment slice and index. A stack
+// address below the backing grows it first.
 func (m *Machine) memIndex(addr uint32) (*[]int32, uint32, error) {
 	switch {
-	case addr >= StackBase && addr < StackTop:
-		return &m.stack, (addr - StackBase) / 4, nil
+	case addr >= m.stackLo && addr < StackTop:
+		return &m.stack, (addr - m.stackLo) / 4, nil
+	case addr >= StackBase && addr < m.stackLo:
+		m.growStack(addr)
+		return &m.stack, (addr - m.stackLo) / 4, nil
 	case addr >= GlobalBase && addr < GlobalBase+uint32(len(m.globals))*4:
 		return &m.globals, (addr - GlobalBase) / 4, nil
 	}

@@ -357,6 +357,11 @@ func (s *Spec) Validate() error {
 		if s.Model.Name == "" && len(s.Model.JSON) == 0 {
 			return fmt.Errorf("jobspec: estimate job names no PE model")
 		}
+		if len(s.Model.JSON) == 0 {
+			if _, err := builtinModel(s.Model.Name); err != nil {
+				return err
+			}
+		}
 	case KindTLM:
 		app := s.App
 		if app == "" {

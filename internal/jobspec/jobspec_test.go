@@ -297,28 +297,36 @@ func TestRunnerTLMFunctionalAndTimed(t *testing.T) {
 
 // TestRunnerVerifiesTLMDesignOnce: a verify:true TLM job verifies its
 // design exactly once through the job's pipeline, whatever its engine
-// (the board included), and a job without verify not at all.
+// (the board included) and whether it is profiled, on one PE or five, and
+// a job without verify not at all.
 func TestRunnerVerifiesTLMDesignOnce(t *testing.T) {
 	var r Runner
 	for _, engine := range []string{EngineFunctional, EngineTimed, EngineBoard} {
-		for _, verify := range []bool{false, true} {
-			s := DefaultTLM()
-			s.Frames, s.Calibrate, s.Engine, s.Verify = 1, false, engine, verify
-			var n atomic.Int32
-			hook := func(stage diag.Stage, _ time.Duration) {
-				if stage == diag.StageVerify {
-					n.Add(1)
+		for _, design := range []string{"SW", "SW+4"} {
+			for _, profile := range []bool{false, true} {
+				if profile && engine == EngineBoard {
+					continue
 				}
-			}
-			if _, err := r.RunWith(context.Background(), &s, RunOpts{StageHook: hook}); err != nil {
-				t.Fatalf("%s, verify %v: %v", engine, verify, err)
-			}
-			want := int32(0)
-			if verify {
-				want = 1
-			}
-			if got := n.Load(); got != want {
-				t.Errorf("%s, verify %v: %d verify stages, want %d", engine, verify, got, want)
+				for _, verify := range []bool{false, true} {
+					s := DefaultTLM()
+					s.Design, s.Frames, s.Calibrate, s.Engine, s.Profile, s.Verify = design, 1, false, engine, profile, verify
+					var n atomic.Int32
+					hook := func(stage diag.Stage, _ time.Duration) {
+						if stage == diag.StageVerify {
+							n.Add(1)
+						}
+					}
+					if _, err := r.RunWith(context.Background(), &s, RunOpts{StageHook: hook}); err != nil {
+						t.Fatalf("%s %s, profile %v, verify %v: %v", engine, design, profile, verify, err)
+					}
+					want := int32(0)
+					if verify {
+						want = 1
+					}
+					if got := n.Load(); got != want {
+						t.Errorf("%s %s, profile %v, verify %v: %d verify stages, want %d", engine, design, profile, verify, got, want)
+					}
+				}
 			}
 		}
 	}

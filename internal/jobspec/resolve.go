@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"strings"
 
 	"ese/internal/annotate"
 	"ese/internal/apps"
@@ -28,21 +29,45 @@ func (s *Spec) model() (*pum.PUM, error) {
 		if m, err = pum.FromJSON(s.Model.JSON); err != nil {
 			return nil, err
 		}
-	case s.Model.Name == "microblaze":
-		m = pum.MicroBlaze()
-	case s.Model.Name == "customhw":
-		m = pum.CustomHW("customhw", 100_000_000)
-	case s.Model.Name == "dualissue":
-		m = pum.DualIssue()
 	case s.Model.Name == "":
 		return nil, fmt.Errorf("jobspec: no PE model selected")
 	default:
-		return nil, fmt.Errorf("jobspec: unknown PE model %q (want microblaze, customhw, dualissue or inline JSON)", s.Model.Name)
+		build, err := builtinModel(s.Model.Name)
+		if err != nil {
+			return nil, err
+		}
+		m = build()
 	}
 	if m.Mem.HasICache || m.Mem.HasDCache || s.ICache == 0 {
 		return m.WithCache(pum.CacheCfg{ISize: s.ICache, DSize: s.DCache})
 	}
 	return m, nil
+}
+
+// builtinModels are the PE models a spec can name, in the order messages
+// list them: model builds them, and Validate and LoadModelArg accept
+// exactly their names.
+var builtinModels = []struct {
+	name  string
+	build func() *pum.PUM
+}{
+	{"microblaze", pum.MicroBlaze},
+	{"customhw", func() *pum.PUM { return pum.CustomHW("customhw", 100_000_000) }},
+	{"dualissue", pum.DualIssue},
+}
+
+// builtinModel returns the constructor of the named built-in PE model.
+func builtinModel(name string) (func() *pum.PUM, error) {
+	for _, b := range builtinModels {
+		if b.name == name {
+			return b.build, nil
+		}
+	}
+	names := make([]string, len(builtinModels))
+	for i, b := range builtinModels {
+		names[i] = b.name
+	}
+	return nil, fmt.Errorf("jobspec: unknown PE model %q (want %s or inline JSON)", name, strings.Join(names, ", "))
 }
 
 // Annotate is the estimation step of every estimate front end (esed's
@@ -62,8 +87,7 @@ func (s *Spec) Annotate(ctx context.Context, pl *engine.Pipeline, prog *cdfg.Pro
 // spec stays self-contained (and fingerprints on the file's content, not
 // its path).
 func (s *Spec) LoadModelArg(arg string) error {
-	switch arg {
-	case "microblaze", "customhw", "dualissue":
+	if _, err := builtinModel(arg); err == nil {
 		s.Model = Model{Name: arg}
 		return nil
 	}

@@ -573,15 +573,16 @@ func (r *Runner) runCalibrate(ctx context.Context, s *Spec, res *Result) error {
 // annotations go through pl's cache at pl's detail, so they are the very
 // estimates pl times a run with — the report totals reconcile bit for bit
 // with a timed run's per-PE cycle counts, and a functional run, whose
-// block counts are the same, reports the same totals.
+// block counts are the same, reports the same totals. They run no lint:
+// the design was verified once, before the run.
 func profileTLM(ctx context.Context, pl *engine.Pipeline, d *platform.Design, tr *tlm.Result) (*profile.Report, error) {
-	est := make(map[string][]core.Estimate, len(d.PEs))
-	for _, pe := range d.PEs {
-		a, err := pl.AnnotateCtx(ctx, d.Program, pe.PUM)
-		if err != nil {
-			return nil, err
-		}
-		est[pe.Name] = a.Table.Estimates()
+	as, err := pl.AnnotateDesignCtx(ctx, d)
+	if err != nil {
+		return nil, err
+	}
+	est := make(map[string][]core.Estimate, len(as))
+	for name, a := range as {
+		est[name] = a.Table.Estimates()
 	}
 	return profile.Build(d.Name, d.Program, tr.BlockCountsByPE, est)
 }

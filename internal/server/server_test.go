@@ -234,6 +234,11 @@ func TestBadRequests(t *testing.T) {
 	if code != http.StatusBadRequest {
 		t.Fatalf("profiled board job status = %d, want 400", code)
 	}
+	// An estimate job naming no built-in PE model is the request's fault.
+	code, _ = postJob(t, ts, []byte(`{"kind":"estimate","model":{"name":"bogus"},"source":{"code":"void main() { out(1); }"}}`), "")
+	if code != http.StatusBadRequest {
+		t.Fatalf("unknown PE model status = %d, want 400", code)
+	}
 
 	resp, err := ts.Client().Get(ts.URL + "/v1/jobs")
 	if err != nil {
