@@ -1,7 +1,8 @@
 // Benchmarks of one layer each: the Table 1 columns (timed and
 // functional simulation, annotation, the ISS and the board), the wait-
-// granularity ablation's per-block simulation, and microbenchmarks of
-// every engine in the stack. Run with:
+// granularity ablation's per-block simulation, the accuracy scorer and
+// one of its board passes, and microbenchmarks of every engine in the
+// stack. Run with:
 //
 //	go test -run='^$' -bench=. -benchmem .
 //
@@ -16,12 +17,14 @@ import (
 
 	"ese/internal/apps"
 	"ese/internal/cache"
+	"ese/internal/calib"
 	"ese/internal/cdfg"
 	"ese/internal/core"
 	"ese/internal/engine"
 	"ese/internal/experiments"
 	"ese/internal/interp"
 	"ese/internal/iss"
+	"ese/internal/platform"
 	"ese/internal/pum"
 	"ese/internal/rtl"
 	"ese/internal/sim"
@@ -154,6 +157,40 @@ func benchPCAM(b *testing.B, design string) {
 
 func BenchmarkTable1_PCAM_SW(b *testing.B)  { benchPCAM(b, "SW") }
 func BenchmarkTable1_PCAM_SW4(b *testing.B) { benchPCAM(b, "SW+4") }
+
+// ---- The accuracy scorer ----
+
+// BenchmarkBoardPass_MP3SW is one of the scorer's board passes: MP3 SW at
+// the committed scoreboard's size, one functional pass timing the five
+// standard cache configurations (rtl.RunBoards).
+func BenchmarkBoardPass_MP3SW(b *testing.B) {
+	boards := calib.NewBoards(apps.DefaultMP3.Frames, apps.DefaultJPEG.Blocks, 0)
+	ds := make([]*platform.Design, len(pum.StandardCacheConfigs))
+	for i, cc := range pum.StandardCacheConfigs {
+		d, err := boards.Design("mp3", "SW", pum.MicroBlaze(), cc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ds[i] = d
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := rtl.RunBoards(context.Background(), ds, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkScoreboard is the whole scorer at the committed matrix, the
+// workload of BENCH_accuracy.json: calibration, board passes, recordings
+// and 90 estimates (calib.RunScoreboard).
+func BenchmarkScoreboard(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if _, err := calib.RunScoreboard(calib.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // ---- Ablation A2: per-block waits ----
 

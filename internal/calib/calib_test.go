@@ -14,7 +14,10 @@ import (
 
 	"ese/internal/apps"
 	"ese/internal/cli"
+	"ese/internal/core"
 	"ese/internal/diag"
+	"ese/internal/engine"
+	"ese/internal/metrics"
 	"ese/internal/pum"
 	"ese/internal/rtl"
 )
@@ -266,17 +269,25 @@ func TestCalibrationMatrixSnapshotsValidate(t *testing.T) {
 // exactly and CI regenerates the JSON on every run. One run is serial
 // (GOMAXPROCS 1) and one on four workers, where the MP3 row of a training
 // set finishes after the JPEG rows started beside it: rows land in matrix
-// order, not in the order they finish.
+// order, not in the order they finish. Each run starts on a fresh
+// schedule/estimate cache and must leave the same counters in it: the
+// recordings compute every schedule before any row runs, so rows of
+// designs sharing blocks never both miss one.
 func TestScoreboardDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two scoreboard runs in -short mode")
 	}
 	var a, b *Scoreboard
 	var aErr, bErr error
-	atProcs(1, func() { a, aErr = RunScoreboard(small()) })
-	atProcs(4, func() { b, bErr = RunScoreboard(small()) })
+	aOpts, bOpts := small(), small()
+	aOpts.Engine.Cache, bOpts.Engine.Cache = core.NewCache(), core.NewCache()
+	atProcs(1, func() { a, aErr = RunScoreboard(aOpts) })
+	atProcs(4, func() { b, bErr = RunScoreboard(bOpts) })
 	if aErr != nil || bErr != nil {
 		t.Fatalf("GOMAXPROCS 1: %v; GOMAXPROCS 4: %v", aErr, bErr)
+	}
+	if as, bs := aOpts.Engine.Cache.Stats(), bOpts.Engine.Cache.Stats(); as != bs {
+		t.Fatalf("cache counters differ: GOMAXPROCS 1 %+v, GOMAXPROCS 4 %+v", as, bs)
 	}
 	aj, err := a.ToJSON()
 	if err != nil {
@@ -313,6 +324,60 @@ func TestScoreboardDeterministic(t *testing.T) {
 	for i, p := range a.Rows[0].Points { // mp3/mp3/SW vs jpeg/mp3/SW
 		if q := a.Rows[3].Points[i]; p.Board != q.Board {
 			t.Errorf("point %d: board cycles differ across trainings (%d vs %d)", i, p.Board, q.Board)
+		}
+	}
+}
+
+// Each workload is interpreted once per scoreboard, by its recording, and
+// every estimate replays it: of the TLM runs the scorer makes, one per
+// workload simulates and one per point replays. ScoreRow's points, served
+// from recordings, equal calib.Estimate's run point by point without one.
+func TestScoreboardReplaysEachWorkload(t *testing.T) {
+	opts := small()
+	reg := metrics.NewRegistry()
+	opts.Engine.Metrics = reg
+	sb, err := RunScoreboard(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	works := len(sb.Rows) / len(opts.Trains)
+	snap := reg.Snapshot()
+	runs, replays := snap.Histograms["tlm.wall.seconds"].Count, snap.Counters["tlm.replays"]
+	if want := uint64(len(sb.Rows) * len(opts.Configs)); replays != want || runs != want+uint64(works) {
+		t.Fatalf("%d TLM runs of which %d replayed, want %d replays and %d simulations", runs, replays, want, works)
+	}
+
+	ts, err := Trainings("mp3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, _, err := Calibrate(pum.MicroBlaze(), ts, opts.Configs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	boards := NewBoards(opts.Frames, opts.Blocks, 0)
+	for _, w := range []struct{ app, design string }{{"mp3", "SW"}, {"jpeg", "SW+DCT"}} {
+		reg := metrics.NewRegistry()
+		row, err := ScoreRow(ctx, engine.New(engine.Options{Metrics: reg}), boards, model, w.app, w.design, opts.Configs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := reg.Snapshot().Counters["tlm.replays"]; got != uint64(len(opts.Configs)) {
+			t.Errorf("%s/%s: %d of %d estimates replayed", w.app, w.design, got, len(opts.Configs))
+		}
+		for i, cc := range opts.Configs {
+			d, err := boards.Design(w.app, w.design, model, cc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _, err := Estimate(ctx, engine.New(engine.Options{}), d, cc, row.Points[i].Board)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if row.Points[i] != want {
+				t.Errorf("%s/%s %v: ScoreRow point %+v, Estimate %+v", w.app, w.design, cc, row.Points[i], want)
+			}
 		}
 	}
 }

@@ -144,26 +144,31 @@ func trainCovers(label, app string) bool {
 }
 
 // Boards is the board-reference memo of one evaluation workload: the
-// compiled program of each (app, design) and the end cycles at the bus
-// clock of each (app, design, cache configuration) on the cycle-accurate
-// board. Board runs depend only on the design and the PUM datasheet
-// constants — never on the calibrated statistics — so each reference is
-// simulated once and serves every model scored against it. A memo is
-// filled by one goroutine at a time; once filled, reads of what it holds
-// (Design and Refs of memoized workloads) write nothing and may run
-// concurrently.
+// compiled program of each (app, design), the end cycles at the bus clock
+// of each (app, design, cache configuration) on the cycle-accurate board,
+// and one tlm.Recording of each (app, design). Board runs depend only on
+// the design and the PUM datasheet constants — never on the calibrated
+// statistics — so each reference is simulated once and serves every model
+// scored against it. Likewise a workload's segments and transactions do
+// not depend on its delays, so one timed TLM run records them and every
+// estimate of the workload, under any model and configuration, replays
+// them (ScoreRow). A memo is filled by one goroutine at a time; once
+// filled, reads of what it holds (Design and Refs of memoized workloads,
+// ScoreRow of recorded ones) write nothing and may run concurrently.
 type Boards struct {
 	frames, blocks int
 	limit          uint64
-	progs          map[string]*cdfg.Program // app/design -> evaluation program
-	ends           map[string]uint64        // app/design/cfg -> end cycles at bus clock
+	progs          map[string]*cdfg.Program  // app/design -> evaluation program
+	ends           map[string]uint64         // app/design/cfg -> end cycles at bus clock
+	recs           map[string]*tlm.Recording // app/design -> recorded timed run (nil: none records)
 }
 
 // NewBoards returns an empty memo for MP3 evaluated on frames frames and
 // JPEG on blocks blocks; limit bounds each board run's steps (0 = none).
 func NewBoards(frames, blocks int, limit uint64) *Boards {
 	return &Boards{frames: frames, blocks: blocks, limit: limit,
-		progs: make(map[string]*cdfg.Program), ends: make(map[string]uint64)}
+		progs: make(map[string]*cdfg.Program), ends: make(map[string]uint64),
+		recs: make(map[string]*tlm.Recording)}
 }
 
 // Design maps one (app, design) evaluation workload onto a platform with
@@ -242,6 +247,27 @@ func (b *Boards) designs(ctx context.Context, app, design string, model *pum.PUM
 	return ds, refs, nil
 }
 
+// recording returns the (app, design) workload's recording, made on the
+// workload's first request by one timed TLM run of d, a design of the
+// workload, through pipe. A run that does not record (see
+// tlm.Options.Recording) leaves the workload without one, and its
+// estimates simulate.
+func (b *Boards) recording(ctx context.Context, pipe *engine.Pipeline, app, design string, d *platform.Design) (*tlm.Recording, error) {
+	key := app + "/" + design
+	if rec, ok := b.recs[key]; ok {
+		return rec, nil
+	}
+	rec := &tlm.Recording{}
+	if _, err := pipe.SimulateCtx(ctx, d, timed(rec)); err != nil {
+		return nil, fmt.Errorf("calib: record %s: %w", key, err)
+	}
+	if !rec.Filled() {
+		rec = nil
+	}
+	b.recs[key] = rec
+	return rec, nil
+}
+
 // add records every program and board reference of o, a memo of the same
 // workload sizes and step limit.
 func (b *Boards) add(o *Boards) {
@@ -251,17 +277,23 @@ func (b *Boards) add(o *Boards) {
 
 // ScoreRow scores a calibrated model's timed-TLM estimate of one (app,
 // design) against the board across cfgs: it maps the workload at every
-// configuration, takes the board references from boards and runs each
-// estimate through pipe, all under ctx. Train and Cross are left to the
-// caller.
+// configuration, takes the board references and the workload's recording
+// from boards, recording it on the workload's first row, and runs each
+// estimate through pipe as a replay of that recording, all under ctx.
+// Each point equals Estimate's, which simulates. Train and Cross are left
+// to the caller.
 func ScoreRow(ctx context.Context, pipe *engine.Pipeline, boards *Boards, model *pum.PUM, app, design string, cfgs []pum.CacheCfg) (Row, error) {
 	ds, refs, err := boards.designs(ctx, app, design, model, cfgs)
 	if err != nil {
 		return Row{}, err
 	}
+	rec, err := boards.recording(ctx, pipe, app, design, ds[0])
+	if err != nil {
+		return Row{}, err
+	}
 	row := Row{App: app, Design: design}
 	for i, cc := range cfgs {
-		p, _, err := Estimate(ctx, pipe, ds[i], cc, refs[i])
+		p, _, err := estimate(ctx, pipe, ds[i], cc, refs[i], rec)
 		if err != nil {
 			return Row{}, fmt.Errorf("calib: estimate %s/%s/%s: %w", app, design, cc, err)
 		}
@@ -276,7 +308,13 @@ func ScoreRow(ctx context.Context, pipe *engine.Pipeline, boards *Boards, model 
 // the bus clock against board, the design's end cycles on the board. It
 // also returns the time the run spent annotating d.
 func Estimate(ctx context.Context, pipe *engine.Pipeline, d *platform.Design, cc pum.CacheCfg, board uint64) (Point, time.Duration, error) {
-	res, err := pipe.SimulateCtx(ctx, d, tlm.Options{Timed: true, WaitMode: tlm.WaitAtTransactions})
+	return estimate(ctx, pipe, d, cc, board, nil)
+}
+
+// estimate is Estimate replaying rec, a filled recording of d's workload
+// (nil: simulate).
+func estimate(ctx context.Context, pipe *engine.Pipeline, d *platform.Design, cc pum.CacheCfg, board uint64, rec *tlm.Recording) (Point, time.Duration, error) {
+	res, err := pipe.SimulateCtx(ctx, d, timed(rec))
 	if err != nil {
 		return Point{}, 0, err
 	}
@@ -286,6 +324,12 @@ func Estimate(ctx context.Context, pipe *engine.Pipeline, d *platform.Design, cc
 		Board: board, Est: est,
 		ErrPct: pct(float64(est), float64(board)),
 	}, res.AnnoTime, nil
+}
+
+// timed is the scorer's TLM configuration, the one the paper evaluates
+// (waits at transaction boundaries), recording into or replaying rec.
+func timed(rec *tlm.Recording) tlm.Options {
+	return tlm.Options{Timed: true, WaitMode: tlm.WaitAtTransactions, Recording: rec}
 }
 
 // RunScoreboard calibrates one model per training set and scores the
@@ -302,13 +346,19 @@ func Estimate(ctx context.Context, pipe *engine.Pipeline, d *platform.Design, cc
 // (pum.MicroBlaze, with a placeholder memory-table entry for each
 // configuration it lacks: boardModel) before any model exists. The
 // references then fill one memo, and each training set's model is merged
-// from its reports.
+// from its reports. Then each (app, design) is recorded (Boards) by one
+// timed TLM run under that datasheet, one workload at a time in matrix
+// order. The recordings annotate every design, so they compute every
+// Algorithm 1 schedule the rows need, in the same order at any
+// GOMAXPROCS, and the rows' schedule lookups all hit the pipeline's cache.
 //
 // Phase two scores every row against that memo, which no row writes, each
 // into its slot in matrix order (training sets, then applications, then
 // designs), so the scoreboard does not depend on the order rows finish in.
-// A failing phase reports its earliest failing task in that fixed order,
-// so the result, scoreboard or error, is the same at every GOMAXPROCS.
+// Every estimate replays its workload's recording instead of interpreting
+// the program again. A failing phase reports its earliest failing task in
+// that fixed order, so the result, scoreboard or error, is the same at
+// every GOMAXPROCS.
 func RunScoreboard(opts Options) (*Scoreboard, error) {
 	ctx := opts.Ctx
 	if ctx == nil {
@@ -382,6 +432,16 @@ func RunScoreboard(opts Options) (*Scoreboard, error) {
 	for _, memo := range memos {
 		boards.add(memo)
 	}
+	pipe := engine.New(opts.Engine)
+	for _, w := range works {
+		d, err := boards.Design(w.app, w.design, ref, cfgs[0])
+		if err == nil {
+			_, err = boards.recording(ctx, pipe, w.app, w.design, d)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
 	models := make([]*pum.PUM, len(trains))
 	for i, label := range trains {
 		labelNames := strings.Split(label, "+")
@@ -395,7 +455,6 @@ func RunScoreboard(opts Options) (*Scoreboard, error) {
 		}
 	}
 
-	pipe := engine.New(opts.Engine)
 	sb := &Scoreboard{Frames: opts.Frames, Blocks: opts.Blocks, Rows: make([]Row, len(trains)*len(works))}
 	if err := forEach(len(sb.Rows), func(i int) error {
 		label, w := trains[i/len(works)], works[i%len(works)]

@@ -39,11 +39,11 @@ type CalibReport struct {
 // Measure profiles a training process for the statistical memory and
 // branch models, against the base PUM's datasheet (external latency,
 // branch predictor). One functional pass of the entry (see pass) feeds
-// every retired instruction to one real (I-cache, D-cache) pair per cached
-// configuration and to one branch predictor: each cache sees the address
-// stream a one-configuration run would see. limit bounds the run's dynamic
-// steps (0 = none), and ctx the run, which polls it every few thousand
-// instructions. The entry must be a self-contained
+// every retired instruction to one real cache per distinct geometry of
+// the cached configurations and to one branch predictor: each cache sees
+// the address stream a one-configuration run would see. limit bounds the
+// run's dynamic steps (0 = none), and ctx the run, which polls it every
+// few thousand instructions. The entry must be a self-contained
 // process (no channel communication), typically a reduced or
 // representative input; evaluating on different inputs is what makes the
 // statistical model approximate. Measure builds no model: internal/calib

@@ -8,9 +8,14 @@ import (
 	"time"
 
 	"ese/internal/apps"
+	"ese/internal/cache"
 	"ese/internal/diag"
+	"ese/internal/interp"
+	"ese/internal/iss"
 	"ese/internal/platform"
 	"ese/internal/pum"
+	"ese/internal/sim"
+	"ese/internal/tlm"
 )
 
 // TestBoardsOnePassMatchesPins runs each pinned workload's configurations
@@ -111,4 +116,108 @@ func TestBoardsRejectDifferentMappings(t *testing.T) {
 			t.Fatalf("designs with different %s shared a pass", name)
 		}
 	}
+}
+
+// TestLanesMatchRefCPU runs one pass over MP3 SW and JPEG SW+DCT with
+// lanes of every kind: uncached, one side absent, shared geometries (the
+// 16k I-cache twice, the 16k D-cache three times) and a repeated lane.
+// Every take of the processor (one per segment between channel
+// operations) and every lane's statistics must equal those of a
+// reference CPU of that lane's caches alone, charged per instruction.
+func TestLanesMatchRefCPU(t *testing.T) {
+	lanes := []pum.CacheCfg{
+		{ISize: 0, DSize: 0}, {ISize: 0, DSize: 4096}, {ISize: 4096, DSize: 0},
+		{ISize: 16384, DSize: 16384}, {ISize: 32768, DSize: 16384}, {ISize: 16384, DSize: 16384},
+	}
+	for _, w := range []struct{ app, design string }{{"mp3", "SW"}, {"jpeg", "SW+DCT"}} {
+		d := pinDesign(t, w.app, w.design, pum.StandardCacheConfigs[0])
+		ds := make([]*platform.Design, len(lanes))
+		for i, cc := range lanes {
+			ds[i] = withCaches(d, cache.BoardConfig(cc.ISize), cache.BoardConfig(cc.DSize))
+		}
+		runs, err := functionalPass(context.Background(), ds, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pe, r := range runs {
+			if r.cpu == nil {
+				continue
+			}
+			for i, cc := range lanes {
+				ref := runRefDesign(t, ds[i])
+				if w.design != "SW" && len(ref.segs) < 2 {
+					t.Fatalf("%s/%s: the processor has %d segments, want channel operations", w.app, w.design, len(ref.segs))
+				}
+				if !slices.Equal(r.cycles[i], ref.segs) {
+					t.Errorf("%s/%s lane %d %v: takes %v, reference %v", w.app, w.design, i, cc, r.cycles[i], ref.segs)
+				}
+				if got, want := r.cpu.mem(i), ref.mem(); got != want {
+					t.Errorf("%s/%s lane %d %v: statistics %+v, reference %+v", w.app, w.design, i, cc, got, want)
+				}
+				if r.cpu.bp.MissRate() != ref.bp.MissRate() || r.steps != ref.m.Steps {
+					t.Errorf("%s/%s PE %d: miss rate %v over %d steps, reference %v over %d",
+						w.app, w.design, pe, r.cpu.bp.MissRate(), r.steps, ref.bp.MissRate(), ref.m.Steps)
+				}
+			}
+		}
+	}
+}
+
+// withCaches returns a copy of d whose processor PEs have the given cache
+// organizations.
+func withCaches(d *platform.Design, ic, dc cache.Config) *platform.Design {
+	c := *d
+	c.PEs = make([]*platform.PE, len(d.PEs))
+	for i, pe := range d.PEs {
+		cp := *pe
+		if cp.Kind == platform.Processor {
+			cp.ICache, cp.DCache = ic, dc
+		}
+		c.PEs[i] = &cp
+	}
+	return &c
+}
+
+// runRefDesign runs d on an untimed bus with its one processor PE on a
+// reference CPU of the PE's caches, cutting a segment at each channel
+// operation and at the end, and its hardware PEs on the IR interpreter.
+func runRefDesign(t *testing.T, d *platform.Design) *refCPU {
+	t.Helper()
+	isa, err := iss.Generate(d.Program)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := sim.NewKernel()
+	bus := tlm.NewBus(k, d.Bus, false)
+	var cpu *refCPU
+	errs := make([]error, len(d.PEs))
+	for i, pe := range d.PEs {
+		channels := func(p *sim.Process, cut func()) (send, recv func(int, []int32) error) {
+			send = func(ch int, data []int32) error { cut(); bus.Send(p, ch, data); return nil }
+			recv = func(ch int, buf []int32) error { cut(); bus.Recv(p, ch, buf); return nil }
+			return send, recv
+		}
+		switch pe.Kind {
+		case platform.Processor:
+			cpu = newRefCPU(t, isa, pe.PUM, pe.ICache, pe.DCache)
+			k.Spawn(pe.Name, func(p *sim.Process) {
+				cpu.m.Send, cpu.m.Recv = channels(p, cpu.cut)
+				errs[i] = cpu.run(pe.Entry)
+				cpu.cut()
+			})
+		case platform.HWUnit:
+			m := interp.New(d.Program)
+			k.Spawn(pe.Name, func(p *sim.Process) {
+				m.Send, m.Recv = channels(p, func() {})
+				errs[i] = m.Run(pe.Entry)
+			})
+		}
+	}
+	if _, err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+	return cpu
 }

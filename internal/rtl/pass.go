@@ -3,24 +3,25 @@
 // paper's on-board measurements, the custom-hardware datapath model, and
 // the interpreted ISS baseline. It holds the one instruction-timing loop
 // (pass): every retired instruction of the functional machine
-// (internal/iss) is charged its class cost, its I-fetch, its data operands
-// and its branch under each lane's timing. A board lane takes its costs
-// from the PE's PUM, treated as the PE's datasheet, and real caches of the
-// board's organization, so the difference between the board and the timed
-// TLM is exactly what the paper studies — statistical versus actual
-// cache/branch behaviour, plus block-boundary scheduling effects. An ISS
-// lane takes the ISS's own coarse costs and caches (issTiming).
+// (internal/iss) is counted once by its class, its I-fetch, its data
+// operands and its branch outcome, and each lane's timing charges those
+// counts. A board lane takes its costs from the PE's PUM, treated as the
+// PE's datasheet, and real caches of the board's organization, so the
+// difference between the board and the timed TLM is exactly what the
+// paper studies — statistical versus actual cache/branch behaviour, plus
+// block-boundary scheduling effects. An ISS lane takes the ISS's own
+// coarse costs and caches (issTiming).
 //
 // A processor's retired instruction stream does not depend on its caches,
 // and channels are rendezvous, so neither does the sequence of channel
 // operations between PEs. One functional pass therefore serves every
 // cache configuration of a program: it feeds each retired instruction to
-// one (I-cache, D-cache) pair per configuration and to one branch
-// predictor, charging each configuration its own cycles. Measure runs it
-// on a self-contained training program and reports the cache hit rates of
-// every configuration and the branch misprediction ratio, from which
-// internal/calib builds the calibrated model. RunBoards runs it on a whole
-// design, recording each configuration's cycles per segment between
+// each distinct cache geometry once and to one branch predictor, and
+// charges each configuration its own cycles from the shared counts. Measure
+// runs it on a self-contained training program and reports the cache hit
+// rates of every configuration and the branch misprediction ratio, from
+// which internal/calib builds the calibrated model. RunBoards runs it on a
+// whole design, recording each configuration's cycles per segment between
 // channel operations, and replays each configuration's segments and
 // transactions through tlm's bus on a fresh kernel. Cycles and memory
 // statistics are per configuration; the out streams, step counts and the
@@ -120,24 +121,31 @@ func predictorFor(name string) (branch.Predictor, error) {
 
 // pass is one functional run of a processor process, timed under several
 // lanes at once: the one instruction loop of Measure, the board and the
-// ISS. Each retired instruction goes to every lane's (I-cache, D-cache)
-// pair and to one branch predictor, and every lane charges it its class
-// cost, its side's latency on each cache miss (an absent side misses every
-// access), and its branch penalty on a misprediction.
+// ISS. Once per retired instruction it counts what every lane shares —
+// retired instructions per op class, data accesses and the predictor's
+// mispredictions — and feeds the fetch and each data address once to every
+// distinct cache. A lane is charged from those counts (take), not per
+// instruction.
 type pass struct {
-	m     *iss.Machine
-	bp    *branch.Stats
-	lanes []lane
-	limit uint64          // dynamic step bound (0 = none)
-	ctx   context.Context // polled every ctxCheckSteps instructions
+	m       *iss.Machine
+	bp      *branch.Stats
+	lanes   []lane
+	icaches []*cache.Cache  // one per distinct present I-cache geometry
+	dcaches []*cache.Cache  // one per distinct present D-cache geometry
+	retired [16]uint64      // retired instructions per op class
+	daccess uint64          // data accesses
+	limit   uint64          // dynamic step bound (0 = none)
+	ctx     context.Context // polled every ctxCheckSteps instructions
 }
 
-// lane is one timing and cache configuration of a pass.
+// lane is one timing and cache configuration of a pass. Its caches are
+// shared with every lane of the same normalized geometry; a nil side is
+// absent.
 type lane struct {
 	ic, dc *cache.Cache
 	timing
-	iLat, dLat uint64 // per miss on each side, fixed when the lane is added
-	pending    uint64 // cycles charged since the last take
+	iLat, dLat uint64 // per charged access on each side, fixed when the lane is added
+	taken      uint64 // cycles returned by take so far
 }
 
 // newPass prepares a pass over m; predictor names the branch predictor
@@ -151,26 +159,42 @@ func newPass(ctx context.Context, m *iss.Machine, predictor string, limit uint64
 }
 
 // addLane adds a lane of the given costs and real caches of the given
-// organizations. A present cache side charges the miss latency per miss,
-// an absent one the uncached latency per access. Its first charge is the
-// fill.
+// organizations, before the pass runs. A present cache side charges the
+// miss latency per miss, an absent one the uncached latency per access.
+// Its first charge is the fill.
 func (ps *pass) addLane(tm timing, ic, dc cache.Config) {
-	l := lane{ic: cache.New(ic), dc: cache.New(dc), timing: tm, pending: tm.fill}
-	l.iLat, l.dLat = tm.uncachedLat, tm.uncachedLat
-	if l.ic.Enabled() {
+	l := lane{timing: tm, iLat: tm.uncachedLat, dLat: tm.uncachedLat}
+	if l.ic = sharedCache(&ps.icaches, ic); l.ic != nil {
 		l.iLat = tm.missLat
 	}
-	if l.dc.Enabled() {
+	if l.dc = sharedCache(&ps.dcaches, dc); l.dc != nil {
 		l.dLat = tm.missLat
 	}
 	ps.lanes = append(ps.lanes, l)
+}
+
+// sharedCache returns the cache of caches with cfg's normalized geometry,
+// adding one when there is none, or nil when cfg has no lines (an absent
+// side touches no cache).
+func sharedCache(caches *[]*cache.Cache, cfg cache.Config) *cache.Cache {
+	c := cache.New(cfg)
+	if !c.Enabled() {
+		return nil
+	}
+	for _, o := range *caches {
+		if o.Config() == c.Config() {
+			return o
+		}
+	}
+	*caches = append(*caches, c)
+	return c
 }
 
 // run retires instructions of the started machine until it finishes,
 // fails, exceeds the step bound or its context ends.
 func (ps *pass) run() error {
 	var t iss.Trace
-	lanes := ps.lanes
+	icaches, dcaches := ps.icaches, ps.dcaches
 	countdown := ctxCheckSteps
 	for {
 		if err := ps.m.Step(&t); err != nil {
@@ -179,23 +203,19 @@ func (ps *pass) run() error {
 		if !t.Executed {
 			return nil
 		}
-		pc, cls, daddrs := iss.PCAddr(t.PC), t.Class, t.DAddrs
-		mispredict := t.Branch && ps.bp.Resolve(pc, t.Taken)
-		for i := range lanes {
-			l := &lanes[i]
-			c := l.classCost[cls]
-			if !l.ic.Access(pc) {
-				c += l.iLat
+		pc := iss.PCAddr(t.PC)
+		ps.retired[t.Class]++
+		for _, c := range icaches {
+			c.Access(pc)
+		}
+		for _, a := range t.DAddrs {
+			for _, c := range dcaches {
+				c.Access(a)
 			}
-			for _, a := range daddrs {
-				if !l.dc.Access(a) {
-					c += l.dLat
-				}
-			}
-			if mispredict {
-				c += l.brPenalty
-			}
-			l.pending += c
+		}
+		ps.daccess += uint64(len(t.DAddrs))
+		if t.Branch {
+			ps.bp.Resolve(pc, t.Taken)
 		}
 		if t.Done {
 			return nil
@@ -212,11 +232,32 @@ func (ps *pass) run() error {
 	}
 }
 
-// take returns the cycles lane i charged since the previous take.
+// take returns the cycles lane i charged since the previous take. A
+// lane's cycles so far are, in closed form, its fill, each op class's
+// retired count times the class cost, each side's charged accesses (the
+// shared cache's misses, or every access of an absent side) times the
+// side's latency, and the mispredictions times the branch penalty.
 func (ps *pass) take(i int) uint64 {
-	c := ps.lanes[i].pending
-	ps.lanes[i].pending = 0
+	l := &ps.lanes[i]
+	total := l.fill + ps.bp.Mispredict*l.brPenalty
+	var fetches uint64
+	for cls, n := range ps.retired {
+		total += n * l.classCost[cls]
+		fetches += n
+	}
+	total += charged(l.ic, fetches)*l.iLat + charged(l.dc, ps.daccess)*l.dLat
+	c := total - l.taken
+	l.taken = total
 	return c
+}
+
+// charged is the accesses a cache side pays its latency on: the misses of
+// a present cache, every access of an absent one.
+func charged(c *cache.Cache, accesses uint64) uint64 {
+	if c == nil {
+		return accesses
+	}
+	return c.Misses
 }
 
 // mem returns lane i's observed cache statistics in PUM form, the raw
@@ -231,10 +272,10 @@ func (ps *pass) mem(i int) pum.MemStats {
 		IMissPenalty: float64(l.iLat),
 		DMissPenalty: float64(l.dLat),
 	}
-	if l.ic.Enabled() {
+	if l.ic != nil {
 		st.IHitRate = l.ic.HitRate()
 	}
-	if l.dc.Enabled() {
+	if l.dc != nil {
 		st.DHitRate = l.dc.HitRate()
 	}
 	return st

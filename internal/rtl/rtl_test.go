@@ -50,26 +50,34 @@ func runPass(t *testing.T, isa *iss.Program, model *pum.PUM, cfgs ...pum.CacheCf
 
 // refCPU is the reference the pass is checked against: one board
 // configuration, stepped and charged one instruction at a time by a loop
-// written apart from the pass's.
+// written apart from the pass's. segs holds the cycles charged in each
+// segment closed by cut.
 type refCPU struct {
 	m      *iss.Machine
 	ic, dc *cache.Cache
 	bp     branch.Stats
 	tm     timing
 	cycles uint64
+	segs   []uint64
+	cutAt  uint64
 }
 
-// runRefCPU runs main of isa to completion on a reference CPU of model's
-// datasheet with real caches of the given organizations.
-func runRefCPU(t *testing.T, isa *iss.Program, model *pum.PUM, ic, dc cache.Config) *refCPU {
+// newRefCPU prepares a reference CPU of model's datasheet with real caches
+// of the given organizations over isa.
+func newRefCPU(t *testing.T, isa *iss.Program, model *pum.PUM, ic, dc cache.Config) *refCPU {
 	t.Helper()
 	pred, err := predictorFor(model.Branch.Predictor)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := &refCPU{m: iss.NewMachine(isa), ic: cache.New(ic), dc: cache.New(dc), bp: branch.Stats{P: pred}, tm: timingOf(model)}
-	if err := c.m.Start("main"); err != nil {
-		t.Fatal(err)
+	return &refCPU{m: iss.NewMachine(isa), ic: cache.New(ic), dc: cache.New(dc), bp: branch.Stats{P: pred}, tm: timingOf(model)}
+}
+
+// run runs entry to completion, charging the fill and then every retired
+// instruction.
+func (c *refCPU) run(entry string) error {
+	if err := c.m.Start(entry); err != nil {
+		return err
 	}
 	access := func(cc *cache.Cache, addr uint32) uint64 {
 		if !cc.Enabled() {
@@ -84,7 +92,7 @@ func runRefCPU(t *testing.T, isa *iss.Program, model *pum.PUM, ic, dc cache.Conf
 	var tr iss.Trace
 	for !c.m.Done() {
 		if err := c.m.Step(&tr); err != nil {
-			t.Fatal(err)
+			return err
 		}
 		c.cycles += c.tm.classCost[tr.Class] + access(c.ic, iss.PCAddr(tr.PC))
 		for _, a := range tr.DAddrs {
@@ -94,18 +102,35 @@ func runRefCPU(t *testing.T, isa *iss.Program, model *pum.PUM, ic, dc cache.Conf
 			c.cycles += c.tm.brPenalty
 		}
 	}
+	return nil
+}
+
+// cut closes the current segment.
+func (c *refCPU) cut() {
+	c.segs = append(c.segs, c.cycles-c.cutAt)
+	c.cutAt = c.cycles
+}
+
+// runRefCPU runs main of isa to completion on a reference CPU of model's
+// datasheet with real caches of the given organizations.
+func runRefCPU(t *testing.T, isa *iss.Program, model *pum.PUM, ic, dc cache.Config) *refCPU {
+	t.Helper()
+	c := newRefCPU(t, isa, model, ic, dc)
+	if err := c.run("main"); err != nil {
+		t.Fatal(err)
+	}
 	return c
 }
 
 // mem is the reference CPU's cache statistics in PUM form: an absent side
-// has hit rate 0.
+// has hit rate 0 and pays the uncached latency.
 func (c *refCPU) mem() pum.MemStats {
-	st := pum.MemStats{IMissPenalty: float64(c.tm.missLat), DMissPenalty: float64(c.tm.missLat)}
+	st := pum.MemStats{IMissPenalty: float64(c.tm.uncachedLat), DMissPenalty: float64(c.tm.uncachedLat)}
 	if c.ic.Enabled() {
-		st.IHitRate = c.ic.HitRate()
+		st.IMissPenalty, st.IHitRate = float64(c.tm.missLat), c.ic.HitRate()
 	}
 	if c.dc.Enabled() {
-		st.DHitRate = c.dc.HitRate()
+		st.DMissPenalty, st.DHitRate = float64(c.tm.missLat), c.dc.HitRate()
 	}
 	return st
 }

@@ -190,9 +190,9 @@ func TestHealthzMetricsAndJob(t *testing.T) {
 		t.Fatalf("program memo counted %d misses and %d hits, want 1 and 2",
 			snap.Counters["jobspec.program.misses"], snap.Counters["jobspec.program.hits"])
 	}
-	if snap.Counters["jobspec.replay.records"] != 1 || snap.Counters["jobspec.replay.hits"] != 1 {
-		t.Fatalf("replay counted %d recordings and %d replays, want 1 and 1",
-			snap.Counters["jobspec.replay.records"], snap.Counters["jobspec.replay.hits"])
+	if snap.Counters["jobspec.replay.records"] != 1 || snap.Counters["jobspec.replay.hits"] != 1 || snap.Counters["tlm.replays"] != 1 {
+		t.Fatalf("replay counted %d recordings, %d replays and %d tlm replays, want 1, 1 and 1",
+			snap.Counters["jobspec.replay.records"], snap.Counters["jobspec.replay.hits"], snap.Counters["tlm.replays"])
 	}
 
 	resp, err = ts.Client().Get(ts.URL + "/metrics?format=prom")
@@ -205,7 +205,7 @@ func TestHealthzMetricsAndJob(t *testing.T) {
 		t.Fatalf("prom content type = %q", ct)
 	}
 	for _, line := range []string{"server_jobs_executed 4", "jobspec_program_hits 2", "jobspec_program_misses 1",
-		"jobspec_replay_records 1", "jobspec_replay_hits 1"} {
+		"jobspec_replay_records 1", "jobspec_replay_hits 1", "tlm_replays 1"} {
 		if !strings.Contains(string(prom), line) {
 			t.Fatalf("prom exposition missing %q:\n%s", line, prom)
 		}

@@ -202,6 +202,9 @@ func replay(ctx context.Context, d *platform.Design, rec *Recording, procs []Poo
 		}
 	}
 	report(opts.Metrics, res, bus, k)
+	if opts.Metrics != nil {
+		opts.Metrics.Counter("tlm.replays").Inc()
+	}
 	if err != nil {
 		if diag.IsCancellation(err) {
 			return res, err

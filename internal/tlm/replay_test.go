@@ -140,7 +140,8 @@ func simCounters(reg *metrics.Registry) (map[string]uint64, map[string]int64) {
 // TestReplayMatchesSimulation records each design once under its
 // annotated delays, then replays the recording under several other delay
 // maps and requires every Result field (wall time aside) and every
-// kernel and bus counter to equal a simulation with the same delays.
+// kernel and bus counter to equal a simulation with the same delays; the
+// replay alone counts one tlm.replays.
 func TestReplayMatchesSimulation(t *testing.T) {
 	keep := func(_ string, _ int, v float64) float64 { return v }
 	scaled := func(_ string, _ int, v float64) float64 { return v*3 + 1 }
@@ -199,6 +200,10 @@ func TestReplayMatchesSimulation(t *testing.T) {
 				}
 				wc, wg := simCounters(wantReg)
 				gc, gg := simCounters(gotReg)
+				if gc["tlm.replays"] != 1 || wc["tlm.replays"] != 0 {
+					t.Fatalf("%s: tlm.replays %d on the replay and %d on the simulation, want 1 and 0", name, gc["tlm.replays"], wc["tlm.replays"])
+				}
+				delete(gc, "tlm.replays")
 				if !reflect.DeepEqual(gc, wc) || !reflect.DeepEqual(gg, wg) {
 					t.Fatalf("%s: replay counters %v %v, simulation %v %v", name, gc, gg, wc, wg)
 				}

@@ -64,7 +64,8 @@ type Options struct {
 	Profile bool
 	// Metrics, when non-nil, receives the run's simulation counters
 	// (interpreter steps, kernel dispatches/fires, queue high-water, bus
-	// transfers) when Run returns.
+	// transfers) when Run returns; a run that replays a Recording also
+	// counts one "tlm.replays".
 	Metrics *metrics.Registry
 	// Recording, when non-nil, carries the design's recorded transactions
 	// (see Recording): a filled one is replayed instead of interpreting
