@@ -164,10 +164,14 @@ func BenchmarkTable1_PCAM_SW4(b *testing.B) { benchPCAM(b, "SW+4") }
 // the committed scoreboard's size, one functional pass timing the five
 // standard cache configurations (rtl.RunBoards).
 func BenchmarkBoardPass_MP3SW(b *testing.B) {
-	boards := calib.NewBoards(apps.DefaultMP3.Frames, apps.DefaultJPEG.Blocks, 0)
+	w := calib.Workload{App: "mp3", Design: "SW", Size: apps.DefaultMP3.Frames, Seed: apps.DefaultMP3.Seed}
+	e, _, err := new(calib.Memo).Entry(context.Background(), w)
+	if err != nil {
+		b.Fatal(err)
+	}
 	ds := make([]*platform.Design, len(pum.StandardCacheConfigs))
 	for i, cc := range pum.StandardCacheConfigs {
-		d, err := boards.Design("mp3", "SW", pum.MicroBlaze(), cc)
+		d, err := e.Design(pum.MicroBlaze(), cc)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -35,6 +35,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -159,9 +160,9 @@ func run(spec *jobspec.Spec, table int, ablation string, all, jsonOut, showMetri
 	}
 	setup := func() (*experiments.Setup, error) {
 		if !jsonOut {
-			fmt.Printf("workload: MP3-like decode, %d frames (eval seed 0x%X, train seed 0x%X)\n",
+			fmt.Fprintf(bench.out(), "workload: MP3-like decode, %d frames (eval seed 0x%X, train seed 0x%X)\n",
 				spec.Frames, apps.DefaultMP3.Seed, apps.TrainMP3.Seed)
-			fmt.Println("calibrating statistical PUM models on the training workload...")
+			fmt.Fprintln(bench.out(), "calibrating statistical PUM models on the training workload...")
 		}
 		return experiments.NewSetup(ctx, spec.Frames, opts)
 	}
@@ -243,6 +244,16 @@ type gate struct {
 
 func (g gate) on() bool { return g.record != "" || g.compare != "" }
 
+// out is where the gate prints its table and status lines: stderr when
+// the record goes to stdout ("-"), so that stdout carries the record
+// alone.
+func (g gate) out() io.Writer {
+	if g.record == "-" {
+		return os.Stderr
+	}
+	return os.Stdout
+}
+
 // record is what a gate measures, writes and compares: an accuracy
 // scoreboard or an engine benchmark.
 type record[T any] interface {
@@ -254,7 +265,8 @@ type record[T any] interface {
 // runGate is the one driver of both gates. It reads and checks the
 // baseline, its workload against run's included, before measure
 // calibrates anything, so an unusable baseline exits 2 at once; then it
-// prints and writes the fresh record and reports its drift (exit 1).
+// prints (to g.out) and writes the fresh record and reports its drift
+// (exit 1).
 func runGate[T record[T]](g gate, run T, load func(path string) (T, error), measure func() (T, error)) error {
 	var base T
 	if g.compare != "" {
@@ -270,7 +282,7 @@ func runGate[T record[T]](g gate, run T, load func(path string) (T, error), meas
 	if err != nil {
 		return err
 	}
-	fmt.Print(cur)
+	fmt.Fprint(g.out(), cur)
 	if g.record != "" {
 		if err := cli.WriteRecord(g.record, cur); err != nil {
 			return err
@@ -285,6 +297,6 @@ func runGate[T record[T]](g gate, run T, load func(path string) (T, error), meas
 	if err := cli.Drift("esebench", g.name, g.compare, cur.Compare(base, g.tol)); err != nil {
 		return err
 	}
-	fmt.Printf("%s within tolerance of %s (%s)\n", g.name, g.compare, g.tolerance)
+	fmt.Fprintf(g.out(), "%s within tolerance of %s (%s)\n", g.name, g.compare, g.tolerance)
 	return nil
 }

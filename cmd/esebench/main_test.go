@@ -106,6 +106,61 @@ func TestGateRecordsAndReportsDrift(t *testing.T) {
 	}
 }
 
+// With record "-" stdout carries the record alone, byte for byte what a
+// record file holds; the table and the status lines go to stderr.
+func TestGateRecordAloneOnStdout(t *testing.T) {
+	const path = "../../BENCH_accuracy.json"
+	base, err := calib.LoadScoreboard(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout, stderr := capture(t, func() error {
+		g := gate{record: "-", compare: path, tol: 1, name: "accuracy"}
+		return runGate(g, base, calib.LoadScoreboard, func() (*calib.Scoreboard, error) { return calib.LoadScoreboard(path) })
+	})
+	if stdout != string(want) {
+		t.Errorf("stdout is not the record alone:\n%s", stdout)
+	}
+	if !strings.HasPrefix(stderr, "accuracy scoreboard") || !strings.Contains(stderr, "within tolerance") {
+		t.Errorf("stderr lacks the table or the status line:\n%s", stderr)
+	}
+}
+
+// capture runs fn with stdout and stderr sent to files and returns what
+// each received; fn failing fails the test.
+func capture(t *testing.T, fn func() error) (stdout, stderr string) {
+	t.Helper()
+	files := make([]*os.File, 2)
+	for i := range files {
+		f, err := os.CreateTemp(t.TempDir(), "out")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		files[i] = f
+	}
+	oldOut, oldErr := os.Stdout, os.Stderr
+	os.Stdout, os.Stderr = files[0], files[1]
+	err := fn()
+	os.Stdout, os.Stderr = oldOut, oldErr
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]string, 2)
+	for i, f := range files {
+		data, err := os.ReadFile(f.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = string(data)
+	}
+	return out[0], out[1]
+}
+
 // An unknown table or ablation is a usage error, reported before the
 // setup calibrates anything.
 func TestRunRejectsUnknownTableAndAblation(t *testing.T) {

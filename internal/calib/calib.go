@@ -14,12 +14,13 @@
 // A scoreboard (RunScoreboard) runs in two phases on a pool of
 // runtime.GOMAXPROCS(0) workers, the size dse.Run and the annotation
 // pool use. Phase one runs the independent functional passes, every
-// training run and every design's board pass, at once. Board references
+// training run and every design's board pass, at once, into one workload
+// Memo, the memo type the jobspec Runner also owns. Board references
 // depend only on datasheet constants, never on calibrated statistics, so
-// they map under the base datasheet before any model exists. Phase two
-// scores the rows against the filled board memo, each into its slot in
-// matrix order. Neither the scoreboard nor a failure's error depends on
-// the number of workers; GOMAXPROCS=1 is the serial run.
+// they exist before any model. Phase two scores the rows against the
+// filled memo, each into its slot in matrix order. Neither the scoreboard
+// nor a failure's error depends on the number of workers; GOMAXPROCS=1 is
+// the serial run.
 //
 // The paper's "~6–9% error" headline becomes a tracked number: the
 // scoreboard serializes to BENCH_accuracy.json, and CI gates it through

@@ -8,11 +8,15 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"ese/internal/apps"
+	"ese/internal/cdfg"
 	"ese/internal/cli"
 	"ese/internal/core"
 	"ese/internal/diag"
@@ -20,6 +24,7 @@ import (
 	"ese/internal/metrics"
 	"ese/internal/pum"
 	"ese/internal/rtl"
+	"ese/internal/tlm"
 )
 
 // small is a reduced matrix that keeps unit tests fast: the SW design of
@@ -356,18 +361,22 @@ func TestScoreboardReplaysEachWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	boards := NewBoards(opts.Frames, opts.Blocks, 0)
-	for _, w := range []struct{ app, design string }{{"mp3", "SW"}, {"jpeg", "SW+DCT"}} {
+	memo := &Memo{}
+	for _, w := range []Workload{{"mp3", "SW", opts.Frames, apps.DefaultMP3.Seed}, {"jpeg", "SW+DCT", opts.Blocks, apps.DefaultJPEG.Seed}} {
 		reg := metrics.NewRegistry()
-		row, err := ScoreRow(ctx, engine.New(engine.Options{Metrics: reg}), boards, model, w.app, w.design, opts.Configs)
+		row, err := ScoreRow(ctx, engine.New(engine.Options{Metrics: reg}), memo, model, w, opts.Configs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := reg.Snapshot().Counters["tlm.replays"]; got != uint64(len(opts.Configs)) {
-			t.Errorf("%s/%s: %d of %d estimates replayed", w.app, w.design, got, len(opts.Configs))
+			t.Errorf("%s: %d of %d estimates replayed", w, got, len(opts.Configs))
+		}
+		e, _, err := memo.Entry(ctx, w)
+		if err != nil {
+			t.Fatal(err)
 		}
 		for i, cc := range opts.Configs {
-			d, err := boards.Design(w.app, w.design, model, cc)
+			d, err := e.Design(model, cc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -376,9 +385,110 @@ func TestScoreboardReplaysEachWorkload(t *testing.T) {
 				t.Fatal(err)
 			}
 			if row.Points[i] != want {
-				t.Errorf("%s/%s %v: ScoreRow point %+v, Estimate %+v", w.app, w.design, cc, row.Points[i], want)
+				t.Errorf("%s %v: ScoreRow point %+v, Estimate %+v", w, cc, row.Points[i], want)
 			}
 		}
+	}
+}
+
+// pollCounter counts the polls of a context's error. A board pass polls
+// its context as it runs (diag.FromContext); a caller waiting for another
+// caller's pass only selects on Done.
+type pollCounter struct {
+	context.Context
+	polls atomic.Int64
+}
+
+func (c *pollCounter) Err() error {
+	c.polls.Add(1)
+	return c.Context.Err()
+}
+
+// Concurrent requests for one workload's entry, board references and
+// recording fill each once: one caller compiles, one runs the board pass
+// and one records, and the others wait for them and share what they
+// memoized.
+func TestMemoFillsOnceUnderConcurrency(t *testing.T) {
+	const callers = 8
+	w := Workload{"jpeg", "SW", 1, apps.DefaultJPEG.Seed}
+	cfgs := []pum.CacheCfg{{ISize: 0, DSize: 0}, {ISize: 8192, DSize: 4096}}
+	memo := &Memo{}
+	ctx := context.Background()
+	pipe := engine.New(engine.Options{})
+	var compiles, records atomic.Int64
+	boardCtxs := make([]*pollCounter, callers)
+	progs := make([]*cdfg.Program, callers)
+	refs := make([][]uint64, callers)
+	recs := make([]*tlm.Recording, callers)
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		boardCtxs[i] = &pollCounter{Context: ctx}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			e, hit, err := memo.Entry(ctx, w)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if !hit {
+				compiles.Add(1)
+			}
+			d, err := e.Design(pum.MicroBlaze(), cfgs[1])
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			progs[i] = d.Program
+			if refs[i], err = e.Refs(boardCtxs[i], cfgs); err != nil {
+				t.Error(err)
+				return
+			}
+			rec, recorded, err := e.Recording(ctx, func(rec *tlm.Recording) error {
+				_, err := pipe.SimulateCtx(ctx, d, timed(rec))
+				return err
+			})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if recorded {
+				records.Add(1)
+			}
+			recs[i] = rec
+		}(i)
+	}
+	wg.Wait()
+	passes := 0
+	for _, c := range boardCtxs {
+		if c.polls.Load() > 0 {
+			passes++
+		}
+	}
+	if compiles.Load() != 1 || passes != 1 || records.Load() != 1 {
+		t.Fatalf("%d compiles, %d board passes and %d recordings, want one each", compiles.Load(), passes, records.Load())
+	}
+	for i := 1; i < callers; i++ {
+		if progs[i] != progs[0] || recs[i] != recs[0] || !slices.Equal(refs[i], refs[0]) {
+			t.Fatalf("caller %d got its own program, recording or references", i)
+		}
+	}
+	if !recs[0].Filled() || refs[0][0] == 0 {
+		t.Fatalf("shared recording filled %v, references %v", recs[0].Filled(), refs[0])
+	}
+}
+
+// A fill that fails memoizes nothing: a calibration under an expired
+// context fails, and the next request calibrates.
+func TestMemoForgetsFailedFills(t *testing.T) {
+	memo := &Memo{}
+	expired, cancel := context.WithDeadline(context.Background(), time.Now())
+	defer cancel()
+	if _, err := memo.Model(expired, true); !errors.Is(err, diag.ErrDeadline) {
+		t.Fatalf("calibration under an expired context: err = %v, want diag.ErrDeadline", err)
+	}
+	if m, err := memo.Model(context.Background(), true); err != nil || m == nil || len(m.Calib) == 0 {
+		t.Fatalf("calibration after a failed one: model %v, err %v", m, err)
 	}
 }
 

@@ -3,7 +3,6 @@ package calib
 import (
 	"context"
 	"fmt"
-	"maps"
 	"math"
 	"runtime"
 	"slices"
@@ -13,7 +12,6 @@ import (
 	"time"
 
 	"ese/internal/apps"
-	"ese/internal/cdfg"
 	"ese/internal/cli"
 	"ese/internal/engine"
 	"ese/internal/platform"
@@ -143,164 +141,57 @@ func trainCovers(label, app string) bool {
 	return false
 }
 
-// Boards is the board-reference memo of one evaluation workload: the
-// compiled program of each (app, design), the end cycles at the bus clock
-// of each (app, design, cache configuration) on the cycle-accurate board,
-// and one tlm.Recording of each (app, design). Board runs depend only on
-// the design and the PUM datasheet constants — never on the calibrated
-// statistics — so each reference is simulated once and serves every model
-// scored against it. Likewise a workload's segments and transactions do
-// not depend on its delays, so one timed TLM run records them and every
-// estimate of the workload, under any model and configuration, replays
-// them (ScoreRow). A memo is filled by one goroutine at a time; once
-// filled, reads of what it holds (Design and Refs of memoized workloads,
-// ScoreRow of recorded ones) write nothing and may run concurrently.
-type Boards struct {
-	frames, blocks int
-	limit          uint64
-	progs          map[string]*cdfg.Program  // app/design -> evaluation program
-	ends           map[string]uint64         // app/design/cfg -> end cycles at bus clock
-	recs           map[string]*tlm.Recording // app/design -> recorded timed run (nil: none records)
-}
-
-// NewBoards returns an empty memo for MP3 evaluated on frames frames and
-// JPEG on blocks blocks; limit bounds each board run's steps (0 = none).
-func NewBoards(frames, blocks int, limit uint64) *Boards {
-	return &Boards{frames: frames, blocks: blocks, limit: limit,
-		progs: make(map[string]*cdfg.Program), ends: make(map[string]uint64),
-		recs: make(map[string]*tlm.Recording)}
-}
-
-// Design maps one (app, design) evaluation workload onto a platform with
-// the given model and cache configuration. The workload is compiled on its
-// first request; every later design of it maps the same program
-// (apps.MapMP3 / apps.MapJPEG), which no consumer of a design modifies.
-func (b *Boards) Design(app, design string, model *pum.PUM, cc pum.CacheCfg) (*platform.Design, error) {
-	key := app + "/" + design
-	prog, ok := b.progs[key]
-	if !ok {
-		var err error
-		switch app {
-		case "mp3":
-			prog, err = apps.CompileMP3(design, apps.MP3Config{Frames: b.frames, Seed: apps.DefaultMP3.Seed})
-		case "jpeg":
-			prog, err = apps.CompileJPEG(design, apps.JPEGConfig{Blocks: b.blocks, Seed: apps.DefaultJPEG.Seed})
-		default:
-			return nil, cli.Input(fmt.Errorf("calib: unknown application %q", app))
-		}
-		if err != nil {
-			return nil, err
-		}
-		b.progs[key] = prog
+// ScoreRow scores a calibrated model's timed-TLM estimate of the workload
+// against the board across cfgs: it takes the workload's board references
+// and recording from memo, recording it on the workload's first row, maps
+// the workload under model at every configuration and runs each estimate
+// through pipe as a replay of that recording, all under ctx. Each point
+// equals Estimate's, which simulates. Train and Cross are left to the
+// caller.
+func ScoreRow(ctx context.Context, pipe *engine.Pipeline, memo *Memo, model *pum.PUM, w Workload, cfgs []pum.CacheCfg) (Row, error) {
+	e, _, err := memo.Entry(ctx, w)
+	if err != nil {
+		return Row{}, err
 	}
-	if app == "jpeg" {
-		return apps.MapJPEG(design, prog, model, cc)
+	refs, err := e.Refs(ctx, cfgs)
+	if err != nil {
+		return Row{}, err
 	}
-	return apps.MapMP3(design, prog, model, cc)
-}
-
-// Refs returns the board references of the (app, design) workload at each
-// of cfgs; ds[i] is that workload at cfgs[i] as Design builds it, under any
-// model. The configurations not yet memoized are simulated together, in
-// one functional pass of the board (rtl.RunBoards) bounded by ctx.
-func (b *Boards) Refs(ctx context.Context, app, design string, cfgs []pum.CacheCfg, ds []*platform.Design) ([]uint64, error) {
-	keys := make([]string, len(cfgs))
-	var run []*platform.Design
-	var runKeys []string
-	for i, cc := range cfgs {
-		keys[i] = fmt.Sprintf("%s/%s/%s", app, design, cc)
-		if _, ok := b.ends[keys[i]]; !ok && !slices.Contains(runKeys, keys[i]) {
-			run, runKeys = append(run, ds[i]), append(runKeys, keys[i])
-		}
-	}
-	if len(run) > 0 {
-		brs, err := rtl.RunBoards(ctx, run, b.limit)
-		if err != nil {
-			return nil, fmt.Errorf("calib: board %s: %w", strings.Join(runKeys, ", "), err)
-		}
-		for i, br := range brs {
-			b.ends[runKeys[i]] = br.EndCycles(run[i].Bus.ClockHz)
-		}
-	}
-	refs := make([]uint64, len(keys))
-	for i, key := range keys {
-		refs[i] = b.ends[key]
-	}
-	return refs, nil
-}
-
-// designs maps the (app, design) workload under model at each of cfgs
-// (Design) and returns the designs with their board references (Refs).
-func (b *Boards) designs(ctx context.Context, app, design string, model *pum.PUM, cfgs []pum.CacheCfg) ([]*platform.Design, []uint64, error) {
 	ds := make([]*platform.Design, len(cfgs))
 	for i, cc := range cfgs {
-		d, err := b.Design(app, design, model, cc)
-		if err != nil {
-			return nil, nil, err
+		if ds[i], err = e.Design(model, cc); err != nil {
+			return Row{}, err
 		}
-		ds[i] = d
 	}
-	refs, err := b.Refs(ctx, app, design, cfgs, ds)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ds, refs, nil
-}
-
-// recording returns the (app, design) workload's recording, made on the
-// workload's first request by one timed TLM run of d, a design of the
-// workload, through pipe. A run that does not record (see
-// tlm.Options.Recording) leaves the workload without one, and its
-// estimates simulate.
-func (b *Boards) recording(ctx context.Context, pipe *engine.Pipeline, app, design string, d *platform.Design) (*tlm.Recording, error) {
-	key := app + "/" + design
-	if rec, ok := b.recs[key]; ok {
-		return rec, nil
-	}
-	rec := &tlm.Recording{}
-	if _, err := pipe.SimulateCtx(ctx, d, timed(rec)); err != nil {
-		return nil, fmt.Errorf("calib: record %s: %w", key, err)
-	}
-	if !rec.Filled() {
-		rec = nil
-	}
-	b.recs[key] = rec
-	return rec, nil
-}
-
-// add records every program and board reference of o, a memo of the same
-// workload sizes and step limit.
-func (b *Boards) add(o *Boards) {
-	maps.Copy(b.progs, o.progs)
-	maps.Copy(b.ends, o.ends)
-}
-
-// ScoreRow scores a calibrated model's timed-TLM estimate of one (app,
-// design) against the board across cfgs: it maps the workload at every
-// configuration, takes the board references and the workload's recording
-// from boards, recording it on the workload's first row, and runs each
-// estimate through pipe as a replay of that recording, all under ctx.
-// Each point equals Estimate's, which simulates. Train and Cross are left
-// to the caller.
-func ScoreRow(ctx context.Context, pipe *engine.Pipeline, boards *Boards, model *pum.PUM, app, design string, cfgs []pum.CacheCfg) (Row, error) {
-	ds, refs, err := boards.designs(ctx, app, design, model, cfgs)
+	rec, err := record(ctx, pipe, e, ds[0])
 	if err != nil {
 		return Row{}, err
 	}
-	rec, err := boards.recording(ctx, pipe, app, design, ds[0])
-	if err != nil {
-		return Row{}, err
-	}
-	row := Row{App: app, Design: design}
+	row := Row{App: w.App, Design: w.Design}
 	for i, cc := range cfgs {
 		p, _, err := estimate(ctx, pipe, ds[i], cc, refs[i], rec)
 		if err != nil {
-			return Row{}, fmt.Errorf("calib: estimate %s/%s/%s: %w", app, design, cc, err)
+			return Row{}, fmt.Errorf("calib: estimate %s/%s: %w", w, cc, err)
 		}
 		row.Points = append(row.Points, p)
 	}
 	row.MAPE, row.Pearson = score(row.Points)
 	return row, nil
+}
+
+// record returns the entry's recording, made on the workload's first
+// request by one timed TLM run of d, a design of the workload, through
+// pipe. A run that does not record (see tlm.Options.Recording) leaves the
+// workload without one, and its estimates simulate.
+func record(ctx context.Context, pipe *engine.Pipeline, e *Entry, d *platform.Design) (*tlm.Recording, error) {
+	rec, _, err := e.Recording(ctx, func(rec *tlm.Recording) error {
+		_, err := pipe.SimulateCtx(ctx, d, timed(rec))
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("calib: record %s: %w", e.w, err)
+	}
+	return rec, nil
 }
 
 // Estimate is ScoreRow's per-design step: it runs pipe's timed TLM of d, a
@@ -337,28 +228,27 @@ func timed(rec *tlm.Recording) tlm.Options {
 // phases on a pool of runtime.GOMAXPROCS(0) workers (forEach), as dse.Run
 // and the annotation pool size theirs.
 //
-// Phase one runs the matrix's independent functional passes: each
-// distinct training program is measured once, for every training set that
-// includes it, and each (app, design) is compiled and run on the board at
-// every configuration in one pass, into a memo of its own. Board
-// references depend only on the datasheet constants, never on the
-// calibrated statistics, so phase one maps them under the base datasheet
+// Phase one runs the matrix's independent functional passes into one
+// Memo: each distinct training program is measured once, for every
+// training set that includes it, and each (app, design) workload is
+// compiled and run on the board at every configuration in one pass
+// (Entry.Refs). Board references depend only on the datasheet constants,
+// never on the calibrated statistics, so they exist before any model.
+// Each training set's model is then merged from its reports, and each
+// workload is recorded by one timed TLM run under the base datasheet
 // (pum.MicroBlaze, with a placeholder memory-table entry for each
-// configuration it lacks: boardModel) before any model exists. The
-// references then fill one memo, and each training set's model is merged
-// from its reports. Then each (app, design) is recorded (Boards) by one
-// timed TLM run under that datasheet, one workload at a time in matrix
+// configuration it lacks: boardModel), one workload at a time in matrix
 // order. The recordings annotate every design, so they compute every
 // Algorithm 1 schedule the rows need, in the same order at any
 // GOMAXPROCS, and the rows' schedule lookups all hit the pipeline's cache.
 //
-// Phase two scores every row against that memo, which no row writes, each
-// into its slot in matrix order (training sets, then applications, then
-// designs), so the scoreboard does not depend on the order rows finish in.
-// Every estimate replays its workload's recording instead of interpreting
-// the program again. A failing phase reports its earliest failing task in
-// that fixed order, so the result, scoreboard or error, is the same at
-// every GOMAXPROCS.
+// Phase two scores every row against the memo, whose every value it hits,
+// each into its slot in matrix order (training sets, then applications,
+// then designs), so the scoreboard does not depend on the order rows
+// finish in. Every estimate replays its workload's recording instead of
+// interpreting the program again. A failing phase reports its earliest
+// failing task in that fixed order, so the result, scoreboard or error, is
+// the same at every GOMAXPROCS.
 func RunScoreboard(opts Options) (*Scoreboard, error) {
 	ctx := opts.Ctx
 	if ctx == nil {
@@ -393,24 +283,28 @@ func RunScoreboard(opts Options) (*Scoreboard, error) {
 			}
 		}
 	}
-	type workload struct{ app, design string }
-	var works []workload
+	var works []Workload
 	for _, app := range appList {
 		designs := apps.DesignNames(app)
 		if designs == nil {
 			return nil, cli.Input(fmt.Errorf("calib: unknown application %q", app))
 		}
+		w := Workload{App: app, Size: opts.Frames, Seed: apps.DefaultMP3.Seed}
+		if app == "jpeg" {
+			w.Size, w.Seed = opts.Blocks, apps.DefaultJPEG.Seed
+		}
 		for _, design := range designs {
 			if len(opts.Designs) == 0 || slices.Contains(opts.Designs, design) {
-				works = append(works, workload{app, design})
+				w.Design = design
+				works = append(works, w)
 			}
 		}
 	}
 
 	base := pum.MicroBlaze()
-	ref := boardModel(base, cfgs)
+	memo := &Memo{limit: opts.Limit}
 	reps := make([]*rtl.CalibReport, len(names))
-	memos := make([]*Boards, len(works))
+	entries := make([]*Entry, len(works))
 	if err := forEach(len(names)+len(works), func(i int) error {
 		if i < len(names) {
 			ts, err := Trainings(names[i])
@@ -420,23 +314,21 @@ func RunScoreboard(opts Options) (*Scoreboard, error) {
 			reps[i], err = measure(ctx, base, ts[0], cfgs, opts.Limit)
 			return err
 		}
-		w := works[i-len(names)]
-		memo := NewBoards(opts.Frames, opts.Blocks, opts.Limit)
-		_, _, err := memo.designs(ctx, w.app, w.design, ref, cfgs)
-		memos[i-len(names)] = memo
+		e, _, err := memo.Entry(ctx, works[i-len(names)])
+		if err == nil {
+			_, err = e.Refs(ctx, cfgs)
+		}
+		entries[i-len(names)] = e
 		return err
 	}); err != nil {
 		return nil, err
 	}
-	boards := NewBoards(opts.Frames, opts.Blocks, opts.Limit)
-	for _, memo := range memos {
-		boards.add(memo)
-	}
 	pipe := engine.New(opts.Engine)
-	for _, w := range works {
-		d, err := boards.Design(w.app, w.design, ref, cfgs[0])
+	ref := boardModel(base, cfgs)
+	for _, e := range entries {
+		d, err := e.Design(ref, cfgs[0])
 		if err == nil {
-			_, err = boards.recording(ctx, pipe, w.app, w.design, d)
+			_, err = record(ctx, pipe, e, d)
 		}
 		if err != nil {
 			return nil, err
@@ -458,11 +350,11 @@ func RunScoreboard(opts Options) (*Scoreboard, error) {
 	sb := &Scoreboard{Frames: opts.Frames, Blocks: opts.Blocks, Rows: make([]Row, len(trains)*len(works))}
 	if err := forEach(len(sb.Rows), func(i int) error {
 		label, w := trains[i/len(works)], works[i%len(works)]
-		row, err := ScoreRow(ctx, pipe, boards, models[i/len(works)], w.app, w.design, cfgs)
+		row, err := ScoreRow(ctx, pipe, memo, models[i/len(works)], w, cfgs)
 		if err != nil {
 			return fmt.Errorf("%w (train %s)", err, label)
 		}
-		row.Train, row.Cross = label, !trainCovers(label, w.app)
+		row.Train, row.Cross = label, !trainCovers(label, w.App)
 		sb.Rows[i] = row
 		return nil
 	}); err != nil {

@@ -118,9 +118,11 @@ func ComposeEstimate(sr SchedResult, p *pum.PUM, detail Detail) Estimate {
 		Operands: sr.Operands,
 		Unmapped: sr.Unmapped,
 	}
-	if detail.PipelineOverlap && e.Ops > 0 {
+	if detail.PipelineOverlap && p.Pipelined && e.Ops > 0 {
 		// Remove the per-block pipeline fill that back-to-back execution
-		// hides, but never go below the issue-rate lower bound. A partial
+		// hides, but never go below the issue-rate lower bound. Only a
+		// pipelined PE overlaps blocks: a custom-HW datapath's one-stage
+		// "pipeline" runs each block's schedule as is. A partial
 		// model (e.g. JSON-loaded without pipelines, or with zero issue
 		// widths) has no fill to compensate: keep the unadjusted schedule
 		// rather than indexing an empty pipeline list or dividing by a

@@ -62,3 +62,13 @@ func TestComposeEstimateOverlapStillAdjustsValidModels(t *testing.T) {
 		t.Errorf("adjusted Sched = %d, want %d", plain.Sched, want)
 	}
 }
+
+func TestComposeEstimateOverlapSkipsCustomHW(t *testing.T) {
+	// A custom-HW PE declares a one-stage datapath pipeline but is not
+	// pipelined: its blocks do not overlap, so no fill comes off them.
+	p := pum.CustomHW("hw", 100_000_000)
+	sr := SchedResult{Sched: 9, Ops: 4}
+	if e := ComposeEstimate(sr, p, OverlapDetail); e.Sched != sr.Sched {
+		t.Errorf("Sched = %d, want unadjusted %d", e.Sched, sr.Sched)
+	}
+}

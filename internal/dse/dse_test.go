@@ -388,3 +388,45 @@ func TestWriteCSVGolden(t *testing.T) {
 		t.Fatalf("CSV:\n%s\nwant:\n%s", sb.String(), want)
 	}
 }
+
+// TestRunMemoCountersSameAtAnyWorkers: the Runner fills its workload memo
+// single-flight, so a sweep's memo counters do not depend on how many
+// points run at once. Each of the six workloads (four MP3 designs, two
+// JPEG ones) compiles on its first point, records on its second and
+// replays on the other six, at one worker as at four.
+func TestRunMemoCountersSameAtAnyWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs TLM simulations")
+	}
+	sweep := &Sweep{
+		Frames: 1,
+		Axes: Axes{
+			Apps:   []string{jobspec.AppMP3, jobspec.AppJPEG},
+			Depths: []int{0, 5},
+			Caches: []CacheGeom{{0, 0}, {2048, 2048}, {8192, 4096}, {16384, 16384}},
+		},
+	}
+	want := map[string]uint64{
+		"jobspec.program.misses": 6,
+		"jobspec.program.hits":   42,
+		"jobspec.replay.records": 6,
+		"jobspec.replay.hits":    36,
+		"tlm.replays":            36,
+	}
+	for _, workers := range []int{1, 4} {
+		reg := metrics.NewRegistry()
+		res, err := Run(context.Background(), sweep, Options{Runner: &jobspec.Runner{Cache: core.NewCache(), Metrics: reg}, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 48 {
+			t.Fatalf("%d workers: %d rows, want 48", workers, len(res.Rows))
+		}
+		got := reg.Snapshot().Counters
+		for name, n := range want {
+			if got[name] != n {
+				t.Errorf("%d workers: %s = %d, want %d", workers, name, got[name], n)
+			}
+		}
+	}
+}

@@ -16,7 +16,9 @@
 // instead of recomputing Algorithm 1; points of one workload share one
 // lowered program, and from a workload's third point on the Runner
 // replays its recorded transactions instead of interpreting the program.
-// Together these make a 7,680-point sweep take seconds.
+// The Runner's workload memo fills each program and recording once, so
+// its counters do not depend on the number of workers. Together these
+// make a 7,680-point sweep take seconds.
 package dse
 
 import (

@@ -36,19 +36,19 @@ import (
 
 // Setup bundles what every experiment needs: the calibrated processor
 // model, the evaluation workload, its estimation pipelines and one
-// board-reference memo. A pipeline's detail level is fixed when it is
+// workload memo. A pipeline's detail level is fixed when it is
 // built, so the Setup builds one per level an experiment asks for, all
 // over one schedule/estimate cache and one metric registry: the
 // cache-configuration sweeps of Tables 2–3 and the ablations compute each
 // Algorithm 1 schedule once and reuse it across configurations and detail
 // levels — Pipe.Stats() exposes the shared cache's hit counters. Every
-// board reference of the evaluation workload goes through Boards, so each
-// is simulated once per Setup.
+// program, board reference and recording of the evaluation workload goes
+// through Memo, so each is made once per Setup.
 type Setup struct {
-	Eval   apps.MP3Config
-	MB     *pum.PUM         // calibrated MicroBlaze-like model
-	Pipe   *engine.Pipeline // the pipeline at the options' detail level
-	Boards *calib.Boards    // board references of the evaluation workload
+	Eval apps.MP3Config
+	MB   *pum.PUM         // calibrated MicroBlaze-like model
+	Pipe *engine.Pipeline // the pipeline at the options' detail level
+	Memo *calib.Memo      // the evaluation workload's memo
 
 	opts  engine.Options // Pipe's options, with the shared cache and registry
 	pipes []leveled      // every pipeline, Pipe first, in the order built
@@ -66,11 +66,8 @@ type leveled struct {
 // configures every pipeline of the setup (strictness, workers), and its
 // Detail that of Pipe. The calibration runs under ctx.
 func NewSetup(ctx context.Context, frames int, opts engine.Options) (*Setup, error) {
-	ts, err := calib.Trainings("mp3")
-	if err != nil {
-		return nil, err
-	}
-	mb, _, err := calib.CalibrateCtx(ctx, pum.MicroBlaze(), ts, pum.StandardCacheConfigs, 0)
+	memo := &calib.Memo{}
+	mb, err := memo.Model(ctx, true)
 	if err != nil {
 		return nil, err
 	}
@@ -85,10 +82,10 @@ func NewSetup(ctx context.Context, frames int, opts engine.Options) (*Setup, err
 		detail = *opts.Detail
 	}
 	s := &Setup{
-		Eval:   apps.MP3Config{Frames: frames, Seed: apps.DefaultMP3.Seed},
-		MB:     mb,
-		Boards: calib.NewBoards(frames, apps.DefaultJPEG.Blocks, 0),
-		opts:   opts,
+		Eval: apps.MP3Config{Frames: frames, Seed: apps.DefaultMP3.Seed},
+		MB:   mb,
+		Memo: memo,
+		opts: opts,
 	}
 	s.Pipe = s.pipeline(detail)
 	return s, nil
@@ -122,7 +119,22 @@ func (s *Setup) Diagnostics() *diag.List {
 // score scores s.MB's estimate of one MP3 design against the board across
 // the standard cache sweep.
 func (s *Setup) score(ctx context.Context, design string) (calib.Row, error) {
-	return calib.ScoreRow(ctx, s.Pipe, s.Boards, s.MB, "mp3", design, pum.StandardCacheConfigs)
+	return calib.ScoreRow(ctx, s.Pipe, s.Memo, s.MB, s.workload(design), pum.StandardCacheConfigs)
+}
+
+// workload is the evaluation workload of one MP3 design.
+func (s *Setup) workload(design string) calib.Workload {
+	return calib.Workload{App: "mp3", Design: design, Size: s.Eval.Frames, Seed: s.Eval.Seed}
+}
+
+// design maps the memoized program of one MP3 design's evaluation
+// workload under s.MB at cc; e is the workload's memo entry.
+func (s *Setup) design(ctx context.Context, design string, cc pum.CacheCfg) (d *platform.Design, e *calib.Entry, err error) {
+	if e, _, err = s.Memo.Entry(ctx, s.workload(design)); err != nil {
+		return nil, nil, err
+	}
+	d, err = e.Design(s.MB, cc)
+	return d, e, err
 }
 
 // timed is the timed TLM configuration the paper evaluates: waits at
@@ -166,7 +178,7 @@ func RunTable1(ctx context.Context, s *Setup) (*Table1, error) {
 	t := &Table1{}
 	cacheCfg := pum.CacheCfg{ISize: 8 * 1024, DSize: 4 * 1024}
 	for _, design := range apps.MP3DesignNames {
-		d, err := apps.MP3Design(design, s.Eval, s.MB, cacheCfg)
+		d, _, err := s.design(ctx, design, cacheCfg)
 		if err != nil {
 			return nil, err
 		}
@@ -258,11 +270,11 @@ func RunTable2(ctx context.Context, s *Setup) (*Table2, error) {
 	if err != nil {
 		return nil, err
 	}
-	prog, err := apps.CompileMP3("SW", s.Eval)
+	d, _, err := s.design(ctx, "SW", pum.StandardCacheConfigs[0])
 	if err != nil {
 		return nil, err
 	}
-	isa, err := iss.Generate(prog)
+	isa, err := iss.Generate(d.Program)
 	if err != nil {
 		return nil, err
 	}
@@ -398,7 +410,7 @@ func RunSensitivity(ctx context.Context, s *Setup, cc pum.CacheCfg, perturbs []f
 		st.DHitRate = clamp01(1 - (1-st.DHitRate)*(1+p))
 		mb.Mem.Table[cc] = st
 		mb.Branch.MissRate = clamp01(mb.Branch.MissRate * (1 + p))
-		row, err := calib.ScoreRow(ctx, s.Pipe, s.Boards, mb, "mp3", "SW", []pum.CacheCfg{cc})
+		row, err := calib.ScoreRow(ctx, s.Pipe, s.Memo, mb, s.workload("SW"), []pum.CacheCfg{cc})
 		if err != nil {
 			return nil, err
 		}
@@ -446,7 +458,7 @@ type Granularity struct {
 // RunGranularity runs the timed TLM of a design in both wait modes.
 func RunGranularity(ctx context.Context, s *Setup, design string) (*Granularity, error) {
 	cc := pum.CacheCfg{ISize: 8 * 1024, DSize: 4 * 1024}
-	d, err := apps.MP3Design(design, s.Eval, s.MB, cc)
+	d, _, err := s.design(ctx, design, cc)
 	if err != nil {
 		return nil, err
 	}
@@ -454,11 +466,7 @@ func RunGranularity(ctx context.Context, s *Setup, design string) (*Granularity,
 	if err != nil {
 		return nil, err
 	}
-	d2, err := apps.MP3Design(design, s.Eval, s.MB, cc)
-	if err != nil {
-		return nil, err
-	}
-	bb, err := s.Pipe.SimulateCtx(ctx, d2, tlm.Options{Timed: true, WaitMode: tlm.WaitPerBlock})
+	bb, err := s.Pipe.SimulateCtx(ctx, d, tlm.Options{Timed: true, WaitMode: tlm.WaitPerBlock})
 	if err != nil {
 		return nil, err
 	}
@@ -503,11 +511,11 @@ type PUMDetail struct {
 // RunPUMDetail scores the SW design's estimate at cc against the board
 // with increasing PUM detail, one Setup pipeline per level.
 func RunPUMDetail(ctx context.Context, s *Setup, cc pum.CacheCfg) (*PUMDetail, error) {
-	d, err := s.Boards.Design("mp3", "SW", s.MB, cc)
+	d, e, err := s.design(ctx, "SW", cc)
 	if err != nil {
 		return nil, err
 	}
-	refs, err := s.Boards.Refs(ctx, "mp3", "SW", []pum.CacheCfg{cc}, []*platform.Design{d})
+	refs, err := e.Refs(ctx, []pum.CacheCfg{cc})
 	if err != nil {
 		return nil, err
 	}

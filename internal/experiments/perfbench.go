@@ -56,10 +56,10 @@ var perfBenchCacheCfg = pum.CacheCfg{ISize: 8 * 1024, DSize: 4 * 1024}
 // perfBenchDesigns builds the benchmarked design list: the four MP3
 // mappings followed by the two JPEG mappings, with the JPEG workload
 // scaled by the same frames knob.
-func perfBenchDesigns(s *Setup) ([]*platform.Design, error) {
+func perfBenchDesigns(ctx context.Context, s *Setup) ([]*platform.Design, error) {
 	var out []*platform.Design
 	for _, design := range apps.MP3DesignNames {
-		d, err := apps.MP3Design(design, s.Eval, s.MB, perfBenchCacheCfg)
+		d, _, err := s.design(ctx, design, perfBenchCacheCfg)
 		if err != nil {
 			return nil, err
 		}
@@ -99,7 +99,7 @@ func RunPerfBench(ctx context.Context, s *Setup, reps int) (*PerfBench, error) {
 		reps = 1
 	}
 	out := &PerfBench{Frames: s.Eval.Frames, Reps: reps}
-	designs, err := perfBenchDesigns(s)
+	designs, err := perfBenchDesigns(ctx, s)
 	if err != nil {
 		return nil, err
 	}

@@ -169,11 +169,11 @@ type OverlapStudy struct {
 // board across the standard cache sweep, one Setup pipeline each: the
 // faithful column is the scorer's row for the design.
 func RunOverlapStudy(ctx context.Context, s *Setup) (*OverlapStudy, error) {
-	faith, err := calib.ScoreRow(ctx, s.pipeline(core.FullDetail), s.Boards, s.MB, "mp3", "SW", pum.StandardCacheConfigs)
+	faith, err := calib.ScoreRow(ctx, s.pipeline(core.FullDetail), s.Memo, s.MB, s.workload("SW"), pum.StandardCacheConfigs)
 	if err != nil {
 		return nil, err
 	}
-	over, err := calib.ScoreRow(ctx, s.pipeline(core.OverlapDetail), s.Boards, s.MB, "mp3", "SW", pum.StandardCacheConfigs)
+	over, err := calib.ScoreRow(ctx, s.pipeline(core.OverlapDetail), s.Memo, s.MB, s.workload("SW"), pum.StandardCacheConfigs)
 	if err != nil {
 		return nil, err
 	}
@@ -230,11 +230,11 @@ type BlockSizeStudy struct {
 // workload.
 func RunBlockSizeStudy(ctx context.Context, s *Setup) (*BlockSizeStudy, error) {
 	cc := pum.CacheCfg{ISize: 8 * 1024, DSize: 4 * 1024}
-	raw, err := s.Boards.Design("mp3", "SW", s.MB, cc)
+	raw, e, err := s.design(ctx, "SW", cc)
 	if err != nil {
 		return nil, err
 	}
-	refs, err := s.Boards.Refs(ctx, "mp3", "SW", []pum.CacheCfg{cc}, []*platform.Design{raw})
+	refs, err := e.Refs(ctx, []pum.CacheCfg{cc})
 	if err != nil {
 		return nil, err
 	}

@@ -3,14 +3,21 @@ package jobspec
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"ese/internal/apps"
+	"ese/internal/calib"
 	"ese/internal/core"
+	"ese/internal/diag"
 	"ese/internal/engine"
 	"ese/internal/metrics"
+	"ese/internal/pum"
+	"ese/internal/tlm"
 )
 
 // memoBase is a small uncalibrated TLM spec the memo tests vary.
@@ -217,31 +224,81 @@ func TestRunnerConcurrentRuns(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
+	// Every fill is single-flight: each of the batch's 8 distinct
+	// workloads compiles once and each timed one records once, however the
+	// jobs interleave.
 	snap := r.Metrics.Snapshot()
-	if hits, misses := snap.Counters["jobspec.program.hits"], snap.Counters["jobspec.program.misses"]; hits+misses != goroutines*uint64(len(specs)) || hits == 0 {
-		t.Errorf("program memo counted %d hits and %d misses over %d jobs", hits, misses, goroutines*len(specs))
+	const workloads = 8
+	if hits, misses := snap.Counters["jobspec.program.hits"], snap.Counters["jobspec.program.misses"]; misses != workloads || hits+misses != goroutines*uint64(len(specs)) {
+		t.Errorf("program memo counted %d hits and %d misses over %d jobs, want %d misses", hits, misses, goroutines*len(specs), workloads)
 	}
-	// Racing recorders may each fill a recording, but only the first
-	// publish per workload counts.
 	if got := snap.Counters["jobspec.replay.records"]; got != 4 {
 		t.Errorf("jobspec.replay.records = %d, want one per timed workload (4)", got)
 	}
 }
 
+// TestWaitingJobStopsAtItsDeadline: a job that needs the calibrated base
+// model while another job calibrates it waits under its own deadline. It
+// fails with diag.ErrDeadline while the calibration still runs, and the
+// calibrating job completes.
+func TestWaitingJobStopsAtItsDeadline(t *testing.T) {
+	var r Runner
+	calibrating := memoBase()
+	calibrating.Calibrate = true
+	done := make(chan error, 1)
+	go func() {
+		_, err := r.Run(context.Background(), &calibrating)
+		done <- err
+	}()
+	// Let the first job start the calibration. Were the second job to
+	// start it instead, it would still stop at its own deadline.
+	time.Sleep(5 * time.Millisecond)
+	waiting := calibrating
+	waiting.Timeout = Duration(10 * time.Millisecond)
+	if _, err := r.Run(context.Background(), &waiting); !errors.Is(err, diag.ErrDeadline) {
+		t.Errorf("waiting job: err = %v, want diag.ErrDeadline", err)
+	}
+	// A past deadline returns the memoized model at once, or an error
+	// while the calibration runs.
+	expired, cancel := context.WithDeadline(context.Background(), time.Now())
+	defer cancel()
+	if _, err := r.memo.Model(expired, true); err == nil {
+		t.Error("the waiting job returned after the calibration finished")
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("calibrating job: %v", err)
+	}
+}
+
 // TestRunnerMappingMismatchFailsInTLM: designs are validated where they
 // run, not when mapped, so an mp3 SW program mapped as SW+4 (whose
-// hardware entries it lacks) still fails the job — now from tlm.Run.
+// hardware entries it lacks) maps and verifies, and still fails the job's
+// TLM run — from tlm.Run.
 func TestRunnerMappingMismatchFailsInTLM(t *testing.T) {
-	r := &Runner{}
+	ctx := context.Background()
 	sw := memoBase()
-	e, _, err := r.program(&sw)
+	e, _, err := new(calib.Memo).Entry(ctx, sw.workload())
+	if err != nil {
+		t.Fatal(err)
+	}
+	swd, err := e.Design(pum.MicroBlaze(), pum.CacheCfg{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sw4 := memoBase()
 	sw4.Design = "SW+4"
-	r.progs[sw4.workload()] = &memoEntry{prog: e.prog}
-	_, err = r.Run(context.Background(), &sw4)
+	d, err := apps.MapMP3(sw4.Design, swd.Program, pum.MicroBlaze(), pum.CacheCfg{ISize: sw4.ICache, DSize: sw4.DCache})
+	if err != nil {
+		t.Fatalf("SW program mapped as SW+4: %v", err)
+	}
+	pl, err := (&Runner{}).Pipeline(&sw4, RunOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pl.VerifyDesign(d); err != nil {
+		t.Fatalf("verifying the mapped design: %v", err)
+	}
+	_, err = pl.SimulateCtx(ctx, d, tlm.Options{Timed: true, WaitMode: tlm.WaitAtTransactions})
 	if err == nil || !strings.Contains(err.Error(), "not in program") {
 		t.Fatalf("SW program mapped as SW+4: err = %v, want the platform's entry-not-in-program error", err)
 	}

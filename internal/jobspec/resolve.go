@@ -7,7 +7,7 @@ import (
 	"strings"
 
 	"ese/internal/annotate"
-	"ese/internal/apps"
+	"ese/internal/calib"
 	"ese/internal/cdfg"
 	"ese/internal/engine"
 	"ese/internal/platform"
@@ -104,10 +104,10 @@ func (s *Spec) LoadModelArg(arg string) error {
 
 // mapDesign maps a TLM job's platform: the base processor model, tuned
 // by the spec, and the named design of the spec's app under the spec's
-// cache configuration, on prog, the spec's workload program. Neither prog
-// nor the base model is mutated: tuning and cache retargeting operate on
-// clones.
-func (s *Spec) mapDesign(base *pum.PUM, prog *cdfg.Program) (*platform.Design, error) {
+// cache configuration, on e's program, the spec's workload program.
+// Neither the program nor the base model is mutated: tuning and cache
+// retargeting operate on clones.
+func (s *Spec) mapDesign(base *pum.PUM, e *calib.Entry) (*platform.Design, error) {
 	mb := base
 	if t := s.Tune; !t.isZero() {
 		var err error
@@ -122,46 +122,19 @@ func (s *Spec) mapDesign(base *pum.PUM, prog *cdfg.Program) (*platform.Design, e
 			mb.Branch.Penalty = *t.BranchPenalty
 		}
 	}
-	cacheCfg := pum.CacheCfg{ISize: s.ICache, DSize: s.DCache}
-	switch s.workload().app {
-	case AppMP3:
-		return apps.MapMP3(s.Design, prog, mb, cacheCfg)
-	case AppJPEG:
-		return apps.MapJPEG(s.Design, prog, mb, cacheCfg)
-	}
-	return nil, fmt.Errorf("jobspec: unknown app %q", s.App)
+	return e.Design(mb, pum.CacheCfg{ISize: s.ICache, DSize: s.DCache})
 }
 
-// workload is the normalized identity of a TLM job's program. The four
-// fields fully determine the program, which is what lets the Runner
-// memoize programs under it.
-type workload struct {
-	app, design string
-	frames      int
-	seed        uint32
-}
-
-// workload returns the spec's normalized workload identity: app and seed
-// resolved to their defaults, as Normalized does.
-func (s *Spec) workload() workload {
-	w := workload{app: s.App, design: s.Design, frames: s.Frames, seed: s.Seed}
-	if w.app == "" {
-		w.app = AppMP3
+// workload returns the spec's normalized workload identity, which fully
+// determines its program: app and seed resolved to their defaults, as
+// Normalized does.
+func (s *Spec) workload() calib.Workload {
+	w := calib.Workload{App: s.App, Design: s.Design, Size: s.Frames, Seed: s.Seed}
+	if w.App == "" {
+		w.App = AppMP3
 	}
-	if w.seed == 0 {
-		w.seed = defaultSeed(w.app)
+	if w.Seed == 0 {
+		w.Seed = defaultSeed(w.App)
 	}
 	return w
-}
-
-// compile builds the workload's program: its input data bound to the
-// design's compiled template.
-func (w workload) compile() (*cdfg.Program, error) {
-	switch w.app {
-	case AppMP3:
-		return apps.CompileMP3(w.design, apps.MP3Config{Frames: w.frames, Seed: w.seed})
-	case AppJPEG:
-		return apps.CompileJPEG(w.design, apps.JPEGConfig{Blocks: w.frames, Seed: w.seed})
-	}
-	return nil, fmt.Errorf("jobspec: unknown app %q", w.app)
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sync"
 	"time"
 
 	"ese/internal/annotate"
@@ -25,10 +24,10 @@ import (
 )
 
 // Runner executes Specs through engine pipelines built around shared
-// process-wide state: one content-addressed schedule/estimate cache and
-// one metric registry. A zero Runner is valid (each job then runs with a
-// private cache and registry); the esed daemon populates both so every
-// request warms the same cache.
+// process-wide state: one content-addressed schedule/estimate cache, one
+// metric registry and one workload memo. A zero Runner is valid (each job
+// then runs with a private cache and registry); the esed daemon populates
+// both so every request warms the same cache.
 type Runner struct {
 	// Cache, when non-nil, is injected into every job's pipeline.
 	Cache *core.Cache
@@ -37,144 +36,41 @@ type Runner struct {
 	// DefaultTimeout bounds jobs whose spec sets none (0 = unbounded).
 	DefaultTimeout time.Duration
 
-	// base memoizes the two TLM base processor models (calibrated and
-	// nominal) across jobs. Calibration depends only on the fixed training
-	// workload, so one board-simulation run serves every TLM job and every
-	// DSE sweep point the Runner ever executes.
-	baseMu sync.Mutex
-	base   map[bool]*pum.PUM
-
-	// progs memoizes lowered TLM programs by normalized workload, so the
-	// DSE points and repeated requests of one workload share one program
-	// instead of building it per job. A miss binds the workload's input
-	// data to the design's compiled template (apps.CompileMP3,
-	// apps.CompileJPEG), which runs no front end and carries the
-	// template's fingerprint table. Shared programs are read-only: every
-	// TLM path (annotation, the engines, the board and verification) only
-	// reads IR. An entry also holds the workload's timed-TLM recording
-	// once a repeated job has made one.
-	progMu sync.Mutex
-	progs  map[workload]*memoEntry
+	// memo holds the two TLM base processor models, so one calibration
+	// serves every job, and each workload's program and timed-TLM
+	// recording, which the DSE points and repeated requests of the
+	// workload share.
+	memo calib.Memo
 }
-
-// memoEntry is one program memo entry: a workload's lowered program and,
-// once published, the tlm.Recording of its timed TLM. The recording keys
-// blocks of prog, so it lives and dies with the entry.
-type memoEntry struct {
-	prog *cdfg.Program
-	rec  *tlm.Recording
-}
-
-// programMemoLimit bounds the program memo; beyond it the map is dropped
-// wholesale, like interp's compile cache.
-const programMemoLimit = 64
 
 // BaseModel returns the memoized TLM base processor model for the spec's
 // calibration setting, computing it on first use under no deadline.
 func (r *Runner) BaseModel(s *Spec) (*pum.PUM, error) {
-	return r.baseModel(context.Background(), s)
+	return r.memo.Model(context.Background(), s.Calibrate)
 }
 
-// baseModel is BaseModel under ctx: the MicroBlaze-like soft core,
-// calibrated on the MP3 training program when the spec asks for it. The
-// model depends only on s.Calibrate — the training program is fixed — so
-// one calibration serves every TLM job and DSE sweep point the Runner
-// executes. A calibration that fails, past its deadline included, is not
-// memoized.
-func (r *Runner) baseModel(ctx context.Context, s *Spec) (*pum.PUM, error) {
-	r.baseMu.Lock()
-	defer r.baseMu.Unlock()
-	if m := r.base[s.Calibrate]; m != nil {
-		return m, nil
+// design maps the spec's platform from the memoized base model (the
+// MicroBlaze-like soft core, calibrated on the MP3 training program when
+// the spec asks for it) and the workload's memo entry, and verifies it
+// through pl. hit reports that the entry's program was not compiled for
+// this job.
+func (r *Runner) design(ctx context.Context, s *Spec, pl *engine.Pipeline) (d *platform.Design, e *calib.Entry, hit bool, err error) {
+	base, err := r.memo.Model(ctx, s.Calibrate)
+	if err != nil {
+		return nil, nil, false, err
 	}
-	m := pum.MicroBlaze()
-	if s.Calibrate {
-		ts, err := calib.Trainings(AppMP3)
-		if err != nil {
-			return nil, err
-		}
-		if m, _, err = calib.CalibrateCtx(ctx, m, ts, pum.StandardCacheConfigs, 0); err != nil {
-			return nil, err
-		}
+	if e, hit, err = r.memo.Entry(ctx, s.workload()); err != nil {
+		return nil, nil, false, err
 	}
-	if r.base == nil {
-		r.base = make(map[bool]*pum.PUM, 2)
-	}
-	r.base[s.Calibrate] = m
-	return m, nil
-}
-
-// program returns a snapshot of the spec's workload entry in the program
-// memo, compiling the program on a miss; hit reports a memo hit.
-// Concurrent misses on one workload each compile, but the first insert
-// wins, so every later job sees one pointer.
-func (r *Runner) program(s *Spec) (e memoEntry, hit bool, err error) {
-	w := s.workload()
-	r.progMu.Lock()
-	if m := r.progs[w]; m != nil {
-		e = *m
-	}
-	r.progMu.Unlock()
-	if e.prog != nil {
+	if hit {
 		r.Metrics.Counter("jobspec.program.hits").Inc()
-		return e, true, nil
+	} else {
+		r.Metrics.Counter("jobspec.program.misses").Inc()
 	}
-	r.Metrics.Counter("jobspec.program.misses").Inc()
-	prog, err := w.compile()
-	if err != nil {
-		return e, false, err
+	if d, err = s.mapDesign(base, e); err != nil {
+		return nil, nil, false, err
 	}
-	r.progMu.Lock()
-	defer r.progMu.Unlock()
-	if first := r.progs[w]; first != nil {
-		return *first, false, nil
-	}
-	if r.progs == nil || len(r.progs) >= programMemoLimit {
-		r.progs = make(map[workload]*memoEntry)
-	}
-	r.progs[w] = &memoEntry{prog: prog}
-	return memoEntry{prog: prog}, false, nil
-}
-
-// design maps the spec's platform from the memoized base model and
-// program and verifies it through pl. rec is the recording a timed run of
-// the design carries (see Spec.replays): the workload's published
-// recording, an empty one to fill when the job is the workload's first
-// repeat (a memo hit with nothing published yet), else nil.
-func (r *Runner) design(ctx context.Context, s *Spec, pl *engine.Pipeline) (d *platform.Design, rec *tlm.Recording, err error) {
-	base, err := r.baseModel(ctx, s)
-	if err != nil {
-		return nil, nil, err
-	}
-	e, hit, err := r.program(s)
-	if err != nil {
-		return nil, nil, err
-	}
-	if d, err = s.mapDesign(base, e.prog); err != nil {
-		return nil, nil, err
-	}
-	if err = pl.VerifyDesign(d); err != nil || !s.replays() {
-		return d, nil, err
-	}
-	rec = e.rec
-	if rec == nil && hit {
-		rec = &tlm.Recording{}
-	}
-	return d, rec, nil
-}
-
-// publish stores a recording a job just filled in the memo entry of the
-// spec's workload, provided the memo still holds the program it was
-// recorded from; racing recorders are allowed and the first publish wins.
-func (r *Runner) publish(s *Spec, prog *cdfg.Program, rec *tlm.Recording) {
-	r.progMu.Lock()
-	defer r.progMu.Unlock()
-	e := r.progs[s.workload()]
-	if e == nil || e.prog != prog || e.rec != nil {
-		return
-	}
-	e.rec = rec
-	r.Metrics.Counter("jobspec.replay.records").Inc()
+	return d, e, hit, pl.VerifyDesign(d)
 }
 
 // RunOpts carries per-invocation hooks that are not part of the job's
@@ -412,10 +308,10 @@ type TLMRun struct {
 }
 
 // Design is ExecTLM's first half: the spec's design, mapped from the
-// Runner's memos (a zero Runner is valid) and verified once through pl
+// Runner's memo (a zero Runner is valid) and verified once through pl
 // under s.Verify.
 func (r *Runner) Design(ctx context.Context, s *Spec, pl *engine.Pipeline) (*platform.Design, error) {
-	d, _, err := r.design(ctx, s, pl)
+	d, _, _, err := r.design(ctx, s, pl)
 	return d, err
 }
 
@@ -423,13 +319,16 @@ func (r *Runner) Design(ctx context.Context, s *Spec, pl *engine.Pipeline) (*pla
 // RunWith, esetlm directly: it maps and verifies the spec's design (see
 // Design), then runs the spec's engine through pl, the one place that
 // switches on it. The board engine is rtl.RunBoards; the functional and
-// timed engines are pl.SimulateCtx, a timed job replaying or recording its
-// workload's tlm.Recording where the spec allows (Spec.replays), and
-// recording its activity into ev when ev is non-nil. Under s.Profile the
+// timed engines are pl.SimulateCtx, recording its activity into ev when ev
+// is non-nil. A timed job that records no activity, on a workload it did
+// not compile and with a spec that lets it replay (Spec.replays), takes
+// the workload's recording from the memo: the workload's first repeat
+// records it, and every later job, one that waited for the recording
+// included, replays it. Under s.Profile the
 // run's block counts are joined with each PE's annotation into the
 // cycle-attribution report.
 func (r *Runner) ExecTLM(ctx context.Context, s *Spec, pl *engine.Pipeline, ev *trace.Events) (*TLMRun, error) {
-	d, rec, err := r.design(ctx, s, pl)
+	d, e, hit, err := r.design(ctx, s, pl)
 	if err != nil {
 		return nil, err
 	}
@@ -442,21 +341,34 @@ func (r *Runner) ExecTLM(ctx context.Context, s *Spec, pl *engine.Pipeline, ev *
 		run.Board = brs[0]
 		return run, nil
 	}
-	opts := tlm.Options{Profile: s.Profile, Recording: rec}
+	opts := tlm.Options{Profile: s.Profile}
 	if s.Engine == EngineTimed {
 		opts.Timed, opts.WaitMode, opts.Events = true, tlm.WaitAtTransactions, ev
 	}
-	// A published recording always replays: it was recorded under these
-	// same options, and the pipeline's block delays are integers.
-	replayed := rec.Filled()
-	if run.TLM, err = pl.SimulateCtx(ctx, d, opts); err != nil {
-		return nil, err
+	if hit && s.replays() && ev == nil {
+		rec, recorded, err := e.Recording(ctx, func(rec *tlm.Recording) (err error) {
+			opts.Recording = rec
+			run.TLM, err = pl.SimulateCtx(ctx, d, opts)
+			return err
+		})
+		switch {
+		case err != nil:
+			return nil, err
+		case recorded && rec != nil:
+			r.Metrics.Counter("jobspec.replay.records").Inc()
+		case !recorded:
+			opts.Recording = rec
+		}
 	}
-	switch {
-	case replayed:
-		r.Metrics.Counter("jobspec.replay.hits").Inc()
-	case rec.Filled():
-		r.publish(s, d.Program, rec)
+	if run.TLM == nil {
+		if run.TLM, err = pl.SimulateCtx(ctx, d, opts); err != nil {
+			return nil, err
+		}
+		// A memoized recording always replays: it was recorded under these
+		// same options, and the pipeline's block delays are integers.
+		if opts.Recording != nil {
+			r.Metrics.Counter("jobspec.replay.hits").Inc()
+		}
 	}
 	if s.Profile {
 		run.Profile, err = profileTLM(ctx, pl, d, run.TLM)
