@@ -5,8 +5,7 @@
 // Standalone mode (default) emits a self-contained `go build`-able
 // timed-TLM package for one built-in design spec, with the per-block
 // delays the pipeline annotates for a timed run of that spec: the design
-// and delays come from jobspec's TLM step (Runner.Standalone), as for
-// `esetlm -gen`, which prints the same main.go:
+// and delays come from jobspec's TLM step (Runner.Standalone):
 //
 //	esegen -design SW+1 -o /tmp/tlm_sw1
 //

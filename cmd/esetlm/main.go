@@ -18,8 +18,6 @@
 //	                            (exit 2 on findings)
 //	-Werror                     with -verify, treat warnings as errors
 //	-graph                      print the process/channel structure (Fig. 6)
-//	-gen                        print the standalone timed-TLM Go source
-//	                            (the main.go esegen -o writes) and exit
 //	-json                       print the canonical {cycles_by_pe,
 //	                            out_by_pe, steps} JSON summary (matches a
 //	                            standalone esegen binary byte for byte;
@@ -69,7 +67,7 @@ import (
 // outputs bundles the presentation-only flag values that stay outside the
 // shared job spec.
 type outputs struct {
-	graph, gen  bool
+	graph       bool
 	jsonOut     bool
 	vcdPath     string
 	traceJSON   string
@@ -86,7 +84,6 @@ func main() {
 	spec.BindVerify(flag.CommandLine)
 	spec.BindRun(flag.CommandLine)
 	flag.BoolVar(&o.graph, "graph", false, "print the process graph and exit")
-	flag.BoolVar(&o.gen, "gen", false, "print the standalone timed-TLM Go source (esegen's main.go) and exit")
 	flag.BoolVar(&o.jsonOut, "json", false, "print the canonical {cycles_by_pe, out_by_pe, steps} JSON summary instead of text")
 	flag.StringVar(&o.vcdPath, "vcd", "", "write a VCD activity waveform to this file (timed engine)")
 	flag.StringVar(&o.traceJSON, "trace-json", "", "write a Chrome trace_event timeline to this file (timed engine)")
@@ -120,20 +117,12 @@ func run(spec *jobspec.Spec, o outputs) error {
 	defer cli.PrintDiags("esetlm", pl.Diagnostics())
 	ctx, cancel := spec.WithTimeout(context.Background(), 0)
 	defer cancel()
-	switch {
-	case o.graph:
+	if o.graph {
 		d, err := r.Design(ctx, spec, pl)
 		if err != nil {
 			return err
 		}
 		fmt.Print(d.Graph())
-		return nil
-	case o.gen:
-		_, files, err := r.Standalone(ctx, spec, pl, "gentlm")
-		if err != nil {
-			return err
-		}
-		fmt.Print(string(files["main.go"]))
 		return nil
 	}
 	var ev *trace.Events

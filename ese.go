@@ -271,8 +271,8 @@ func RunTimedTLM(d *Design) (*TLMResult, error) { return defaultPipeline.RunTime
 func RunBoard(d *Design) (*BoardResult, error) { return rtl.RunBoard(d, 0) }
 
 // GenerateTLM emits the Go source of the design's standalone timed TLM:
-// the "main.go" of GenerateTLMPackage, which `esegen -o` writes and
-// `esetlm -gen` prints for the same design.
+// the "main.go" of GenerateTLMPackage, which `esegen -o` writes for the
+// same design.
 func GenerateTLM(d *Design) (string, error) {
 	files, err := GenerateTLMPackage(d, "gentlm")
 	if err != nil {

@@ -18,9 +18,11 @@
 // Memo, the memo type the jobspec Runner also owns. Board references
 // depend only on datasheet constants, never on calibrated statistics, so
 // they exist before any model. Phase two scores the rows against the
-// filled memo, each into its slot in matrix order. Neither the scoreboard
-// nor a failure's error depends on the number of workers; GOMAXPROCS=1 is
-// the serial run.
+// memo, each into its slot in matrix order: a workload's first row records
+// its timed TLM, and every estimate of the workload replays that
+// recording. Neither the scoreboard, nor a failure's error, nor the
+// estimation cache's counters depend on the number of workers;
+// GOMAXPROCS=1 is the serial run.
 //
 // The paper's "~6–9% error" headline becomes a tracked number: the
 // scoreboard serializes to BENCH_accuracy.json, and CI gates it through

@@ -89,15 +89,6 @@ func (s *slot[T]) settle(val T, err error) {
 	s.busy = nil
 }
 
-func wait(ctx context.Context, busy chan struct{}) error {
-	select {
-	case <-busy:
-		return nil
-	case <-ctx.Done():
-		return diag.FromContext(ctx)
-	}
-}
-
 // get returns s's value, filled by fill, which runs without mu, when s
 // holds none; filled reports that this caller ran fill.
 func get[T any](ctx context.Context, mu *sync.Mutex, s *slot[T], fill func() (T, error)) (val T, filled bool, err error) {
@@ -116,7 +107,7 @@ func get[T any](ctx context.Context, mu *sync.Mutex, s *slot[T], fill func() (T,
 		if busy == nil {
 			return val, false, nil
 		}
-		if err := wait(ctx, busy); err != nil {
+		if err := diag.Wait(ctx, busy); err != nil {
 			var zero T
 			return zero, false, err
 		}
@@ -217,7 +208,7 @@ func (e *Entry) Refs(ctx context.Context, cfgs []pum.CacheCfg) ([]uint64, error)
 		case len(run) > 0:
 			err = e.board(ctx, run)
 		case busy != nil:
-			err = wait(ctx, busy)
+			err = diag.Wait(ctx, busy)
 		default:
 			return refs, nil
 		}

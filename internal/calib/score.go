@@ -234,21 +234,18 @@ func timed(rec *tlm.Recording) tlm.Options {
 // compiled and run on the board at every configuration in one pass
 // (Entry.Refs). Board references depend only on the datasheet constants,
 // never on the calibrated statistics, so they exist before any model.
-// Each training set's model is then merged from its reports, and each
-// workload is recorded by one timed TLM run under the base datasheet
-// (pum.MicroBlaze, with a placeholder memory-table entry for each
-// configuration it lacks: boardModel), one workload at a time in matrix
-// order. The recordings annotate every design, so they compute every
-// Algorithm 1 schedule the rows need, in the same order at any
-// GOMAXPROCS, and the rows' schedule lookups all hit the pipeline's cache.
+// Each training set's model is then merged from its reports.
 //
-// Phase two scores every row against the memo, whose every value it hits,
-// each into its slot in matrix order (training sets, then applications,
-// then designs), so the scoreboard does not depend on the order rows
-// finish in. Every estimate replays its workload's recording instead of
-// interpreting the program again. A failing phase reports its earliest
-// failing task in that fixed order, so the result, scoreboard or error, is
-// the same at every GOMAXPROCS.
+// Phase two scores every row with ScoreRow against the memo, each into
+// its slot in matrix order (training sets, then applications, then
+// designs), so the scoreboard does not depend on the order rows finish
+// in. A workload's first row records it (Entry.Recording), and every
+// estimate replays that recording instead of interpreting the program
+// again. The pipeline's cache fills each schedule and table once however
+// rows interleave, so its counters, like the scoreboard, are the same at
+// every GOMAXPROCS. A failing phase reports its earliest failing task in
+// that fixed order, so the result, scoreboard or error, is the same at
+// every GOMAXPROCS.
 func RunScoreboard(opts Options) (*Scoreboard, error) {
 	ctx := opts.Ctx
 	if ctx == nil {
@@ -304,7 +301,6 @@ func RunScoreboard(opts Options) (*Scoreboard, error) {
 	base := pum.MicroBlaze()
 	memo := &Memo{limit: opts.Limit}
 	reps := make([]*rtl.CalibReport, len(names))
-	entries := make([]*Entry, len(works))
 	if err := forEach(len(names)+len(works), func(i int) error {
 		if i < len(names) {
 			ts, err := Trainings(names[i])
@@ -318,21 +314,9 @@ func RunScoreboard(opts Options) (*Scoreboard, error) {
 		if err == nil {
 			_, err = e.Refs(ctx, cfgs)
 		}
-		entries[i-len(names)] = e
 		return err
 	}); err != nil {
 		return nil, err
-	}
-	pipe := engine.New(opts.Engine)
-	ref := boardModel(base, cfgs)
-	for _, e := range entries {
-		d, err := e.Design(ref, cfgs[0])
-		if err == nil {
-			_, err = record(ctx, pipe, e, d)
-		}
-		if err != nil {
-			return nil, err
-		}
 	}
 	models := make([]*pum.PUM, len(trains))
 	for i, label := range trains {
@@ -347,6 +331,7 @@ func RunScoreboard(opts Options) (*Scoreboard, error) {
 		}
 	}
 
+	pipe := engine.New(opts.Engine)
 	sb := &Scoreboard{Frames: opts.Frames, Blocks: opts.Blocks, Rows: make([]Row, len(trains)*len(works))}
 	if err := forEach(len(sb.Rows), func(i int) error {
 		label, w := trains[i/len(works)], works[i%len(works)]

@@ -298,6 +298,40 @@ type Program struct {
 // Func returns the function with the given name, or nil.
 func (p *Program) Func(name string) *Function { return p.funcMap[name] }
 
+// Reachable returns, in program order, the functions reachable by static
+// calls from the functions named by entries; names matching no function
+// are ignored. Names resolve by scanning Funcs, so programs built without
+// a name map resolve too.
+func (p *Program) Reachable(entries ...string) []*Function {
+	seen := make(map[*Function]bool)
+	var work []*Function
+	for _, fn := range p.Funcs {
+		if slices.Contains(entries, fn.Name) {
+			seen[fn] = true
+			work = append(work, fn)
+		}
+	}
+	for len(work) > 0 {
+		fn := work[len(work)-1]
+		work = work[:len(work)-1]
+		for _, b := range fn.Blocks {
+			for i := range b.Instrs {
+				if c := b.Instrs[i].Callee; c != nil && !seen[c] {
+					seen[c] = true
+					work = append(work, c)
+				}
+			}
+		}
+	}
+	var out []*Function
+	for _, fn := range p.Funcs {
+		if seen[fn] {
+			out = append(out, fn)
+		}
+	}
+	return out
+}
+
 // WithGlobals returns a deep copy of the program's code over the given
 // globals, which must match the program's own in count, name and
 // array-ness: only sizes and initializers, the workload data the code

@@ -240,3 +240,39 @@ func TestRefString(t *testing.T) {
 		}
 	}
 }
+
+// Reachable walks static calls from the named entries and lists the
+// functions in program order, whatever order the walk visits them in;
+// a program built without a name map resolves its entries too.
+func TestReachableInProgramOrder(t *testing.T) {
+	p := compile(t, `
+int leaf(int x) { return x + 1; }
+int unused(int x) { return x * 2; }
+int mid(int x) { return leaf(x); }
+int top(int x) { return leaf(mid(x)); }
+void main() { out(top(1)); }`)
+	names := func(fns []*Function) string {
+		var s []string
+		for _, fn := range fns {
+			s = append(s, fn.Name)
+		}
+		return strings.Join(s, ",")
+	}
+	for _, c := range []struct {
+		entries []string
+		want    string
+	}{
+		{[]string{"main"}, "leaf,mid,top,main"},
+		{[]string{"mid"}, "leaf,mid"},
+		{[]string{"mid", "unused", "nonexistent"}, "leaf,unused,mid"},
+		{[]string{"nonexistent"}, ""},
+	} {
+		if got := names(p.Reachable(c.entries...)); got != c.want {
+			t.Errorf("Reachable(%v) = %q, want %q", c.entries, got, c.want)
+		}
+		bare := &Program{Globals: p.Globals, Funcs: p.Funcs}
+		if got := names(bare.Reachable(c.entries...)); got != c.want {
+			t.Errorf("Reachable(%v) without a name map = %q, want %q", c.entries, got, c.want)
+		}
+	}
+}

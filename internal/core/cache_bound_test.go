@@ -1,20 +1,36 @@
 package core
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
-// putSched stores one schedule result.
-func putSched(c *Cache, k schedKey, sr SchedResult) { c.schedPut(k, sr) }
+// putSched fills k with sr through the cache's fill rule, counting a hit
+// or a miss: a stored key keeps its first value.
+func putSched(c *Cache, k schedKey, sr SchedResult) {
+	c.fillSched(context.Background(), k, func() SchedResult { return sr })
+}
 
-// getSched looks one schedule key up, counting a hit or a miss as a build
-// would.
+// getSched looks one schedule key up, uncounted.
 func getSched(c *Cache, k schedKey) (SchedResult, bool) {
-	sr, ok := c.schedLoad(k)
-	if ok {
-		c.schedHits.Add(1)
-	} else {
-		c.schedMisses.Add(1)
-	}
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	sr, ok := c.sched[k]
 	return sr, ok
+}
+
+// putTable fills k with t through the cache's fill rule and returns the
+// table every caller of k gets: a stored key keeps its first table.
+func putTable(c *Cache, k tableKey, t *Table) *Table {
+	got, _ := c.fillTable(context.Background(), k, func() (*Table, error) { return t, nil })
+	return got
+}
+
+// getTable looks one table key up, uncounted, or returns nil.
+func getTable(c *Cache, k tableKey) *Table {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.tables[k]
 }
 
 // blockTable returns a table of n blocks whose estimates carry tag.
@@ -28,7 +44,8 @@ func blockTable(n, tag int) *Table {
 
 // TestBoundedCacheNeverEvictsJustInsertedKey locks the eviction policy of
 // the bounded cache at its tightest setting, limit 1: re-putting the
-// resident key must not evict anything, and inserting a new key must
+// resident key must neither evict anything nor refill it (it keeps its
+// first value), and inserting a new key must
 // evict the old entry — never the key being inserted. Without the
 // residency check a full cache would pick its own incoming key as the
 // victim, making every put at the bound a guaranteed future miss and the
@@ -39,12 +56,12 @@ func TestBoundedCacheNeverEvictsJustInsertedKey(t *testing.T) {
 	k2 := schedKey{fallback: 2}
 
 	putSched(c, k1, SchedResult{Sched: 11})
-	putSched(c, k1, SchedResult{Sched: 12}) // overwrite in place, no eviction
+	putSched(c, k1, SchedResult{Sched: 12}) // a hit: keeps the first value, no eviction
 	if ev := c.Stats().Evictions; ev != 0 {
 		t.Fatalf("re-putting the resident key evicted %d entries", ev)
 	}
-	if sr, ok := getSched(c, k1); !ok || sr.Sched != 12 {
-		t.Fatalf("resident key lost on overwrite: ok=%v sr=%+v", ok, sr)
+	if sr, ok := getSched(c, k1); !ok || sr.Sched != 11 {
+		t.Fatalf("resident key did not keep its first value: ok=%v sr=%+v", ok, sr)
 	}
 
 	putSched(c, k2, SchedResult{Sched: 20})
@@ -74,21 +91,21 @@ func TestBoundedCacheEstimateSide(t *testing.T) {
 	k3 := tableKey{fallback: 3}
 
 	t1 := blockTable(3, 1)
-	if got := c.tablePut(k1, t1); got != t1 {
+	if got := putTable(c, k1, t1); got != t1 {
 		t.Fatal("first put did not return its own table")
 	}
-	if got := c.tablePut(k1, blockTable(3, 9)); got != t1 {
+	if got := putTable(c, k1, blockTable(3, 9)); got != t1 {
 		t.Fatal("re-putting a resident key replaced the first table")
 	}
 	if ev := c.Stats().Evictions; ev != 0 {
 		t.Fatalf("re-putting the resident key evicted %d entries", ev)
 	}
 	t2 := blockTable(2, 2)
-	c.tablePut(k2, t2)
-	if got := c.tableGet(k2); got != t2 {
+	putTable(c, k2, t2)
+	if got := getTable(c, k2); got != t2 {
 		t.Fatal("bounded cache evicted the table it just inserted")
 	}
-	if c.tableGet(k1) != nil {
+	if getTable(c, k1) != nil {
 		t.Fatal("old table survived past the limit")
 	}
 	if _, e := c.Len(); e != 2 {
@@ -98,10 +115,10 @@ func TestBoundedCacheEstimateSide(t *testing.T) {
 		t.Fatalf("evictions = %d, want the 3 block estimates of the dropped table", ev)
 	}
 	big := blockTable(5, 5)
-	if got := c.tablePut(k3, big); got != big {
+	if got := putTable(c, k3, big); got != big {
 		t.Fatal("an oversized table was not returned to its caller")
 	}
-	if c.tableGet(k3) != nil || c.tableGet(k2) != t2 {
+	if getTable(c, k3) != nil || getTable(c, k2) != t2 {
 		t.Fatal("an oversized table was stored or evicted a resident one")
 	}
 }

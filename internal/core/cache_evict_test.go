@@ -40,7 +40,7 @@ func TestBoundedCacheEvictionDeterministic(t *testing.T) {
 		c := NewCacheLimit(8)
 		for i := 0; i < 200; i++ {
 			putSched(c, schedKey{fallback: i % 40}, SchedResult{Sched: i})
-			c.tablePut(tableKey{fallback: i % 40}, blockTable(1+i%3, i))
+			putTable(c, tableKey{fallback: i % 40}, blockTable(1+i%3, i))
 			// Interleave hits so the sequence exercises resident re-puts too.
 			getSched(c, schedKey{fallback: i % 7})
 		}
@@ -67,7 +67,7 @@ func TestBoundedCacheKeyListConsistent(t *testing.T) {
 	c := NewCacheLimit(3)
 	for i := 0; i < 100; i++ {
 		putSched(c, schedKey{fallback: i % 10}, SchedResult{Sched: i})
-		c.tablePut(tableKey{fallback: i % 10}, blockTable(1+i%2, i))
+		putTable(c, tableKey{fallback: i % 10}, blockTable(1+i%2, i))
 		s, e := c.Len()
 		if s > 3 || e > 3 {
 			t.Fatalf("cache exceeded its bound: sched=%d est=%d", s, e)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -25,11 +26,12 @@ func stressKeys(n int) ([]schedKey, []tableKey) {
 // TestCacheStressAtLimit hammers a bounded cache from many goroutines
 // with a key space larger than the bound, forcing constant eviction, and
 // then reconciles the counters against the operation counts: every
-// schedule get is either a hit or a miss, every one-block table hit
-// counts one estimate hit, the resident size never exceeds the bound, and
-// evictions cannot outnumber the puts that could have triggered them.
-// Run under -race this also proves the get/put/evict paths are safe to
-// share between the daemon's request goroutines.
+// schedule fill is either a hit or a miss, only a miss computes, every
+// one-block table hit counts one estimate hit, the resident size never
+// exceeds the bound, evictions cannot outnumber the values stored, and
+// no key is left in flight. Run under -race this also proves the
+// fill/evict paths are safe to share between the daemon's request
+// goroutines.
 func TestCacheStressAtLimit(t *testing.T) {
 	const (
 		limit   = 64
@@ -39,8 +41,9 @@ func TestCacheStressAtLimit(t *testing.T) {
 	workers := runtime.GOMAXPROCS(0) * 2
 	c := NewCacheLimit(limit)
 	sk, tk := stressKeys(keySpan)
+	ctx := context.Background()
 
-	var schedGets, schedPuts, tableGets, tablePuts atomic.Uint64
+	var schedGets, schedComputes, tableGets, tableBuilds atomic.Uint64
 	var wg sync.WaitGroup
 	for g := 0; g < workers; g++ {
 		wg.Add(1)
@@ -51,16 +54,15 @@ func TestCacheStressAtLimit(t *testing.T) {
 			i := seed
 			for n := 0; n < perG; n++ {
 				i = (i*1103515245 + 12345) & (keySpan - 1)
-				k := sk[i]
-				if _, ok := getSched(c, k); !ok {
-					putSched(c, k, SchedResult{Sched: i})
-					schedPuts.Add(1)
-				}
+				c.fillSched(ctx, sk[i], func() SchedResult {
+					schedComputes.Add(1)
+					return SchedResult{Sched: i}
+				})
 				schedGets.Add(1)
-				if c.tableGet(tk[i]) == nil {
-					c.tablePut(tk[i], blockTable(1, i))
-					tablePuts.Add(1)
-				}
+				c.fillTable(ctx, tk[i], func() (*Table, error) {
+					tableBuilds.Add(1)
+					return blockTable(1, i), nil
+				})
 				tableGets.Add(1)
 			}
 		}(g * 7919)
@@ -72,20 +74,19 @@ func TestCacheStressAtLimit(t *testing.T) {
 		t.Errorf("sched counters do not reconcile: hits %d + misses %d != gets %d",
 			st.SchedHits, st.SchedMisses, schedGets.Load())
 	}
-	// Builds, not table gets, count estimate misses; a get that missed
-	// puts, so hits and puts add up to the gets.
-	if st.EstHits+tablePuts.Load() != tableGets.Load() {
-		t.Errorf("table counters do not reconcile: hits %d + puts %d != gets %d",
-			st.EstHits, tablePuts.Load(), tableGets.Load())
+	if schedComputes.Load() != st.SchedMisses {
+		t.Errorf("%d schedules computed for %d misses", schedComputes.Load(), st.SchedMisses)
 	}
-	// Only a get that missed triggers a put, so misses bound the puts; and
-	// only a put of a non-resident key at the limit evicts (one-block
-	// tables drop one estimate each), so puts bound the evictions.
-	if schedPuts.Load() > st.SchedMisses {
-		t.Errorf("more sched puts (%d) than misses (%d)", schedPuts.Load(), st.SchedMisses)
+	// The builds here count no estimates themselves (Cache.build does), so
+	// hits and builds add up to the gets.
+	if st.EstHits+tableBuilds.Load() != tableGets.Load() {
+		t.Errorf("table counters do not reconcile: hits %d + builds %d != gets %d",
+			st.EstHits, tableBuilds.Load(), tableGets.Load())
 	}
-	if st.Evictions > schedPuts.Load()+tablePuts.Load() {
-		t.Errorf("more evictions (%d) than puts (%d)", st.Evictions, schedPuts.Load()+tablePuts.Load())
+	// Only storing a value at the limit evicts (one-block tables drop one
+	// estimate each), so the values computed bound the evictions.
+	if st.Evictions > schedComputes.Load()+tableBuilds.Load() {
+		t.Errorf("more evictions (%d) than values stored (%d)", st.Evictions, schedComputes.Load()+tableBuilds.Load())
 	}
 	sched, est := c.Len()
 	if sched > limit || est > limit {
@@ -97,12 +98,14 @@ func TestCacheStressAtLimit(t *testing.T) {
 	if st.Evictions == 0 {
 		t.Error("no evictions at 4x key span — the stress never hit the bound")
 	}
+	if len(c.schedFills) != 0 || len(c.tableFills) != 0 {
+		t.Errorf("%d schedule and %d table keys left in flight", len(c.schedFills), len(c.tableFills))
+	}
 }
 
 // TestCacheStressUnbounded runs the same hammer on an unbounded cache:
-// every key is computed at most a handful of times (once per goroutine at
-// worst, when several miss concurrently before the first put lands), and
-// nothing is ever evicted.
+// fills are single-flight, so every key is computed exactly once however
+// many goroutines miss it together, and nothing is ever evicted.
 func TestCacheStressUnbounded(t *testing.T) {
 	const (
 		keySpan = 128
@@ -122,10 +125,7 @@ func TestCacheStressUnbounded(t *testing.T) {
 			i := seed
 			for n := 0; n < perG; n++ {
 				i = (i*1103515245 + 12345) & (keySpan - 1)
-				k := sk[i]
-				if _, ok := getSched(c, k); !ok {
-					putSched(c, k, SchedResult{Sched: i})
-				}
+				putSched(c, sk[i], SchedResult{Sched: i})
 			}
 		}(g * 104729)
 	}
@@ -139,10 +139,8 @@ func TestCacheStressUnbounded(t *testing.T) {
 	if sched != keySpan {
 		t.Errorf("resident sched entries = %d, want %d", sched, keySpan)
 	}
-	// A key can miss at most once per goroutine (they race on first
-	// insert); after that every get hits.
-	if st.SchedMisses > uint64(keySpan*workers) {
-		t.Errorf("misses %d exceed worst-case %d", st.SchedMisses, keySpan*workers)
+	if st.SchedMisses != keySpan {
+		t.Errorf("misses %d, want one per key (%d)", st.SchedMisses, keySpan)
 	}
 	if st.SchedHits+st.SchedMisses != uint64(workers*perG) {
 		t.Errorf("counters do not reconcile: %d + %d != %d",

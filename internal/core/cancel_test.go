@@ -8,7 +8,11 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"ese/internal/cdfg"
 	"ese/internal/diag"
@@ -151,4 +155,135 @@ func TestEstimateBlocksFallbackAffectsDelay(t *testing.T) {
 	if !raised {
 		t.Fatal("raising FallbackCycles did not raise any degraded block's delay")
 	}
+}
+
+// waiting is a live context that reports its first Done call: a fill
+// waits under its context only once it has found its key busy.
+type waiting struct {
+	context.Context
+	once sync.Once
+	ch   chan struct{}
+}
+
+func (w *waiting) Done() <-chan struct{} {
+	w.once.Do(func() { close(w.ch) })
+	return w.Context.Done()
+}
+
+// errAfter is a context whose Err turns to context.Canceled after n
+// reads: it cancels a serial build between two scheduled blocks.
+type errAfter struct {
+	context.Context
+	n atomic.Int32
+}
+
+func (e *errAfter) Err() error {
+	if e.n.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// contend claims k with a build that ends with (first, firstErr) only
+// once a second caller of k waits for it, and returns the table the
+// second caller got, whether its own build (returning second) made it,
+// and the first build's error.
+func contend(c *Cache, k tableKey, first *Table, firstErr error, second *Table) (*Table, bool, error) {
+	claimed, release := make(chan struct{}), make(chan struct{})
+	errc := make(chan error, 1)
+	go func() {
+		_, err := c.fillTable(context.Background(), k, func() (*Table, error) {
+			close(claimed)
+			<-release
+			return first, firstErr
+		})
+		errc <- err
+	}()
+	<-claimed
+	// A claim that is never released fails the waiter at its deadline.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	w := &waiting{Context: ctx, ch: make(chan struct{})}
+	var tab *Table
+	built := false
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		tab, _ = c.fillTable(w, k, func() (*Table, error) {
+			built = true
+			return second, nil
+		})
+	}()
+	<-w.ch
+	close(release)
+	<-done
+	return tab, built, <-errc
+}
+
+// TestCancelledBuildReleasesKey: a build that fails or stores nothing
+// ends its claim, so the caller waiting for it fills the key itself, and
+// cancelled builds leave no key in flight and a bounded cache within its
+// bound. CI runs it under -race -count=10.
+func TestCancelledBuildReleasesKey(t *testing.T) {
+	inFlight := func(c *Cache) {
+		t.Helper()
+		if len(c.schedFills) != 0 || len(c.tableFills) != 0 {
+			t.Fatalf("%d schedule and %d table keys left in flight", len(c.schedFills), len(c.tableFills))
+		}
+	}
+
+	// A cancelled build stores nothing; its waiter builds and stores.
+	c := NewCacheLimit(8)
+	k := tableKey{fallback: 1}
+	own := blockTable(2, 7)
+	tab, built, err := contend(c, k, nil, diag.ErrCanceled, own)
+	if !errors.Is(err, diag.ErrCanceled) || tab != own || !built || getTable(c, k) != own {
+		t.Fatalf("after a cancelled build: err %v, waiter built %v, got its table %v, stored %v",
+			err, built, tab == own, getTable(c, k) == own)
+	}
+	inFlight(c)
+
+	// A table larger than the bound is not stored, so its waiter builds
+	// its own.
+	c = NewCacheLimit(4)
+	own = blockTable(5, 6)
+	if tab, built, err = contend(c, k, blockTable(5, 5), nil, own); err != nil || tab != own || !built || getTable(c, k) != nil {
+		t.Fatalf("after an oversized build: err %v, waiter built %v, got its table %v, stored %v",
+			err, built, tab == own, getTable(c, k) != nil)
+	}
+	inFlight(c)
+
+	// Builds cancelled after two scheduled blocks, each of distinct keys
+	// (a fallback latency apiece), keep the bound and no claim, and the
+	// cache still builds an uncancelled table.
+	prog := compile(t, mulSrc)
+	p := pum.MicroBlaze()
+	const limit = 4
+	c = NewCacheLimit(limit)
+	for i := 1; i <= 50; i++ {
+		ctx := &errAfter{Context: context.Background()}
+		ctx.n.Store(3) // the entry check, then one check per block
+		if _, err := EstimateBlocksCtx(ctx, prog, p, FullDetail, EstOptions{Workers: 1, Cache: c, FallbackCycles: i}); !errors.Is(err, diag.ErrCanceled) {
+			t.Fatalf("build %d: err %v, want diag.ErrCanceled", i, err)
+		}
+		if sched, est := c.Len(); sched > limit || est != 0 {
+			t.Fatalf("build %d: %d schedules and %d block estimates stored, want at most %d and none", i, sched, est, limit)
+		}
+		inFlight(c)
+	}
+	if st := c.Stats(); st.SchedMisses != 100 || st.Evictions != 100-limit {
+		t.Fatalf("cancelled builds counted %+v, want 100 schedule misses and %d evictions", st, 100-limit)
+	}
+	got, err := EstimateBlocksCtx(context.Background(), prog, p, FullDetail, EstOptions{Workers: 1, Cache: c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := EstimateBlocksCtx(context.Background(), prog, p, FullDetail, EstOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Estimates(), want.Estimates()) {
+		t.Fatal("the table built after cancelled builds differs from the uncached one")
+	}
+	inFlight(c)
 }

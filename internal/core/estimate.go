@@ -104,10 +104,20 @@ type CacheStats struct {
 // Algorithm 1 schedule after the first configuration, and every program
 // with the same code (another seed of one design) shares its tables. Safe
 // for concurrent use; stored tables are never modified.
+//
+// Every schedule and table is filled single-flight, by the rule of
+// calib.Memo (see fill): the first build that misses a key computes it,
+// and concurrent builds of the key wait for it and count a hit, so the
+// counters of an unbounded cache do not depend on concurrency.
 type Cache struct {
 	mu     sync.RWMutex
 	sched  map[schedKey]SchedResult
 	tables map[tableKey]*Table
+	// schedFills and tableFills hold one channel per key a build is
+	// computing, closed and deleted when its value lands or the build
+	// gives the key up.
+	schedFills map[schedKey]chan struct{}
+	tableFills map[tableKey]chan struct{}
 	// limit bounds the schedule entries, and separately the block
 	// estimates held by the tables (a table counts as its block count);
 	// 0 means unbounded. When a put would exceed the bound, resident
@@ -149,10 +159,12 @@ func NewCacheLimit(maxEntries int) *Cache {
 		maxEntries = 0
 	}
 	return &Cache{
-		sched:  make(map[schedKey]SchedResult),
-		tables: make(map[tableKey]*Table),
-		limit:  maxEntries,
-		rng:    1,
+		sched:      make(map[schedKey]SchedResult),
+		tables:     make(map[tableKey]*Table),
+		schedFills: make(map[schedKey]chan struct{}),
+		tableFills: make(map[tableKey]chan struct{}),
+		limit:      maxEntries,
+		rng:        1,
 	}
 }
 
@@ -184,62 +196,112 @@ func (c *Cache) Len() (sched, est int) {
 	return len(c.sched), c.tableBlocks
 }
 
-// schedLoad is one uncounted schedule lookup.
-func (c *Cache) schedLoad(k schedKey) (SchedResult, bool) {
-	c.mu.RLock()
-	sr, ok := c.sched[k]
-	c.mu.RUnlock()
-	return sr, ok
+// fill is the cache's one fill rule, that of calib.Memo: it returns k's
+// value in vals when stored, or when a build of k in flight (fills) lands
+// it while the caller waits under ctx. Otherwise the caller claims k and
+// runs build, whose value put stores unless build fails; the claim ends
+// either way, so a waiter whose key did not land (a failed, cancelled or
+// oversized build, or an eviction) fills the key itself. filled reports
+// that this caller ran build. The hit path takes only the read lock.
+func fill[K comparable, V any](ctx context.Context, c *Cache, vals map[K]V, fills map[K]chan struct{}, k K, build func() (V, error), put func(K, V)) (v V, filled bool, err error) {
+	for {
+		var ok bool
+		var busy chan struct{}
+		c.mu.RLock()
+		v, ok = vals[k]
+		c.mu.RUnlock()
+		if !ok {
+			c.mu.Lock()
+			if v, ok = vals[k]; !ok {
+				if busy = fills[k]; busy == nil {
+					fills[k] = make(chan struct{})
+				}
+			}
+			c.mu.Unlock()
+		}
+		switch {
+		case ok:
+			return v, false, nil
+		case busy == nil:
+			v, err = settle(c, fills, k, build, put)
+			return v, true, err
+		}
+		if err = diag.Wait(ctx, busy); err != nil {
+			return v, false, err
+		}
+	}
 }
 
-// schedPut stores one schedule result.
-func (c *Cache) schedPut(k schedKey, sr SchedResult) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.limit > 0 {
-		if _, resident := c.sched[k]; !resident {
-			// The victim is drawn from the residents before k joins the key
-			// list, so the just-inserted key can never evict itself.
-			if len(c.sched) >= c.limit {
-				v := int(c.nextRand() % uint64(len(c.schedKeys)))
-				delete(c.sched, c.schedKeys[v])
-				c.schedKeys[v] = c.schedKeys[len(c.schedKeys)-1]
-				c.schedKeys = c.schedKeys[:len(c.schedKeys)-1]
-				c.evictions.Add(1)
-			}
-			c.schedKeys = append(c.schedKeys, k)
+// settle runs build for k, which the caller claimed, and ends the claim,
+// storing build's value unless it failed; a panicking build stores
+// nothing.
+func settle[K comparable, V any](c *Cache, fills map[K]chan struct{}, k K, build func() (V, error), put func(K, V)) (v V, err error) {
+	built := false
+	defer func() {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if built && err == nil {
+			put(k, v)
 		}
+		close(fills[k])
+		delete(fills, k)
+	}()
+	v, err = build()
+	built = true
+	return v, err
+}
+
+// fillSched returns k's schedule through fill, computed by compute on a
+// miss, counting a schedule hit or miss.
+func (c *Cache) fillSched(ctx context.Context, k schedKey, compute func() SchedResult) (SchedResult, error) {
+	sr, filled, err := fill(ctx, c, c.sched, c.schedFills, k, func() (SchedResult, error) { return compute(), nil }, c.schedPut)
+	switch {
+	case err != nil:
+	case filled:
+		c.schedMisses.Add(1)
+	default:
+		c.schedHits.Add(1)
+	}
+	return sr, err
+}
+
+// fillTable returns k's table through fill, made by build on a miss
+// (build counts its own estimates), counting one estimate hit per block
+// on a hit.
+func (c *Cache) fillTable(ctx context.Context, k tableKey, build func() (*Table, error)) (*Table, error) {
+	t, filled, err := fill(ctx, c, c.tables, c.tableFills, k, build, c.tablePut)
+	if err == nil && !filled {
+		c.estHits.Add(uint64(t.Len()))
+	}
+	return t, err
+}
+
+// schedPut stores the schedule of k, which is not resident; callers hold
+// c.mu.
+func (c *Cache) schedPut(k schedKey, sr SchedResult) {
+	if c.limit > 0 {
+		// The victim is drawn from the residents before k joins the key
+		// list, so the just-inserted key can never evict itself.
+		if len(c.sched) >= c.limit {
+			v := int(c.nextRand() % uint64(len(c.schedKeys)))
+			delete(c.sched, c.schedKeys[v])
+			c.schedKeys[v] = c.schedKeys[len(c.schedKeys)-1]
+			c.schedKeys = c.schedKeys[:len(c.schedKeys)-1]
+			c.evictions.Add(1)
+		}
+		c.schedKeys = append(c.schedKeys, k)
 	}
 	c.sched[k] = sr
 }
 
-// tableGet returns the stored table for k, counting one estimate hit per
-// block, or nil.
-func (c *Cache) tableGet(k tableKey) *Table {
-	c.mu.RLock()
-	t := c.tables[k]
-	c.mu.RUnlock()
-	if t != nil {
-		c.estHits.Add(uint64(t.Len()))
-	}
-	return t
-}
-
-// tablePut stores t under k and returns the table every caller of k should
-// use: an already-resident table wins over t (concurrent builds of one key
-// are equal, so the first insert wins). Under a bound, resident tables are
-// evicted until t fits; a table larger than the whole bound is returned
-// but not stored.
-func (c *Cache) tablePut(k tableKey, t *Table) *Table {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if first := c.tables[k]; first != nil {
-		return first
-	}
+// tablePut stores t under k, which is not resident; callers hold c.mu.
+// Under a bound, resident tables are evicted until t fits; a table larger
+// than the whole bound is not stored.
+func (c *Cache) tablePut(k tableKey, t *Table) {
 	n := t.Len()
 	if c.limit > 0 {
 		if n > c.limit {
-			return t
+			return
 		}
 		for c.tableBlocks+n > c.limit {
 			v := int(c.nextRand() % uint64(len(c.tableKeys)))
@@ -254,7 +316,6 @@ func (c *Cache) tablePut(k tableKey, t *Table) *Table {
 	}
 	c.tables[k] = t
 	c.tableBlocks += n
-	return t
 }
 
 // EstOptions configures EstimateBlocksCtx.
@@ -332,7 +393,10 @@ func estimate(ctx context.Context, prog *cdfg.Program, p *pum.PUM, detail Detail
 			all[i] = i
 		}
 		srs := make([]SchedResult, len(blocks))
-		if err := schedule(ctx, blocks, all, srs, p, opts, nil); err != nil {
+		if err := schedule(ctx, all, p, opts, func(s *Scheduler, i int) error {
+			srs[i] = s.ScheduleBlock(blocks[i])
+			return nil
+		}); err != nil {
 			return nil, err
 		}
 		est := make([]Estimate, len(blocks))
@@ -344,26 +408,21 @@ func estimate(ctx context.Context, prog *cdfg.Program, p *pum.PUM, detail Detail
 	dp := p.DatapathFingerprint()
 	k := tableKey{code: prog.CodeFingerprint(), model: dp, stats: p.StatFingerprint(),
 		detail: detail.bits(), fallback: opts.fallback()}
-	if t := c.tableGet(k); t != nil {
-		return t, nil
-	}
-	t, err := c.build(ctx, prog, p, dp, detail, opts)
-	if err != nil {
-		return nil, err
-	}
-	return c.tablePut(k, t), nil
+	return c.fillTable(ctx, k, func() (*Table, error) {
+		return c.build(ctx, prog, p, dp, detail, opts)
+	})
 }
 
 // build makes prog's table under p. Under one read lock, each distinct
 // block fingerprint (cdfg.Program.BlockReps) is looked up once in the
-// schedule map and a hit is composed at once; the misses are scheduled on
-// the worker pool and composed on the calling goroutine, and each
-// duplicate block copies its representative. Workers never race to miss
-// one key, so a build moves the cache counters exactly as a serial build
-// does.
+// schedule map and a hit is composed at once; the misses are filled on
+// the worker pool, each through fillSched, which claims the key only
+// while it computes that schedule, and composed on the calling goroutine;
+// each duplicate block copies its representative.
 func (c *Cache) build(ctx context.Context, prog *cdfg.Program, p *pum.PUM, dp pum.Fingerprint, detail Detail, opts EstOptions) (*Table, error) {
 	fps, reps := prog.BlockFingerprints(), prog.BlockReps()
 	fallback := opts.fallback()
+	key := func(i int) schedKey { return schedKey{model: dp, block: fps[i], fallback: fallback} }
 	est := make([]Estimate, len(fps))
 	var miss []int
 	distinct := 0
@@ -373,7 +432,7 @@ func (c *Cache) build(ctx context.Context, prog *cdfg.Program, p *pum.PUM, dp pu
 			continue
 		}
 		distinct++
-		if sr, ok := c.sched[schedKey{model: dp, block: fps[i], fallback: fallback}]; ok {
+		if sr, ok := c.sched[key(i)]; ok {
 			est[i] = ComposeEstimate(sr, p, detail)
 		} else {
 			miss = append(miss, i)
@@ -384,9 +443,12 @@ func (c *Cache) build(ctx context.Context, prog *cdfg.Program, p *pum.PUM, dp pu
 	c.estMisses.Add(uint64(distinct))
 	c.schedHits.Add(uint64(distinct - len(miss)))
 	if len(miss) > 0 {
-		key := func(i int) schedKey { return schedKey{model: dp, block: fps[i], fallback: fallback} }
+		blocks := denseBlocks(prog)
 		srs := make([]SchedResult, len(fps))
-		if err := schedule(ctx, denseBlocks(prog), miss, srs, p, opts, key); err != nil {
+		if err := schedule(ctx, miss, p, opts, func(s *Scheduler, i int) (err error) {
+			srs[i], err = c.fillSched(ctx, key(i), func() SchedResult { return s.ScheduleBlock(blocks[i]) })
+			return err
+		}); err != nil {
 			return nil, err
 		}
 		for _, i := range miss {
@@ -410,32 +472,13 @@ func denseBlocks(prog *cdfg.Program) []*cdfg.Block {
 	return blocks
 }
 
-// schedule runs Algorithm 1 on blocks[i] for every i in todo, storing the
-// result in srs[i], on at most opts.Workers goroutines. With a cache (key
-// non-nil), each block is first looked up again, counting a hit — a
-// concurrent build may have stored it since build looked — and every
-// schedule computed is counted as a miss and stored at once, so
-// concurrent builds sharing blocks mostly compute each schedule once.
-// Workers check the context between blocks and drain cleanly on
-// cancellation, returning the typed error with srs partly filled.
-func schedule(ctx context.Context, blocks []*cdfg.Block, todo []int, srs []SchedResult, p *pum.PUM, opts EstOptions, key func(i int) schedKey) error {
+// schedule runs one(s, i) for every i in todo on at most opts.Workers
+// goroutines, each with its own Scheduler s. Workers check the context
+// between blocks and drain cleanly on cancellation, or when one fails (it
+// fails only when the context ends), returning the typed error.
+func schedule(ctx context.Context, todo []int, p *pum.PUM, opts EstOptions, one func(s *Scheduler, i int) error) error {
 	if len(todo) == 0 {
 		return nil
-	}
-	c := opts.Cache
-	one := func(s *Scheduler, i int) {
-		if key == nil {
-			srs[i] = s.ScheduleBlock(blocks[i])
-			return
-		}
-		if sr, ok := c.schedLoad(key(i)); ok {
-			srs[i] = sr
-			c.schedHits.Add(1)
-			return
-		}
-		c.schedMisses.Add(1)
-		srs[i] = s.ScheduleBlock(blocks[i])
-		c.schedPut(key(i), srs[i])
 	}
 	fallback := opts.fallback()
 	workers := opts.Workers
@@ -456,11 +499,14 @@ func schedule(ctx context.Context, blocks []*cdfg.Block, todo []int, srs []Sched
 	if workers == 1 {
 		s := NewSchedulerFallback(p, fallback)
 		for k, i := range todo {
-			if err := diag.FromContext(ctx); err != nil {
+			err := diag.FromContext(ctx)
+			if err == nil {
+				err = one(s, i)
+			}
+			if err != nil {
 				observe(k)
 				return err
 			}
-			one(s, i)
 		}
 		observe(len(todo))
 		return nil
@@ -483,7 +529,10 @@ func schedule(ctx context.Context, blocks []*cdfg.Block, todo []int, srs []Sched
 				if k >= len(todo) {
 					break
 				}
-				one(s, todo[k])
+				if one(s, todo[k]) != nil {
+					canceled.Store(true)
+					break
+				}
 				done++
 			}
 			observe(done)

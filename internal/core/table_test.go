@@ -181,11 +181,13 @@ func snapshot(tab *core.Table) ([]core.Estimate, []float64) {
 	return append([]core.Estimate(nil), tab.Estimates()...), append([]float64(nil), tab.Totals()...)
 }
 
-// TestEstimateTablesConcurrent: goroutines annotate shared and distinct
-// (program, model) pairs through one cache. Every result equals the
-// serial one, and no stored table changes: a copy taken after the first
-// round still equals every table after a second round of concurrent hits
-// and readers. CI runs it under -race -count=10.
+// TestEstimateTablesConcurrent: goroutines, released together, annotate
+// shared and distinct (program, model) pairs through one cache. Every
+// result equals the serial one, the first round's cache counters equal
+// those of the same calls made serially on a fresh cache (every schedule
+// and table is filled once), and no stored table changes: a copy taken
+// after the first round still equals every table after a second round of
+// concurrent hits and readers. CI runs it under -race -count=10.
 func TestEstimateTablesConcurrent(t *testing.T) {
 	progs := registeredPrograms(t, 0)
 	type pair struct {
@@ -199,15 +201,26 @@ func TestEstimateTablesConcurrent(t *testing.T) {
 			pairs = append(pairs, pair{prog: progs[name], p: m, want: uncached(progs[name], m, core.FullDetail)})
 		}
 	}
-	c := core.NewCache()
 	const goroutines = 8
+	serial := core.NewCache()
+	for g := 0; g < goroutines; g++ {
+		for _, pr := range pairs {
+			if _, err := core.EstimateBlocksCtx(context.Background(), pr.prog, pr.p, core.FullDetail,
+				core.EstOptions{Workers: 1, Cache: serial}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	c := core.NewCache()
 	round := func(read bool) [][]*core.Table {
 		got := make([][]*core.Table, goroutines)
+		start := make(chan struct{})
 		var wg sync.WaitGroup
 		for g := 0; g < goroutines; g++ {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
+				<-start
 				// Every goroutine walks all pairs (shared), starting at its
 				// own offset (distinct pairs in flight at once).
 				for k := range pairs {
@@ -229,6 +242,7 @@ func TestEstimateTablesConcurrent(t *testing.T) {
 				}
 			}(g)
 		}
+		close(start)
 		wg.Wait()
 		return got
 	}
@@ -242,6 +256,9 @@ func TestEstimateTablesConcurrent(t *testing.T) {
 	}
 	first := round(false)
 	check(first)
+	if got, want := c.Stats(), serial.Stats(); got != want {
+		t.Fatalf("concurrent round counted %+v, the same calls made serially %+v", got, want)
+	}
 	type copyOf struct {
 		est    []core.Estimate
 		totals []float64

@@ -222,6 +222,18 @@ func FromContext(ctx context.Context) error {
 	}
 }
 
+// Wait blocks until done is closed or ctx ends, and then returns nil or
+// ctx's typed error (FromContext): the wait of a single-flight fill's
+// waiters.
+func Wait(ctx context.Context, done <-chan struct{}) error {
+	select {
+	case <-done:
+		return nil
+	case <-ctx.Done():
+		return FromContext(ctx)
+	}
+}
+
 // IsCancellation reports whether err stems from a canceled or expired
 // context (directly or wrapped).
 func IsCancellation(err error) bool {

@@ -389,11 +389,13 @@ func TestWriteCSVGolden(t *testing.T) {
 	}
 }
 
-// TestRunMemoCountersSameAtAnyWorkers: the Runner fills its workload memo
-// single-flight, so a sweep's memo counters do not depend on how many
-// points run at once. Each of the six workloads (four MP3 designs, two
-// JPEG ones) compiles on its first point, records on its second and
-// replays on the other six, at one worker as at four.
+// TestRunMemoCountersSameAtAnyWorkers: the Runner fills its workload memo,
+// and its cache each schedule and estimate table, single-flight, so a
+// sweep's memo and cache counters do not depend on how many points run at
+// once. Each of the six workloads (four MP3 designs, two JPEG ones)
+// compiles on its first point, records on its second and replays on the
+// other six, and the sweep computes 313 schedules and 3,139 block
+// estimates, at one worker as at four.
 func TestRunMemoCountersSameAtAnyWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs TLM simulations")
@@ -413,6 +415,7 @@ func TestRunMemoCountersSameAtAnyWorkers(t *testing.T) {
 		"jobspec.replay.hits":    36,
 		"tlm.replays":            36,
 	}
+	var serial Summary
 	for _, workers := range []int{1, 4} {
 		reg := metrics.NewRegistry()
 		res, err := Run(context.Background(), sweep, Options{Runner: &jobspec.Runner{Cache: core.NewCache(), Metrics: reg}, Workers: workers})
@@ -427,6 +430,18 @@ func TestRunMemoCountersSameAtAnyWorkers(t *testing.T) {
 			if got[name] != n {
 				t.Errorf("%d workers: %s = %d, want %d", workers, name, got[name], n)
 			}
+		}
+		sum := res.Summary
+		if sum.SchedMisses != 313 || sum.EstMisses != 3139 {
+			t.Errorf("%d workers: %d schedule and %d estimate misses, want 313 and 3139", workers, sum.SchedMisses, sum.EstMisses)
+		}
+		if workers == 1 {
+			serial = sum
+		} else if sum.SchedHits != serial.SchedHits || sum.SchedMisses != serial.SchedMisses ||
+			sum.EstHits != serial.EstHits || sum.EstMisses != serial.EstMisses {
+			t.Errorf("%d workers: cache counters %d/%d schedule and %d/%d estimate hits/misses, at one worker %d/%d and %d/%d",
+				workers, sum.SchedHits, sum.SchedMisses, sum.EstHits, sum.EstMisses,
+				serial.SchedHits, serial.SchedMisses, serial.EstHits, serial.EstMisses)
 		}
 	}
 }

@@ -61,9 +61,12 @@ type Options struct {
 	Progress func(Progress)
 }
 
-// Summary carries the run's nondeterministic measurements — everything
+// Summary carries the run's measurements beside the rows: everything
 // host-dependent lives here, never in rows, so the row tables stay
-// byte-identical across reruns.
+// byte-identical across reruns. The cache counters do not depend on
+// timing when the cache is unbounded, since it fills every schedule and
+// estimate table once at any Workers; under a bound, the order of
+// concurrent fills picks the evictions, and so the counts.
 type Summary struct {
 	Points  int   `json:"points"`
 	Resumed int   `json:"resumed"`
@@ -88,8 +91,9 @@ type Result struct {
 }
 
 // checkpoint is the JSONL record of one completed point. FP pins the
-// point's spec fingerprint, so stale state (a re-indexed sweep, a edited
-// axis) is detected instead of silently mixed in.
+// point's spec fingerprint (the Runner's Result.Fingerprint), so stale
+// state (a re-indexed sweep, a edited axis) is detected instead of
+// silently mixed in.
 type checkpoint struct {
 	Index int    `json:"index"`
 	FP    string `json:"fp"`
@@ -290,7 +294,7 @@ func Run(ctx context.Context, sweep *Sweep, opts Options) (*Result, error) {
 				row := rowFor(pt, res)
 				if shardFiles != nil {
 					sh := idx % shards
-					line, err := json.Marshal(checkpoint{Index: idx, FP: pt.Spec.Fingerprint(), Row: row})
+					line, err := json.Marshal(checkpoint{Index: idx, FP: res.Fingerprint, Row: row})
 					if err != nil {
 						fail(err)
 						return

@@ -13,6 +13,7 @@ import (
 	"ese/internal/pum"
 	"ese/internal/rtl"
 	"ese/internal/rtos"
+	"ese/internal/tlm"
 )
 
 // RTOSRow is one scheduling configuration of the consolidation study.
@@ -22,8 +23,6 @@ type RTOSRow struct {
 	TotalCycles uint64 // end-to-end time in CPU cycles
 	DecCycles   uint64 // decoder task CPU time
 	EncCycles   uint64 // encoder task CPU time
-	DecWait     uint64 // decoder time spent waiting for the CPU
-	EncWait     uint64
 	Switches    uint64
 }
 
@@ -35,70 +34,31 @@ type RTOSStudy struct {
 	Rows        []RTOSRow
 }
 
-// rtosMediaDesign builds the single-CPU two-task design.
-func rtosMediaDesign(s *Setup, cfg rtos.Config) (*platform.Design, error) {
-	src, err := apps.MediaSource("SW", s.Eval, apps.JPEGConfig{Blocks: 12, Seed: 0xBEEF})
-	if err != nil {
-		return nil, err
-	}
-	prog, err := apps.Compile("media.c", src)
-	if err != nil {
-		return nil, err
-	}
-	mb, err := s.MB.WithCache(pum.CacheCfg{ISize: 8 * 1024, DSize: 4 * 1024})
-	if err != nil {
-		return nil, err
-	}
-	return &platform.Design{
-		Name:    "media-rtos",
-		Program: prog,
-		Bus:     platform.DefaultBus(),
-		PEs: []*platform.PE{{
-			Name: "cpu",
-			Kind: platform.Processor,
-			PUM:  mb,
-			Tasks: []platform.SWTask{
-				{Name: "dec", Entry: "main", Priority: 5},
-				{Name: "enc", Entry: "jpeg_main", Priority: 1},
-			},
-			RTOS: cfg,
-		}},
-	}, nil
-}
-
-// twoPEMediaDesign maps the two tasks to two processors (the reference).
-func twoPEMediaDesign(s *Setup) (*platform.Design, error) {
-	src, err := apps.MediaSource("SW", s.Eval, apps.JPEGConfig{Blocks: 12, Seed: 0xBEEF})
-	if err != nil {
-		return nil, err
-	}
-	prog, err := apps.Compile("media.c", src)
-	if err != nil {
-		return nil, err
-	}
-	mb, err := s.MB.WithCache(pum.CacheCfg{ISize: 8 * 1024, DSize: 4 * 1024})
-	if err != nil {
-		return nil, err
-	}
-	return &platform.Design{
-		Name:    "media-2pe",
-		Program: prog,
-		Bus:     platform.DefaultBus(),
-		PEs: []*platform.PE{
-			{Name: "p0", Kind: platform.Processor, Entry: "main", PUM: mb},
-			{Name: "p1", Kind: platform.Processor, Entry: "jpeg_main", PUM: mb},
-		},
-	}, nil
-}
-
-// RunRTOSStudy runs the consolidation sweep.
+// RunRTOSStudy runs the consolidation sweep. The media program (both
+// tasks in one source) is compiled once and mapped onto two processors,
+// one task each (the reference), and onto one processor running both
+// tasks under each RTOS configuration.
 func RunRTOSStudy(ctx context.Context, s *Setup) (*RTOSStudy, error) {
-	out := &RTOSStudy{}
-	ref, err := twoPEMediaDesign(s)
+	src, err := apps.MediaSource("SW", s.Eval, apps.JPEGConfig{Blocks: 12, Seed: 0xBEEF})
 	if err != nil {
 		return nil, err
 	}
-	refRes, err := s.Pipe.SimulateCtx(ctx, ref, timed)
+	prog, err := apps.Compile("media.c", src)
+	if err != nil {
+		return nil, err
+	}
+	mb, err := s.MB.WithCache(pum.CacheCfg{ISize: 8 * 1024, DSize: 4 * 1024})
+	if err != nil {
+		return nil, err
+	}
+	simulate := func(name string, pes ...*platform.PE) (*tlm.Result, error) {
+		d := &platform.Design{Name: name, Program: prog, Bus: platform.DefaultBus(), PEs: pes}
+		return s.Pipe.SimulateCtx(ctx, d, timed)
+	}
+	out := &RTOSStudy{}
+	refRes, err := simulate("media-2pe",
+		&platform.PE{Name: "p0", Kind: platform.Processor, Entry: "main", PUM: mb},
+		&platform.PE{Name: "p1", Kind: platform.Processor, Entry: "jpeg_main", PUM: mb})
 	if err != nil {
 		return nil, err
 	}
@@ -115,11 +75,16 @@ func RunRTOSStudy(ctx context.Context, s *Setup) (*RTOSStudy, error) {
 		{"priority dec", rtos.Config{Policy: rtos.PriorityPreemptive, ContextSwitchCycles: 100}},
 	}
 	for _, c := range configs {
-		d, err := rtosMediaDesign(s, c.cfg)
-		if err != nil {
-			return nil, err
-		}
-		res, err := s.Pipe.SimulateCtx(ctx, d, timed)
+		res, err := simulate("media-rtos", &platform.PE{
+			Name: "cpu",
+			Kind: platform.Processor,
+			PUM:  mb,
+			Tasks: []platform.SWTask{
+				{Name: "dec", Entry: "main", Priority: 5},
+				{Name: "enc", Entry: "jpeg_main", Priority: 1},
+			},
+			RTOS: c.cfg,
+		})
 		if err != nil {
 			return nil, err
 		}

@@ -6,8 +6,8 @@
 // body, and both hand it to a Runner, which executes it through the one
 // engine.Pipeline Runner.Pipeline builds for the job. A TLM spec has one
 // executor, Runner.ExecTLM — esed and esedse reach it through RunWith,
-// esetlm calls it and renders its outcome, and esetlm -graph/-gen and
-// esegen take its design half (Runner.Design, Runner.Standalone) — and an
+// esetlm calls it and renders its outcome, and esetlm -graph and esegen
+// take its design half (Runner.Design, Runner.Standalone) — and an
 // estimate spec is annotated by Spec.Annotate, for eseest as for esed.
 //
 // A Spec is deliberately plain data (JSON-codable, no pointers into IR),

@@ -379,7 +379,7 @@ func (r *Runner) ExecTLM(ctx context.Context, s *Spec, pl *engine.Pipeline, ev *
 // Standalone returns the spec's design (see Design) and its standalone
 // timed-TLM package (codegen.StandaloneFiles, go.mod naming module), with
 // the per-block delays pl annotates for a timed run of the design: the
-// files esegen -o writes and whose main.go esetlm -gen prints.
+// files esegen -o writes.
 func (r *Runner) Standalone(ctx context.Context, s *Spec, pl *engine.Pipeline, module string) (*platform.Design, map[string][]byte, error) {
 	d, err := r.Design(ctx, s, pl)
 	if err != nil {

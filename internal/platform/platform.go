@@ -192,7 +192,7 @@ func (d *Design) Channels() map[int]*ChannelUsage {
 				// may legally share a channel (RTOS inter-task IPC).
 				procName = pe.Name + "/" + task.Name
 			}
-			for _, fn := range reachableFuncs(d.Program, task.Entry) {
+			for _, fn := range d.Program.Reachable(task.Entry) {
 				for _, b := range fn.Blocks {
 					for i := range b.Instrs {
 						in := &b.Instrs[i]
@@ -243,31 +243,6 @@ func appendUnique(list []string, s string) []string {
 		}
 	}
 	return append(list, s)
-}
-
-// reachableFuncs returns the functions statically reachable from entry.
-func reachableFuncs(p *cdfg.Program, entry string) []*cdfg.Function {
-	start := p.Func(entry)
-	if start == nil {
-		return nil
-	}
-	seen := map[*cdfg.Function]bool{start: true}
-	work := []*cdfg.Function{start}
-	var out []*cdfg.Function
-	for len(work) > 0 {
-		fn := work[len(work)-1]
-		work = work[:len(work)-1]
-		out = append(out, fn)
-		for _, b := range fn.Blocks {
-			for i := range b.Instrs {
-				if c := b.Instrs[i].Callee; c != nil && !seen[c] {
-					seen[c] = true
-					work = append(work, c)
-				}
-			}
-		}
-	}
-	return out
 }
 
 // Graph renders the process/channel structure as text (the Figure 6 style

@@ -484,7 +484,10 @@ func (v *verifier) acyclicDFG(b *cdfg.Block) {
 // coverage, so a hardware PE is only held to the classes its own entry
 // actually executes.
 func UsedClasses(prog *cdfg.Program, entries ...string) map[cdfg.Class]int {
-	fns := reachable(prog, entries)
+	fns := prog.Reachable(entries...)
+	if len(fns) == 0 {
+		fns = prog.Funcs
+	}
 	used := make(map[cdfg.Class]int)
 	for _, fn := range fns {
 		for _, b := range fn.Blocks {
@@ -496,47 +499,6 @@ func UsedClasses(prog *cdfg.Program, entries ...string) map[cdfg.Class]int {
 		}
 	}
 	return used
-}
-
-// reachable returns the functions reachable from the named entries via
-// static calls, or all functions when no entry resolves.
-func reachable(prog *cdfg.Program, entries []string) []*cdfg.Function {
-	var roots []*cdfg.Function
-	for _, e := range entries {
-		for _, fn := range prog.Funcs {
-			if fn.Name == e {
-				roots = append(roots, fn)
-			}
-		}
-	}
-	if len(roots) == 0 {
-		return prog.Funcs
-	}
-	seen := make(map[*cdfg.Function]bool)
-	var visit func(fn *cdfg.Function)
-	visit = func(fn *cdfg.Function) {
-		if seen[fn] {
-			return
-		}
-		seen[fn] = true
-		for _, b := range fn.Blocks {
-			for i := range b.Instrs {
-				if c := b.Instrs[i].Callee; c != nil {
-					visit(c)
-				}
-			}
-		}
-	}
-	for _, r := range roots {
-		visit(r)
-	}
-	out := make([]*cdfg.Function, 0, len(seen))
-	for _, fn := range prog.Funcs { // deterministic program order
-		if seen[fn] {
-			out = append(out, fn)
-		}
-	}
-	return out
 }
 
 // sortedClasses returns the keys of a class-usage map in enum order, for
